@@ -42,8 +42,6 @@ from .surrogate import (
     TrainConfig,
     fit_mlp,
     fit_rbf,
-    input_jacobian,
-    predict,
     select_rbf_width,
 )
 

@@ -293,7 +293,10 @@ def cmd_front(args) -> int:
                 combined_rows.append([index, "sample", *row])
             for row in f_rows:
                 combined_rows.append([index, "front", *row])
-        _, final_rows = _read_csv(run_dir / "final_front.csv")
+        final_header, final_rows = _read_csv(run_dir / "final_front.csv")
+        if x_names is None:  # the run stopped before its first round finished
+            x_names = [c for c in final_header if c.startswith("x")]
+            value_names = [f"obj{k}" for k in range(len(final_header) - len(x_names))]
         for row in final_rows:
             combined_rows.append([-1, "final", *row])
     except (MissingArtifactError, json.JSONDecodeError, KeyError) as exc:

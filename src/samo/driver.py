@@ -48,7 +48,7 @@ from .surrogate import (
 
 logger = logging.getLogger(__name__)
 
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 SURROGATE_KINDS = ("mlp", "rbf")
 OPTIMIZER_KINDS = ("nsga2", "mgda-multistart")
@@ -144,6 +144,7 @@ class RoundRecord:
     pareto: ParetoApproximation
     hausdorff: Optional[float]
     timings: dict
+    optimizer: dict = field(default_factory=dict)
     surrogate_path: Optional[str] = None
 
 
@@ -201,6 +202,8 @@ def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
 def _optimize_surrogate(
     model, problem: Problem, cfg: SamoConfig, round_index: int, writer=None, verbose=False
 ):
+    """The surrogate front of one round and the optimizer's counts."""
+    stats: dict = {}
     if cfg.optimizer == "nsga2":
         moea_cfg = replace(
             cfg.moea,
@@ -208,14 +211,18 @@ def _optimize_surrogate(
             seed=derive_seed(cfg.seed, 2, round_index),
         )
         snapshot = writer.front_snapshot_writer(round_index) if (writer and verbose) else None
-        return nsga2_run(model.predict, problem.bounds, moea_cfg, snapshot_writer=snapshot)
+        pareto = nsga2_run(
+            model.predict_batch, problem.bounds, moea_cfg, snapshot_writer=snapshot, stats=stats
+        )
+        return pareto, stats
     mgda_cfg = replace(
         cfg.mgda,
         n_starts=cfg.population_size,
         seed=derive_seed(cfg.seed, 2, round_index),
     )
     traces = writer.mgda_trace_writer(round_index) if (writer and verbose) else None
-    return multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces)
+    pareto = multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces, stats=stats)
+    return pareto, stats
 
 
 class RunDirectoryWriter:
@@ -321,6 +328,7 @@ class RunDirectoryWriter:
                     "front_size": len(r.pareto),
                     "hausdorff": r.hausdorff,
                     "timings": r.timings,
+                    "optimizer": r.optimizer,
                 }
                 for r in record.rounds
             ],
@@ -384,6 +392,8 @@ def samo_run(
         new_samples = evaluate_batch(problem, plan, round_index, jobs=jobs)
         record.dataset = record.dataset.with_samples(new_samples)
         timings["evaluation"] = time.perf_counter() - t0
+        if writer:
+            writer.write_samples(round_index, new_samples)
 
         t0 = time.perf_counter()
         try:
@@ -395,9 +405,14 @@ def samo_run(
         timings["fit"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pareto = _optimize_surrogate(
-            model, problem, cfg, round_index, writer=writer, verbose=verbose
-        )
+        try:
+            pareto, optimizer_stats = _optimize_surrogate(
+                model, problem, cfg, round_index, writer=writer, verbose=verbose
+            )
+        except SamoError as exc:
+            record.error = f"surrogate optimization failed in round {round_index}: {exc}"
+            logger.error(record.error)
+            break
         timings["optimization"] = time.perf_counter() - t0
 
         h: Optional[float] = None
@@ -420,10 +435,10 @@ def samo_run(
             pareto=pareto,
             hausdorff=h,
             timings=timings,
+            optimizer=optimizer_stats,
         )
         record.rounds.append(round_record)
         if writer:
-            writer.write_samples(round_index, new_samples)
             writer.write_front(round_index, pareto)
             round_record.surrogate_path = writer.write_surrogate(round_index, model)
         if verbose or h is not None:

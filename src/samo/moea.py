@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     BoxBounds,
     ConfigurationError,
+    DimensionMismatchError,
     EmptyInputError,
     ParetoApproximation,
     dominance_matrix,
@@ -23,17 +24,6 @@ from .core import (
 from .sampling import latin_hypercube
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class Individual:
-    """Population member: decision vector, surrogate objectives, and the
-    (rank, crowding) fitness used for selection."""
-
-    x: np.ndarray
-    y: np.ndarray
-    rank: int = 0
-    crowding: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,21 +50,13 @@ class MoeaConfig:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")
 
 
-def _objective_matrix(pop) -> np.ndarray:
-    first = pop[0] if len(pop) else None
-    if isinstance(first, Individual):
-        return np.array([ind.y for ind in pop], dtype=float)
-    return np.atleast_2d(np.asarray(pop, dtype=float))
-
-
 def fast_non_dominated_sort(pop) -> list:
     """Partition a population into fronts: front 0 is the non-dominated set,
     front i+1 is non-dominated once fronts <= i are removed.
 
-    Accepts a sequence of `Individual` or an (n, K) array of objectives;
-    returns a list of index arrays.
+    Takes an (n, K) array of objectives; returns a list of index arrays.
     """
-    F = _objective_matrix(pop)
+    F = np.atleast_2d(np.asarray(pop, dtype=float))
     if F.shape[0] == 0:
         raise EmptyInputError("population must not be empty")
     dom = dominance_matrix(F)
@@ -93,7 +75,7 @@ def fast_non_dominated_sort(pop) -> list:
 def crowding_distance(front) -> np.ndarray:
     """Per-objective normalized neighbor gaps, summed; boundary points and
     fronts of size <= 2 get infinity."""
-    F = _objective_matrix(front)
+    F = np.atleast_2d(np.asarray(front, dtype=float))
     n, n_obj = F.shape
     if n == 0:
         raise EmptyInputError("front must not be empty")
@@ -181,8 +163,13 @@ def polynomial_mutation(
 
 
 def _evaluate(objective, X: np.ndarray) -> tuple:
-    """Evaluate a batch, mapping non-finite outputs to +inf (worst rank)."""
-    Y = np.array([np.asarray(objective(x), dtype=float) for x in X])
+    """Evaluate a population with one objective call, mapping non-finite
+    outputs to +inf (worst rank)."""
+    Y = np.array(objective(X), dtype=float)
+    if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
+        raise DimensionMismatchError(
+            f"objective returned shape {Y.shape} for {X.shape[0]} points; expected (M, K)"
+        )
     bad = ~np.isfinite(Y).all(axis=1)
     flagged = int(bad.sum())
     if flagged:
@@ -215,20 +202,25 @@ def nsga2_run(
     bounds: BoxBounds,
     cfg: MoeaConfig,
     snapshot_writer: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
+    stats: Optional[dict] = None,
 ) -> ParetoApproximation:
     """Full generational loop; returns the final population's first front.
 
-    The initial population is a Latin hypercube over the box. Parents are
-    chosen by binary tournament on (rank, crowding); survivors are the best
-    of parents plus offspring (elitism). `snapshot_writer(gen, X, Y)` is
-    called with the current first front after each generation when given.
+    `objective` maps an (M, N) population to its (M, K) objectives and is
+    called once per population (a surrogate's `predict_batch`, or
+    `Problem.evaluate_batch`). The initial population is a Latin hypercube
+    over the box. Parents are chosen by binary tournament on (rank,
+    crowding); survivors are the best of parents plus offspring (elitism).
+    `snapshot_writer(gen, X, Y)` is called with the current first front
+    after each generation when given. A `stats` dict, when given, receives
+    `demoted`: how many evaluated individuals had non-finite objectives.
     """
     rng = np.random.default_rng(cfg.seed)
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
 
     X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).matrix()
-    Y, _ = _evaluate(objective, X)
+    Y, demoted = _evaluate(objective, X)
 
     for gen in range(cfg.generations):
         rank, crowd, _ = _rank_and_crowding(Y)
@@ -246,7 +238,8 @@ def nsga2_run(
             )
             off_X[i] = polynomial_mutation(c1, cfg.eta_mutation, mutation_prob, bounds, rng)
             off_X[i + 1] = polynomial_mutation(c2, cfg.eta_mutation, mutation_prob, bounds, rng)
-        off_Y, _ = _evaluate(objective, off_X)
+        off_Y, flagged = _evaluate(objective, off_X)
+        demoted += flagged
 
         pool_X = np.vstack([X, off_X])
         pool_Y = np.vstack([Y, off_Y])
@@ -266,14 +259,7 @@ def nsga2_run(
             first = fast_non_dominated_sort(Y)[0]
             snapshot_writer(gen, X[first], Y[first])
 
+    if stats is not None:
+        stats["demoted"] = demoted
     first = fast_non_dominated_sort(Y)[0]
     return ParetoApproximation.from_arrays(X[first], Y[first])
-
-
-def population_from_arrays(X: np.ndarray, Y: np.ndarray) -> list:
-    """Convenience constructor used by tests and reporting."""
-    rank, crowd, _ = _rank_and_crowding(np.atleast_2d(Y))
-    return [
-        Individual(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float), rank=int(r), crowding=float(c))
-        for x, y, r, c in zip(np.atleast_2d(X), np.atleast_2d(Y), rank, crowd)
-    ]

@@ -58,6 +58,10 @@ class Problem:
         if self.bounds.dim != self.n_dim:
             raise DimensionMismatchError("bounds dimension does not match n_dim")
 
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """`evaluate` at every row of an (M, N) array, as an (M, K) array."""
+        return np.array([self.evaluate(x) for x in np.atleast_2d(X)], dtype=float)
+
 
 @dataclass(frozen=True)
 class QuarterCarParams:
@@ -463,7 +467,8 @@ def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
 
 class GradientModel:
     """Adapter exposing a cheap problem with analytic gradients through the
-    surrogate interface (predict / input_jacobian), for descent-method tests."""
+    surrogate interface (predict / input_jacobian and their batch forms),
+    for descent-method tests."""
 
     def __init__(self, problem: Problem):
         if problem.jacobian is None:
@@ -473,5 +478,11 @@ class GradientModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self._problem.evaluate(np.asarray(x, dtype=float))
 
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return self._problem.evaluate_batch(X)
+
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._problem.jacobian(np.asarray(x, dtype=float))
+
+    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.input_jacobian(x) for x in np.atleast_2d(X)])

@@ -34,11 +34,23 @@ class TrainingError(SamoError):
 
 
 class SurrogateModel(Protocol):
+    """What the optimizers need from a model.
+
+    `predict` maps an N-vector to K objectives and `input_jacobian` returns
+    the exact K x N Jacobian there. The batch forms take an (M, N) array and
+    return (M, K) and (M, K, N). Row i of a batch result must equal the
+    one-point result at X[i] bit for bit: NSGA-II evaluates whole
+    populations and MGDA steps all its starts with the batch forms, and
+    their output must not depend on how points are grouped.
+    """
+
     def predict(self, x: np.ndarray) -> np.ndarray: ...
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray: ...
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray: ...
+
+    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -113,6 +125,13 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be non-negative (0 = full batch)")
 
 
+def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != n_dim:
+        raise DimensionMismatchError(f"expected {n_dim}-dimensional inputs")
+    return X
+
+
 @dataclass(frozen=True)
 class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
@@ -132,31 +151,33 @@ class RbfModel:
     def n_obj(self) -> int:
         return self.weights.shape[1]
 
-    def _kernel_matrix(self, Xs: np.ndarray) -> np.ndarray:
-        d2 = ((Xs[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-d2 / (2.0 * self.sigma**2))
+    def _scaled_offsets(self, X: np.ndarray) -> np.ndarray:
+        """(M, C, N) offsets of the scaled inputs from every center."""
+        X = _input_matrix(X, self.n_dim)
+        return self.scaler.transform_x(X)[:, None, :] - self.centers
+
+    def _kernel(self, diff: np.ndarray) -> np.ndarray:
+        return np.exp(-(diff**2).sum(axis=2) / (2.0 * self.sigma**2))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_dim:
-            raise DimensionMismatchError(f"expected {self.n_dim}-dimensional inputs")
-        Xs = self.scaler.transform_x(X)
-        return self.scaler.inverse_y(self._kernel_matrix(Xs) @ self.weights)
+        phi = self._kernel(self._scaled_offsets(X))
+        # (M, 1, C) @ (C, K) is one vector-matrix product per row, so every
+        # row equals the one-point prediction bit for bit
+        return self.scaler.inverse_y((phi[:, None, :] @ self.weights)[:, 0, :])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_dim:
-            raise DimensionMismatchError(f"expected {self.n_dim}-dimensional input")
-        xs = self.scaler.transform_x(x)
-        diff = xs[None, :] - self.centers
-        phi = np.exp(-(diff**2).sum(axis=1) / (2.0 * self.sigma**2))
+    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        diff = self._scaled_offsets(X)
+        phi = self._kernel(diff)
         # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2
-        dphi = -(phi[:, None] * diff) / self.sigma**2
+        dphi = -(phi[:, :, None] * diff) / self.sigma**2
         jac_scaled = self.weights.T @ dphi
-        return (self.scaler.y_scale[:, None] * jac_scaled) / self.scaler.x_scale[None, :]
+        return (self.scaler.y_scale[:, None] * jac_scaled) / self.scaler.x_scale
+
+    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,34 +208,33 @@ class MlpModel:
     def n_obj(self) -> int:
         return self.weights[-1].shape[1]
 
-    def _forward_scaled(self, Xs: np.ndarray) -> np.ndarray:
-        h = Xs
+    def _layers(self, X: np.ndarray) -> list:
+        """Scaled input and hidden activations, each (M, 1, width). Every
+        layer is one vector-matrix product per row, so every row equals the
+        one-point forward pass bit for bit."""
+        h = self.scaler.transform_x(_input_matrix(X, self.n_dim))[:, None, :]
+        layers = [h]
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.tanh(h @ W + b)
-        return h @ self.weights[-1] + self.biases[-1]
+            layers.append(h)
+        return layers
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.n_dim:
-            raise DimensionMismatchError(f"expected {self.n_dim}-dimensional inputs")
-        return self.scaler.inverse_y(self._forward_scaled(self.scaler.transform_x(X)))
+        h = self._layers(X)[-1]
+        return self.scaler.inverse_y((h @ self.weights[-1] + self.biases[-1])[:, 0, :])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_dim:
-            raise DimensionMismatchError(f"expected {self.n_dim}-dimensional input")
-        h = self.scaler.transform_x(x)
-        activations = []
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ W + b)
-            activations.append(h)
-        jac = self.weights[-1].T
-        for W, act in zip(reversed(self.weights[:-1]), reversed(activations)):
+    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        layers = self._layers(X)
+        jac = np.repeat(self.weights[-1].T[None], len(layers[0]), axis=0)
+        for W, act in zip(reversed(self.weights[:-1]), reversed(layers[1:])):
             jac = (jac * (1.0 - act**2)) @ W.T
-        return (self.scaler.y_scale[:, None] * jac) / self.scaler.x_scale[None, :]
+        return (self.scaler.y_scale[:, None] * jac) / self.scaler.x_scale
+
+    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -455,16 +475,6 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:
         train_history=tuple(train_history),
         val_history=tuple(val_history),
     )
-
-
-def predict(model: SurrogateModel, x: np.ndarray) -> np.ndarray:
-    """Model output in original units at a single point."""
-    return model.predict(np.asarray(x, dtype=float))
-
-
-def input_jacobian(model: SurrogateModel, x: np.ndarray) -> np.ndarray:
-    """Exact K x N Jacobian of the model output with respect to the input."""
-    return model.input_jacobian(np.asarray(x, dtype=float))
 
 
 def _scaler_to_dict(scaler: Scaler) -> dict:

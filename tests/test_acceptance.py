@@ -196,7 +196,7 @@ def test_criterion_5_nsga2_quality():
         values = []
         for seed in range(5):
             cfg = MoeaConfig(population_size=100, generations=200, seed=seed)
-            front = nsga2_run(problem.evaluate, problem.bounds, cfg).front_matrix()
+            front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
             values.append(igd_normalized(front, reference))
         elapsed = time.perf_counter() - start
         mean_igd = float(np.mean(values))

@@ -1,9 +1,14 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
+import samo.driver
+from samo.cli import RunConfig, main
 from samo.core import ConfigurationError, dominates
 from samo.driver import (
     RunRecord,
@@ -21,6 +26,7 @@ from samo.problems import make_analytic_problem, make_quarter_car_problem
 from samo.surrogate import TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
+CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
 
 
 def small_cfg(**overrides) -> SamoConfig:
@@ -166,9 +172,22 @@ class TestArtifacts:
             assert (run_dir / f"front_round_{j}.csv").exists()
             assert (run_dir / f"surrogate_round_{j}.json").exists()
         metrics = json.loads((run_dir / "metrics.json").read_text())
-        assert metrics["schema_version"] == 1
+        assert metrics["schema_version"] == 2
         assert metrics["total_evaluations"] == record.total_evaluations
         assert len(metrics["rounds"]) == rounds
+        assert [r["optimizer"] for r in metrics["rounds"]] == [{"demoted": 0}] * rounds
+
+    def test_mgda_counts_in_metrics(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = small_cfg(optimizer="mgda-multistart", population_size=8)
+        record = samo_run(CHEAP, cfg, run_dir=run_dir)
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        for r, info in zip(record.rounds, metrics["rounds"]):
+            counts = info["optimizer"]
+            assert counts == r.optimizer
+            assert set(counts) == {"starts", "converged", "dropped", "max_iterations_used"}
+            assert counts["starts"] == 8
+            assert counts["converged"] + counts["dropped"] == 8
 
     def test_projection_matrix_written_for_benchmark(self, tmp_path):
         problem = make_quarter_car_problem(te=0.5, dt=1e-3)
@@ -205,6 +224,53 @@ class TestFailureHandling:
         assert not record.converged
         assert record.total_evaluations == 5
         assert record.final_front is not None
+
+
+    def test_optimizer_failure_keeps_run(self, tmp_path):
+        # one iteration is too few for any descent start to turn critical
+        config = RunConfig.from_file(CHEAP_DEMO)
+        cfg = replace(
+            config.samo,
+            optimizer="mgda-multistart",
+            mgda=replace(config.samo.mgda, max_iterations=1),
+        )
+        run_dir = tmp_path / "run"
+        record = samo_run(config.problem, cfg, run_dir=run_dir)
+        assert record.error is not None and "no start" in record.error
+        assert record.total_evaluations == cfg.batch_size
+        assert (run_dir / "metrics.json").exists()
+        assert (run_dir / "final_front.csv").exists()
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        assert metrics["error"] == record.error
+        assert main(["front", str(run_dir)]) == 0
+
+
+class TestBatchedOptimizersMatchOnePointPath:
+    """A --verbose cheap-demo run writes the same bytes with the batched
+    optimizers as with the one-point reference path in tests/oracles.py."""
+
+    @staticmethod
+    def artifacts(run_dir: Path, pattern: str) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(run_dir.glob(pattern))}
+
+    @pytest.mark.parametrize(
+        "optimizer,site,oracle,pattern",
+        [
+            ("mgda-multistart", "multistart_mgda", oracles.multistart_mgda, "mgda_trace_round_*"),
+            ("nsga2", "nsga2_run", oracles.rowwise_nsga2(samo.driver.nsga2_run), "nsga2_fronts_round_*"),
+        ],
+        ids=["mgda", "nsga2"],
+    )
+    def test_verbose_artifacts_byte_identical(self, tmp_path, monkeypatch, optimizer, site, oracle, pattern):
+        config = RunConfig.from_file(CHEAP_DEMO)
+        cfg = replace(config.samo, optimizer=optimizer)
+        samo_run(config.problem, cfg, run_dir=tmp_path / "fast", verbose=True)
+        monkeypatch.setattr(samo.driver, site, oracle)
+        samo_run(config.problem, cfg, run_dir=tmp_path / "slow", verbose=True)
+        fast = self.artifacts(tmp_path / "fast", pattern)
+        assert fast and fast == self.artifacts(tmp_path / "slow", pattern)
+        for name in ("samples_round_*.csv", "front_round_*.csv", "final_front.csv"):
+            assert self.artifacts(tmp_path / "fast", name) == self.artifacts(tmp_path / "slow", name)
 
 
 class TestIgd:

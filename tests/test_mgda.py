@@ -1,16 +1,28 @@
 import numpy as np
 import pytest
 
-from samo.core import BoxBounds, ConfigurationError, SamoError, dominates
+import oracles
+from samo.core import (
+    BoxBounds,
+    ConfigurationError,
+    Dataset,
+    DecisionVector,
+    ObjectiveVector,
+    Sample,
+    SamoError,
+    dominates,
+)
 from samo.mgda import (
     DescentStep,
     MgdaConfig,
+    _descent_directions,
     common_descent_direction,
     kkt_residual,
     mgda_run,
     multistart_mgda,
 )
 from samo.problems import GradientModel, make_analytic_problem
+from samo.surrogate import TrainConfig, fit_mlp, fit_rbf
 
 
 def grid_min_norm_k2(J: np.ndarray, step: float = 1e-3) -> float:
@@ -183,11 +195,11 @@ class TestMgdaRun:
 
     def test_single_objective_gradient_descent(self):
         class Sphere:
-            def predict(self, x):
-                return np.array([float(x @ x)])
+            def predict_batch(self, X):
+                return (X**2).sum(axis=1, keepdims=True)
 
-            def input_jacobian(self, x):
-                return 2.0 * x[None, :]
+            def input_jacobian_batch(self, X):
+                return 2.0 * X[:, None, :]
 
         bounds = BoxBounds(np.full(3, -2.0), np.full(3, 2.0))
         cfg = MgdaConfig(learning_rate=0.1, max_iterations=5000, tolerance=1e-8)
@@ -208,11 +220,11 @@ class TestMgdaRun:
 
     def test_non_finite_gradient_raises(self):
         class Broken:
-            def predict(self, x):
-                return np.array([0.0, 0.0])
+            def predict_batch(self, X):
+                return np.zeros((len(X), 2))
 
-            def input_jacobian(self, x):
-                return np.full((2, 2), np.nan)
+            def input_jacobian_batch(self, X):
+                return np.full((len(X), 2, 2), np.nan)
 
         bounds = BoxBounds(np.zeros(2), np.ones(2))
         with pytest.raises(SamoError, match="non-finite gradient"):
@@ -243,3 +255,139 @@ class TestMultistart:
             for j in range(len(front)):
                 if i != j:
                     assert not dominates(front[i], front[j])
+
+
+def paraboloid_model(n_obj: int, kind: str = "rbf"):
+    """A surrogate of n_obj squared distances to points on the diagonal of
+    [-1, 1]^4, fitted on 30 Latin-hypercube samples."""
+    problem = make_analytic_problem("two-paraboloids")
+    X = np.random.default_rng(n_obj).uniform(-1.0, 1.0, (30, 4))
+    anchors = np.linspace(-0.5, 0.5, n_obj)
+    Y = np.column_stack([((X - a) ** 2).sum(axis=1) for a in anchors])
+    data = Dataset(tuple(Sample(DecisionVector(x), ObjectiveVector(y)) for x, y in zip(X, Y)))
+    if kind == "mlp":
+        return problem, fit_mlp(data, TrainConfig(epochs=40, patience=40, seed=1))
+    return problem, fit_rbf(data, sigma=1.0)
+
+
+class TestBatchedMatchesOnePointOracle:
+    """The batched kernel against the one-start loop in tests/oracles.py,
+    with exact equality."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_descent_directions(self, k):
+        rng = np.random.default_rng(k)
+        J = rng.normal(size=(40, k, 5))
+        J[1] = J[1, :1]  # identical gradients
+        J[2, -1] = -J[2, 0]  # opposing gradients
+        J[3] = 0.0
+        D, W, norms = _descent_directions(J)
+        for i, Ji in enumerate(J):
+            direction, weights, norm = oracles.descent_step(Ji)
+            assert np.array_equal(D[i], direction)
+            assert np.array_equal(W[i], weights)
+            assert norms[i] == norm
+            assert common_descent_direction(Ji).norm == norm
+
+    @staticmethod
+    def recorded(run, model, bounds, cfg):
+        """Front (or the error raised), traces and counts of one multistart."""
+        traces, stats = {}, {}
+        try:
+            pareto = run(model, bounds, cfg, trace_writer=traces.__setitem__, stats=stats)
+            outcome = (pareto.decision_matrix(), pareto.front_matrix())
+        except SamoError:
+            outcome = None
+        return outcome, traces, stats
+
+    @pytest.mark.parametrize(
+        "n_obj,kind,backtracking",
+        [(2, "rbf", False), (2, "rbf", True), (3, "rbf", False), (2, "mlp", True)],
+    )
+    def test_multistart_with_traces(self, n_obj, kind, backtracking):
+        problem, model = paraboloid_model(n_obj, kind)
+        # descent on this network stalls at the box edge, so its starts do
+        # not converge; a short budget still compares every stacked step.
+        # The long steps with backtracking make it halve some of them.
+        cfg = MgdaConfig(
+            n_starts=24,
+            seed=5,
+            backtracking=backtracking,
+            learning_rate=2.0 if backtracking else 0.2,
+            max_iterations=60 if kind == "mlp" else 10_000,
+        )
+        fast = self.recorded(multistart_mgda, model, problem.bounds, cfg)
+        slow = self.recorded(oracles.multistart_mgda, model, problem.bounds, cfg)
+        if kind == "rbf":
+            assert slow[0] is not None
+        if slow[0] is None:
+            assert fast[0] is None
+        else:
+            assert np.array_equal(fast[0][0], slow[0][0])
+            assert np.array_equal(fast[0][1], slow[0][1])
+        assert sorted(fast[1]) == list(range(24))
+        for start, trace in slow[1].items():
+            assert np.array_equal(fast[1][start], trace)
+        assert fast[2] == slow[2]
+
+    def test_multistart_without_traces_same_front(self):
+        problem, model = paraboloid_model(2)
+        cfg = MgdaConfig(n_starts=24, seed=6)
+        fast = multistart_mgda(model, problem.bounds, cfg)
+        slow = oracles.multistart_mgda(model, problem.bounds, cfg)
+        assert np.array_equal(fast.decision_matrix(), slow.decision_matrix())
+
+    @pytest.mark.parametrize("max_iterations", [1, 3, 50])
+    def test_mgda_run_budget_exhausted(self, max_iterations):
+        problem, model = paraboloid_model(2, "mlp")
+        cfg = MgdaConfig(max_iterations=max_iterations, backtracking=True)
+        x0 = np.array([0.9, -0.8, 0.7, -0.6])
+        fast = mgda_run(model, x0, problem.bounds, cfg)
+        slow = oracles.mgda_run(model, x0, problem.bounds, cfg)
+        assert not fast.converged and fast.iterations == max_iterations
+        assert np.array_equal(fast.x, slow.x)
+        assert np.array_equal(fast.trace, slow.trace)
+
+    def test_backtracking_rejects_nan_objective(self):
+        # a candidate whose objectives are NaN is never accepted, so the
+        # step is halved 30 times and then taken, as in the one-point rule
+        class NanRight:
+            def predict(self, x):
+                f = np.array([x @ x, (x - 1.0) @ (x - 1.0)])
+                return np.full(2, np.nan) if x[0] > 0.3 else f
+
+            def input_jacobian(self, x):
+                return np.vstack([2.0 * x, 2.0 * (x - 1.0)])
+
+            def predict_batch(self, X):
+                return np.array([self.predict(x) for x in X])
+
+            def input_jacobian_batch(self, X):
+                return np.array([self.input_jacobian(x) for x in X])
+
+        bounds = BoxBounds(np.full(2, -1.0), np.full(2, 1.0))
+        cfg = MgdaConfig(learning_rate=0.5, max_iterations=20, backtracking=True)
+        x0 = np.array([0.25, 0.9])
+        fast = mgda_run(NanRight(), x0, bounds, cfg)
+        slow = oracles.mgda_run(NanRight(), x0, bounds, cfg)
+        assert np.array_equal(fast.x, slow.x)
+        assert np.array_equal(fast.trace, slow.trace, equal_nan=True)
+        assert np.isnan(fast.trace).any()
+
+
+class TestMultistartStats:
+    def test_counts(self):
+        problem = make_analytic_problem("two-paraboloids")
+        stats = {}
+        multistart_mgda(GradientModel(problem), problem.bounds, MgdaConfig(n_starts=10, seed=2), stats=stats)
+        assert stats["starts"] == 10
+        assert stats["converged"] + stats["dropped"] == 10
+        assert 1 <= stats["max_iterations_used"] <= 10_000
+
+    def test_counts_kept_when_no_start_converges(self):
+        problem = make_analytic_problem("two-paraboloids")
+        stats = {}
+        cfg = MgdaConfig(n_starts=10, seed=2, max_iterations=1)
+        with pytest.raises(SamoError, match="no start of 10 converged"):
+            multistart_mgda(GradientModel(problem), problem.bounds, cfg, stats=stats)
+        assert stats == {"starts": 10, "converged": 0, "dropped": 10, "max_iterations_used": 1}

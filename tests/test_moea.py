@@ -1,17 +1,24 @@
 import numpy as np
 import pytest
 
-from samo.core import BoxBounds, ConfigurationError, dominates, non_dominated_filter
+import oracles
+from samo.core import (
+    BoxBounds,
+    ConfigurationError,
+    DimensionMismatchError,
+    dominates,
+    non_dominated_filter,
+)
 from samo.moea import (
     MoeaConfig,
     crowding_distance,
     fast_non_dominated_sort,
     nsga2_run,
     polynomial_mutation,
-    population_from_arrays,
     sbx_crossover,
 )
 from samo.problems import make_analytic_problem
+from samo.surrogate import MlpModel, Scaler
 
 UNIT_BOX = BoxBounds(np.zeros(2), np.ones(2))
 WIDE_BOX = BoxBounds(np.full(1, -100.0), np.full(1, 100.0))
@@ -55,11 +62,10 @@ class TestSorting:
         fronts = [sorted(f.tolist()) for f in fast_non_dominated_sort(Y)]
         assert fronts == peel_fronts(Y)
 
-    def test_accepts_individuals(self):
-        pop = population_from_arrays(np.zeros((3, 1)), np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
-        fronts = fast_non_dominated_sort(pop)
+    def test_dominated_point_in_second_front(self):
+        fronts = fast_non_dominated_sort(np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
         assert sorted(fronts[0].tolist()) == [0, 1]
-        assert pop[2].rank == 1
+        assert fronts[1].tolist() == [2]
 
 
 class TestCrowding:
@@ -168,15 +174,15 @@ class TestNsga2:
     def test_seeded_determinism(self):
         problem = make_analytic_problem("two-paraboloids")
         cfg = MoeaConfig(population_size=20, generations=15, seed=5)
-        a = nsga2_run(problem.evaluate, problem.bounds, cfg)
-        b = nsga2_run(problem.evaluate, problem.bounds, cfg)
+        a = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
+        b = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
         assert np.array_equal(a.decision_matrix(), b.decision_matrix())
         assert np.array_equal(a.front_matrix(), b.front_matrix())
 
     def test_front_mutually_non_dominated(self):
         problem = make_analytic_problem("two-paraboloids")
         cfg = MoeaConfig(population_size=20, generations=10, seed=1)
-        front = nsga2_run(problem.evaluate, problem.bounds, cfg).front_matrix()
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
         for i in range(len(front)):
             for j in range(len(front)):
                 if i != j:
@@ -190,7 +196,7 @@ class TestNsga2:
         def writer(gen, X, Y):
             snapshots.append((gen, X.copy(), Y.copy()))
 
-        nsga2_run(problem.evaluate, problem.bounds, cfg, snapshot_writer=writer)
+        nsga2_run(problem.evaluate_batch, problem.bounds, cfg, snapshot_writer=writer)
         assert len(snapshots) == 25
         for gen, X, Y in snapshots:
             assert X.shape[0] <= 16 and X.shape[0] >= 1
@@ -204,32 +210,72 @@ class TestNsga2:
         problem = make_analytic_problem("two-paraboloids")
         calls = {"n": 0}
 
-        def counting(x):
-            calls["n"] += 1
-            return problem.evaluate(x)
+        def counting(X):
+            calls["n"] += len(X)
+            calls["populations"] = calls.get("populations", 0) + 1
+            return problem.evaluate_batch(X)
 
         m, gens = 14, 9
         nsga2_run(counting, problem.bounds, MoeaConfig(population_size=m, generations=gens, seed=4))
         assert calls["n"] == m * (gens + 1)  # initial population plus one batch per generation
+        assert calls["populations"] == gens + 1  # one objective call per population
 
     def test_non_finite_objectives_demoted(self):
         problem = make_analytic_problem("two-paraboloids")
 
-        def flaky(x):
-            if x[0] > 0.5:
-                return np.array([np.nan, np.nan])
-            return problem.evaluate(x)
+        def flaky(X):
+            Y = problem.evaluate_batch(X)
+            Y[X[:, 0] > 0.5] = np.nan
+            return Y
 
         cfg = MoeaConfig(population_size=12, generations=8, seed=2)
         front = nsga2_run(flaky, problem.bounds, cfg).front_matrix()
         assert np.all(np.isfinite(front))
+
+    def test_demoted_count(self):
+        problem = make_analytic_problem("two-paraboloids")
+
+        def flaky(X):
+            Y = problem.evaluate_batch(X)
+            Y[[0, 3], 0] = np.inf  # two rows of every population
+            return Y
+
+        stats = {}
+        cfg = MoeaConfig(population_size=10, generations=6, seed=1)
+        nsga2_run(flaky, problem.bounds, cfg, stats=stats)
+        assert stats == {"demoted": 2 * (6 + 1)}
+
+    def test_objective_must_return_one_row_per_point(self):
+        problem = make_analytic_problem("two-paraboloids")
+        with pytest.raises(DimensionMismatchError):
+            nsga2_run(lambda X: problem.evaluate_batch(X)[:-1], problem.bounds, MoeaConfig())
+
+    def test_one_batch_call_matches_rowwise_evaluation(self):
+        # a network whose batch product differs from the one-point product
+        # unless every row is computed as its own vector-matrix product
+        rng = np.random.default_rng(0)
+        model = MlpModel(
+            weights=(rng.normal(size=(4, 64)), rng.normal(size=(64, 64)) / 8, rng.normal(size=(64, 2))),
+            biases=(rng.normal(size=64), rng.normal(size=64), np.zeros(2)),
+            scaler=Scaler(np.zeros(4), np.ones(4), np.zeros(2), np.ones(2)),
+        )
+        bounds = BoxBounds(np.full(4, -1.0), np.full(4, 1.0))
+        cfg = MoeaConfig(population_size=20, generations=15, seed=3)
+        fast, slow = [], []
+        nsga2_run(model.predict_batch, bounds, cfg, snapshot_writer=lambda *a: fast.append(a))
+        oracles.rowwise_nsga2(nsga2_run)(
+            model.predict_batch, bounds, cfg, snapshot_writer=lambda *a: slow.append(a)
+        )
+        assert len(fast) == len(slow) == 15
+        for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
+            assert g1 == g2 and np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
 
     def test_zdt1_reduced_run_quality(self):
         # half-length sanity run; the full paper-sized runs live in the
         # acceptance suite
         problem = make_analytic_problem("zdt1")
         cfg = MoeaConfig(population_size=100, generations=100, seed=0)
-        front = nsga2_run(problem.evaluate, problem.bounds, cfg).front_matrix()
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
         from samo.driver import igd_normalized
 
         assert igd_normalized(front, problem.true_front(500)) < 0.05

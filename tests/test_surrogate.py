@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samo.core import ConfigurationError, Dataset, DecisionVector, ObjectiveVector, Sample
-from samo.problems import make_analytic_problem, make_quarter_car_problem
+from samo.problems import GradientModel, make_analytic_problem, make_quarter_car_problem
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
     MlpModel,
@@ -13,10 +13,8 @@ from samo.surrogate import (
     cross_validated_mse,
     fit_mlp,
     fit_rbf,
-    input_jacobian,
     load_model,
     model_from_json_dict,
-    predict,
     save_model,
     select_rbf_width,
 )
@@ -227,7 +225,7 @@ class TestJacobians:
         rng = np.random.default_rng(0 if kind == "rbf" else 1)
         for _ in range(50):
             x = rng.uniform(problem.bounds.lower, problem.bounds.upper)
-            analytic = input_jacobian(model, x)
+            analytic = model.input_jacobian(x)
             numeric = self.finite_difference(model, x)
             scale = max(np.abs(analytic).max(), 1e-12)
             assert np.abs(analytic - numeric).max() / scale < 1e-4
@@ -251,6 +249,53 @@ class TestJacobians:
         assert model.predict(np.array([9.0, 9.0])) == pytest.approx([3.0])
 
 
+class TestBatchRowsEqualOnePoint:
+    """Row i of every batch form is bit for bit the one-point result at
+    X[i]; the optimizers rely on it to batch without changing results."""
+
+    @pytest.fixture(scope="class")
+    def all_models(self, trained_models):
+        problem, rbf, mlp = trained_models
+        # 24 inputs, as in the quarter-car benchmark
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 24))
+        wide = dataset_from_arrays(X, np.column_stack([(X**2).sum(axis=1), np.cos(X).sum(axis=1)]))
+        return {
+            "rbf": rbf,
+            "mlp": mlp,
+            "rbf-24d": fit_rbf(wide, sigma=2.0),
+            "mlp-24d": fit_mlp(wide, TrainConfig(epochs=20, patience=20, seed=2)),
+            "gradient": GradientModel(problem),
+        }
+
+    @pytest.mark.parametrize("kind", ["rbf", "mlp", "rbf-24d", "mlp-24d", "gradient"])
+    @pytest.mark.parametrize("m", [1, 7, 60])
+    def test_input_jacobian_batch(self, all_models, kind, m):
+        model = all_models[kind]
+        n_dim = 24 if kind.endswith("24d") else 4
+        X = np.random.default_rng(m).uniform(-1.0, 1.0, (m, n_dim))
+        J = model.input_jacobian_batch(X)
+        assert J.shape == (m, 2, n_dim)
+        assert np.array_equal(J, np.array([model.input_jacobian(x) for x in X]))
+
+    @pytest.mark.parametrize("kind", ["rbf", "mlp", "rbf-24d", "mlp-24d", "gradient"])
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    def test_predict_batch(self, all_models, kind, m):
+        model = all_models[kind]
+        n_dim = 24 if kind.endswith("24d") else 4
+        X = np.random.default_rng(10 + m).uniform(-1.0, 1.0, (m, n_dim))
+        Y = model.predict_batch(X)
+        assert Y.shape == (m, 2)
+        assert np.array_equal(Y, np.array([model.predict(x) for x in X]))
+
+    def test_network_without_hidden_layers(self):
+        identity = Scaler(np.zeros(3), np.ones(3), np.zeros(2), np.ones(2))
+        W = np.random.default_rng(5).normal(size=(3, 2))
+        model = MlpModel(weights=(W,), biases=(np.zeros(2),), scaler=identity)
+        X = np.random.default_rng(6).normal(size=(4, 3))
+        assert np.array_equal(model.input_jacobian_batch(X), np.broadcast_to(W.T, (4, 2, 3)))
+        assert np.array_equal(model.predict_batch(X)[2], model.predict(X[2]))
+
+
 class TestSerialization:
     def test_rbf_round_trip(self, tmp_path):
         problem = make_analytic_problem("two-paraboloids")
@@ -260,7 +305,7 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         x = np.array([0.3, 0.1, -0.4, 0.9])
-        assert np.array_equal(predict(model, x), predict(loaded, x))
+        assert np.array_equal(model.predict(x), loaded.predict(x))
 
     def test_mlp_round_trip(self, tmp_path):
         problem = make_analytic_problem("two-paraboloids")
@@ -270,8 +315,8 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         x = np.array([0.3, 0.1, -0.4, 0.9])
-        assert np.array_equal(predict(model, x), predict(loaded, x))
-        assert np.array_equal(input_jacobian(model, x), input_jacobian(loaded, x))
+        assert np.array_equal(model.predict(x), loaded.predict(x))
+        assert np.array_equal(model.input_jacobian(x), loaded.input_jacobian(x))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
