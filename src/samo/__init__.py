@@ -29,7 +29,6 @@ from .problems import (
     QuarterCarParams,
     Trajectory,
     amplitude,
-    evaluate_mbs,
     make_analytic_problem,
     make_quarter_car_problem,
     simulate_quarter_car,

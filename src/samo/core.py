@@ -7,6 +7,7 @@ everything here is safe to share across concurrent workers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
@@ -189,9 +190,6 @@ class Dataset:
     def objective_matrix(self) -> np.ndarray:
         return np.array([s.y.values for s in self.samples], dtype=float)
 
-    def contains_x(self, x: DecisionVector) -> bool:
-        return any(s.x == x for s in self.samples)
-
 
 @dataclass(frozen=True)
 class ParetoApproximation:
@@ -267,9 +265,47 @@ def dominance_matrix(F: np.ndarray) -> np.ndarray:
     return leq & lt
 
 
+def front_ranks_2d(F: np.ndarray) -> np.ndarray:
+    """Non-domination rank of every row of an (n, 2) objective matrix
+    without NaN: 0 for the non-dominated points, r + 1 for the points that
+    are non-dominated once all points of rank <= r are removed.
+
+    One sweep in lexicographic (f1, f2) order (Kung, Luccio & Preparata
+    1975; Jensen 2003), so every dominator of a point is swept before it.
+    The last point swept into a front has the smallest f2 of that front so
+    far, and the point is dominated by the front iff that member's f2 is
+    <= its own and the two are not exact duplicates. Those f2 values do not
+    decrease from front to front, so a binary search counts the k fronts
+    whose last f2 is <= the point's; the point's rank is k, or k - 1 when
+    it duplicates the last member of front k - 1 (no earlier front can end
+    in a duplicate). Takes O(n log n) and agrees with the dominance-matrix
+    peeling on ties, duplicates and infinite values.
+    """
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    last_f1: list = []
+    last_f2: list = []
+    swept = []
+    for a, b in zip(F[order, 0].tolist(), F[order, 1].tolist()):
+        k = bisect_right(last_f2, b)
+        if k and last_f2[k - 1] == b and last_f1[k - 1] == a:
+            k -= 1
+        if k == len(last_f2):
+            last_f1.append(a)
+            last_f2.append(b)
+        else:
+            last_f1[k] = a
+            last_f2[k] = b
+        swept.append(k)
+    rank = np.empty(order.shape[0], dtype=np.intp)
+    rank[order] = swept
+    return rank
+
+
 def non_dominated_filter(points) -> np.ndarray:
     """Indices of all points not dominated by any other point, in input order."""
     F = _as_points(points, "point set")
+    if F.shape[1] == 2 and not np.isnan(F).any():
+        return np.flatnonzero(front_ranks_2d(F) == 0)
     dominated = dominance_matrix(F).any(axis=0)
     return np.flatnonzero(~dominated)
 

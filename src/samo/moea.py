@@ -3,11 +3,16 @@ optimize the surrogate problem: fast non-dominated sorting, crowding
 distance, binary tournament, simulated binary crossover and polynomial
 mutation with environmental selection from the combined parent/offspring
 pool.
+
+Crossover and mutation act on the whole population at once but consume the
+generator exactly as crossing one pair and mutating one child at a time
+would, so a seed gives the same run bit for bit.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,6 +25,7 @@ from .core import (
     EmptyInputError,
     ParetoApproximation,
     dominance_matrix,
+    front_ranks_2d,
 )
 from .sampling import latin_hypercube
 
@@ -54,11 +60,17 @@ def fast_non_dominated_sort(pop) -> list:
     """Partition a population into fronts: front 0 is the non-dominated set,
     front i+1 is non-dominated once fronts <= i are removed.
 
-    Takes an (n, K) array of objectives; returns a list of index arrays.
+    Takes an (n, K) array of objectives; returns a list of ascending index
+    arrays. Two objectives without NaN take the O(n log n) sweep of
+    `front_ranks_2d`; any other input peels the dominance matrix.
     """
     F = np.atleast_2d(np.asarray(pop, dtype=float))
     if F.shape[0] == 0:
         raise EmptyInputError("population must not be empty")
+    if F.shape[1] == 2 and not np.isnan(F).any():
+        rank = front_ranks_2d(F)
+        by_rank = np.argsort(rank, kind="stable")
+        return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
     dom = dominance_matrix(F)
     n_dominators = dom.sum(axis=0)
     fronts = []
@@ -96,70 +108,96 @@ def crowding_distance(front) -> np.ndarray:
 
 
 def sbx_crossover(
-    p1: np.ndarray,
-    p2: np.ndarray,
-    prob: float,
+    P1: np.ndarray,
+    P2: np.ndarray,
+    crossed: np.ndarray,
+    u: np.ndarray,
+    sign_u: np.ndarray,
     eta_c: float,
     bounds: BoxBounds,
-    rng: np.random.Generator,
-    var_prob: float = 0.5,
-):
-    """Simulated binary crossover. With probability `prob` the pair is
-    crossed; within a crossed pair each variable is crossed with probability
-    `var_prob` using a spread factor drawn from the SBX density with index
-    `eta_c` (random child/parent association). Children are clamped to the
-    box. The children's midpoint equals the parents' midpoint in every
-    crossed coordinate before clamping."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    if p1.shape != p2.shape:
-        raise ConfigurationError("parents must have matching dimensions")
-    c1, c2 = p1.copy(), p2.copy()
-    if rng.random() <= prob:
-        n = p1.shape[0]
-        crossed = rng.random(n) <= var_prob
-        u = rng.random(n)
-        beta = np.where(
-            u <= 0.5,
-            (2.0 * u) ** (1.0 / (eta_c + 1.0)),
-            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
-        )
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        b = sign * beta
-        child_a = 0.5 * ((1.0 + b) * p1 + (1.0 - b) * p2)
-        child_b = 0.5 * ((1.0 - b) * p1 + (1.0 + b) * p2)
-        c1[crossed] = child_a[crossed]
-        c2[crossed] = child_b[crossed]
+) -> tuple:
+    """Simulated binary crossover of the parent rows P1[i], P2[i], all
+    (P, N). Where `crossed` is true the two coordinates are replaced by
+    children spread by a factor drawn from the SBX density with index
+    `eta_c` through the uniform `u`; the uniform `sign_u` < 0.5 swaps which
+    child lies near which parent. Children are clamped to the box. The
+    children's midpoint equals the parents' midpoint in every crossed
+    coordinate before clamping."""
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta_c + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
+    )
+    sign = np.where(sign_u < 0.5, -1.0, 1.0)
+    b = sign * beta
+    child_a = 0.5 * ((1.0 + b) * P1 + (1.0 - b) * P2)
+    child_b = 0.5 * ((1.0 - b) * P1 + (1.0 + b) * P2)
     return (
-        np.clip(c1, bounds.lower, bounds.upper),
-        np.clip(c2, bounds.lower, bounds.upper),
+        np.clip(np.where(crossed, child_a, P1), bounds.lower, bounds.upper),
+        np.clip(np.where(crossed, child_b, P2), bounds.lower, bounds.upper),
     )
 
 
 def polynomial_mutation(
-    x: np.ndarray,
+    X: np.ndarray,
+    mutate: np.ndarray,
+    u: np.ndarray,
     eta_m: float,
-    per_var_prob: float,
     bounds: BoxBounds,
-    rng: np.random.Generator,
 ) -> np.ndarray:
-    """Bounded polynomial mutation with distribution index `eta_m`."""
-    x = np.asarray(x, dtype=float)
-    y = x.copy()
-    n = x.shape[0]
-    mutate = rng.random(n) < per_var_prob
-    if not mutate.any():
-        return y
-    u = rng.random(n)
+    """Bounded polynomial mutation with distribution index `eta_m` of the
+    (M, N) rows X where `mutate` is true, with the step drawn through the
+    uniform `u`."""
     width = bounds.width
-    d_lo = (x - bounds.lower) / width
-    d_hi = (bounds.upper - x) / width
+    d_lo = (X - bounds.lower) / width
+    d_hi = (bounds.upper - X) / width
     exp = 1.0 / (eta_m + 1.0)
     low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta_m + 1.0)) ** exp - 1.0
     high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
     delta = np.where(u < 0.5, low_branch, high_branch)
-    y[mutate] = (x + delta * width)[mutate]
-    return np.clip(y, bounds.lower, bounds.upper)
+    return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
+
+
+def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_prob: float) -> tuple:
+    """The uniforms for crossing `n_pairs` pairs of N = `n` variables and
+    mutating both children, drawn in the one-pair order: per pair a
+    crossover coin; if it is <= `crossover_prob`, n crossed-variable, n
+    spread and n sign uniforms; then per child n mask uniforms, followed by
+    n step uniforms if any mask uniform is < `mutation_prob`.
+
+    How many doubles a pair draws depends on its own draws, so a block big
+    enough for every pair is peeked, a walk through it finds where each
+    pair's and child's draws start, and the generator is rewound and
+    advanced by exactly the doubles consumed. `Generator.random` fills
+    sequentially, so one call for k doubles equals k calls for one.
+    Returns (crossed, u, sign_u) of shape (n_pairs, n) for `sbx_crossover`
+    and (mutate, u) of shape (2 n_pairs, n), children in pair order, for
+    `polynomial_mutation`.
+    """
+    state = rng.bit_generator.state
+    block = rng.random(n_pairs * (1 + 7 * n))  # the most the pairs can draw
+    hits = np.flatnonzero(block < mutation_prob).tolist()
+    starts, crossing, masks = [], [], []
+    pos = 0
+    for _ in range(n_pairs):
+        starts.append(pos)
+        crossing.append(bool(block[pos] <= cfg.crossover_prob))
+        pos += 1 + 3 * n * crossing[-1]
+        for _child in range(2):
+            masks.append(pos)
+            k = bisect_left(hits, pos)
+            pos += 2 * n if k < len(hits) and hits[k] < pos + n else n
+    rng.bit_generator.state = state
+    rng.random(pos)
+
+    cols = np.arange(n)
+    pair = np.array(starts)[:, None] + 1 + cols
+    crossed = np.array(crossing)[:, None] & (block[pair] <= cfg.crossover_var_prob)
+    child = np.array(masks)[:, None] + cols
+    return (
+        (crossed, block[pair + n], block[pair + 2 * n]),
+        (block[child] < mutation_prob, block[child + n]),
+    )
 
 
 def _evaluate(objective, X: np.ndarray) -> tuple:
@@ -188,13 +226,33 @@ def _rank_and_crowding(Y: np.ndarray) -> tuple:
     return rank, crowd, fronts
 
 
-def _tournament(rank, crowd, rng) -> int:
-    i, j = rng.integers(0, rank.shape[0], size=2)
+def _tournament(rank: list, crowd: list, rng) -> int:
+    """Binary tournament on (rank, crowding) held as Python lists; a tie on
+    both is settled by a coin."""
+    n = len(rank)
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
     if rank[i] != rank[j]:
-        return int(i if rank[i] < rank[j] else j)
+        return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
-        return int(i if crowd[i] > crowd[j] else j)
-    return int(i if rng.random() < 0.5 else j)
+        return i if crowd[i] > crowd[j] else j
+    return i if rng.random() < 0.5 else j
+
+
+def _offspring(X, Y, rng, cfg: MoeaConfig, bounds: BoxBounds, mutation_prob: float) -> np.ndarray:
+    """One generation's children of the population (X, Y): a binary
+    tournament per child, SBX of consecutive parents, then polynomial
+    mutation of every child."""
+    rank, crowd, _ = _rank_and_crowding(Y)
+    rank, crowd = rank.tolist(), crowd.tolist()
+    parents = np.array([_tournament(rank, crowd, rng) for _ in range(len(X))])
+    crossover, mutation = _variation_uniforms(rng, len(X) // 2, bounds.dim, cfg, mutation_prob)
+    c1, c2 = sbx_crossover(
+        X[parents[0::2]], X[parents[1::2]], *crossover, cfg.eta_crossover, bounds
+    )
+    children = np.empty_like(X)
+    children[0::2] = c1
+    children[1::2] = c2
+    return polynomial_mutation(children, *mutation, cfg.eta_mutation, bounds)
 
 
 def nsga2_run(
@@ -223,21 +281,7 @@ def nsga2_run(
     Y, demoted = _evaluate(objective, X)
 
     for gen in range(cfg.generations):
-        rank, crowd, _ = _rank_and_crowding(Y)
-        parents = [_tournament(rank, crowd, rng) for _ in range(M)]
-        off_X = np.empty_like(X)
-        for i in range(0, M, 2):
-            c1, c2 = sbx_crossover(
-                X[parents[i]],
-                X[parents[i + 1]],
-                cfg.crossover_prob,
-                cfg.eta_crossover,
-                bounds,
-                rng,
-                var_prob=cfg.crossover_var_prob,
-            )
-            off_X[i] = polynomial_mutation(c1, cfg.eta_mutation, mutation_prob, bounds, rng)
-            off_X[i + 1] = polynomial_mutation(c2, cfg.eta_mutation, mutation_prob, bounds, rng)
+        off_X = _offspring(X, Y, rng, cfg, bounds, mutation_prob)
         off_Y, flagged = _evaluate(objective, off_X)
         demoted += flagged
 

@@ -357,14 +357,6 @@ def make_quarter_car_problem(
     )
 
 
-def evaluate_mbs(x: np.ndarray, problem: Optional[Problem] = None) -> np.ndarray:
-    """Evaluate the quarter-car benchmark at `x` (default benchmark if no
-    problem is given)."""
-    if problem is None:
-        problem = make_quarter_car_problem()
-    return problem.evaluate(np.asarray(x, dtype=float))
-
-
 def _two_paraboloids(n_dim: int) -> Problem:
     a = np.full(n_dim, 0.5)
     norm_a2 = float(a @ a)

@@ -82,11 +82,9 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator):
     centroids = _kmeans_pp_init(X, k, rng)
     labels = None
-    wcss_history: list[float] = []
     for _ in range(_KMEANS_MAX_ITER):
         d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
-        wcss_history.append(float(d2[np.arange(len(X)), new_labels].sum()))
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -99,7 +97,7 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator):
                 worst = int(np.argmax(d2[np.arange(len(X)), labels]))
                 centroids[j] = X[worst]
                 labels[worst] = j
-    return centroids, wcss_history
+    return centroids
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
@@ -113,7 +111,7 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         raise ConfigurationError(
             f"k must be between 1 and the number of distinct points ({n_distinct}), got {k}"
         )
-    centroids, _ = _lloyd(X, k, np.random.default_rng(seed))
+    centroids = _lloyd(X, k, np.random.default_rng(seed))
     return centroids
 
 

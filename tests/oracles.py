@@ -1,16 +1,25 @@
 """Reference paths the batched optimizers are tested against.
 
 These are the one-point forms the package used before MGDA stepped all
-starts together and NSGA-II evaluated whole populations: one start at a
-time with one `predict` / `input_jacobian` call per point, and NSGA-II
-objectives evaluated row by row. Tests compare the package against them
-with exact equality.
+starts together and NSGA-II worked on whole populations: one start at a
+time with one `predict` / `input_jacobian` call per point, NSGA-II
+objectives evaluated row by row, fronts peeled from the dominance matrix,
+and SBX and polynomial mutation applied one pair and one child at a time
+with the generator passed in. Tests compare the package against them with
+exact equality.
 """
 
 import numpy as np
 
-from samo.core import ConfigurationError, ParetoApproximation, SamoError, non_dominated_filter
+from samo.core import (
+    ConfigurationError,
+    ParetoApproximation,
+    SamoError,
+    dominance_matrix,
+    non_dominated_filter,
+)
 from samo.mgda import MgdaResult, _min_norm_weights_fw
+from samo.moea import _evaluate, crowding_distance
 from samo.sampling import latin_hypercube
 
 
@@ -105,3 +114,137 @@ def rowwise_nsga2(nsga2_run):
         return nsga2_run(rowwise, *args, **kwargs)
 
     return run
+
+
+def dominance_sort(F) -> list:
+    """Fronts as ascending index arrays, peeled from the dominance matrix."""
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    dom = dominance_matrix(F)
+    fronts = []
+    assigned = np.zeros(F.shape[0], dtype=bool)
+    remaining = dom.sum(axis=0).astype(int)
+    while not assigned.all():
+        front = np.flatnonzero((remaining == 0) & ~assigned)
+        fronts.append(front)
+        assigned[front] = True
+        remaining = remaining - dom[front].sum(axis=0)
+    return fronts
+
+
+def sbx_crossover(p1, p2, prob, eta_c, bounds, rng, var_prob=0.5):
+    """One pair of SBX children, drawing its own uniforms."""
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    c1, c2 = p1.copy(), p2.copy()
+    if rng.random() <= prob:
+        n = p1.shape[0]
+        crossed = rng.random(n) <= var_prob
+        u = rng.random(n)
+        beta = np.where(
+            u <= 0.5,
+            (2.0 * u) ** (1.0 / (eta_c + 1.0)),
+            (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
+        )
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        b = sign * beta
+        child_a = 0.5 * ((1.0 + b) * p1 + (1.0 - b) * p2)
+        child_b = 0.5 * ((1.0 - b) * p1 + (1.0 + b) * p2)
+        c1[crossed] = child_a[crossed]
+        c2[crossed] = child_b[crossed]
+    return (
+        np.clip(c1, bounds.lower, bounds.upper),
+        np.clip(c2, bounds.lower, bounds.upper),
+    )
+
+
+def polynomial_mutation(x, eta_m, per_var_prob, bounds, rng):
+    """One mutated child, drawing its own uniforms."""
+    x = np.asarray(x, dtype=float)
+    y = x.copy()
+    n = x.shape[0]
+    mutate = rng.random(n) < per_var_prob
+    if not mutate.any():
+        return y
+    u = rng.random(n)
+    width = bounds.width
+    d_lo = (x - bounds.lower) / width
+    d_hi = (bounds.upper - x) / width
+    exp = 1.0 / (eta_m + 1.0)
+    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta_m + 1.0)) ** exp - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
+    delta = np.where(u < 0.5, low_branch, high_branch)
+    y[mutate] = (x + delta * width)[mutate]
+    return np.clip(y, bounds.lower, bounds.upper)
+
+
+def rank_and_crowding(Y) -> tuple:
+    fronts = dominance_sort(Y)
+    rank = np.empty(Y.shape[0], dtype=int)
+    crowd = np.empty(Y.shape[0])
+    for r, front in enumerate(fronts):
+        rank[front] = r
+        crowd[front] = crowding_distance(Y[front])
+    return rank, crowd, fronts
+
+
+def tournament(rank, crowd, rng) -> int:
+    i, j = rng.integers(0, rank.shape[0], size=2)
+    if rank[i] != rank[j]:
+        return int(i if rank[i] < rank[j] else j)
+    if crowd[i] != crowd[j]:
+        return int(i if crowd[i] > crowd[j] else j)
+    return int(i if rng.random() < 0.5 else j)
+
+
+def offspring(X, Y, rng, cfg, bounds, mutation_prob):
+    """One generation's children, one pair and one child at a time."""
+    rank, crowd, _ = rank_and_crowding(Y)
+    parents = [tournament(rank, crowd, rng) for _ in range(len(X))]
+    off_X = np.empty_like(X)
+    for i in range(0, len(X), 2):
+        c1, c2 = sbx_crossover(
+            X[parents[i]],
+            X[parents[i + 1]],
+            cfg.crossover_prob,
+            cfg.eta_crossover,
+            bounds,
+            rng,
+            var_prob=cfg.crossover_var_prob,
+        )
+        off_X[i] = polynomial_mutation(c1, cfg.eta_mutation, mutation_prob, bounds, rng)
+        off_X[i + 1] = polynomial_mutation(c2, cfg.eta_mutation, mutation_prob, bounds, rng)
+    return off_X
+
+
+def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> ParetoApproximation:
+    """`samo.moea.nsga2_run` built from the one-pair operators and the
+    dominance-matrix sort."""
+    rng = np.random.default_rng(cfg.seed)
+    M = cfg.population_size
+    mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
+    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).matrix()
+    Y, demoted = _evaluate(objective, X)
+    for gen in range(cfg.generations):
+        off_X = offspring(X, Y, rng, cfg, bounds, mutation_prob)
+        off_Y, flagged = _evaluate(objective, off_X)
+        demoted += flagged
+        pool_X = np.vstack([X, off_X])
+        pool_Y = np.vstack([Y, off_Y])
+        _, pool_crowd, pool_fronts = rank_and_crowding(pool_Y)
+        keep = []
+        for front in pool_fronts:
+            if len(keep) + len(front) <= M:
+                keep.extend(front.tolist())
+            else:
+                order = np.argsort(-pool_crowd[front], kind="stable")
+                keep.extend(front[order[: M - len(keep)]].tolist())
+                break
+        X = pool_X[keep]
+        Y = pool_Y[keep]
+        if snapshot_writer is not None:
+            first = dominance_sort(Y)[0]
+            snapshot_writer(gen, X[first], Y[first])
+    if stats is not None:
+        stats["demoted"] = demoted
+    first = dominance_sort(Y)[0]
+    return ParetoApproximation.from_arrays(X[first], Y[first])

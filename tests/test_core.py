@@ -18,6 +18,7 @@ from samo.core import (
     Sample,
     SamoError,
     clamp_to_bounds,
+    dominance_matrix,
     dominates,
     hausdorff_distance,
     non_dominated_filter,
@@ -95,6 +96,28 @@ class TestNonDominatedFilter:
         rng = np.random.default_rng(seed)
         pts = rng.random((n, k))
         assert np.array_equal(non_dominated_filter(pts), brute_force_non_dominated(pts))
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40),
+        st.lists(st.integers(0, 39), max_size=5),
+    )
+    def test_two_objective_sweep_equals_dominance_matrix(self, grid, inf_rows):
+        # integer grids make ties and exact duplicates common; +inf rows are
+        # how NSGA-II demotes non-finite individuals
+        F = np.array(grid, dtype=float)
+        F[[i for i in inf_rows if i < len(F)]] = np.inf
+        expected = np.flatnonzero(~dominance_matrix(F).any(axis=0))
+        assert np.array_equal(non_dominated_filter(F), expected)
+
+    def test_two_objective_sweep_all_equal_and_signed_zero(self):
+        assert list(non_dominated_filter(np.ones((6, 2)))) == list(range(6))
+        F = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [1.0, 0.0]])
+        assert list(non_dominated_filter(F)) == [2]
+
+    def test_nan_takes_dominance_matrix(self):
+        F = np.array([[np.nan, 1.0], [2.0, 2.0], [1.0, 3.0], [3.0, 3.0]])
+        expected = np.flatnonzero(~dominance_matrix(F).any(axis=0))
+        assert np.array_equal(non_dominated_filter(F), expected)
 
     def test_result_mutually_non_dominated(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from samo.core import (
@@ -9,6 +11,7 @@ from samo.core import (
     dominates,
     non_dominated_filter,
 )
+from samo import moea
 from samo.moea import (
     MoeaConfig,
     crowding_distance,
@@ -62,6 +65,27 @@ class TestSorting:
         fronts = [sorted(f.tolist()) for f in fast_non_dominated_sort(Y)]
         assert fronts == peel_fronts(Y)
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=60),
+        st.lists(st.integers(0, 59), max_size=8),
+    )
+    def test_two_objective_sweep_equals_dominance_peeling(self, grid, inf_rows):
+        # integer grids make ties and exact duplicates common; +inf rows are
+        # how NSGA-II demotes non-finite individuals
+        Y = np.array(grid, dtype=float)
+        Y[[i for i in inf_rows if i < len(Y)]] = np.inf
+        got = fast_non_dominated_sort(Y)
+        want = oracles.dominance_sort(Y)
+        assert [f.tolist() for f in got] == [f.tolist() for f in want]
+
+    @pytest.mark.parametrize(
+        "Y",
+        [np.array([[2.0, 3.0]]), np.full((7, 2), 4.0), np.full((5, 2), np.inf)],
+        ids=["one-point", "all-equal", "all-demoted"],
+    )
+    def test_two_objective_sweep_edge_cases(self, Y):
+        assert [f.tolist() for f in fast_non_dominated_sort(Y)] == [list(range(len(Y)))]
+
     def test_dominated_point_in_second_front(self):
         fronts = fast_non_dominated_sort(np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
         assert sorted(fronts[0].tolist()) == [0, 1]
@@ -88,21 +112,29 @@ class TestCrowding:
 
 
 class TestSbx:
+    # the operator takes the uniforms the one-pair form drew itself: a
+    # crossed mask, spread uniforms and sign uniforms, one row per pair
+
     def test_prob_zero_copies_parents(self):
         rng = np.random.default_rng(0)
-        p1 = np.array([0.2, 0.8])
-        p2 = np.array([0.6, 0.1])
-        c1, c2 = sbx_crossover(p1, p2, prob=0.0, eta_c=20.0, bounds=UNIT_BOX, rng=rng)
+        p1 = np.array([[0.2, 0.8]])
+        p2 = np.array([[0.6, 0.1]])
+        c1, c2 = sbx_crossover(
+            p1, p2, np.zeros((1, 2), dtype=bool), rng.random((1, 2)), rng.random((1, 2)),
+            eta_c=20.0, bounds=UNIT_BOX,
+        )
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
     def test_midpoint_preserved(self):
         rng = np.random.default_rng(1)
         box = BoxBounds(np.full(4, -100.0), np.full(4, 100.0))
-        for _ in range(200):
-            p1 = rng.uniform(-1, 1, 4)
-            p2 = rng.uniform(-1, 1, 4)
-            c1, c2 = sbx_crossover(p1, p2, prob=1.0, eta_c=20.0, bounds=box, rng=rng)
-            assert np.allclose(c1 + c2, p1 + p2, atol=1e-12)
+        p1 = rng.uniform(-1, 1, (200, 4))
+        p2 = rng.uniform(-1, 1, (200, 4))
+        crossed = rng.random((200, 4)) <= 0.5
+        c1, c2 = sbx_crossover(
+            p1, p2, crossed, rng.random((200, 4)), rng.random((200, 4)), eta_c=20.0, bounds=box
+        )
+        assert np.allclose(c1 + c2, p1 + p2, atol=1e-12)
 
     def test_spread_factor_distribution(self):
         # recover the spread factor from 1-D children and compare the
@@ -110,13 +142,12 @@ class TestSbx:
         # bins: F(b) = b^(eta+1)/2 below 1, 1 - b^-(eta+1)/2 above
         eta = 20.0
         rng = np.random.default_rng(7)
-        p1 = np.array([0.0])
-        p2 = np.array([1.0])
-        betas = []
-        for _ in range(100_000):
-            c1, c2 = sbx_crossover(p1, p2, 1.0, eta, WIDE_BOX, rng, var_prob=1.0)
-            betas.append(abs(float(c2[0] - c1[0])))
-        betas = np.array(betas)
+        n = 100_000
+        c1, c2 = sbx_crossover(
+            np.zeros((n, 1)), np.ones((n, 1)), np.ones((n, 1), dtype=bool),
+            rng.random((n, 1)), rng.random((n, 1)), eta, WIDE_BOX,
+        )
+        betas = np.abs(c2[:, 0] - c1[:, 0])
         quantiles = np.arange(1, 20) / 20.0
         edges = np.where(
             quantiles <= 0.5,
@@ -129,39 +160,69 @@ class TestSbx:
 
     def test_children_clamped(self):
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            c1, c2 = sbx_crossover(
-                np.array([0.01]), np.array([0.99]), 1.0, 2.0, UNIT_BOX, rng
-            )
-            for c in (c1, c2):
-                assert 0.0 <= c[0] <= 1.0
+        n = 1000
+        c1, c2 = sbx_crossover(
+            np.full((n, 1), 0.01), np.full((n, 1), 0.99), rng.random((n, 1)) <= 0.5,
+            rng.random((n, 1)), rng.random((n, 1)), 2.0, UNIT_BOX,
+        )
+        for c in (c1, c2):
+            assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
 
 class TestPolynomialMutation:
+    # the operator takes the mutation mask and the step uniforms, one row
+    # per child
+
     def test_prob_zero_unchanged(self):
         rng = np.random.default_rng(0)
-        x = np.array([0.3, 0.7])
-        assert np.array_equal(polynomial_mutation(x, 20.0, 0.0, UNIT_BOX, rng), x)
+        x = np.array([[0.3, 0.7]])
+        y = polynomial_mutation(x, np.zeros((1, 2), dtype=bool), rng.random((1, 2)), 20.0, UNIT_BOX)
+        assert np.array_equal(y, x)
 
     def test_always_within_bounds(self):
         rng = np.random.default_rng(1)
-        for _ in range(100_000):
-            x = rng.random(2)
-            y = polynomial_mutation(x, 20.0, 1.0, UNIT_BOX, rng)
-            assert np.all(y >= 0.0) and np.all(y <= 1.0)
+        x = rng.random((100_000, 2))
+        y = polynomial_mutation(x, np.ones(x.shape, dtype=bool), rng.random(x.shape), 20.0, UNIT_BOX)
+        assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_larger_eta_smaller_steps(self):
         box = BoxBounds(np.zeros(1), np.ones(1))
-        x = np.array([0.5])
+        x = np.full((100_000, 1), 0.5)
+        mutate = np.ones(x.shape, dtype=bool)
 
         def mean_step(eta, seed):
-            rng = np.random.default_rng(seed)
-            return np.mean(
-                [abs(float(polynomial_mutation(x, eta, 1.0, box, rng)[0] - 0.5))
-                 for _ in range(100_000)]
-            )
+            u = np.random.default_rng(seed).random(x.shape)
+            return np.mean(np.abs(polynomial_mutation(x, mutate, u, eta, box) - 0.5))
 
         assert mean_step(20.0, 5) > mean_step(100.0, 5)
+
+
+class TestOneGeneration:
+    """Whole-population variation against the one-pair operators: the same
+    children bit for bit, and the generator left in the same state."""
+
+    @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mutation_prob", [0.0, None, 1.0])
+    def test_offspring_and_generator_state(self, crossover_prob, mutation_prob):
+        bounds = BoxBounds(np.full(5, -1.0), np.full(5, 2.0))
+        cfg = MoeaConfig(
+            population_size=24, crossover_prob=crossover_prob, mutation_prob=mutation_prob
+        )
+        pm = mutation_prob if mutation_prob is not None else 1.0 / bounds.dim
+        data = np.random.default_rng(17)
+        X = data.uniform(-1.0, 2.0, (24, 5))
+        X[12:] = X[:12]  # clones: equal rank and crowding, so tie coins are drawn
+        Y = np.column_stack([X.sum(axis=1), (X**2).sum(axis=1)])
+        Y[[3, 15]] = np.inf  # demoted rows
+        fast = np.random.default_rng(5)
+        slow = np.random.default_rng(5)
+        for _ in range(4):  # consecutive generations share the generator
+            got = moea._offspring(X, Y, fast, cfg, bounds, pm)
+            want = oracles.offspring(X, Y, slow, cfg, bounds, pm)
+            assert np.array_equal(got, want)
+            assert fast.bit_generator.state == slow.bit_generator.state
+            X = got
+            Y = np.column_stack([X.sum(axis=1), (X**2).sum(axis=1)])
 
 
 class TestNsga2:
@@ -269,6 +330,43 @@ class TestNsga2:
         assert len(fast) == len(slow) == 15
         for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
             assert g1 == g2 and np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
+
+    @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mutation_prob", [0.0, None, 1.0])
+    def test_matches_one_pair_oracle(self, crossover_prob, mutation_prob):
+        problem = make_analytic_problem("zdt1", n_dim=6)
+        cfg = MoeaConfig(
+            population_size=16,
+            generations=12,
+            crossover_prob=crossover_prob,
+            mutation_prob=mutation_prob,
+            seed=8,
+        )
+        self.assert_same_run(problem.evaluate_batch, problem.bounds, cfg)
+
+    def test_matches_one_pair_oracle_with_demotions(self):
+        problem = make_analytic_problem("two-paraboloids")
+
+        def flaky(X):
+            Y = problem.evaluate_batch(X)
+            Y[X[:, 0] > 0.3] = np.nan
+            return Y
+
+        cfg = MoeaConfig(population_size=20, generations=15, seed=2)
+        self.assert_same_run(flaky, problem.bounds, cfg)
+
+    @staticmethod
+    def assert_same_run(objective, bounds, cfg):
+        fast, slow = [], []
+        fast_stats, slow_stats = {}, {}
+        a = nsga2_run(objective, bounds, cfg, lambda *s: fast.append(s), fast_stats)
+        b = oracles.nsga2_run(objective, bounds, cfg, lambda *s: slow.append(s), slow_stats)
+        assert len(fast) == len(slow) == cfg.generations
+        for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
+            assert g1 == g2 and np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
+        assert np.array_equal(a.decision_matrix(), b.decision_matrix())
+        assert np.array_equal(a.front_matrix(), b.front_matrix())
+        assert fast_stats == slow_stats
 
     def test_zdt1_reduced_run_quality(self):
         # half-length sanity run; the full paper-sized runs live in the

@@ -10,7 +10,6 @@ from samo.problems import (
     QuarterCarParams,
     Trajectory,
     amplitude,
-    evaluate_mbs,
     integrate_quarter_car,
     make_analytic_problem,
     make_quarter_car_problem,
@@ -125,7 +124,7 @@ class TestAmplitude:
 
 class TestQuarterCarBenchmark:
     def test_nominal_design_pinned(self):
-        y = evaluate_mbs(np.zeros(24))
+        y = make_quarter_car_problem().evaluate(np.zeros(24))
         assert y[0] == pytest.approx(NOMINAL_OBJECTIVES[0], rel=1e-12)
         assert y[1] == pytest.approx(NOMINAL_OBJECTIVES[1], rel=1e-12)
 

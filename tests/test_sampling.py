@@ -10,6 +10,7 @@ from samo.core import (
     ParetoApproximation,
     Sample,
 )
+from samo import sampling
 from samo.sampling import (
     SamplePlan,
     _lloyd,
@@ -92,10 +93,17 @@ class TestKmeans:
         assert np.array_equal(kmeans(pts, 5, seed=7), kmeans(pts, 5, seed=7))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_wcss_non_increasing(self, seed):
+    def test_wcss_non_increasing(self, seed, monkeypatch):
+        # the within-cluster sum of squares of the centroids after 0, 1, 2,
+        # ... Lloyd iterations, each point assigned to its nearest centroid
         rng = np.random.default_rng(seed)
         pts = rng.random((60, 2))
-        _, wcss = _lloyd(pts, 8, np.random.default_rng(seed))
+        wcss = []
+        for iterations in range(30):
+            monkeypatch.setattr(sampling, "_KMEANS_MAX_ITER", iterations)
+            centroids = _lloyd(pts, 8, np.random.default_rng(seed))
+            d2 = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            wcss.append(float(d2.min(axis=1).sum()))
         assert all(b <= a + 1e-12 for a, b in zip(wcss, wcss[1:]))
 
 
