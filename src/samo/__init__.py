@@ -10,12 +10,8 @@ stabilize in Hausdorff distance.
 from .core import (
     BoxBounds,
     Dataset,
-    DecisionVector,
-    ObjectiveVector,
     ParetoApproximation,
-    Sample,
     SamoError,
-    clamp_to_bounds,
     dominates,
     hausdorff_distance,
     non_dominated_filter,

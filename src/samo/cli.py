@@ -18,7 +18,7 @@ import json
 import logging
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import ConfigurationError, SamoError
 from .driver import (
+    SURROGATE_KINDS,
     SamoConfig,
     format_float,
     sample_size_study,
@@ -57,11 +58,47 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _take(section: dict, defaults: dict, where: str) -> dict:
-    _reject_unknown(section, defaults, where)
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
+# Fields a config file does not set, so their names are unknown keys there:
+# seeds derive from the master seed, the optimizer's population size comes
+# from samo.population_size, the network width is fixed, and the RBF fields
+# and the optimizer blocks are nested sections of their own.
+_NOT_IN_FILE = {
+    SamoConfig: ("rbf_sigma", "rbf_sigma_grid", "rbf_ridge", "train", "moea", "mgda"),
+    TrainConfig: ("seed", "hidden"),
+    MoeaConfig: ("seed", "population_size"),
+    MgdaConfig: ("seed", "n_starts"),
+}
+# keys of the samo.rbf section and the SamoConfig fields they set
+_RBF_KEYS = {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
+
+
+def _cast(default, value):
+    """A file value as the type of its field's default; a field whose
+    default is None takes a float or null, a tuple field a list of floats."""
+    if value is None:
+        return None
+    if default is None:
+        return float(value)
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in value)
+    return type(default)(value)
+
+
+def _file_values(cls, section: dict, where: str, keys: Optional[dict] = None) -> dict:
+    """Field values of config dataclass `cls` set by one file section.
+
+    `keys` maps the section's keys to field names; by default every field
+    not in `_NOT_IN_FILE` is a key of its own name. Other keys are rejected,
+    and values are cast to the types of the fields' defaults.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    if keys is None:
+        keys = {name: name for name in defaults if name not in _NOT_IN_FILE.get(cls, ())}
+    _reject_unknown(section, keys, where)
+    try:
+        return {keys[k]: _cast(defaults[keys[k]], v) for k, v in section.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid value in {where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -80,20 +117,17 @@ class RunConfig:
         problem = _problem_from_config(raw.get("problem", {}))
         samo_cfg = _samo_from_config(raw.get("samo", {}))
         study = raw.get("study", {})
-        study = _take(
-            study,
-            {"sizes": [], "surrogates": [samo_cfg.surrogate], "repetitions": 1},
-            "study",
-        )
-        for kind in study["surrogates"]:
-            if kind not in ("mlp", "rbf"):
+        _reject_unknown(study, ("sizes", "surrogates", "repetitions"), "study")
+        surrogates = tuple(study.get("surrogates", [samo_cfg.surrogate]))
+        for kind in surrogates:
+            if kind not in SURROGATE_KINDS:
                 raise ConfigurationError(f"unknown study surrogate kind {kind!r}")
         return cls(
             problem=problem,
             samo=samo_cfg,
-            study_sizes=tuple(int(s) for s in study["sizes"]),
-            study_surrogates=tuple(study["surrogates"]),
-            study_repetitions=int(study["repetitions"]),
+            study_sizes=tuple(int(s) for s in study.get("sizes", [])),
+            study_surrogates=surrogates,
+            study_repetitions=int(study.get("repetitions", 1)),
         )
 
     @classmethod
@@ -105,131 +139,54 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
+# keys of the problem section that set make_quarter_car_problem arguments
+_PROBLEM_ARGS = {
+    "n_dim": "n_dim",
+    "projection_seed": "seed",
+    "half_width": "half_width",
+    "max_swing": "max_swing",
+}
+
+
 def _problem_from_config(section: dict) -> Problem:
-    merged = _take(
-        section,
-        {
-            "name": "mbs",
-            "n_dim": None,
-            "projection_seed": 2024,
-            "half_width": 0.003,
-            "max_swing": 0.15,
-            "params": {},
-            "excitation": {},
-            "horizon": {},
-        },
-        "problem",
+    """A problem from the file's problem section; keys left out or null keep
+    the defaults of `make_quarter_car_problem` and the parameter dataclasses."""
+    _reject_unknown(
+        section, ("name", *_PROBLEM_ARGS, "params", "excitation", "horizon"), "problem"
     )
-    name = merged["name"]
+    name = section.get("name", "mbs")
     if name in ANALYTIC_PROBLEM_NAMES:
-        return make_analytic_problem(name, n_dim=merged["n_dim"])
+        return make_analytic_problem(name, n_dim=section.get("n_dim"))
     if name != "mbs":
         raise ConfigurationError(f"unknown problem {name!r}")
-    params = _take(
-        merged["params"],
-        {
-            "sprung_mass": 300.0,
-            "unsprung_mass": 40.0,
-            "suspension_stiffness": 25_000.0,
-            "suspension_damping": 1_500.0,
-            "tire_stiffness": 200_000.0,
-        },
-        "problem.params",
-    )
-    excitation = _take(
-        merged["excitation"], {"amplitude": 0.001, "frequency": 7.0}, "problem.excitation"
-    )
-    horizon = _take(merged["horizon"], {"t0": 0.0, "te": 2.0, "dt": 1e-4}, "problem.horizon")
+    horizon = section.get("horizon", {})
+    _reject_unknown(horizon, ("t0", "te", "dt"), "problem.horizon")
+    given = {arg: section[k] for k, arg in _PROBLEM_ARGS.items() if section.get(k) is not None}
+    params = _file_values(QuarterCarParams, section.get("params", {}), "problem.params")
+    excitation = _file_values(Excitation, section.get("excitation", {}), "problem.excitation")
     return make_quarter_car_problem(
-        n_dim=merged["n_dim"] or 24,
-        half_width=merged["half_width"],
-        seed=merged["projection_seed"],
         nominal=QuarterCarParams(**params),
         excitation=Excitation(**excitation),
-        t0=horizon["t0"],
-        te=horizon["te"],
-        dt=horizon["dt"],
-        max_swing=merged["max_swing"],
+        **given,
+        **horizon,
     )
 
 
 def _samo_from_config(section: dict) -> SamoConfig:
-    merged = _take(
-        section,
-        {
-            "budget": 120,
-            "batch_size": 20,
-            "h_min": 2.0,
-            "surrogate": "mlp",
-            "optimizer": "nsga2",
-            "population_size": 100,
-            "normalize_hausdorff": False,
-            "rbf": {},
-            "train": {},
-            "moea": {},
-            "mgda": {},
-            "seed": 0,
-        },
-        "samo",
-    )
-    rbf = _take(
-        merged["rbf"],
-        {"sigma": None, "grid": [0.1, 0.5, 1.0, 2.0, 5.0], "ridge": 1e-8},
-        "samo.rbf",
-    )
-    train_defaults = TrainConfig()
-    train = _take(
-        merged["train"],
-        {
-            "epochs": train_defaults.epochs,
-            "learning_rate": train_defaults.learning_rate,
-            "batch_size": train_defaults.batch_size,
-            "validation_fraction": train_defaults.validation_fraction,
-            "patience": train_defaults.patience,
-            "restarts": train_defaults.restarts,
-        },
-        "samo.train",
-    )
-    moea_defaults = MoeaConfig()
-    moea = _take(
-        merged["moea"],
-        {
-            "generations": moea_defaults.generations,
-            "crossover_prob": moea_defaults.crossover_prob,
-            "eta_crossover": moea_defaults.eta_crossover,
-            "eta_mutation": moea_defaults.eta_mutation,
-            "mutation_prob": moea_defaults.mutation_prob,
-            "crossover_var_prob": moea_defaults.crossover_var_prob,
-        },
-        "samo.moea",
-    )
-    mgda_defaults = MgdaConfig()
-    mgda = _take(
-        merged["mgda"],
-        {
-            "learning_rate": mgda_defaults.learning_rate,
-            "max_iterations": mgda_defaults.max_iterations,
-            "tolerance": mgda_defaults.tolerance,
-            "backtracking": mgda_defaults.backtracking,
-        },
-        "samo.mgda",
-    )
-    return SamoConfig(
-        budget=int(merged["budget"]),
-        batch_size=int(merged["batch_size"]),
-        h_min=float(merged["h_min"]),
-        surrogate=merged["surrogate"],
-        optimizer=merged["optimizer"],
-        population_size=int(merged["population_size"]),
-        normalize_hausdorff=bool(merged["normalize_hausdorff"]),
-        rbf_sigma=None if rbf["sigma"] is None else float(rbf["sigma"]),
-        rbf_sigma_grid=tuple(float(s) for s in rbf["grid"]),
-        rbf_ridge=float(rbf["ridge"]),
-        train=TrainConfig(**train),
-        moea=MoeaConfig(**moea),
-        mgda=MgdaConfig(**mgda),
-        seed=int(merged["seed"]),
-    )
+    """A SamoConfig from the file's samo section: its own fields, the rbf
+    section and one section per optimizer or training block. Keys left out
+    keep the dataclass defaults."""
+    section = dict(section)
+    blocks = {
+        f.name: f.default_factory for f in fields(SamoConfig) if f.default_factory is not MISSING
+    }
+    nested = {name: section.pop(name, {}) for name in ("rbf", *blocks)}
+    values = _file_values(SamoConfig, section, "samo")
+    values.update(_file_values(SamoConfig, nested.pop("rbf"), "samo.rbf", _RBF_KEYS))
+    for name, block in nested.items():
+        cls = blocks[name]
+        values[name] = cls(**_file_values(cls, block, f"samo.{name}"))
+    return SamoConfig(**values)
 
 
 def cmd_run(args) -> int:

@@ -1,5 +1,6 @@
-"""Foundational types and set operations: decision/objective vectors, Pareto
-dominance, non-dominance filtering, Hausdorff distance and box bounds.
+"""Foundational types and set operations: the sample archive and Pareto
+approximations as matrices, Pareto dominance, non-dominance filtering,
+Hausdorff distance and box bounds.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across concurrent workers.
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,62 +53,6 @@ def _finite_1d(values: ArrayLike, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DecisionVector:
-    """A point in design space.
-
-    Equality and hashing are bitwise on the coordinates, which is what the
-    dataset's duplicate rejection relies on.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _finite_1d(self.coords, "decision vector"))
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.coords, dtype=dtype)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DecisionVector):
-            return NotImplemented
-        return self.coords.shape == other.coords.shape and (
-            self.coords.tobytes() == other.coords.tobytes()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
-
-
-@dataclass(frozen=True, eq=False)
-class ObjectiveVector:
-    """A point in objective space; non-finite values are rejected at construction."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _finite_1d(self.values, "objective vector"))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.asarray(self.values, dtype=dtype)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ObjectiveVector):
-            return NotImplemented
-        return self.values.shape == other.values.shape and (
-            self.values.tobytes() == other.values.tobytes()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.values.tobytes())
-
-
 @dataclass(frozen=True)
 class BoxBounds:
     """Axis-aligned box constraints, lower[i] < upper[i] in every coordinate."""
@@ -140,98 +85,99 @@ class BoxBounds:
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One expensive evaluation: y is always the true model output for x."""
+def finite_matrix(values, what: str) -> np.ndarray:
+    """A read-only float copy of a two-dimensional array of finite values."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{what} must be two-dimensional, got shape {arr.shape}")
+    if arr.shape[0] and not arr.shape[1]:
+        raise EmptyInputError(f"{what} has rows without entries")
+    if not np.all(np.isfinite(arr)):
+        raise SamoError(f"{what} contains non-finite entries")
+    arr.flags.writeable = False
+    return arr
 
-    x: DecisionVector
-    y: ObjectiveVector
-    iteration: int = 0
 
-    def __post_init__(self) -> None:
-        if self.iteration < 0:
-            raise ConfigurationError("sample iteration tag must be non-negative")
+def _repeated_row(X: np.ndarray) -> Optional[int]:
+    """Index of a row of X that repeats another bit for bit, or None.
+
+    Rows are compared as raw bytes, so 0.0 and -0.0 count as different.
+    """
+    if X.shape[0] < 2:
+        return None
+    rows = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    order = np.argsort(rows, kind="stable")
+    repeats = np.flatnonzero(rows[order[1:]] == rows[order[:-1]])
+    return int(order[repeats[0] + 1]) if repeats.size else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered archive of expensive samples with exact-duplicate rejection.
+    """Ordered archive of expensive samples: row i of Y (n, K) is the true
+    model output at row i of X (n, N). Both matrices are read-only.
 
-    Duplicate detection is bitwise on the coordinates; near-duplicates are
+    Duplicate detection is bitwise on the rows of X; near-duplicates are
     the informed-sampling module's concern, not the archive's.
     """
 
-    samples: tuple = field(default_factory=tuple)
+    X: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    Y: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __post_init__(self) -> None:
-        samples = tuple(self.samples)
-        seen = set()
-        for s in samples:
-            if s.x in seen:
-                raise DuplicateSampleError(
-                    f"duplicate decision vector in dataset: {s.x.coords}"
-                )
-            seen.add(s.x)
-        object.__setattr__(self, "samples", samples)
+        X = finite_matrix(self.X, "sample decisions")
+        Y = finite_matrix(self.Y, "sample objectives")
+        if X.shape[0] != Y.shape[0]:
+            raise DimensionMismatchError(
+                f"{X.shape[0]} decision rows but {Y.shape[0]} objective rows"
+            )
+        repeated = _repeated_row(X)
+        if repeated is not None:
+            raise DuplicateSampleError(f"duplicate decision vector in dataset: {X[repeated]}")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.X.shape[0]
 
-    def __iter__(self):
-        return iter(self.samples)
-
-    def with_samples(self, new: Iterable[Sample]) -> "Dataset":
-        """A new dataset extended by `new`, preserving order."""
-        return Dataset(self.samples + tuple(new))
-
-    def decision_matrix(self) -> np.ndarray:
-        return np.array([s.x.coords for s in self.samples], dtype=float)
-
-    def objective_matrix(self) -> np.ndarray:
-        return np.array([s.y.values for s in self.samples], dtype=float)
+    def with_samples(self, X: np.ndarray, Y: np.ndarray) -> "Dataset":
+        """A new dataset with the rows of (X, Y) appended, preserving order."""
+        if not len(self):
+            return Dataset(X, Y)
+        return Dataset(np.vstack([self.X, X]), np.vstack([self.Y, Y]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParetoApproximation:
-    """Index-aligned decision-space set and objective-space front.
+    """Row-aligned decision set X (n, N) and objective-space front F (n, K),
+    both read-only.
 
-    Construction verifies mutual non-dominance of the front.
+    Construction verifies that the front is non-empty, finite and mutually
+    non-dominated.
     """
 
-    decision_set: tuple
-    front: tuple
+    X: np.ndarray
+    F: np.ndarray
 
     def __post_init__(self) -> None:
-        dec = tuple(self.decision_set)
-        fr = tuple(self.front)
-        if len(dec) != len(fr):
+        X = finite_matrix(self.X, "decision set")
+        F = finite_matrix(self.F, "front")
+        if X.shape[0] != F.shape[0]:
             raise DimensionMismatchError(
-                f"decision set has {len(dec)} members but front has {len(fr)}"
+                f"decision set has {X.shape[0]} members but front has {F.shape[0]}"
             )
-        if len(fr) == 0:
+        if F.shape[0] == 0:
             raise EmptyInputError("Pareto approximation must contain at least one point")
-        F = np.array([f.values for f in fr], dtype=float)
-        keep = non_dominated_filter(F)
-        if len(keep) != len(fr):
+        if len(non_dominated_filter(F)) != F.shape[0]:
             raise SamoError("front members must be mutually non-dominated")
-        object.__setattr__(self, "decision_set", dec)
-        object.__setattr__(self, "front", fr)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "F", F)
 
     def __len__(self) -> int:
-        return len(self.front)
+        return self.F.shape[0]
 
     @classmethod
     def from_arrays(cls, X: np.ndarray, F: np.ndarray) -> "ParetoApproximation":
-        return cls(
-            tuple(DecisionVector(x) for x in np.atleast_2d(X)),
-            tuple(ObjectiveVector(f) for f in np.atleast_2d(F)),
-        )
-
-    def decision_matrix(self) -> np.ndarray:
-        return np.array([d.coords for d in self.decision_set], dtype=float)
-
-    def front_matrix(self) -> np.ndarray:
-        return np.array([f.values for f in self.front], dtype=float)
+        return cls(np.atleast_2d(X), np.atleast_2d(F))
 
 
 def _as_points(points, what: str) -> np.ndarray:
@@ -333,13 +279,3 @@ def hausdorff_distance(X, Y, normalize: bool = False) -> float:
         Ya = (Ya - lo) / span
     d = np.sqrt(((Xa[:, None, :] - Ya[None, :, :]) ** 2).sum(axis=2))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
-def clamp_to_bounds(x: ArrayLike, bounds: BoxBounds) -> DecisionVector:
-    """Project a point coordinate-wise into the box."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[0] != bounds.dim:
-        raise DimensionMismatchError(
-            f"point has {arr.shape[0]} coordinates, bounds have {bounds.dim}"
-        )
-    return DecisionVector(np.clip(arr, bounds.lower, bounds.upper))

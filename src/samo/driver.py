@@ -14,7 +14,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -23,11 +23,8 @@ import numpy as np
 from .core import (
     ConfigurationError,
     Dataset,
-    DecisionVector,
     EmptyInputError,
-    ObjectiveVector,
     ParetoApproximation,
-    Sample,
     hausdorff_distance,
     non_dominated_filter,
 )
@@ -82,7 +79,9 @@ class SamoConfig:
     `budget` is the cap on Pareto-informed evaluations; the initial random
     round adds its own `batch_size` on top, so at most budget + batch_size
     expensive evaluations occur. A round's batch is truncated when fewer
-    evaluations remain in the budget.
+    evaluations remain in the budget. `population_size` is written into the
+    selected optimizer's block (`moea.population_size` or `mgda.n_starts`),
+    so that block's own checks run at construction.
     """
 
     budget: int = 120
@@ -113,26 +112,12 @@ class SamoConfig:
             raise ConfigurationError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.population_size < 2:
             raise ConfigurationError("population_size must be at least 2")
-
-    def to_json_dict(self) -> dict:
-        d = {
-            "budget": self.budget,
-            "batch_size": self.batch_size,
-            "h_min": self.h_min,
-            "surrogate": self.surrogate,
-            "optimizer": self.optimizer,
-            "population_size": self.population_size,
-            "normalize_hausdorff": self.normalize_hausdorff,
-            "rbf_sigma": self.rbf_sigma,
-            "rbf_sigma_grid": list(self.rbf_sigma_grid),
-            "rbf_ridge": self.rbf_ridge,
-            "train": self.train.__dict__.copy(),
-            "moea": self.moea.__dict__.copy(),
-            "mgda": self.mgda.__dict__.copy(),
-            "seed": self.seed,
-        }
-        d["train"]["hidden"] = list(self.train.hidden)
-        return d
+        if self.optimizer == "nsga2":
+            moea = replace(self.moea, population_size=self.population_size)
+            object.__setattr__(self, "moea", moea)
+        else:
+            mgda = replace(self.mgda, n_starts=self.population_size)
+            object.__setattr__(self, "mgda", mgda)
 
 
 @dataclass
@@ -174,19 +159,14 @@ def check_convergence(front_prev, front_cur, h_min: float, normalize: bool = Fal
     return h < h_min, h
 
 
-def evaluate_batch(problem: Problem, plan: SamplePlan, iteration: int, jobs: int = 1) -> list:
-    """Expensive-evaluate a sample plan, optionally with concurrent workers;
-    result order always follows the plan."""
-    points = [p.coords for p in plan.points]
+def evaluate_batch(problem: Problem, plan: SamplePlan, jobs: int = 1):
+    """Expensive-evaluate a sample plan, optionally with concurrent workers,
+    as the plan's points X and their objectives Y, row for row."""
+    X = plan.X
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(problem.evaluate, points))
-    else:
-        values = [problem.evaluate(x) for x in points]
-    return [
-        Sample(DecisionVector(x), ObjectiveVector(y), iteration)
-        for x, y in zip(points, values)
-    ]
+            return X, np.array(list(pool.map(problem.evaluate, X)), dtype=float)
+    return X, problem.evaluate_batch(X)
 
 
 def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
@@ -205,21 +185,13 @@ def _optimize_surrogate(
     """The surrogate front of one round and the optimizer's counts."""
     stats: dict = {}
     if cfg.optimizer == "nsga2":
-        moea_cfg = replace(
-            cfg.moea,
-            population_size=cfg.population_size,
-            seed=derive_seed(cfg.seed, 2, round_index),
-        )
+        moea_cfg = replace(cfg.moea, seed=derive_seed(cfg.seed, 2, round_index))
         snapshot = writer.front_snapshot_writer(round_index) if (writer and verbose) else None
         pareto = nsga2_run(
             model.predict_batch, problem.bounds, moea_cfg, snapshot_writer=snapshot, stats=stats
         )
         return pareto, stats
-    mgda_cfg = replace(
-        cfg.mgda,
-        n_starts=cfg.population_size,
-        seed=derive_seed(cfg.seed, 2, round_index),
-    )
+    mgda_cfg = replace(cfg.mgda, seed=derive_seed(cfg.seed, 2, round_index))
     traces = writer.mgda_trace_writer(round_index) if (writer and verbose) else None
     pareto = multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces, stats=stats)
     return pareto, stats
@@ -233,34 +205,23 @@ class RunDirectoryWriter:
         self.run_dir.mkdir(parents=True, exist_ok=True)
 
     def write_config(self, cfg: SamoConfig, problem_name: str) -> None:
-        snapshot = {"problem": problem_name, "samo": cfg.to_json_dict()}
+        snapshot = {"problem": problem_name, "samo": asdict(cfg)}
         (self.run_dir / "config.json").write_text(json.dumps(snapshot, indent=2))
 
     def write_projection_matrix(self, problem: Problem) -> None:
         evaluator = problem.evaluate
         if isinstance(evaluator, QuarterCarEvaluator):
             header = [f"x{i}" for i in range(evaluator.projection.shape[1])]
-            write_csv(
-                self.run_dir / "projection_matrix.csv",
-                header,
-                [[float(v) for v in row] for row in evaluator.projection],
-            )
+            write_csv(self.run_dir / "projection_matrix.csv", header, evaluator.projection)
 
-    def write_samples(self, round_index: int, samples: Sequence[Sample]) -> None:
-        n_dim = len(samples[0].x)
-        n_obj = len(samples[0].y)
-        header = [f"x{i}" for i in range(n_dim)] + [f"f{k}" for k in range(n_obj)]
-        rows = [
-            [float(v) for v in s.x.coords] + [float(v) for v in s.y.values] for s in samples
-        ]
-        write_csv(self.run_dir / f"samples_round_{round_index}.csv", header, rows)
+    def write_samples(self, round_index: int, X: np.ndarray, Y: np.ndarray) -> None:
+        header = [f"x{i}" for i in range(X.shape[1])] + [f"f{k}" for k in range(Y.shape[1])]
+        write_csv(self.run_dir / f"samples_round_{round_index}.csv", header, np.hstack([X, Y]))
 
     def write_front(self, round_index: int, pareto: ParetoApproximation) -> None:
-        X = pareto.decision_matrix()
-        F = pareto.front_matrix()
+        X, F = pareto.X, pareto.F
         header = [f"x{i}" for i in range(X.shape[1])] + [f"g{k}" for k in range(F.shape[1])]
-        rows = [[float(v) for v in x] + [float(v) for v in f] for x, f in zip(X, F)]
-        write_csv(self.run_dir / f"front_round_{round_index}.csv", header, rows)
+        write_csv(self.run_dir / f"front_round_{round_index}.csv", header, np.hstack([X, F]))
 
     def write_surrogate(self, round_index: int, model) -> str:
         path = self.run_dir / f"surrogate_round_{round_index}.json"
@@ -269,8 +230,7 @@ class RunDirectoryWriter:
 
     def write_final_front(self, X: np.ndarray, F: np.ndarray) -> None:
         header = [f"x{i}" for i in range(X.shape[1])] + [f"f{k}" for k in range(F.shape[1])]
-        rows = [[float(v) for v in x] + [float(v) for v in f] for x, f in zip(X, F)]
-        write_csv(self.run_dir / "final_front.csv", header, rows)
+        write_csv(self.run_dir / "final_front.csv", header, np.hstack([X, F]))
 
     def front_snapshot_writer(self, round_index: int):
         """Streaming writer appending one row per front member per
@@ -303,7 +263,7 @@ class RunDirectoryWriter:
             write_csv(
                 self.run_dir / f"mgda_trace_round_{round_index}_start_{start_index}.csv",
                 header,
-                [[float(v) for v in row] for row in trace],
+                trace,
             )
 
         return write
@@ -389,11 +349,11 @@ def samo_run(
         timings["sampling"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        new_samples = evaluate_batch(problem, plan, round_index, jobs=jobs)
-        record.dataset = record.dataset.with_samples(new_samples)
+        X_new, Y_new = evaluate_batch(problem, plan, jobs=jobs)
+        record.dataset = record.dataset.with_samples(X_new, Y_new)
         timings["evaluation"] = time.perf_counter() - t0
         if writer:
-            writer.write_samples(round_index, new_samples)
+            writer.write_samples(round_index, X_new, Y_new)
 
         t0 = time.perf_counter()
         try:
@@ -419,18 +379,15 @@ def samo_run(
         converged = False
         if previous_front is not None:
             converged, h = check_convergence(
-                previous_front,
-                pareto.front_matrix(),
-                cfg.h_min,
-                normalize=cfg.normalize_hausdorff,
+                previous_front, pareto.F, cfg.h_min, normalize=cfg.normalize_hausdorff
             )
-        previous_front = pareto.front_matrix()
+        previous_front = pareto.F
         timings["total"] = time.perf_counter() - t_round
 
         round_record = RoundRecord(
             index=round_index,
             plan_origin=plan.origin,
-            n_new_samples=len(new_samples),
+            n_new_samples=len(X_new),
             dataset_size=len(record.dataset),
             pareto=pareto,
             hausdorff=h,
@@ -445,7 +402,7 @@ def samo_run(
             logger.info(
                 "round %d: %d samples, |D|=%d, h=%s",
                 round_index,
-                len(new_samples),
+                len(X_new),
                 len(record.dataset),
                 "n/a" if h is None else f"{h:.6g}",
             )
@@ -458,11 +415,9 @@ def samo_run(
         round_index += 1
 
     if len(record.dataset):
-        Y = record.dataset.objective_matrix()
-        X = record.dataset.decision_matrix()
-        keep = non_dominated_filter(Y)
-        record.final_decision = X[keep]
-        record.final_front = Y[keep]
+        keep = non_dominated_filter(record.dataset.Y)
+        record.final_decision = record.dataset.X[keep]
+        record.final_front = record.dataset.Y[keep]
         if writer:
             writer.write_final_front(record.final_decision, record.final_front)
     if writer:

@@ -260,7 +260,7 @@ def multistart_mgda(
     `starts`, `converged`, `dropped` and `max_iterations_used`, also when
     no start converges and SamoError is raised.
     """
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).matrix()
+    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).X
     X, converged, iterations, traces = _descend(
         model, starts, bounds, cfg, keep_traces=trace_writer is not None
     )

@@ -277,7 +277,7 @@ def nsga2_run(
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
 
-    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).matrix()
+    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).X
     Y, demoted = _evaluate(objective, X)
 
     for gen in range(cfg.generations):

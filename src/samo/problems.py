@@ -46,15 +46,12 @@ class Problem:
     n_obj: int
     bounds: BoxBounds
     evaluate: Callable[[np.ndarray], np.ndarray]
-    cost: str = "cheap"
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     true_front: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.n_obj < 2:
             raise ConfigurationError("problems must have at least two objectives")
-        if self.cost not in ("cheap", "expensive"):
-            raise ConfigurationError(f"unknown cost class {self.cost!r}")
         if self.bounds.dim != self.n_dim:
             raise DimensionMismatchError("bounds dimension does not match n_dim")
 
@@ -353,7 +350,6 @@ def make_quarter_car_problem(
         n_obj=2,
         bounds=bounds,
         evaluate=evaluator,
-        cost="expensive",
     )
 
 
@@ -380,7 +376,6 @@ def _two_paraboloids(n_dim: int) -> Problem:
         n_obj=2,
         bounds=BoxBounds(np.full(n_dim, -1.0), np.full(n_dim, 1.0)),
         evaluate=f,
-        cost="cheap",
         jacobian=jac,
         true_front=front,
     )
@@ -403,7 +398,6 @@ def _zdt1(n_dim: int) -> Problem:
         n_obj=2,
         bounds=BoxBounds(np.zeros(n_dim), np.ones(n_dim)),
         evaluate=f,
-        cost="cheap",
         true_front=front,
     )
 
@@ -438,7 +432,6 @@ def _branin_pair() -> Problem:
         n_obj=2,
         bounds=BoxBounds(np.array([-5.0, 0.0]), np.array([10.0, 15.0])),
         evaluate=f,
-        cost="cheap",
     )
 
 

@@ -15,36 +15,34 @@ from .core import (
     BoxBounds,
     ConfigurationError,
     Dataset,
-    DecisionVector,
     EmptyInputError,
     ParetoApproximation,
+    finite_matrix,
 )
 
 _KMEANS_MAX_ITER = 300
 _DUPLICATE_RADIUS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePlan:
-    """A batch of in-bounds points to evaluate with the expensive model."""
+    """A batch of in-bounds points, the rows of a read-only X (s, N), to
+    evaluate with the expensive model."""
 
-    points: tuple
+    X: np.ndarray
     origin: str
     seed: int
 
     def __post_init__(self) -> None:
-        pts = tuple(self.points)
-        if len(pts) < 1:
+        X = finite_matrix(self.X, "sample plan")
+        if X.shape[0] < 1:
             raise EmptyInputError("sample plan must contain at least one point")
         if self.origin not in ("latin-hypercube", "pareto-informed"):
             raise ConfigurationError(f"unknown sample plan origin {self.origin!r}")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "X", X)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([p.coords for p in self.points], dtype=float)
+        return self.X.shape[0]
 
 
 def latin_hypercube(s: int, bounds: BoxBounds, seed: int) -> SamplePlan:
@@ -59,7 +57,7 @@ def latin_hypercube(s: int, bounds: BoxBounds, seed: int) -> SamplePlan:
     for j in range(n):
         strata = rng.permutation(s)
         out[:, j] = bounds.lower[j] + (strata + rng.random(s)) * (width[j] / s)
-    return SamplePlan(tuple(DecisionVector(x) for x in out), "latin-hypercube", seed)
+    return SamplePlan(out, "latin-hypercube", seed)
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,9 +135,9 @@ def pareto_informed_samples(
     """
     if s < 1:
         raise ConfigurationError("sample count s must be at least 1")
-    decision = pareto.decision_matrix()
+    decision = pareto.X
     rng = np.random.default_rng(seed)
-    archive = existing.decision_matrix() if len(existing) else np.empty((0, bounds.dim))
+    archive = existing.X
 
     n_distinct = np.unique(decision, axis=0).shape[0]
     k = min(s, n_distinct)
@@ -176,4 +174,4 @@ def pareto_informed_samples(
     while len(chosen) < s:
         chosen.append(fresh_random())
 
-    return SamplePlan(tuple(DecisionVector(x) for x in chosen), "pareto-informed", seed)
+    return SamplePlan(np.array(chosen), "pareto-informed", seed)

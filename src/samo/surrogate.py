@@ -260,8 +260,7 @@ def fit_rbf(
         raise ConfigurationError("kernel width sigma must be strictly positive")
     if ridge < 0.0:
         raise ConfigurationError("ridge parameter must be non-negative")
-    X = data.decision_matrix()
-    Y = data.objective_matrix()
+    X, Y = data.X, data.Y
     scaler = Scaler.fit(X, Y)
     Xs = scaler.transform_x(X)
     Ys = scaler.transform_y(Y)
@@ -309,11 +308,10 @@ def cross_validated_mse(
             stacklevel=2,
         )
         folds = n
-    X = data.decision_matrix()
-    Y = data.objective_matrix()
+    X, Y = data.X, data.Y
     errors = []
     for mask in _cv_fold_masks(n, folds):
-        train = Dataset(tuple(s for s, m in zip(data.samples, mask) if not m))
+        train = Dataset(X[~mask], Y[~mask])
         model = fit_rbf(train, sigma=sigma, ridge=ridge)
         pred = model.predict_batch(X[mask])
         errors.append(float(((pred - Y[mask]) ** 2).mean()))
@@ -451,8 +449,7 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:
     cfg = cfg or TrainConfig()
     if len(data) < 5:
         raise ConfigurationError("network training needs at least five samples")
-    X = data.decision_matrix()
-    Y = data.objective_matrix()
+    X, Y = data.X, data.Y
     scaler = Scaler.fit(X, Y)
     Xs = scaler.transform_x(X)
     Ys = scaler.transform_y(Y)

@@ -80,7 +80,7 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
 
 def multistart_mgda(model, bounds, cfg, trace_writer=None, stats=None) -> ParetoApproximation:
     """The starts of `samo.mgda.multistart_mgda`, run one after another."""
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).matrix()
+    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).X
     results = [mgda_run(model, x0, bounds, cfg) for x0 in starts]
     if trace_writer is not None:
         for start_index, result in enumerate(results):
@@ -222,7 +222,7 @@ def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> Paret
     rng = np.random.default_rng(cfg.seed)
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
-    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).matrix()
+    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).X
     Y, demoted = _evaluate(objective, X)
     for gen in range(cfg.generations):
         off_X = offspring(X, Y, rng, cfg, bounds, mutation_prob)

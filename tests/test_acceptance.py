@@ -154,13 +154,9 @@ def test_criterion_4_jacobian_fidelity():
     start = time.perf_counter()
     problem = make_analytic_problem("two-paraboloids")
     plan = latin_hypercube(30, problem.bounds, seed=5)
-    from samo.core import Dataset, ObjectiveVector, Sample
+    from samo.core import Dataset
 
-    data = Dataset(
-        tuple(
-            Sample(p, ObjectiveVector(problem.evaluate(p.coords))) for p in plan.points
-        )
-    )
+    data = Dataset(plan.X, np.array([problem.evaluate(x) for x in plan.X]))
     models = {
         "rbf": fit_rbf(data, sigma=0.5, ridge=1e-8),
         "mlp": fit_mlp(data, TrainConfig(epochs=500, patience=500, seed=1)),
@@ -196,7 +192,7 @@ def test_criterion_5_nsga2_quality():
         values = []
         for seed in range(5):
             cfg = MoeaConfig(population_size=100, generations=200, seed=seed)
-            front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
+            front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
             values.append(igd_normalized(front, reference))
         elapsed = time.perf_counter() - start
         mean_igd = float(np.mean(values))
@@ -213,7 +209,7 @@ def test_criterion_6_mgda_criticality():
     problem = make_analytic_problem("two-paraboloids")
     model = GradientModel(problem)
     a = np.full(4, 0.5)
-    starts = latin_hypercube(100, problem.bounds, seed=17).matrix()
+    starts = latin_hypercube(100, problem.bounds, seed=17).X
     cfg = MgdaConfig(learning_rate=0.05, max_iterations=10_000, tolerance=1e-6)
     hits = 0
     for x0 in starts:

@@ -6,6 +6,7 @@ import pytest
 
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError
+from samo.driver import SamoConfig
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -52,6 +53,44 @@ class TestRunConfig:
         assert config.samo.moea.generations == 200
         assert config.samo.moea.crossover_prob == 0.5
         assert config.samo.moea.eta_mutation == 20.0
+
+    def test_omitted_sections_keep_dataclass_defaults(self):
+        assert RunConfig.from_dict({"problem": {"name": "zdt1"}}).samo == SamoConfig()
+
+    def test_rbf_section_sets_rbf_fields(self):
+        rbf = {"sigma": 2, "grid": [1, 3], "ridge": 0}
+        samo = RunConfig.from_dict({"samo": {"surrogate": "rbf", "rbf": rbf}}).samo
+        assert (samo.rbf_sigma, samo.rbf_sigma_grid, samo.rbf_ridge) == (2.0, (1.0, 3.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("train", "seed"),
+            ("moea", "seed"),
+            ("mgda", "seed"),
+            ("moea", "population_size"),
+            ("mgda", "n_starts"),
+            ("train", "hidden"),
+            (None, "rbf_sigma"),
+        ],
+    )
+    def test_derived_fields_are_unknown_keys(self, section, key):
+        samo = {key: 1} if section is None else {section: {key: 1}}
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict({"samo": samo})
+
+    def test_odd_nsga2_population_rejected_before_any_evaluation(self, monkeypatch):
+        import samo.driver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the config was rejected")
+
+        monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        payload = {"problem": {"name": "two-paraboloids"}, "samo": {"population_size": 61}}
+        with pytest.raises(ConfigurationError, match="even"):
+            RunConfig.from_dict(payload)
+        payload["samo"]["optimizer"] = "mgda-multistart"
+        assert RunConfig.from_dict(payload).samo.mgda.n_starts == 61
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"problems": {}})

@@ -9,15 +9,11 @@ from samo.core import (
     BoxBounds,
     ConfigurationError,
     Dataset,
-    DecisionVector,
     DimensionMismatchError,
     DuplicateSampleError,
     EmptyInputError,
-    ObjectiveVector,
     ParetoApproximation,
-    Sample,
     SamoError,
-    clamp_to_bounds,
     dominance_matrix,
     dominates,
     hausdorff_distance,
@@ -178,90 +174,76 @@ class TestHausdorff:
             hausdorff_distance([(1.0, 2.0)], [(1.0, 2.0, 3.0)])
 
 
-class TestClamp:
-    BOUNDS = BoxBounds(np.full(3, -0.003), np.full(3, 0.003))
-
-    def test_inside_unchanged(self):
-        x = np.array([0.001, -0.002, 0.0])
-        assert np.array_equal(clamp_to_bounds(x, self.BOUNDS).coords, x)
-
-    def test_projection(self):
-        clamped = clamp_to_bounds(np.array([0.005, 0.0, -0.004]), self.BOUNDS)
-        assert np.array_equal(clamped.coords, [0.003, 0.0, -0.003])
-
-    def test_boundary_fixed_point(self):
-        lower = self.BOUNDS.lower
-        assert np.array_equal(clamp_to_bounds(lower, self.BOUNDS).coords, lower)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = rng.uniform(-0.01, 0.01, 3)
-            once = clamp_to_bounds(x, self.BOUNDS)
-            twice = clamp_to_bounds(once.coords, self.BOUNDS)
-            assert once == twice
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            clamp_to_bounds(np.zeros(2), self.BOUNDS)
-
-
 class TestTypes:
     def test_decision_vector_rejects_nan(self):
         with pytest.raises(SamoError):
-            DecisionVector(np.array([0.0, np.nan]))
+            Dataset(np.array([[0.0, np.nan]]), np.ones((1, 2)))
 
     def test_objective_vector_rejects_inf(self):
         with pytest.raises(SamoError):
-            ObjectiveVector(np.array([np.inf, 1.0]))
+            Dataset(np.zeros((1, 2)), np.array([[np.inf, 1.0]]))
 
     def test_vectors_equal_bitwise(self):
-        a = DecisionVector(np.array([0.1, 0.2]))
-        b = DecisionVector(np.array([0.1, 0.2]))
-        c = DecisionVector(np.array([0.1, 0.2 + 1e-17]))  # rounds to same float
-        assert a == b
-        assert hash(a) == hash(b)
-        assert a == c  # 0.2 + 1e-17 == 0.2 in float64
+        Y = np.ones((2, 2))
+        with pytest.raises(DuplicateSampleError):
+            Dataset(np.array([[0.1, 0.2], [0.1, 0.2 + 1e-17]]), Y)  # rounds to same float
+        # 0.0 and -0.0 compare equal but differ bitwise
+        assert len(Dataset(np.array([[0.0, 1.0], [-0.0, 1.0]]), Y)) == 2
 
     def test_bounds_require_lower_below_upper(self):
         with pytest.raises(ConfigurationError):
             BoxBounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
-    def test_sample_iteration_non_negative(self):
-        x = DecisionVector(np.zeros(2))
-        y = ObjectiveVector(np.ones(2))
-        with pytest.raises(ConfigurationError):
-            Sample(x, y, iteration=-1)
+    def test_dataset_rejects_bad_shapes(self):
+        with pytest.raises(DimensionMismatchError):
+            Dataset(np.zeros((2, 2)), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatchError):
+            Dataset(np.zeros(2), np.ones((1, 2)))
+        with pytest.raises(EmptyInputError):
+            Dataset(np.empty((2, 0)), np.ones((2, 2)))
 
     def test_dataset_rejects_exact_duplicates(self):
-        x = DecisionVector(np.array([1.0, 2.0]))
-        y1 = ObjectiveVector(np.array([0.0, 1.0]))
-        y2 = ObjectiveVector(np.array([2.0, 3.0]))
+        X = np.array([[1.0, 2.0], [5.0, 6.0], [1.0, 2.0]])
+        Y = np.array([[0.0, 1.0], [4.0, 5.0], [2.0, 3.0]])
         with pytest.raises(DuplicateSampleError):
-            Dataset((Sample(x, y1), Sample(x, y2)))
+            Dataset(X, Y)
+        with pytest.raises(DuplicateSampleError):
+            Dataset(X[:2], Y[:2]).with_samples(X[2:], Y[2:])
 
     def test_dataset_allows_near_duplicates(self):
-        a = DecisionVector(np.array([1.0, 2.0]))
-        b = DecisionVector(np.array([1.0, 2.0 + 1e-12]))
-        y = ObjectiveVector(np.array([0.0, 1.0]))
-        data = Dataset((Sample(a, y), Sample(b, y)))
+        X = np.array([[1.0, 2.0], [1.0, 2.0 + 1e-12]])
+        y = np.array([[0.0, 1.0], [0.0, 1.0]])
+        data = Dataset(X, y)
         assert len(data) == 2
 
+    def test_matrices_read_only(self):
+        X = np.array([[0.0], [1.0]])
+        F = np.array([[1.0, 2.0], [2.0, 1.0]])
+        data = Dataset(X, F)
+        pareto = ParetoApproximation(X, F)
+        for matrix in (data.X, data.Y, pareto.X, pareto.F):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 9.0
+        X[0, 0] = 9.0  # the caller's array stays writable and is not shared
+        assert data.X[0, 0] == 0.0 and pareto.X[0, 0] == 0.0
+
     def test_dataset_extension_returns_new(self):
-        a = Sample(DecisionVector([0.0]), ObjectiveVector([1.0, 2.0]))
-        b = Sample(DecisionVector([1.0]), ObjectiveVector([3.0, 4.0]))
-        d0 = Dataset((a,))
-        d1 = d0.with_samples([b])
+        d0 = Dataset(np.array([[0.0]]), np.array([[1.0, 2.0]]))
+        d1 = d0.with_samples(np.array([[1.0]]), np.array([[3.0, 4.0]]))
         assert len(d0) == 1 and len(d1) == 2
+        assert np.array_equal(d1.X, [[0.0], [1.0]])
+        assert np.array_equal(d1.Y, [[1.0, 2.0], [3.0, 4.0]])
+        assert len(Dataset().with_samples(d1.X, d1.Y)) == 2
 
     def test_pareto_approximation_checks_alignment_and_dominance(self):
         X = np.array([[0.0], [1.0]])
         with pytest.raises(DimensionMismatchError):
-            ParetoApproximation(
-                tuple(DecisionVector(x) for x in X),
-                (ObjectiveVector([1.0, 2.0]),),
-            )
+            ParetoApproximation(X, np.array([[1.0, 2.0]]))
         with pytest.raises(SamoError):
             ParetoApproximation.from_arrays(X, np.array([[1.0, 1.0], [2.0, 2.0]]))
+        with pytest.raises(SamoError):
+            ParetoApproximation.from_arrays(X, np.array([[1.0, np.nan], [2.0, 1.0]]))
+        with pytest.raises(EmptyInputError):
+            ParetoApproximation(np.empty((0, 1)), np.empty((0, 2)))
         ok = ParetoApproximation.from_arrays(X, np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert len(ok) == 2

@@ -46,6 +46,12 @@ def small_cfg(**overrides) -> SamoConfig:
 
 
 class TestConfigValidation:
+    def test_population_size_checked_by_selected_optimizer(self):
+        with pytest.raises(ConfigurationError, match="even"):
+            SamoConfig(population_size=61, optimizer="nsga2")
+        cfg = SamoConfig(population_size=61, optimizer="mgda-multistart")
+        assert cfg.mgda.n_starts == 61
+
     def test_batch_larger_than_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             SamoConfig(budget=10, batch_size=20)
@@ -119,14 +125,14 @@ class TestRunRecordInvariants:
 
     def test_fronts_mutually_non_dominated(self, record):
         for r in record.rounds:
-            front = r.pareto.front_matrix()
+            front = r.pareto.F
             for i in range(len(front)):
                 for j in range(len(front)):
                     if i != j:
                         assert not dominates(front[i], front[j])
 
     def test_final_front_not_dominated_by_first_round_samples(self, record):
-        first_round = [s.y.values for s in record.dataset if s.iteration == 0]
+        first_round = record.dataset.Y[: record.rounds[0].dataset_size]
         for member in record.final_front:
             assert not any(dominates(y, member) for y in first_round)
 
@@ -177,6 +183,13 @@ class TestArtifacts:
         assert len(metrics["rounds"]) == rounds
         assert [r["optimizer"] for r in metrics["rounds"]] == [{"demoted": 0}] * rounds
 
+    def test_config_json_records_population_used(self, tmp_path):
+        run_dir = tmp_path / "run"
+        samo_run(CHEAP, small_cfg(population_size=12, budget=5), run_dir=run_dir)
+        written = json.loads((run_dir / "config.json").read_text())["samo"]
+        assert written["population_size"] == 12
+        assert written["moea"]["population_size"] == 12
+
     def test_mgda_counts_in_metrics(self, tmp_path):
         run_dir = tmp_path / "run"
         cfg = small_cfg(optimizer="mgda-multistart", population_size=8)
@@ -205,8 +218,7 @@ class TestArtifacts:
         record = samo_run(CHEAP, small_cfg(), run_dir=run_dir)
         lines = (run_dir / "samples_round_0.csv").read_text().strip().splitlines()
         values = [float(v) for v in lines[1].split(",")]
-        sample = record.dataset.samples[0]
-        expected = [*sample.x.coords, *sample.y.values]
+        expected = [*record.dataset.X[0], *record.dataset.Y[0]]
         assert values == expected
 
     def test_format_float_17_digits(self):

@@ -6,9 +6,6 @@ from samo.core import (
     BoxBounds,
     ConfigurationError,
     Dataset,
-    DecisionVector,
-    ObjectiveVector,
-    Sample,
     SamoError,
     dominates,
 )
@@ -238,7 +235,7 @@ class TestMultistart:
         cfg = MgdaConfig(n_starts=100, seed=7)
         pareto = multistart_mgda(model, problem.bounds, cfg)
         assert len(pareto) >= 90
-        for x in pareto.decision_matrix():
+        for x in pareto.X:
             assert segment_distance(x) < 1e-3
 
     def test_single_start(self):
@@ -250,7 +247,7 @@ class TestMultistart:
     def test_front_mutually_non_dominated(self):
         problem = make_analytic_problem("two-paraboloids")
         model = GradientModel(problem)
-        front = multistart_mgda(model, problem.bounds, MgdaConfig(n_starts=30, seed=5)).front_matrix()
+        front = multistart_mgda(model, problem.bounds, MgdaConfig(n_starts=30, seed=5)).F
         for i in range(len(front)):
             for j in range(len(front)):
                 if i != j:
@@ -264,7 +261,7 @@ def paraboloid_model(n_obj: int, kind: str = "rbf"):
     X = np.random.default_rng(n_obj).uniform(-1.0, 1.0, (30, 4))
     anchors = np.linspace(-0.5, 0.5, n_obj)
     Y = np.column_stack([((X - a) ** 2).sum(axis=1) for a in anchors])
-    data = Dataset(tuple(Sample(DecisionVector(x), ObjectiveVector(y)) for x, y in zip(X, Y)))
+    data = Dataset(X, Y)
     if kind == "mlp":
         return problem, fit_mlp(data, TrainConfig(epochs=40, patience=40, seed=1))
     return problem, fit_rbf(data, sigma=1.0)
@@ -295,7 +292,7 @@ class TestBatchedMatchesOnePointOracle:
         traces, stats = {}, {}
         try:
             pareto = run(model, bounds, cfg, trace_writer=traces.__setitem__, stats=stats)
-            outcome = (pareto.decision_matrix(), pareto.front_matrix())
+            outcome = (pareto.X, pareto.F)
         except SamoError:
             outcome = None
         return outcome, traces, stats
@@ -335,7 +332,7 @@ class TestBatchedMatchesOnePointOracle:
         cfg = MgdaConfig(n_starts=24, seed=6)
         fast = multistart_mgda(model, problem.bounds, cfg)
         slow = oracles.multistart_mgda(model, problem.bounds, cfg)
-        assert np.array_equal(fast.decision_matrix(), slow.decision_matrix())
+        assert np.array_equal(fast.X, slow.X)
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 50])
     def test_mgda_run_budget_exhausted(self, max_iterations):

@@ -237,13 +237,13 @@ class TestNsga2:
         cfg = MoeaConfig(population_size=20, generations=15, seed=5)
         a = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
         b = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
-        assert np.array_equal(a.decision_matrix(), b.decision_matrix())
-        assert np.array_equal(a.front_matrix(), b.front_matrix())
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.F, b.F)
 
     def test_front_mutually_non_dominated(self):
         problem = make_analytic_problem("two-paraboloids")
         cfg = MoeaConfig(population_size=20, generations=10, seed=1)
-        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
         for i in range(len(front)):
             for j in range(len(front)):
                 if i != j:
@@ -290,7 +290,7 @@ class TestNsga2:
             return Y
 
         cfg = MoeaConfig(population_size=12, generations=8, seed=2)
-        front = nsga2_run(flaky, problem.bounds, cfg).front_matrix()
+        front = nsga2_run(flaky, problem.bounds, cfg).F
         assert np.all(np.isfinite(front))
 
     def test_demoted_count(self):
@@ -364,8 +364,8 @@ class TestNsga2:
         assert len(fast) == len(slow) == cfg.generations
         for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
             assert g1 == g2 and np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
-        assert np.array_equal(a.decision_matrix(), b.decision_matrix())
-        assert np.array_equal(a.front_matrix(), b.front_matrix())
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.F, b.F)
         assert fast_stats == slow_stats
 
     def test_zdt1_reduced_run_quality(self):
@@ -373,7 +373,7 @@ class TestNsga2:
         # acceptance suite
         problem = make_analytic_problem("zdt1")
         cfg = MoeaConfig(population_size=100, generations=100, seed=0)
-        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).front_matrix()
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
         from samo.driver import igd_normalized
 
         assert igd_normalized(front, problem.true_front(500)) < 0.05

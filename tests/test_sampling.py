@@ -5,10 +5,7 @@ from samo.core import (
     BoxBounds,
     ConfigurationError,
     Dataset,
-    DecisionVector,
-    ObjectiveVector,
     ParetoApproximation,
-    Sample,
 )
 from samo import sampling
 from samo.sampling import (
@@ -35,22 +32,22 @@ class TestLatinHypercube:
     def test_single_point_in_box(self):
         plan = latin_hypercube(1, UNIT_BOX_2D, seed=0)
         assert len(plan) == 1
-        assert UNIT_BOX_2D.contains(plan.points[0].coords)
+        assert UNIT_BOX_2D.contains(plan.X[0])
 
     def test_stratification_20_points(self):
         plan = latin_hypercube(20, UNIT_BOX_2D, seed=1)
-        assert_stratified(plan.matrix(), UNIT_BOX_2D)
+        assert_stratified(plan.X, UNIT_BOX_2D)
 
     @pytest.mark.parametrize("s,n", [(3, 1), (7, 5), (20, 24), (13, 64)])
     def test_stratification_various_shapes(self, s, n):
         bounds = BoxBounds(np.full(n, -0.003), np.full(n, 0.003))
         plan = latin_hypercube(s, bounds, seed=s * n)
-        assert_stratified(plan.matrix(), bounds)
+        assert_stratified(plan.X, bounds)
 
     def test_deterministic(self):
         a = latin_hypercube(10, UNIT_BOX_2D, seed=42)
         b = latin_hypercube(10, UNIT_BOX_2D, seed=42)
-        assert np.array_equal(a.matrix(), b.matrix())
+        assert np.array_equal(a.X, b.X)
 
     def test_invalid_count(self):
         with pytest.raises(ConfigurationError):
@@ -117,12 +114,7 @@ def make_pareto(points: np.ndarray) -> ParetoApproximation:
 
 
 def make_dataset(points: np.ndarray) -> Dataset:
-    return Dataset(
-        tuple(
-            Sample(DecisionVector(p), ObjectiveVector(np.array([float(i), 1.0])))
-            for i, p in enumerate(points)
-        )
-    )
+    return Dataset(points, np.column_stack([np.arange(len(points)), np.ones(len(points))]))
 
 
 class TestParetoInformedSamples:
@@ -131,7 +123,7 @@ class TestParetoInformedSamples:
         pts = rng.random((10, 2))
         pareto = make_pareto(pts)
         plan = pareto_informed_samples(pareto, 10, Dataset(), UNIT_BOX_2D, seed=0)
-        assert {tuple(p.coords) for p in plan.points} == {tuple(p) for p in pts}
+        assert {tuple(p) for p in plan.X} == {tuple(p) for p in pts}
 
     def test_spread_beats_random_subsets(self):
         # k-means batches should be better spread than random subsets of the
@@ -147,7 +139,7 @@ class TestParetoInformedSamples:
         informed = np.mean(
             [
                 min_pairwise(
-                    pareto_informed_samples(pareto, 20, Dataset(), UNIT_BOX_2D, seed=s).matrix()
+                    pareto_informed_samples(pareto, 20, Dataset(), UNIT_BOX_2D, seed=s).X
                 )
                 for s in range(30)
             ]
@@ -167,10 +159,10 @@ class TestParetoInformedSamples:
         existing = make_dataset(pts)
         plan = pareto_informed_samples(pareto, 5, existing, UNIT_BOX_2D, seed=4)
         assert len(plan) == 5
-        archive = existing.decision_matrix()
-        for p in plan.points:
-            assert UNIT_BOX_2D.contains(p.coords)
-            dist = np.sqrt(((archive - p.coords) ** 2).sum(axis=1)).min()
+        archive = existing.X
+        for p in plan.X:
+            assert UNIT_BOX_2D.contains(p)
+            dist = np.sqrt(((archive - p) ** 2).sum(axis=1)).min()
             assert dist > 1e-9
 
     def test_never_out_of_bounds_never_duplicates(self):
@@ -181,9 +173,9 @@ class TestParetoInformedSamples:
             existing = make_dataset(pts[:15])
             bounds = BoxBounds(np.zeros(3), np.ones(3))
             plan = pareto_informed_samples(pareto, 8, existing, bounds, seed=seed)
-            matrix = plan.matrix()
+            matrix = plan.X
             assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
-            archive = existing.decision_matrix()
+            archive = existing.X
             for row in matrix:
                 assert np.sqrt(((archive - row) ** 2).sum(axis=1)).min() > 1e-9
             assert len(np.unique(matrix, axis=0)) == len(matrix)
@@ -198,10 +190,10 @@ class TestParetoInformedSamples:
 class TestSamplePlan:
     def test_origin_validated(self):
         with pytest.raises(ConfigurationError):
-            SamplePlan((DecisionVector([0.5]),), "sobol", 0)
+            SamplePlan(np.array([[0.5]]), "sobol", 0)
 
     def test_empty_rejected(self):
         from samo.core import EmptyInputError
 
         with pytest.raises(EmptyInputError):
-            SamplePlan((), "latin-hypercube", 0)
+            SamplePlan(np.empty((0, 2)), "latin-hypercube", 0)

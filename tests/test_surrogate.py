@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from samo.core import ConfigurationError, Dataset, DecisionVector, ObjectiveVector, Sample
+from samo.core import ConfigurationError, Dataset
 from samo.problems import GradientModel, make_analytic_problem, make_quarter_car_problem
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
@@ -20,17 +20,11 @@ from samo.surrogate import (
 )
 
 
-def dataset_from_arrays(X: np.ndarray, Y: np.ndarray) -> Dataset:
-    return Dataset(
-        tuple(Sample(DecisionVector(x), ObjectiveVector(y)) for x, y in zip(X, Y))
-    )
-
-
 def lhs_dataset(problem, n, seed) -> Dataset:
     plan = latin_hypercube(n, problem.bounds, seed)
-    X = plan.matrix()
+    X = plan.X
     Y = np.array([problem.evaluate(x) for x in X])
-    return dataset_from_arrays(X, Y)
+    return Dataset(X, Y)
 
 
 class TestScaler:
@@ -60,7 +54,7 @@ class TestRbf:
         rng = np.random.default_rng(0)
         X = rng.random((12, 3))
         Y = np.full((12, 1), 4.2)
-        model = fit_rbf(dataset_from_arrays(X, Y), sigma=1.0, ridge=1e-8)
+        model = fit_rbf(Dataset(X, Y), sigma=1.0, ridge=1e-8)
         queries = rng.random((20, 3))
         assert np.all(np.abs(model.predict_batch(queries) - 4.2) < 1e-6)
 
@@ -68,14 +62,14 @@ class TestRbf:
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 25, seed=3)
         model = fit_rbf(data, sigma=0.5, ridge=1e-8)
-        pred = model.predict_batch(data.decision_matrix())
-        assert np.max(np.abs(pred - data.objective_matrix())) < 1e-6
+        pred = model.predict_batch(data.X)
+        assert np.max(np.abs(pred - data.Y)) < 1e-6
 
     def test_far_from_centers_decays_to_output_shift(self):
         rng = np.random.default_rng(1)
         X = rng.random((15, 2))
         Y = rng.random((15, 2)) * 5.0
-        model = fit_rbf(dataset_from_arrays(X, Y), sigma=0.5, ridge=1e-8)
+        model = fit_rbf(Dataset(X, Y), sigma=0.5, ridge=1e-8)
         # 10 sigma away in scaled space
         far = model.scaler.inverse_x(model.centers[0] + 10.0 * model.sigma * np.array([1.0, 1.0]))
         pred = model.predict(far)
@@ -87,11 +81,11 @@ class TestRbf:
         X = np.array([[0.0], [1e-200], [1.0]])
         Y = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(SolverError, match="ridge"):
-            fit_rbf(dataset_from_arrays(X, Y), sigma=1.0, ridge=0.0)
+            fit_rbf(Dataset(X, Y), sigma=1.0, ridge=0.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ConfigurationError):
-            fit_rbf(dataset_from_arrays(np.zeros((1, 2)), np.ones((1, 2))))
+            fit_rbf(Dataset(np.zeros((1, 2)), np.ones((1, 2))))
 
     def test_single_center_gradient_closed_form(self):
         # one Gaussian bump: d/dx [w exp(-||x-c||^2 / (2 s^2))] has the
@@ -123,7 +117,7 @@ class TestSigmaSelection:
             d2 = ((Xs[:, None, :] - Xs[None, :, :]) ** 2).sum(axis=2)
             cov = np.exp(-d2 / (2 * 0.5**2)) + 1e-10 * np.eye(40)
             Y = np.linalg.cholesky(cov) @ rng.normal(size=(40, 1))
-            data = dataset_from_arrays(X, Y)
+            data = Dataset(X, Y)
             if select_rbf_width(data, grid=grid) == 0.5:
                 hits += 1
         assert hits >= 24  # at least 80% of 30 seeded trials
@@ -157,7 +151,7 @@ class TestMlp:
         X = rng.uniform(-1.0, 1.0, (400, 6))
         B = rng.normal(size=(6, 2))
         Y = X @ B + rng.normal(size=2)
-        model = fit_mlp(dataset_from_arrays(X, Y), TrainConfig(seed=3))
+        model = fit_mlp(Dataset(X, Y), TrainConfig(seed=3))
         # validation loss is tracked on scaled targets
         assert min(model.val_history) < 1e-3
 
@@ -234,7 +228,7 @@ class TestJacobians:
         rng = np.random.default_rng(2)
         X = rng.random((10, 3))
         Y = np.full((10, 2), 7.0)
-        model = fit_rbf(dataset_from_arrays(X, Y), sigma=1.0, ridge=1e-8)
+        model = fit_rbf(Dataset(X, Y), sigma=1.0, ridge=1e-8)
         assert np.allclose(model.input_jacobian(np.full(3, 0.5)), 0.0, atol=1e-9)
 
     def test_constant_mlp_zero_jacobian(self):
@@ -258,7 +252,7 @@ class TestBatchRowsEqualOnePoint:
         problem, rbf, mlp = trained_models
         # 24 inputs, as in the quarter-car benchmark
         X = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 24))
-        wide = dataset_from_arrays(X, np.column_stack([(X**2).sum(axis=1), np.cos(X).sum(axis=1)]))
+        wide = Dataset(X, np.column_stack([(X**2).sum(axis=1), np.cos(X).sum(axis=1)]))
         return {
             "rbf": rbf,
             "mlp": mlp,
