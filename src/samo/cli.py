@@ -72,16 +72,38 @@ _NOT_IN_FILE = {
 _RBF_KEYS = {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
 
 
-def _cast(default, value):
-    """A file value as the type of its field's default; a field whose
-    default is None takes a float or null, a tuple field a list of floats."""
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _cast(default, value, key: str):
+    """A file value checked against the type of its field's default: a bool
+    field takes a JSON boolean, an int field an integral number, a str field
+    a string and a float field any number; a field whose default is None
+    takes a number, a tuple field a list of numbers. Null is passed on."""
     if value is None:
         return None
-    if default is None:
-        return float(value)
     if isinstance(default, tuple):
-        return tuple(float(v) for v in value)
-    return type(default)(value)
+        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+            return tuple(float(v) for v in value)
+        expected = "a list of numbers"
+    elif isinstance(default, bool):
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif isinstance(default, int):
+        if _is_number(value) and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        expected = "an integer"
+    elif isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    else:
+        if _is_number(value):
+            return float(value)
+        expected = "a number"
+    raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
 def _file_values(cls, section: dict, where: str, keys: Optional[dict] = None) -> dict:
@@ -89,16 +111,13 @@ def _file_values(cls, section: dict, where: str, keys: Optional[dict] = None) ->
 
     `keys` maps the section's keys to field names; by default every field
     not in `_NOT_IN_FILE` is a key of its own name. Other keys are rejected,
-    and values are cast to the types of the fields' defaults.
+    and values are checked against the types of the fields' defaults.
     """
     defaults = {f.name: f.default for f in fields(cls)}
     if keys is None:
         keys = {name: name for name in defaults if name not in _NOT_IN_FILE.get(cls, ())}
     _reject_unknown(section, keys, where)
-    try:
-        return {keys[k]: _cast(defaults[keys[k]], v) for k, v in section.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"invalid value in {where}: {exc}") from exc
+    return {keys[k]: _cast(defaults[keys[k]], v, f"{where}.{k}") for k, v in section.items()}
 
 
 @dataclass(frozen=True)
@@ -340,6 +359,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+_JOBS_HELP = (
+    "concurrent expensive evaluations, in threads; no speedup for the built-in "
+    "quarter-car, whose pure-Python integrator holds the GIL"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="samo",
@@ -352,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON config file")
     p_run.add_argument("--out", required=True, help="run directory to create")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--jobs", type=int, default=1, help="concurrent expensive evaluations")
+    p_run.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_run.set_defaults(func=cmd_run)
 
     p_front = sub.add_parser("front", help="combine run artifacts into one CSV")
@@ -364,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--config", required=True, help="JSON config file with a study section")
     p_study.add_argument("--out", required=True, help="output directory")
     p_study.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_study.add_argument("--jobs", type=int, default=1, help="concurrent expensive evaluations")
+    p_study.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_study.set_defaults(func=cmd_study)
 
     p_eval = sub.add_parser("evaluate", help="expensive-evaluate one design point")

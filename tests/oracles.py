@@ -5,9 +5,13 @@ starts together and NSGA-II worked on whole populations: one start at a
 time with one `predict` / `input_jacobian` call per point, NSGA-II
 objectives evaluated row by row, fronts peeled from the dominance matrix,
 and SBX and polynomial mutation applied one pair and one child at a time
-with the generator passed in. Tests compare the package against them with
-exact equality.
+with the generator passed in. The quarter-car integrator is the form that
+ran on numpy-scalar parameters, evaluated the road input in the loop and
+checked finiteness at every step. Tests compare the package against them
+with exact equality.
 """
+
+import math
 
 import numpy as np
 
@@ -20,6 +24,7 @@ from samo.core import (
 )
 from samo.mgda import MgdaResult, _min_norm_weights_fw
 from samo.moea import _evaluate, crowding_distance
+from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
 
 
@@ -248,3 +253,99 @@ def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> Paret
         stats["demoted"] = demoted
     first = dominance_sort(Y)[0]
     return ParetoApproximation.from_arrays(X[first], Y[first])
+
+
+def integrate_quarter_car(params, exc, t0=0.0, te=2.0, dt=1e-4, initial_state=None):
+    """RK4 quarter-car states with the five parameters as numpy scalars,
+    the road input computed in the loop and a finiteness check per step."""
+    ms, mu, ks, cs, kt = (
+        np.float64(v)
+        for v in (
+            params.sprung_mass,
+            params.unsprung_mass,
+            params.suspension_stiffness,
+            params.suspension_damping,
+            params.tire_stiffness,
+        )
+    )
+    amp = exc.amplitude
+    omega = 2.0 * math.pi * exc.frequency
+
+    n_steps = int(round((te - t0) / dt))
+    if initial_state is None:
+        zs = zu = vs = vu = 0.0
+    else:
+        zs, zu, vs, vu = (float(v) for v in np.asarray(initial_state, dtype=float))
+
+    inv_ms = 1.0 / ms
+    inv_mu = 1.0 / mu
+    sin = math.sin
+
+    states = np.empty((n_steps + 1, 4))
+    states[0] = (zs, zu, vs, vu)
+    h = dt
+    for i in range(n_steps):
+        t = t0 + i * h
+        zr1 = amp * sin(omega * t)
+        zr2 = amp * sin(omega * (t + 0.5 * h))
+        zr3 = amp * sin(omega * (t + h))
+
+        fs = ks * (zs - zu) + cs * (vs - vu)
+        a1s = -fs * inv_ms
+        a1u = (fs + kt * (zr1 - zu)) * inv_mu
+
+        zs2 = zs + 0.5 * h * vs
+        zu2 = zu + 0.5 * h * vu
+        vs2 = vs + 0.5 * h * a1s
+        vu2 = vu + 0.5 * h * a1u
+        fs = ks * (zs2 - zu2) + cs * (vs2 - vu2)
+        a2s = -fs * inv_ms
+        a2u = (fs + kt * (zr2 - zu2)) * inv_mu
+
+        zs3 = zs + 0.5 * h * vs2
+        zu3 = zu + 0.5 * h * vu2
+        vs3 = vs + 0.5 * h * a2s
+        vu3 = vu + 0.5 * h * a2u
+        fs = ks * (zs3 - zu3) + cs * (vs3 - vu3)
+        a3s = -fs * inv_ms
+        a3u = (fs + kt * (zr2 - zu3)) * inv_mu
+
+        zs4 = zs + h * vs3
+        zu4 = zu + h * vu3
+        vs4 = vs + h * a3s
+        vu4 = vu + h * a3u
+        fs = ks * (zs4 - zu4) + cs * (vs4 - vu4)
+        a4s = -fs * inv_ms
+        a4u = (fs + kt * (zr3 - zu4)) * inv_mu
+
+        zs += h / 6.0 * (vs + 2.0 * vs2 + 2.0 * vs3 + vs4)
+        zu += h / 6.0 * (vu + 2.0 * vu2 + 2.0 * vu3 + vu4)
+        vs += h / 6.0 * (a1s + 2.0 * a2s + 2.0 * a3s + a4s)
+        vu += h / 6.0 * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
+
+        if not (
+            math.isfinite(zs) and math.isfinite(zu) and math.isfinite(vs) and math.isfinite(vu)
+        ):
+            raise DivergenceError(f"non-finite state at step {i + 1} (t = {t + h:.6g} s)")
+        states[i + 1] = (zs, zu, vs, vu)
+
+    time_grid = t0 + dt * np.arange(n_steps + 1)
+    return time_grid, states
+
+
+def quarter_car_objectives(evaluator, x) -> np.ndarray:
+    """`QuarterCarEvaluator.__call__` on the integrator above."""
+    params = evaluator.params_for(x)
+    exc = evaluator.excitation
+    time_grid, states = integrate_quarter_car(
+        params, exc, evaluator.t0, evaluator.te, evaluator.dt
+    )
+    road = exc.amplitude * np.sin(2.0 * math.pi * exc.frequency * time_grid)
+    zs, zu, vs, vu = states.T
+    wheel_load = params.tire_stiffness * (road - zu)
+    body_acc = (
+        -(params.suspension_stiffness * (zs - zu) + params.suspension_damping * (vs - vu))
+        / params.sprung_mass
+    )
+    half = slice(len(time_grid) // 2, None)
+    return np.array([amplitude(wheel_load, half), amplitude(body_acc, half)])

@@ -131,6 +131,80 @@ class TestRunConfig:
         assert evaluator.nominal.sprung_mass == 250.0
         assert evaluator.te == 1.0
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0])
+    def test_bool_field_takes_json_booleans_only(self, value):
+        with pytest.raises(ConfigurationError, match="samo.normalize_hausdorff"):
+            RunConfig.from_dict({"samo": {"normalize_hausdorff": value}})
+
+    def test_bool_fields_keep_json_booleans(self):
+        samo = RunConfig.from_dict(
+            {"samo": {"normalize_hausdorff": False, "mgda": {"backtracking": True}}}
+        ).samo
+        assert samo.normalize_hausdorff is False and samo.mgda.backtracking is True
+
+    @pytest.mark.parametrize(
+        "samo, key",
+        [
+            ({"budget": 40.7, "batch_size": 10}, "samo.budget"),
+            ({"budget": True}, "samo.budget"),
+            ({"budget": "40"}, "samo.budget"),
+            ({"moea": {"generations": 80.5}}, "samo.moea.generations"),
+            ({"train": {"patience": False}}, "samo.train.patience"),
+        ],
+    )
+    def test_int_field_rejects_bools_fractions_and_strings(self, samo, key):
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict({"samo": samo})
+
+    def test_int_field_takes_integral_numbers(self):
+        samo = RunConfig.from_dict({"samo": {"budget": 40.0, "batch_size": 10}}).samo
+        assert samo.budget == 40 and type(samo.budget) is int
+
+    def test_float_fields_take_ints(self):
+        payload = {
+            "problem": {"name": "mbs", "params": {"sprung_mass": 250}},
+            "samo": {"h_min": 1, "moea": {"mutation_prob": 1}},
+        }
+        config = RunConfig.from_dict(payload)
+        assert type(config.problem.evaluate.nominal.sprung_mass) is float
+        assert type(config.samo.h_min) is float and config.samo.h_min == 1.0
+        assert type(config.samo.moea.mutation_prob) is float
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"problem": {"name": "mbs", "excitation": {"frequency": "7"}}}, "frequency"),
+            ({"samo": {"h_min": True}}, "samo.h_min"),
+            ({"samo": {"rbf": {"grid": [1.0, "2"]}}}, "samo.rbf.grid"),
+            ({"samo": {"surrogate": 5}}, "samo.surrogate"),
+        ],
+    )
+    def test_non_numbers_rejected_naming_the_key(self, payload, key):
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "configs/default.json",
+            "configs/cheap_demo.json",
+            "perfbench/workloads/qcar-mlp-nsga2.json",
+            "perfbench/workloads/paraboloid-rbf-nsga2.json",
+            "perfbench/workloads/paraboloid-rbf-mgda.json",
+        ],
+    )
+    def test_shipped_configs_load_their_values(self, path):
+        path = Path(__file__).parent.parent / path
+        raw = json.loads(path.read_text())["samo"]
+        samo = RunConfig.from_file(path).samo
+        for key, value in raw.items():
+            if key == "moea":
+                for moea_key, moea_value in value.items():
+                    assert getattr(samo.moea, moea_key) == moea_value
+            else:
+                assert getattr(samo, key) == value
+                assert type(getattr(samo, key)) is type(value)
+
 
 class TestCmdRun:
     def test_end_to_end_run(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from samo.core import ConfigurationError, DomainError
@@ -8,6 +9,7 @@ from samo.problems import (
     Excitation,
     GradientModel,
     QuarterCarParams,
+    DivergenceError,
     Trajectory,
     amplitude,
     integrate_quarter_car,
@@ -179,6 +181,66 @@ class TestQuarterCarBenchmark:
             QuarterCarParams(suspension_damping=-0.1)
         with pytest.raises(ConfigurationError):
             Excitation(frequency=0.0)
+
+
+class TestFloatLoopAgainstOracle:
+    """The integrator on Python floats with cached road samples against the
+    numpy-scalar loop in tests/oracles.py, byte for byte."""
+
+    @staticmethod
+    def assert_same_integration(*args):
+        t_new, s_new = integrate_quarter_car(*args)
+        t_old, s_old = oracles.integrate_quarter_car(*args)
+        assert t_new.tobytes() == t_old.tobytes()
+        assert s_new.shape == s_old.shape
+        assert s_new.tobytes() == s_old.tobytes()
+
+    def test_designs_through_evaluate(self):
+        problem = make_quarter_car_problem()
+        evaluator = problem.evaluate
+        corner = np.where(evaluator.projection.sum(axis=0) >= 0, 0.003, -0.003)
+        random = np.random.default_rng(5).uniform(-0.003, 0.003, (3, 24))
+        for x in (np.zeros(24), corner, -corner, np.full(24, 0.003), *random):
+            y = problem.evaluate(x)
+            assert y.tobytes() == oracles.quarter_car_objectives(evaluator, x).tobytes()
+
+    def test_initial_state_and_shifted_horizon(self):
+        params = QuarterCarParams(310.0, 42.5, 23_000.0, 1_700.0, 190_000.0)
+        state = np.array([0.01, -0.005, 0.0, 0.02])
+        self.assert_same_integration(params, Excitation(0.002, 3.0), 0.25, 0.75, 2e-4, state)
+
+    def test_zero_amplitude(self):
+        state = np.array([0.0, 0.003, -0.1, 0.0])
+        self.assert_same_integration(
+            QuarterCarParams(), Excitation(amplitude=0.0), 0.0, 0.5, 1e-4, state
+        )
+
+    def test_divergence_message(self):
+        args = (QuarterCarParams(), Excitation(), 0.0, 50.0, 0.05)
+        with pytest.raises(DivergenceError) as new:
+            simulate_quarter_car(*args)
+        # numpy scalars warn where Python floats overflow silently
+        with pytest.raises(DivergenceError) as old, np.errstate(over="ignore", invalid="ignore"):
+            oracles.integrate_quarter_car(*args)
+        assert str(new.value) == str(old.value)
+
+    def test_road_cache_keyed_on_frequency_and_step(self):
+        # returning to an earlier excitation or step must not reuse the
+        # road samples of the one evaluated in between
+        x = np.full(24, 0.001)
+        for frequency, dt in ((7.0, 1e-4), (5.0, 1e-4), (7.0, 1e-4), (7.0, 2e-4), (7.0, 1e-4)):
+            problem = make_quarter_car_problem(
+                excitation=Excitation(frequency=frequency), te=0.5, dt=dt
+            )
+            y = problem.evaluate(x)
+            assert y.tobytes() == oracles.quarter_car_objectives(problem.evaluate, x).tobytes()
+
+    def test_numpy_scalar_and_float_parameters_agree(self):
+        values = (310.0, 42.5, 23_000.0, 1_700.0, 190_000.0)
+        exc = Excitation()
+        _, as_floats = integrate_quarter_car(QuarterCarParams(*values), exc, 0.0, 0.5)
+        _, as_numpy = integrate_quarter_car(QuarterCarParams(*np.array(values)), exc, 0.0, 0.5)
+        assert as_floats.tobytes() == as_numpy.tobytes()
 
 
 class TestAnalyticProblems:
