@@ -12,12 +12,11 @@ from .core import (
     Dataset,
     ParetoApproximation,
     SamoError,
-    dominates,
     hausdorff_distance,
     non_dominated_filter,
 )
 from .driver import RunRecord, SamoConfig, check_convergence, igd, sample_size_study, samo_run
-from .mgda import MgdaConfig, common_descent_direction, kkt_residual, mgda_run, multistart_mgda
+from .mgda import MgdaConfig, common_descent_direction, mgda_run, multistart_mgda
 from .moea import MoeaConfig, nsga2_run
 from .problems import (
     Excitation,

@@ -18,9 +18,10 @@ import json
 import logging
 import shutil
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from inspect import signature
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import ConfigurationError, SamoError
 from .driver import (
     SURROGATE_KINDS,
     SamoConfig,
+    StudyRow,
     format_float,
     sample_size_study,
     samo_run,
@@ -58,66 +60,96 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+@dataclass(frozen=True)
+class StudyConfig:
+    """The sweep of `samo study`: every batch size in `sizes` with every
+    surrogate kind in `surrogates` (none: the samo section's), each
+    `repetitions` times."""
+
+    sizes: tuple[int, ...] = ()
+    surrogates: tuple[str, ...] = ()
+    repetitions: int = 1
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.surrogates) - set(SURROGATE_KINDS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown study.surrogates {unknown}; choose from {SURROGATE_KINDS}"
+            )
+        if self.repetitions < 1:
+            raise ConfigurationError("study.repetitions must be at least 1")
+
+
+_HORIZON = ("t0", "te", "dt")
 # Fields a config file does not set, so their names are unknown keys there:
 # seeds derive from the master seed, the optimizer's population size comes
-# from samo.population_size, the network width is fixed, and the RBF fields
-# and the optimizer blocks are nested sections of their own.
+# from samo.population_size, the network width is fixed, and the RBF fields,
+# the optimizer blocks, the quarter-car parameter blocks and its horizon are
+# nested sections of their own.
 _NOT_IN_FILE = {
     SamoConfig: ("rbf_sigma", "rbf_sigma_grid", "rbf_ridge", "train", "moea", "mgda"),
     TrainConfig: ("seed", "hidden"),
     MoeaConfig: ("seed", "population_size"),
     MgdaConfig: ("seed", "n_starts"),
+    make_quarter_car_problem: ("nominal", "excitation", *_HORIZON),
 }
+# file keys that differ from the name of the argument they set
+_RENAMED = {make_quarter_car_problem: {"seed": "projection_seed"}}
 # keys of the samo.rbf section and the SamoConfig fields they set
 _RBF_KEYS = {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _cast(default, value, key: str):
-    """A file value checked against the type of its field's default: a bool
-    field takes a JSON boolean, an int field an integral number, a str field
-    a string and a float field any number; a field whose default is None
-    takes a number, a tuple field a list of numbers. Null is passed on."""
-    if value is None:
+def _scalar(hint, value):
+    """`value` as type `hint` (bool, int, float or str), or None when a
+    config file may not give it for that type."""
+    if hint is bool or hint is str:
+        return value if type(value) is hint else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    if isinstance(default, tuple):
-        if isinstance(value, (list, tuple)) and all(map(_is_number, value)):
-            return tuple(float(v) for v in value)
-        expected = "a list of numbers"
-    elif isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        expected = "true or false"
-    elif isinstance(default, int):
-        if _is_number(value) and (isinstance(value, int) or value.is_integer()):
-            return int(value)
-        expected = "an integer"
-    elif isinstance(default, str):
-        if isinstance(value, str):
-            return value
-        expected = "a string"
+    if hint is int:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    return float(value)
+
+
+def _cast(hint, value, key: str):
+    """A file value checked against its field's declared type: a bool takes
+    a JSON boolean, an int an integral number, a float any number, a str a
+    string, Optional[T] what T takes and tuple[T, ...] a list of those."""
+    if get_origin(hint) is Union:
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        items = [_scalar(item, v) for v in value] if isinstance(value, (list, tuple)) else [None]
+        if None not in items:
+            return tuple(items)
+        expected = f"a list, each entry {_EXPECTED[item]}"
     else:
-        if _is_number(value):
-            return float(value)
-        expected = "a number"
+        cast = _scalar(hint, value)
+        if cast is not None:
+            return cast
+        expected = _EXPECTED[hint]
     raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
-def _file_values(cls, section: dict, where: str, keys: Optional[dict] = None) -> dict:
-    """Field values of config dataclass `cls` set by one file section.
+def _file_values(target, section: dict, where: str, keys: Optional[dict] = None) -> dict:
+    """Values one file section sets for the fields of config dataclass
+    `target`, or for the parameters of factory function `target`.
 
     `keys` maps the section's keys to field names; by default every field
-    not in `_NOT_IN_FILE` is a key of its own name. Other keys are rejected,
-    and values are checked against the types of the fields' defaults.
+    not in `_NOT_IN_FILE` is a key of its own name, or of its `_RENAMED`
+    name. Other keys are rejected, values are checked against the fields'
+    declared types, and null values are dropped, so they keep the default.
     """
-    defaults = {f.name: f.default for f in fields(cls)}
+    hints = get_type_hints(target)
+    names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
     if keys is None:
-        keys = {name: name for name in defaults if name not in _NOT_IN_FILE.get(cls, ())}
+        renamed = _RENAMED.get(target, {})
+        keys = {renamed.get(n, n): n for n in names if n not in _NOT_IN_FILE.get(target, ())}
     _reject_unknown(section, keys, where)
-    return {keys[k]: _cast(defaults[keys[k]], v, f"{where}.{k}") for k, v in section.items()}
+    return {
+        keys[k]: _cast(hints[keys[k]], v, f"{where}.{k}") for k, v in section.items() if v is not None
+    }
 
 
 @dataclass(frozen=True)
@@ -126,28 +158,25 @@ class RunConfig:
 
     problem: Problem
     samo: SamoConfig
-    study_sizes: tuple = ()
-    study_surrogates: tuple = ()
-    study_repetitions: int = 1
+    study: StudyConfig = field(default_factory=StudyConfig)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """Every section read by `_file_values`; each study cell's config is
+        built here too, so a bad one fails before any evaluation."""
         _reject_unknown(raw, ("problem", "samo", "study"), "config")
-        problem = _problem_from_config(raw.get("problem", {}))
-        samo_cfg = _samo_from_config(raw.get("samo", {}))
-        study = raw.get("study", {})
-        _reject_unknown(study, ("sizes", "surrogates", "repetitions"), "study")
-        surrogates = tuple(study.get("surrogates", [samo_cfg.surrogate]))
-        for kind in surrogates:
-            if kind not in SURROGATE_KINDS:
-                raise ConfigurationError(f"unknown study surrogate kind {kind!r}")
-        return cls(
-            problem=problem,
-            samo=samo_cfg,
-            study_sizes=tuple(int(s) for s in study.get("sizes", [])),
-            study_surrogates=surrogates,
-            study_repetitions=int(study.get("repetitions", 1)),
-        )
+        problem = _problem_from_config(raw.get("problem") or {})
+        samo_cfg = _samo_from_config(raw.get("samo") or {})
+        study = StudyConfig(**_file_values(StudyConfig, raw.get("study") or {}, "study"))
+        if not study.surrogates:
+            study = replace(study, surrogates=(samo_cfg.surrogate,))
+        for kind in study.surrogates:
+            for size in study.sizes:
+                try:
+                    replace(samo_cfg, surrogate=kind, batch_size=size)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"study.sizes entry {size}: {exc}") from None
+        return cls(problem=problem, samo=samo_cfg, study=study)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -158,48 +187,40 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
-# keys of the problem section that set make_quarter_car_problem arguments
-_PROBLEM_ARGS = {
-    "n_dim": "n_dim",
-    "projection_seed": "seed",
-    "half_width": "half_width",
-    "max_swing": "max_swing",
-}
-
-
 def _problem_from_config(section: dict) -> Problem:
-    """A problem from the file's problem section; keys left out or null keep
-    the defaults of `make_quarter_car_problem` and the parameter dataclasses."""
-    _reject_unknown(
-        section, ("name", *_PROBLEM_ARGS, "params", "excitation", "horizon"), "problem"
+    """A problem from the file's problem section. Its keys are the
+    arguments of `make_quarter_car_problem`, with the parameters, the
+    excitation and the horizon in blocks of their own; an analytic problem
+    uses only n_dim. Keys left out or null keep the defaults."""
+    section = dict(section)
+    name = section.pop("name", None)
+    name = "mbs" if name is None else _cast(str, name, "problem.name")
+    blocks = {key: section.pop(key, None) or {} for key in ("params", "excitation", "horizon")}
+    horizon_keys = {key: key for key in _HORIZON}
+    args = _file_values(make_quarter_car_problem, section, "problem")
+    args.update(
+        _file_values(make_quarter_car_problem, blocks["horizon"], "problem.horizon", horizon_keys)
     )
-    name = section.get("name", "mbs")
+    params = _file_values(QuarterCarParams, blocks["params"], "problem.params")
+    excitation = _file_values(Excitation, blocks["excitation"], "problem.excitation")
     if name in ANALYTIC_PROBLEM_NAMES:
-        return make_analytic_problem(name, n_dim=section.get("n_dim"))
+        return make_analytic_problem(name, n_dim=args.get("n_dim"))
     if name != "mbs":
         raise ConfigurationError(f"unknown problem {name!r}")
-    horizon = section.get("horizon", {})
-    _reject_unknown(horizon, ("t0", "te", "dt"), "problem.horizon")
-    given = {arg: section[k] for k, arg in _PROBLEM_ARGS.items() if section.get(k) is not None}
-    params = _file_values(QuarterCarParams, section.get("params", {}), "problem.params")
-    excitation = _file_values(Excitation, section.get("excitation", {}), "problem.excitation")
     return make_quarter_car_problem(
-        nominal=QuarterCarParams(**params),
-        excitation=Excitation(**excitation),
-        **given,
-        **horizon,
+        nominal=QuarterCarParams(**params), excitation=Excitation(**excitation), **args
     )
 
 
 def _samo_from_config(section: dict) -> SamoConfig:
     """A SamoConfig from the file's samo section: its own fields, the rbf
     section and one section per optimizer or training block. Keys left out
-    keep the dataclass defaults."""
+    or null keep the dataclass defaults."""
     section = dict(section)
     blocks = {
         f.name: f.default_factory for f in fields(SamoConfig) if f.default_factory is not MISSING
     }
-    nested = {name: section.pop(name, {}) for name in ("rbf", *blocks)}
+    nested = {name: section.pop(name, None) or {} for name in ("rbf", *blocks)}
     values = _file_values(SamoConfig, section, "samo")
     values.update(_file_values(SamoConfig, nested.pop("rbf"), "samo.rbf", _RBF_KEYS))
     for name, block in nested.items():
@@ -209,11 +230,7 @@ def _samo_from_config(section: dict) -> SamoConfig:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config)
-    except (ConfigurationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = RunConfig.from_file(args.config)
     samo_cfg = config.samo
     if args.seed is not None:
         samo_cfg = replace(samo_cfg, seed=args.seed)
@@ -256,46 +273,29 @@ def cmd_front(args) -> int:
             raise MissingArtifactError(f"missing artifact: {metrics_path}")
         metrics = json.loads(metrics_path.read_text())
         combined_rows = []
-        value_names: Optional[list] = None
-        x_names: Optional[list] = None
         for round_info in metrics["rounds"]:
             index = round_info["index"]
-            s_header, s_rows = _read_csv(run_dir / f"samples_round_{index}.csv")
-            f_header, f_rows = _read_csv(run_dir / f"front_round_{index}.csv")
-            if x_names is None:
-                x_names = [c for c in s_header if c.startswith("x")]
-                value_names = [f"obj{k}" for k in range(len(s_header) - len(x_names))]
-            for row in s_rows:
-                combined_rows.append([index, "sample", *row])
-            for row in f_rows:
-                combined_rows.append([index, "front", *row])
+            for kind, artifact in (("sample", "samples"), ("front", "front")):
+                _, rows = _read_csv(run_dir / f"{artifact}_round_{index}.csv")
+                combined_rows.extend([index, kind, *row] for row in rows)
+        # every run that wrote metrics.json wrote the final front too
         final_header, final_rows = _read_csv(run_dir / "final_front.csv")
-        if x_names is None:  # the run stopped before its first round finished
-            x_names = [c for c in final_header if c.startswith("x")]
-            value_names = [f"obj{k}" for k in range(len(final_header) - len(x_names))]
-        for row in final_rows:
-            combined_rows.append([-1, "final", *row])
+        combined_rows.extend([-1, "final", *row] for row in final_rows)
     except (MissingArtifactError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    x_names = [c for c in final_header if c.startswith("x")]
+    value_names = [f"obj{k}" for k in range(len(final_header) - len(x_names))]
     out = Path(args.out) if args.out else run_dir / "combined.csv"
-    header = ["round", "kind", *x_names, *value_names]
-    lines = [",".join(header)]
-    for row in combined_rows:
-        lines.append(",".join(str(v) for v in row))
-    out.write_text("\n".join(lines) + "\n")
+    write_csv(out, ["round", "kind", *x_names, *value_names], combined_rows)
     print(f"wrote {out} ({len(combined_rows)} rows)")
     return 0
 
 
 def cmd_study(args) -> int:
-    try:
-        config = RunConfig.from_file(args.config)
-        if not config.study_sizes:
-            raise ConfigurationError("config has no study.sizes")
-    except (ConfigurationError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = RunConfig.from_file(args.config)
+    if not config.study.sizes:
+        raise ConfigurationError("config has no study.sizes")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     shutil.copyfile(args.config, out / "config_snapshot.json")
@@ -303,40 +303,20 @@ def cmd_study(args) -> int:
     if args.seed is not None:
         base = replace(base, seed=args.seed)
     rows = []
-    for kind in config.study_surrogates:
+    for kind in config.study.surrogates:
         cell_cfg = replace(base, surrogate=kind)
         rows.extend(
             sample_size_study(
                 config.problem,
-                config.study_sizes,
+                config.study.sizes,
                 cell_cfg,
-                repetitions=config.study_repetitions,
+                repetitions=config.study.repetitions,
                 jobs=args.jobs,
             )
         )
-    header = [
-        "batch_size",
-        "surrogate",
-        "repetition",
-        "rounds",
-        "evaluations",
-        "converged",
-        "total_time",
-        "mean_round_time",
-        "igd",
-    ]
+    header = [f.name for f in fields(StudyRow)]
     table = [
-        [
-            r.batch_size,
-            r.surrogate,
-            r.repetition,
-            r.rounds,
-            r.evaluations,
-            int(r.converged),
-            float(r.total_time),
-            float(r.mean_round_time),
-            "" if r.igd_to_oracle is None else format_float(r.igd_to_oracle),
-        ]
+        ["" if v is None else int(v) if isinstance(v, bool) else v for v in astuple(r)]
         for r in rows
     ]
     write_csv(out / "study.csv", header, table)
@@ -345,14 +325,14 @@ def cmd_study(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    config = RunConfig.from_file(args.config)
     try:
-        config = RunConfig.from_file(args.config)
         if args.x is not None:
             x = np.array([float(v) for v in args.x.split(",")], dtype=float)
         else:
             x = np.zeros(config.problem.n_dim)
         y = config.problem.evaluate(x)
-    except (ConfigurationError, SamoError, ValueError, FileNotFoundError) as exc:
+    except (SamoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(",".join(format_float(v) for v in y))
@@ -407,11 +387,13 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    # argparse enforces `command`; every subcommand sets func
-    args.verbose = bool(args.verbose)
-    if not hasattr(args, "jobs"):
-        args.jobs = 1
-    return args.func(args)
+    # argparse enforces `command`; every subcommand sets func. A config
+    # error ends any of them with exit status 2.
+    try:
+        return args.func(args)
+    except (ConfigurationError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -192,18 +192,6 @@ def _as_points(points, what: str) -> np.ndarray:
     return arr
 
 
-def dominates(a: ArrayLike, b: ArrayLike) -> bool:
-    """True iff `a` dominates `b` under minimization: a <= b everywhere and
-    a < b somewhere."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise DimensionMismatchError(
-            f"objective vectors differ in length: {av.shape} vs {bv.shape}"
-        )
-    return bool(np.all(av <= bv) and np.any(av < bv))
-
-
 def dominance_matrix(F: np.ndarray) -> np.ndarray:
     """Boolean matrix D with D[i, j] true iff point i dominates point j."""
     leq = np.all(F[:, None, :] <= F[None, :, :], axis=2)

@@ -57,13 +57,19 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _csv_line(row) -> str:
+    return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(format_float(v) if isinstance(v, float) else str(v) for v in row)
-        )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(map(_csv_line, [header, *rows])))
+
+
+def point_header(X: np.ndarray, F: np.ndarray, obj: str) -> list:
+    """CSV columns of a point set: x0, x1, ... for the decisions X, then
+    the objectives F prefixed `obj` (f for true values, g for surrogate
+    values)."""
+    return [f"x{i}" for i in range(X.shape[1])] + [f"{obj}{k}" for k in range(F.shape[1])]
 
 
 def derive_seed(master: int, *tags: int) -> int:
@@ -92,7 +98,7 @@ class SamoConfig:
     population_size: int = 100
     normalize_hausdorff: bool = False
     rbf_sigma: Optional[float] = None  # None = cross-validated on the grid
-    rbf_sigma_grid: tuple = DEFAULT_SIGMA_GRID
+    rbf_sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     rbf_ridge: float = DEFAULT_RIDGE
     train: TrainConfig = field(default_factory=TrainConfig)
     moea: MoeaConfig = field(default_factory=MoeaConfig)
@@ -112,6 +118,12 @@ class SamoConfig:
             raise ConfigurationError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.population_size < 2:
             raise ConfigurationError("population_size must be at least 2")
+        if self.rbf_sigma is not None and self.rbf_sigma <= 0.0:
+            raise ConfigurationError("rbf_sigma must be strictly positive")
+        if not self.rbf_sigma_grid or min(self.rbf_sigma_grid) <= 0.0:
+            raise ConfigurationError("rbf_sigma_grid must hold at least one width, all positive")
+        if self.rbf_ridge < 0.0:
+            raise ConfigurationError("rbf_ridge must be non-negative")
         if self.optimizer == "nsga2":
             moea = replace(self.moea, population_size=self.population_size)
             object.__setattr__(self, "moea", moea)
@@ -214,43 +226,28 @@ class RunDirectoryWriter:
             header = [f"x{i}" for i in range(evaluator.projection.shape[1])]
             write_csv(self.run_dir / "projection_matrix.csv", header, evaluator.projection)
 
-    def write_samples(self, round_index: int, X: np.ndarray, Y: np.ndarray) -> None:
-        header = [f"x{i}" for i in range(X.shape[1])] + [f"f{k}" for k in range(Y.shape[1])]
-        write_csv(self.run_dir / f"samples_round_{round_index}.csv", header, np.hstack([X, Y]))
-
-    def write_front(self, round_index: int, pareto: ParetoApproximation) -> None:
-        X, F = pareto.X, pareto.F
-        header = [f"x{i}" for i in range(X.shape[1])] + [f"g{k}" for k in range(F.shape[1])]
-        write_csv(self.run_dir / f"front_round_{round_index}.csv", header, np.hstack([X, F]))
+    def write_points(self, name: str, X: np.ndarray, F: np.ndarray, obj: str) -> None:
+        """Rows of decisions X beside their objectives F, as CSV file `name`
+        with the columns of `point_header`."""
+        write_csv(self.run_dir / name, point_header(X, F, obj), np.hstack([X, F]))
 
     def write_surrogate(self, round_index: int, model) -> str:
         path = self.run_dir / f"surrogate_round_{round_index}.json"
         save_model(model, path)
         return str(path)
 
-    def write_final_front(self, X: np.ndarray, F: np.ndarray) -> None:
-        header = [f"x{i}" for i in range(X.shape[1])] + [f"f{k}" for k in range(F.shape[1])]
-        write_csv(self.run_dir / "final_front.csv", header, np.hstack([X, F]))
-
     def front_snapshot_writer(self, round_index: int):
-        """Streaming writer appending one row per front member per
-        generation to a single per-round CSV."""
+        """Streaming writer of one row per front member per generation to a
+        per-round CSV; its first call replaces what the file held."""
         path = self.run_dir / f"nsga2_fronts_round_{round_index}.csv"
-        state = {"header_written": False}
+        started = []
 
         def write(gen: int, X: np.ndarray, F: np.ndarray) -> None:
-            with path.open("a") as fh:
-                if not state["header_written"]:
-                    cols = (
-                        ["generation"]
-                        + [f"x{i}" for i in range(X.shape[1])]
-                        + [f"g{k}" for k in range(F.shape[1])]
-                    )
-                    fh.write(",".join(cols) + "\n")
-                    state["header_written"] = True
-                for x, f in zip(X, F):
-                    row = [str(gen)] + [format_float(v) for v in (*x, *f)]
-                    fh.write(",".join(row) + "\n")
+            with path.open("a" if started else "w") as fh:
+                if not started:
+                    fh.write(_csv_line(["generation", *point_header(X, F, "g")]))
+                    started.append(True)
+                fh.writelines(_csv_line((gen, *x, *f)) for x, f in zip(X, F))
 
         return write
 
@@ -353,7 +350,7 @@ def samo_run(
         record.dataset = record.dataset.with_samples(X_new, Y_new)
         timings["evaluation"] = time.perf_counter() - t0
         if writer:
-            writer.write_samples(round_index, X_new, Y_new)
+            writer.write_points(f"samples_round_{round_index}.csv", X_new, Y_new, "f")
 
         t0 = time.perf_counter()
         try:
@@ -396,7 +393,7 @@ def samo_run(
         )
         record.rounds.append(round_record)
         if writer:
-            writer.write_front(round_index, pareto)
+            writer.write_points(f"front_round_{round_index}.csv", pareto.X, pareto.F, "g")
             round_record.surrogate_path = writer.write_surrogate(round_index, model)
         if verbose or h is not None:
             logger.info(
@@ -419,7 +416,7 @@ def samo_run(
         record.final_decision = record.dataset.X[keep]
         record.final_front = record.dataset.Y[keep]
         if writer:
-            writer.write_final_front(record.final_decision, record.final_front)
+            writer.write_points("final_front.csv", record.final_decision, record.final_front, "f")
     if writer:
         writer.write_metrics(record)
     return record
@@ -458,7 +455,7 @@ class StudyRow:
     converged: bool
     total_time: float
     mean_round_time: float
-    igd_to_oracle: Optional[float]
+    igd: Optional[float]
 
 
 def sample_size_study(
@@ -497,7 +494,7 @@ def sample_size_study(
                     converged=record.converged,
                     total_time=elapsed,
                     mean_round_time=elapsed / max(len(record.rounds), 1),
-                    igd_to_oracle=quality,
+                    igd=quality,
                 )
             )
     return rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,21 +31,14 @@ logger = logging.getLogger(__name__)
 
 _FW_GAP_TOL = 1e-10
 _FW_MAX_ITER = 10_000
-_SIMPLEX_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(NamedTuple):
     """Common descent direction d = -J^T w with its simplex weights."""
 
     direction: np.ndarray
     weights: np.ndarray
     norm: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < -_SIMPLEX_TOL) or abs(w.sum() - 1.0) > _SIMPLEX_TOL:
-            raise SamoError("descent weights must lie on the unit simplex")
 
 
 @dataclass(frozen=True)
@@ -65,13 +59,11 @@ class MgdaConfig:
             raise ConfigurationError("max_iterations and n_starts must be positive")
 
 
-def _min_norm_weights_fw(G: np.ndarray, objective_trace=None) -> np.ndarray:
+def _min_norm_weights_fw(G: np.ndarray) -> np.ndarray:
     """Minimize w^T G w over the unit simplex by away-step Frank-Wolfe."""
     n = G.shape[0]
     w = np.full(n, 1.0 / n)
     for _ in range(_FW_MAX_ITER):
-        if objective_trace is not None:
-            objective_trace.append(float(w @ G @ w))
         grad = 2.0 * G @ w
         toward = int(np.argmin(grad))
         gap = float(grad @ w - grad[toward])
@@ -146,12 +138,6 @@ def common_descent_direction(jacobian: np.ndarray) -> DescentStep:
         raise SamoError("jacobian contains non-finite entries")
     D, W, norms = _descent_directions(J[None])
     return DescentStep(direction=D[0], weights=W[0], norm=float(norms[0]))
-
-
-def kkt_residual(jacobian: np.ndarray) -> float:
-    """Minimum over the simplex of || sum_k a_k grad_k ||; zero iff the
-    point is critical for the model."""
-    return common_descent_direction(jacobian).norm
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ class MoeaConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
+        for name in ("eta_crossover", "eta_mutation"):
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"{name} must be non-negative")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")
 

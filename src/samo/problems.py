@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,10 +37,9 @@ class DivergenceError(SamoError):
 class Problem:
     """An optimization problem evaluated in a black-box fashion.
 
-    `evaluate` must be deterministic for a fixed input. `jacobian`, when
-    present, returns the analytic K x N objective Jacobian and exists only
-    for cheap verification problems. `true_front`, when present, returns a
-    discretization of the known Pareto front for use as a test oracle.
+    `evaluate` must be deterministic for a fixed input. `true_front`, when
+    present, returns a discretization of the known Pareto front for use as
+    a test oracle.
     """
 
     name: str
@@ -48,7 +47,6 @@ class Problem:
     n_obj: int
     bounds: BoxBounds
     evaluate: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     true_front: Optional[Callable[[int], np.ndarray]] = None
 
     def __post_init__(self) -> None:
@@ -80,15 +78,7 @@ class QuarterCarParams:
             raise ConfigurationError("suspension_damping must be non-negative")
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.sprung_mass,
-                self.unsprung_mass,
-                self.suspension_stiffness,
-                self.suspension_damping,
-                self.tire_stiffness,
-            ]
-        )
+        return np.array(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -146,6 +136,13 @@ def _road_samples(amp: float, freq: float, t0: float, h: float, n_steps: int) ->
     )
 
 
+def _check_horizon(t0: float, te: float, dt: float) -> None:
+    if dt <= 0.0:
+        raise ConfigurationError("time step dt must be strictly positive")
+    if te <= t0:
+        raise ConfigurationError("end time te must exceed start time t0")
+
+
 def integrate_quarter_car(
     params: QuarterCarParams,
     exc: Excitation,
@@ -161,10 +158,7 @@ def integrate_quarter_car(
     spring between the unsprung mass and the road profile. State starts at
     zero unless `initial_state` is given.
     """
-    if dt <= 0.0:
-        raise ConfigurationError("time step dt must be strictly positive")
-    if te <= t0:
-        raise ConfigurationError("end time te must exceed start time t0")
+    _check_horizon(t0, te, dt)
 
     # Python floats, not numpy scalars: the same IEEE operations in the same
     # order, so the states are bitwise those of numpy-scalar arithmetic,
@@ -241,17 +235,6 @@ def integrate_quarter_car(
 
     time_grid = t0 + dt * np.arange(n_steps + 1)
     return time_grid, states
-
-
-def mechanical_energy(params: QuarterCarParams, states: np.ndarray) -> np.ndarray:
-    """Total mechanical energy per state row, with the road held at zero."""
-    zs, zu, vs, vu = states.T
-    return (
-        0.5 * params.sprung_mass * vs**2
-        + 0.5 * params.unsprung_mass * vu**2
-        + 0.5 * params.suspension_stiffness * (zs - zu) ** 2
-        + 0.5 * params.tire_stiffness * zu**2
-    )
 
 
 def simulate_quarter_car(
@@ -347,6 +330,7 @@ def make_quarter_car_problem(
     a sinusoidal road input, with design offsets in a +/- half_width box."""
     if n_dim < 1:
         raise ConfigurationError("n_dim must be at least 1")
+    _check_horizon(t0, te, dt)
     nominal = nominal or QuarterCarParams()
     excitation = excitation or Excitation()
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))
@@ -382,10 +366,6 @@ def _two_paraboloids(n_dim: int) -> Problem:
         x = np.asarray(x, dtype=float)
         return np.array([float((x - a) @ (x - a)), float((x + a) @ (x + a))])
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.vstack([2.0 * (x - a), 2.0 * (x + a)])
-
     def front(n_points: int) -> np.ndarray:
         t = np.linspace(-1.0, 1.0, n_points)
         return np.column_stack([(t - 1.0) ** 2 * norm_a2, (t + 1.0) ** 2 * norm_a2])
@@ -397,7 +377,6 @@ def _two_paraboloids(n_dim: int) -> Problem:
         n_obj=2,
         bounds=BoxBounds(np.full(n_dim, -1.0), np.full(n_dim, 1.0)),
         evaluate=f,
-        jacobian=jac,
         true_front=front,
     )
 
@@ -456,12 +435,18 @@ def _branin_pair() -> Problem:
     )
 
 
+# builder, smallest and default dimension of the problems of free dimension
+_FREE_DIM = {"two-paraboloids": (_two_paraboloids, 1, 4), "zdt1": (_zdt1, 2, 30)}
+
+
 def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
     """Construct one of the cheap verification problems by name."""
-    if name == "two-paraboloids":
-        return _two_paraboloids(n_dim or 4)
-    if name == "zdt1":
-        return _zdt1(n_dim or 30)
+    if name in _FREE_DIM:
+        build, smallest, default = _FREE_DIM[name]
+        n_dim = default if n_dim is None else n_dim
+        if n_dim < smallest:
+            raise ConfigurationError(f"{name} needs n_dim of at least {smallest}, got {n_dim}")
+        return build(n_dim)
     if name == "branin-pair":
         if n_dim not in (None, 2):
             raise ConfigurationError("branin-pair is two-dimensional")
@@ -469,26 +454,3 @@ def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
     raise ConfigurationError(
         f"unknown analytic problem {name!r}; choose from {ANALYTIC_PROBLEM_NAMES}"
     )
-
-
-class GradientModel:
-    """Adapter exposing a cheap problem with analytic gradients through the
-    surrogate interface (predict / input_jacobian and their batch forms),
-    for descent-method tests."""
-
-    def __init__(self, problem: Problem):
-        if problem.jacobian is None:
-            raise ConfigurationError(f"problem {problem.name!r} provides no analytic jacobian")
-        self._problem = problem
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._problem.evaluate(np.asarray(x, dtype=float))
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._problem.evaluate_batch(X)
-
-    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._problem.jacobian(np.asarray(x, dtype=float))
-
-    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.input_jacobian(x) for x in np.atleast_2d(X)])

@@ -12,9 +12,9 @@ exposing values and exact input Jacobians:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
+from typing import ClassVar, Optional, Protocol, Sequence, Union, get_args, get_type_hints
 import warnings
 
 import numpy as np
@@ -86,9 +86,6 @@ class Scaler:
     def transform_x(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.x_shift) / self.x_scale
 
-    def inverse_x(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=float) * self.x_scale + self.x_shift
-
     def transform_y(self, Y: np.ndarray) -> np.ndarray:
         return (np.asarray(Y, dtype=float) - self.y_shift) / self.y_scale
 
@@ -111,7 +108,7 @@ class TrainConfig:
     validation_fraction: float = 0.2
     patience: int = 200
     restarts: int = 1
-    hidden: tuple = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -137,10 +134,11 @@ class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
     (scaled) training inputs as centers."""
 
-    centers: np.ndarray
-    weights: np.ndarray
+    kind: ClassVar[str] = "rbf"
     sigma: float
     ridge: float
+    centers: np.ndarray
+    weights: np.ndarray
     scaler: Scaler
 
     @property
@@ -179,26 +177,17 @@ class RbfModel:
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "rbf",
-            "sigma": self.sigma,
-            "ridge": self.ridge,
-            "centers": self.centers.tolist(),
-            "weights": self.weights.tolist(),
-            "scaler": _scaler_to_dict(self.scaler),
-        }
-
 
 @dataclass(frozen=True)
 class MlpModel:
     """Fully connected tanh network mapping scaled inputs to scaled outputs."""
 
-    weights: tuple
-    biases: tuple
+    kind: ClassVar[str] = "mlp"
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
     scaler: Scaler
-    train_history: tuple = ()
-    val_history: tuple = ()
+    train_history: tuple[float, ...] = ()
+    val_history: tuple[float, ...] = ()
 
     @property
     def n_dim(self) -> int:
@@ -235,16 +224,6 @@ class MlpModel:
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "mlp",
-            "weights": [W.tolist() for W in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "scaler": _scaler_to_dict(self.scaler),
-            "train_history": list(self.train_history),
-            "val_history": list(self.val_history),
-        }
 
 
 def fit_rbf(
@@ -284,7 +263,7 @@ def fit_rbf(
             f"interpolation residual {residual:.3e} exceeds 1e-8; "
             "the system is too ill-conditioned, use a larger ridge parameter"
         )
-    return RbfModel(centers=Xs, weights=W, sigma=float(sigma), ridge=float(ridge), scaler=scaler)
+    return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
 
 def _cv_fold_masks(n: int, folds: int) -> list:
@@ -474,46 +453,44 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:
     )
 
 
-def _scaler_to_dict(scaler: Scaler) -> dict:
-    return {
-        "x_shift": scaler.x_shift.tolist(),
-        "x_scale": scaler.x_scale.tolist(),
-        "y_shift": scaler.y_shift.tolist(),
-        "y_scale": scaler.y_scale.tolist(),
-    }
+_MODELS = {cls.kind: cls for cls in (RbfModel, MlpModel)}
 
 
-def _scaler_from_dict(d: dict) -> Scaler:
-    return Scaler(
-        x_shift=np.array(d["x_shift"], dtype=float),
-        x_scale=np.array(d["x_scale"], dtype=float),
-        y_shift=np.array(d["y_shift"], dtype=float),
-        y_scale=np.array(d["y_scale"], dtype=float),
-    )
+def _encode(value):
+    """JSON form of a model, its scaler or one of their field values:
+    dataclasses become objects with one key per field, in field order."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(hint, value):
+    """Inverse of `_encode` for a value declared as `hint`; a field missing
+    from the object keeps its default."""
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        given = [f.name for f in fields(hint) if f.name in value]
+        return hint(**{name: _decode(hints[name], value[name]) for name in given})
+    if hint is np.ndarray:
+        return np.array(value, dtype=float)
+    if hint is float:
+        return float(value)
+    return tuple(_decode(get_args(hint)[0], v) for v in value)
 
 
 def model_from_json_dict(d: dict) -> SurrogateModel:
-    if d.get("kind") == "rbf":
-        return RbfModel(
-            centers=np.array(d["centers"], dtype=float),
-            weights=np.array(d["weights"], dtype=float),
-            sigma=float(d["sigma"]),
-            ridge=float(d["ridge"]),
-            scaler=_scaler_from_dict(d["scaler"]),
-        )
-    if d.get("kind") == "mlp":
-        return MlpModel(
-            weights=tuple(np.array(W, dtype=float) for W in d["weights"]),
-            biases=tuple(np.array(b, dtype=float) for b in d["biases"]),
-            scaler=_scaler_from_dict(d["scaler"]),
-            train_history=tuple(d.get("train_history", ())),
-            val_history=tuple(d.get("val_history", ())),
-        )
-    raise ConfigurationError(f"unknown serialized model kind {d.get('kind')!r}")
+    cls = _MODELS.get(d.get("kind"))
+    if cls is None:
+        raise ConfigurationError(f"unknown serialized model kind {d.get('kind')!r}")
+    return _decode(cls, d)
 
 
 def save_model(model: SurrogateModel, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(model.to_json_dict()))
+    Path(path).write_text(json.dumps({"kind": model.kind, **_encode(model)}))
 
 
 def load_model(path: Union[str, Path]) -> SurrogateModel:

@@ -9,6 +9,11 @@ with the generator passed in. The quarter-car integrator is the form that
 ran on numpy-scalar parameters, evaluated the road input in the loop and
 checked finiteness at every step. Tests compare the package against them
 with exact equality.
+
+The rest are helpers only tests use: Pareto dominance of two points, the
+KKT residual, the quarter-car's mechanical energy, the inverse input
+scaling and the two-paraboloids problem with its analytic gradient as a
+model for descent tests.
 """
 
 import math
@@ -17,12 +22,13 @@ import numpy as np
 
 from samo.core import (
     ConfigurationError,
+    DimensionMismatchError,
     ParetoApproximation,
     SamoError,
     dominance_matrix,
     non_dominated_filter,
 )
-from samo.mgda import MgdaResult, _min_norm_weights_fw
+from samo.mgda import MgdaResult, _min_norm_weights_fw, common_descent_direction
 from samo.moea import _evaluate, crowding_distance
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
@@ -349,3 +355,69 @@ def quarter_car_objectives(evaluator, x) -> np.ndarray:
     )
     half = slice(len(time_grid) // 2, None)
     return np.array([amplitude(wheel_load, half), amplitude(body_acc, half)])
+
+
+def dominates(a, b) -> bool:
+    """True iff `a` dominates `b` under minimization: a <= b everywhere and
+    a < b somewhere."""
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    if av.shape != bv.shape:
+        raise DimensionMismatchError(
+            f"objective vectors differ in length: {av.shape} vs {bv.shape}"
+        )
+    return bool(np.all(av <= bv) and np.any(av < bv))
+
+
+def kkt_residual(jacobian: np.ndarray) -> float:
+    """Minimum over the simplex of || sum_k a_k grad_k ||; zero iff the
+    point is critical for the model."""
+    return common_descent_direction(jacobian).norm
+
+
+def mechanical_energy(params, states: np.ndarray) -> np.ndarray:
+    """Total mechanical energy of the quarter-car per state row, with the
+    road held at zero."""
+    zs, zu, vs, vu = states.T
+    return (
+        0.5 * params.sprung_mass * vs**2
+        + 0.5 * params.unsprung_mass * vu**2
+        + 0.5 * params.suspension_stiffness * (zs - zu) ** 2
+        + 0.5 * params.tire_stiffness * zu**2
+    )
+
+
+def inverse_x(scaler, X: np.ndarray) -> np.ndarray:
+    """Undo the scaler's input normalization."""
+    return np.asarray(X, dtype=float) * scaler.x_scale + scaler.x_shift
+
+
+def two_paraboloids_jacobian(x: np.ndarray) -> np.ndarray:
+    """Analytic 2 x N Jacobian of the two-paraboloids objectives
+    ||x - a||^2 and ||x + a||^2, a = (0.5, ..., 0.5)."""
+    x = np.asarray(x, dtype=float)
+    a = np.full(x.shape[0], 0.5)
+    return np.vstack([2.0 * (x - a), 2.0 * (x + a)])
+
+
+class GradientModel:
+    """The two-paraboloids problem through the surrogate interface
+    (predict / input_jacobian and their batch forms) with its analytic
+    gradients, for descent-method tests."""
+
+    def __init__(self, problem):
+        if problem.name != "two-paraboloids":
+            raise ConfigurationError(f"problem {problem.name!r} provides no analytic jacobian")
+        self._problem = problem
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self._problem.evaluate(np.asarray(x, dtype=float))
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        return self._problem.evaluate_batch(X)
+
+    def input_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return two_paraboloids_jacobian(x)
+
+    def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.input_jacobian(x) for x in np.atleast_2d(X)])

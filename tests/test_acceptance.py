@@ -11,19 +11,18 @@ import time
 
 import numpy as np
 
+from oracles import GradientModel, mechanical_energy
 from samo.core import hausdorff_distance, non_dominated_filter
 from samo.driver import SamoConfig, igd_normalized, sample_size_study, samo_run
 from samo.mgda import MgdaConfig, common_descent_direction, mgda_run
 from samo.moea import MoeaConfig, fast_non_dominated_sort, nsga2_run
 from samo.problems import (
     Excitation,
-    GradientModel,
     QuarterCarParams,
     amplitude,
     integrate_quarter_car,
     make_analytic_problem,
     make_quarter_car_problem,
-    mechanical_energy,
     simulate_quarter_car,
 )
 from samo.sampling import latin_hypercube

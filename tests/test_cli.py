@@ -7,6 +7,7 @@ import pytest
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError
 from samo.driver import SamoConfig
+from samo.problems import Excitation, QuarterCarParams
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -177,9 +178,79 @@ class TestRunConfig:
             ({"samo": {"h_min": True}}, "samo.h_min"),
             ({"samo": {"rbf": {"grid": [1.0, "2"]}}}, "samo.rbf.grid"),
             ({"samo": {"surrogate": 5}}, "samo.surrogate"),
+            ({"study": {"sizes": [5.7, 10]}}, "study.sizes"),
+            ({"study": {"repetitions": 1.9}}, "study.repetitions"),
+            ({"study": {"surrogates": "rbf"}}, "study.surrogates"),
+            ({"problem": {"name": "mbs", "horizon": {"dt": "0.001"}}}, "problem.horizon.dt"),
+            ({"problem": {"name": "mbs", "n_dim": 6.5}}, "problem.n_dim"),
+            ({"problem": {"name": "mbs", "n_dim": "24"}}, "problem.n_dim"),
+            ({"problem": {"name": "zdt1", "n_dim": 6.5}}, "problem.n_dim"),
+            ({"problem": {"name": "mbs", "projection_seed": 1.5}}, "problem.projection_seed"),
+            ({"problem": {"name": "mbs", "half_width": "0.003"}}, "problem.half_width"),
         ],
     )
     def test_non_numbers_rejected_naming_the_key(self, payload, key):
+        with pytest.raises(ConfigurationError, match=key):
+            RunConfig.from_dict(payload)
+
+    def test_null_keeps_the_default_in_every_section(self):
+        payload = {
+            "problem": {
+                "name": None,
+                "n_dim": None,
+                "projection_seed": None,
+                "params": {"sprung_mass": None},
+                "excitation": None,
+                "horizon": {"dt": None},
+            },
+            "samo": {
+                "seed": None,
+                "budget": None,
+                "rbf": {"sigma": None, "grid": None},
+                "moea": {"generations": None, "mutation_prob": None},
+                "train": None,
+            },
+            "study": {"sizes": None, "repetitions": None},
+        }
+        config = RunConfig.from_dict(payload)
+        default = RunConfig.from_dict({})
+        assert config.samo == default.samo == SamoConfig()
+        assert config.study == default.study
+        assert config.study.surrogates == ("mlp",) and config.study.repetitions == 1
+        for evaluator in (config.problem.evaluate, default.problem.evaluate):
+            assert evaluator.n_dim == 24 and evaluator.dt == 1e-4
+            assert evaluator.nominal == QuarterCarParams()
+        assert np.array_equal(config.problem.evaluate.projection, default.problem.evaluate.projection)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": 0}}}, "rbf_sigma"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": -1.0}}}, "rbf_sigma"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"ridge": -1e-8}}}, "rbf_ridge"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": []}}}, "rbf_sigma_grid"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": [0.5, 0.0]}}}, "rbf_sigma_grid"),
+            ({"samo": {"moea": {"eta_mutation": -1}}}, "eta_mutation"),
+            ({"samo": {"moea": {"eta_crossover": -1}}}, "eta_crossover"),
+            ({"samo": {"budget": 20}, "study": {"sizes": [10, 30]}}, "study.sizes"),
+            ({"study": {"sizes": [1, 10]}}, "study.sizes"),
+            ({"study": {"surrogates": ["kriging"]}}, "study.surrogates"),
+            ({"study": {"repetitions": 0}}, "study.repetitions"),
+            ({"problem": {"name": "mbs", "horizon": {"te": 0.0}}}, "te"),
+            ({"problem": {"name": "mbs", "horizon": {"t0": 1.0, "te": 0.5}}}, "te"),
+            ({"problem": {"name": "mbs", "horizon": {"dt": 0}}}, "dt"),
+            ({"problem": {"name": "zdt1", "n_dim": 1}}, "n_dim"),
+            ({"problem": {"name": "two-paraboloids", "n_dim": 0}}, "n_dim"),
+        ],
+    )
+    def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):
+        import samo.driver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the config was rejected")
+
+        monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        payload = {"problem": {"name": "two-paraboloids"}, **payload}
         with pytest.raises(ConfigurationError, match=key):
             RunConfig.from_dict(payload)
 
@@ -195,15 +266,32 @@ class TestRunConfig:
     )
     def test_shipped_configs_load_their_values(self, path):
         path = Path(__file__).parent.parent / path
-        raw = json.loads(path.read_text())["samo"]
-        samo = RunConfig.from_file(path).samo
-        for key, value in raw.items():
+        raw = json.loads(path.read_text())
+        config = RunConfig.from_file(path)
+        samo = config.samo
+        for key, value in raw["samo"].items():
             if key == "moea":
                 for moea_key, moea_value in value.items():
                     assert getattr(samo.moea, moea_key) == moea_value
             else:
                 assert getattr(samo, key) == value
                 assert type(getattr(samo, key)) is type(value)
+        problem = raw["problem"]
+        assert config.problem.name == problem["name"]
+        assert config.problem.n_dim == problem["n_dim"]
+        if problem["name"] == "mbs":
+            evaluator = config.problem.evaluate
+            assert np.all(config.problem.bounds.upper == problem["half_width"])
+            assert np.all(config.problem.bounds.lower == -problem["half_width"])
+            for key, value in problem["horizon"].items():
+                assert getattr(evaluator, key) == value
+                assert type(getattr(evaluator, key)) is float
+            assert evaluator.nominal == QuarterCarParams()
+            assert evaluator.excitation == Excitation(**problem["excitation"])
+        study = raw.get("study", {})
+        assert config.study.sizes == tuple(study.get("sizes", ()))
+        assert config.study.surrogates == tuple(study.get("surrogates", [samo.surrogate]))
+        assert config.study.repetitions == study.get("repetitions", 1)
 
 
 class TestCmdRun:
@@ -303,6 +391,30 @@ class TestCmdStudy:
         header = lines[0].split(",")
         assert header[:4] == ["batch_size", "surrogate", "repetition", "rounds"]
         assert len(lines) == 1 + 2  # sizes 4 and 6, one surrogate, one repetition
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"study": {"sizes": [4, 30], "surrogates": ["rbf"], "repetitions": 1}},
+            {"study": {"sizes": [5.7, 10], "surrogates": ["rbf"], "repetitions": 1}},
+            {"study": {"sizes": [4], "surrogates": "rbf"}},
+            {"samo": {**CHEAP_CONFIG["samo"], "moea": {"eta_mutation": -1}}},
+            {"samo": {**CHEAP_CONFIG["samo"], "rbf": {"sigma": 0}}},
+            {"problem": {"name": "zdt1", "n_dim": 1}},
+        ],
+    )
+    def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):
+        import samo.driver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the config was rejected")
+
+        monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        config_path = write_config(tmp_path, {**CHEAP_CONFIG, **override})
+        for command in ("run", "study"):
+            out = tmp_path / command
+            assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_study_requires_sizes(self, tmp_path):
         payload = {"problem": {"name": "two-paraboloids"}}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import dominates
 from samo.core import (
     BoxBounds,
     ConfigurationError,
@@ -15,7 +16,6 @@ from samo.core import (
     ParetoApproximation,
     SamoError,
     dominance_matrix,
-    dominates,
     hausdorff_distance,
     non_dominated_filter,
 )

@@ -8,8 +8,9 @@ import pytest
 
 import oracles
 import samo.driver
+from oracles import dominates
 from samo.cli import RunConfig, main
-from samo.core import ConfigurationError, dominates
+from samo.core import ConfigurationError
 from samo.driver import (
     RunRecord,
     SamoConfig,
@@ -221,6 +222,18 @@ class TestArtifacts:
         expected = [*record.dataset.X[0], *record.dataset.Y[0]]
         assert values == expected
 
+    def test_verbose_rerun_replaces_front_snapshots(self, tmp_path):
+        config = RunConfig.from_file(CHEAP_DEMO)
+        cfg = replace(config.samo, budget=10, batch_size=5)
+        samo_run(config.problem, cfg, run_dir=tmp_path / "once", verbose=True)
+        samo_run(config.problem, cfg, run_dir=tmp_path / "twice", verbose=True)
+        samo_run(config.problem, cfg, run_dir=tmp_path / "twice", verbose=True)
+        once = sorted((tmp_path / "once").glob("nsga2_fronts_round_*.csv"))
+        assert once
+        for path in once:
+            text = (tmp_path / "twice" / path.name).read_text()
+            assert text == path.read_text() and text.count("generation") == 1
+
     def test_format_float_17_digits(self):
         x = 1.0 / 3.0
         assert float(format_float(x)) == x
@@ -309,7 +322,7 @@ class TestStudy:
         row = rows[0]
         assert row.batch_size == 5
         assert row.evaluations == row.rounds * 5 or row.evaluations <= 10 + 5
-        assert row.igd_to_oracle is not None
+        assert row.igd is not None
 
     def test_sizes_and_repetitions(self):
         rows = sample_size_study(CHEAP, [4, 6], small_cfg(budget=6, batch_size=4), repetitions=2)

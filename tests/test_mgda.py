@@ -7,18 +7,16 @@ from samo.core import (
     ConfigurationError,
     Dataset,
     SamoError,
-    dominates,
 )
 from samo.mgda import (
-    DescentStep,
     MgdaConfig,
     _descent_directions,
     common_descent_direction,
-    kkt_residual,
     mgda_run,
     multistart_mgda,
 )
-from samo.problems import GradientModel, make_analytic_problem
+from oracles import GradientModel, dominates, kkt_residual
+from samo.problems import make_analytic_problem
 from samo.surrogate import TrainConfig, fit_mlp, fit_rbf
 
 
@@ -101,20 +99,27 @@ class TestCommonDescentDirection:
         with pytest.raises(SamoError):
             common_descent_direction(np.array([[np.nan, 1.0]]))
 
-    def test_descent_step_validates_simplex(self):
-        with pytest.raises(SamoError):
-            DescentStep(np.zeros(2), np.array([0.7, 0.7]), 0.0)
-
 
 class TestFrankWolfe:
     @pytest.mark.parametrize("seed", range(10))
-    def test_objective_monotonically_non_increasing(self, seed):
+    def test_objective_monotonically_non_increasing(self, seed, monkeypatch):
+        # w^T G w of the weights after 0, 1, 2, ... Frank-Wolfe iterations,
+        # up to the weights of the unlimited run
+        from samo import mgda
         from samo.mgda import _min_norm_weights_fw
 
         rng = np.random.default_rng(seed)
         J = rng.normal(size=(4, 6))
+        G = J @ J.T
+        final = _min_norm_weights_fw(G)
         trace = []
-        _min_norm_weights_fw(J @ J.T, objective_trace=trace)
+        for iterations in range(mgda._FW_MAX_ITER + 1):
+            monkeypatch.setattr(mgda, "_FW_MAX_ITER", iterations)
+            w = _min_norm_weights_fw(G)
+            trace.append(float(w @ G @ w))
+            if np.array_equal(w, final):
+                break
+        assert len(trace) > 1
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 

@@ -8,9 +8,9 @@ from samo.core import (
     BoxBounds,
     ConfigurationError,
     DimensionMismatchError,
-    dominates,
     non_dominated_filter,
 )
+from oracles import dominates
 from samo import moea
 from samo.moea import (
     MoeaConfig,
@@ -231,6 +231,12 @@ class TestNsga2:
             MoeaConfig(population_size=99)  # odd
         with pytest.raises(ConfigurationError):
             MoeaConfig(crossover_prob=1.5)
+
+    @pytest.mark.parametrize("name", ["eta_crossover", "eta_mutation"])
+    def test_negative_distribution_index_rejected(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            MoeaConfig(**{name: -1.0})
+        assert getattr(MoeaConfig(**{name: 0.0}), name) == 0.0
 
     def test_seeded_determinism(self):
         problem = make_analytic_problem("two-paraboloids")

@@ -7,7 +7,6 @@ import pytest
 from samo.core import ConfigurationError, DomainError
 from samo.problems import (
     Excitation,
-    GradientModel,
     QuarterCarParams,
     DivergenceError,
     Trajectory,
@@ -15,7 +14,6 @@ from samo.problems import (
     integrate_quarter_car,
     make_analytic_problem,
     make_quarter_car_problem,
-    mechanical_energy,
     simulate_quarter_car,
 )
 
@@ -82,7 +80,7 @@ class TestSimulation:
             1e-4,
             initial_state=np.array([0.01, -0.005, 0.0, 0.02]),
         )
-        energy = mechanical_energy(params, states)
+        energy = oracles.mechanical_energy(params, states)
         assert (energy.max() - energy.min()) / energy[0] < 1e-6
 
     def test_invalid_grid_rejected(self):
@@ -90,6 +88,14 @@ class TestSimulation:
             simulate_quarter_car(QuarterCarParams(), Excitation(), dt=-1e-4)
         with pytest.raises(ConfigurationError):
             simulate_quarter_car(QuarterCarParams(), Excitation(), t0=1.0, te=0.5)
+
+    @pytest.mark.parametrize(
+        "horizon, message",
+        [({"dt": 0.0}, "dt"), ({"dt": -1e-4}, "dt"), ({"te": 0.0}, "te"), ({"t0": 1.0, "te": 0.5}, "te")],
+    )
+    def test_invalid_grid_rejected_when_the_problem_is_built(self, horizon, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_quarter_car_problem(n_dim=2, **horizon)
 
     def test_unstable_step_reports_divergence_location(self):
         from samo.problems import DivergenceError
@@ -261,7 +267,7 @@ class TestAnalyticProblems:
     def test_two_paraboloids_jacobian(self):
         problem = make_analytic_problem("two-paraboloids", n_dim=3)
         x = np.array([0.3, -0.2, 0.9])
-        jac = problem.jacobian(x)
+        jac = oracles.two_paraboloids_jacobian(x)
         h = 1e-7
         for i in range(3):
             bump = np.zeros(3)
@@ -287,14 +293,23 @@ class TestAnalyticProblems:
         y = problem.evaluate(np.array([2.5, 5.0]))
         assert np.all(np.isfinite(y)) and len(y) == 2
 
+    @pytest.mark.parametrize("name, n_dim", [("zdt1", 1), ("zdt1", 0), ("two-paraboloids", 0)])
+    def test_too_few_dimensions_rejected(self, name, n_dim):
+        with pytest.raises(ConfigurationError, match="n_dim"):
+            make_analytic_problem(name, n_dim=n_dim)
+
+    def test_smallest_dimensions_accepted(self):
+        assert make_analytic_problem("zdt1", n_dim=2).evaluate(np.zeros(2)) == pytest.approx([0, 1])
+        assert make_analytic_problem("two-paraboloids", n_dim=1).n_dim == 1
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_analytic_problem("rosenbrock")
 
     def test_gradient_model_adapter(self):
         problem = make_analytic_problem("two-paraboloids")
-        model = GradientModel(problem)
+        model = oracles.GradientModel(problem)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         assert np.array_equal(model.predict(x), problem.evaluate(x))
         with pytest.raises(ConfigurationError):
-            GradientModel(make_analytic_problem("zdt1"))
+            oracles.GradientModel(make_analytic_problem("zdt1"))

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from samo.core import ConfigurationError, Dataset
-from samo.problems import GradientModel, make_analytic_problem, make_quarter_car_problem
+from oracles import GradientModel, inverse_x
+from samo.problems import make_analytic_problem, make_quarter_car_problem
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
     MlpModel,
@@ -34,7 +37,7 @@ class TestScaler:
         X = rng.normal(3.0, 10.0, (30, 4))
         Y = rng.normal(-2.0, 0.5, (30, 2))
         scaler = Scaler.fit(X, Y)
-        assert np.all(np.abs(scaler.inverse_x(scaler.transform_x(X)) - X) < 1e-12 * (1 + np.abs(X)))
+        assert np.all(np.abs(inverse_x(scaler, scaler.transform_x(X)) - X) < 1e-12 * (1 + np.abs(X)))
         assert np.all(np.abs(scaler.inverse_y(scaler.transform_y(Y)) - Y) < 1e-12 * (1 + np.abs(Y)))
 
     def test_degenerate_coordinate_keeps_unit_scale(self):
@@ -71,7 +74,7 @@ class TestRbf:
         Y = rng.random((15, 2)) * 5.0
         model = fit_rbf(Dataset(X, Y), sigma=0.5, ridge=1e-8)
         # 10 sigma away in scaled space
-        far = model.scaler.inverse_x(model.centers[0] + 10.0 * model.sigma * np.array([1.0, 1.0]))
+        far = inverse_x(model.scaler, model.centers[0] + 10.0 * model.sigma * np.array([1.0, 1.0]))
         pred = model.predict(far)
         assert np.all(np.abs(pred - model.scaler.y_shift) < 1e-6)
 
@@ -315,6 +318,36 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             model_from_json_dict({"kind": "kriging"})
+
+    @pytest.mark.parametrize(
+        "kind, keys",
+        [
+            ("rbf", ["kind", "sigma", "ridge", "centers", "weights", "scaler"]),
+            ("mlp", ["kind", "weights", "biases", "scaler", "train_history", "val_history"]),
+        ],
+    )
+    def test_round_trip_exact_in_every_field(self, tmp_path, kind, keys):
+        data = lhs_dataset(make_analytic_problem("two-paraboloids"), 15, seed=14)
+        if kind == "rbf":
+            model = fit_rbf(data, sigma=0.5)
+        else:
+            model = fit_mlp(data, TrainConfig(epochs=30, patience=30, seed=2))
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        saved = json.loads(path.read_text())
+        assert list(saved) == keys
+        assert list(saved["scaler"]) == ["x_shift", "x_scale", "y_shift", "y_scale"]
+        loaded = load_model(path)
+        assert type(loaded) is type(model)
+        for name in keys[1:]:
+            a, b = getattr(model, name), getattr(loaded, name)
+            if name == "scaler":
+                a, b = vars(a).values(), vars(b).values()
+            elif not isinstance(a, tuple):
+                a, b = [a], [b]
+            assert all(np.array_equal(u, v) and type(u) is type(v) for u, v in zip(a, b, strict=True))
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 class TestTrainConfig:
