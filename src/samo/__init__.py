@@ -16,7 +16,7 @@ from .core import (
     non_dominated_filter,
 )
 from .driver import RunRecord, SamoConfig, check_convergence, igd, sample_size_study, samo_run
-from .mgda import MgdaConfig, common_descent_direction, mgda_run, multistart_mgda
+from .mgda import MgdaConfig, mgda_run, multistart_mgda
 from .moea import MoeaConfig, nsga2_run
 from .problems import (
     Excitation,
@@ -28,7 +28,7 @@ from .problems import (
     make_quarter_car_problem,
     simulate_quarter_car,
 )
-from .sampling import SamplePlan, kmeans, latin_hypercube, pareto_informed_samples
+from .sampling import kmeans, latin_hypercube, pareto_informed_samples
 from .surrogate import (
     MlpModel,
     RbfModel,

@@ -54,6 +54,14 @@ class MissingArtifactError(SamoError):
     """A run directory lacks an artifact required by this command."""
 
 
+def _section(value, where: str) -> dict:
+    """The config section `where`: a JSON object, or null, which keeps the
+    defaults of all its keys."""
+    if value is not None and not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be an object or null, got {value!r}")
+    return {} if value is None else value
+
+
 def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
@@ -97,25 +105,25 @@ _NOT_IN_FILE = {
 _RENAMED = {make_quarter_car_problem: {"seed": "projection_seed"}}
 # keys of the samo.rbf section and the SamoConfig fields they set
 _RBF_KEYS = {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _scalar(hint, value):
     """`value` as type `hint` (bool, int, float or str), or None when a
-    config file may not give it for that type."""
+    config file may not give it for that type; a float must be finite."""
     if hint is bool or hint is str:
         return value if type(value) is hint else None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     if hint is int:
         return int(value) if isinstance(value, int) or value.is_integer() else None
-    return float(value)
+    return float(value) if abs(value) <= sys.float_info.max else None
 
 
 def _cast(hint, value, key: str):
     """A file value checked against its field's declared type: a bool takes
-    a JSON boolean, an int an integral number, a float any number, a str a
-    string, Optional[T] what T takes and tuple[T, ...] a list of those."""
+    a JSON boolean, an int an integral number, a float a finite number,
+    a str a string, Optional[T] what T takes and tuple[T, ...] a list of those."""
     if get_origin(hint) is Union:
         (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
     if get_origin(hint) is tuple:
@@ -132,7 +140,7 @@ def _cast(hint, value, key: str):
     raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
-def _file_values(target, section: dict, where: str, keys: Optional[dict] = None) -> dict:
+def _file_values(target, section, where: str, keys: Optional[dict] = None) -> dict:
     """Values one file section sets for the fields of config dataclass
     `target`, or for the parameters of factory function `target`.
 
@@ -146,6 +154,7 @@ def _file_values(target, section: dict, where: str, keys: Optional[dict] = None)
     if keys is None:
         renamed = _RENAMED.get(target, {})
         keys = {renamed.get(n, n): n for n in names if n not in _NOT_IN_FILE.get(target, ())}
+    section = _section(section, where)
     _reject_unknown(section, keys, where)
     return {
         keys[k]: _cast(hints[keys[k]], v, f"{where}.{k}") for k, v in section.items() if v is not None
@@ -161,13 +170,14 @@ class RunConfig:
     study: StudyConfig = field(default_factory=StudyConfig)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
+    def from_dict(cls, raw) -> "RunConfig":
         """Every section read by `_file_values`; each study cell's config is
         built here too, so a bad one fails before any evaluation."""
+        raw = _section(raw, "config")
         _reject_unknown(raw, ("problem", "samo", "study"), "config")
-        problem = _problem_from_config(raw.get("problem") or {})
-        samo_cfg = _samo_from_config(raw.get("samo") or {})
-        study = StudyConfig(**_file_values(StudyConfig, raw.get("study") or {}, "study"))
+        problem = _problem_from_config(raw.get("problem"))
+        samo_cfg = _samo_from_config(raw.get("samo"))
+        study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
         if not study.surrogates:
             study = replace(study, surrogates=(samo_cfg.surrogate,))
         for kind in study.surrogates:
@@ -187,15 +197,15 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
-def _problem_from_config(section: dict) -> Problem:
+def _problem_from_config(section) -> Problem:
     """A problem from the file's problem section. Its keys are the
     arguments of `make_quarter_car_problem`, with the parameters, the
     excitation and the horizon in blocks of their own; an analytic problem
     uses only n_dim. Keys left out or null keep the defaults."""
-    section = dict(section)
+    section = dict(_section(section, "problem"))
     name = section.pop("name", None)
     name = "mbs" if name is None else _cast(str, name, "problem.name")
-    blocks = {key: section.pop(key, None) or {} for key in ("params", "excitation", "horizon")}
+    blocks = {key: section.pop(key, None) for key in ("params", "excitation", "horizon")}
     horizon_keys = {key: key for key in _HORIZON}
     args = _file_values(make_quarter_car_problem, section, "problem")
     args.update(
@@ -212,15 +222,15 @@ def _problem_from_config(section: dict) -> Problem:
     )
 
 
-def _samo_from_config(section: dict) -> SamoConfig:
+def _samo_from_config(section) -> SamoConfig:
     """A SamoConfig from the file's samo section: its own fields, the rbf
     section and one section per optimizer or training block. Keys left out
     or null keep the dataclass defaults."""
-    section = dict(section)
+    section = dict(_section(section, "samo"))
     blocks = {
         f.name: f.default_factory for f in fields(SamoConfig) if f.default_factory is not MISSING
     }
-    nested = {name: section.pop(name, None) or {} for name in ("rbf", *blocks)}
+    nested = {name: section.pop(name, None) for name in ("rbf", *blocks)}
     values = _file_values(SamoConfig, section, "samo")
     values.update(_file_values(SamoConfig, nested.pop("rbf"), "samo.rbf", _RBF_KEYS))
     for name, block in nested.items():

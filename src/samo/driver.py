@@ -31,7 +31,7 @@ from .core import (
 from .mgda import MgdaConfig, multistart_mgda
 from .moea import MoeaConfig, nsga2_run
 from .problems import Problem, QuarterCarEvaluator
-from .sampling import SamplePlan, latin_hypercube, pareto_informed_samples
+from .sampling import latin_hypercube, pareto_informed_samples
 from .surrogate import (
     DEFAULT_RIDGE,
     DEFAULT_SIGMA_GRID,
@@ -142,7 +142,6 @@ class RoundRecord:
     hausdorff: Optional[float]
     timings: dict
     optimizer: dict = field(default_factory=dict)
-    surrogate_path: Optional[str] = None
 
 
 @dataclass
@@ -171,14 +170,13 @@ def check_convergence(front_prev, front_cur, h_min: float, normalize: bool = Fal
     return h < h_min, h
 
 
-def evaluate_batch(problem: Problem, plan: SamplePlan, jobs: int = 1):
-    """Expensive-evaluate a sample plan, optionally with concurrent workers,
-    as the plan's points X and their objectives Y, row for row."""
-    X = plan.X
+def evaluate_batch(problem: Problem, X: np.ndarray, jobs: int = 1) -> np.ndarray:
+    """Expensive-evaluate the rows of X, optionally with concurrent workers,
+    as their objectives Y, row for row."""
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return X, np.array(list(pool.map(problem.evaluate, X)), dtype=float)
-    return X, problem.evaluate_batch(X)
+            return np.array(list(pool.map(problem.evaluate, X)), dtype=float)
+    return problem.evaluate_batch(X)
 
 
 def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
@@ -231,10 +229,8 @@ class RunDirectoryWriter:
         with the columns of `point_header`."""
         write_csv(self.run_dir / name, point_header(X, F, obj), np.hstack([X, F]))
 
-    def write_surrogate(self, round_index: int, model) -> str:
-        path = self.run_dir / f"surrogate_round_{round_index}.json"
-        save_model(model, path)
-        return str(path)
+    def write_surrogate(self, round_index: int, model) -> None:
+        save_model(model, self.run_dir / f"surrogate_round_{round_index}.json")
 
     def front_snapshot_writer(self, round_index: int):
         """Streaming writer of one row per front member per generation to a
@@ -331,11 +327,11 @@ def samo_run(
 
         t0 = time.perf_counter()
         if round_index == 0:
-            plan = latin_hypercube(s, problem.bounds, derive_seed(cfg.seed, 0, 0))
+            X_new = latin_hypercube(s, problem.bounds, derive_seed(cfg.seed, 0, 0))
         else:
             remaining = cfg.budget - informed_used
             batch = min(s, remaining)
-            plan = pareto_informed_samples(
+            X_new = pareto_informed_samples(
                 record.rounds[-1].pareto,
                 batch,
                 record.dataset,
@@ -346,7 +342,7 @@ def samo_run(
         timings["sampling"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        X_new, Y_new = evaluate_batch(problem, plan, jobs=jobs)
+        Y_new = evaluate_batch(problem, X_new, jobs=jobs)
         record.dataset = record.dataset.with_samples(X_new, Y_new)
         timings["evaluation"] = time.perf_counter() - t0
         if writer:
@@ -383,7 +379,7 @@ def samo_run(
 
         round_record = RoundRecord(
             index=round_index,
-            plan_origin=plan.origin,
+            plan_origin="latin-hypercube" if round_index == 0 else "pareto-informed",
             n_new_samples=len(X_new),
             dataset_size=len(record.dataset),
             pareto=pareto,
@@ -394,7 +390,7 @@ def samo_run(
         record.rounds.append(round_record)
         if writer:
             writer.write_points(f"front_round_{round_index}.csv", pareto.X, pareto.F, "g")
-            round_record.surrogate_path = writer.write_surrogate(round_index, model)
+            writer.write_surrogate(round_index, model)
         if verbose or h is not None:
             logger.info(
                 "round %d: %d samples, |D|=%d, h=%s",

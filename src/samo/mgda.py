@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +30,6 @@ logger = logging.getLogger(__name__)
 
 _FW_GAP_TOL = 1e-10
 _FW_MAX_ITER = 10_000
-
-
-class DescentStep(NamedTuple):
-    """Common descent direction d = -J^T w with its simplex weights."""
-
-    direction: np.ndarray
-    weights: np.ndarray
-    norm: float
 
 
 @dataclass(frozen=True)
@@ -122,22 +113,6 @@ def _descent_directions(J: np.ndarray) -> tuple:
         W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
     D = -(W[:, None, :] @ J)[:, 0, :]
     return D, W, np.sqrt(_row_dot(D, D))
-
-
-def common_descent_direction(jacobian: np.ndarray) -> DescentStep:
-    """Solve the simplex-constrained quadratic subproblem for the weights
-    minimizing || sum_k w_k grad_k ||^2 and return the descent step.
-
-    K = 1 reduces to plain gradient descent; K = 2 uses the closed form
-    w* = clip(<g2 - g1, g2> / ||g1 - g2||^2, 0, 1); larger K uses
-    Frank-Wolfe. Zero gradient rows are legitimate (that objective is
-    already critical and the weights may concentrate there with d = 0).
-    """
-    J = np.atleast_2d(np.asarray(jacobian, dtype=float))
-    if not np.all(np.isfinite(J)):
-        raise SamoError("jacobian contains non-finite entries")
-    D, W, norms = _descent_directions(J[None])
-    return DescentStep(direction=D[0], weights=W[0], norm=float(norms[0]))
 
 
 @dataclass(frozen=True)
@@ -246,7 +221,7 @@ def multistart_mgda(
     `starts`, `converged`, `dropped` and `max_iterations_used`, also when
     no start converges and SamoError is raised.
     """
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).X
+    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed)
     X, converged, iterations, traces = _descend(
         model, starts, bounds, cfg, keep_traces=trace_writer is not None
     )

@@ -280,7 +280,7 @@ def nsga2_run(
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
 
-    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).X
+    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))
     Y, demoted = _evaluate(objective, X)
 
     for gen in range(cfg.generations):

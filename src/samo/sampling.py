@@ -7,47 +7,17 @@ are spread evenly over the region the optimizer currently believes optimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    BoxBounds,
-    ConfigurationError,
-    Dataset,
-    EmptyInputError,
-    ParetoApproximation,
-    finite_matrix,
-)
+from .core import BoxBounds, ConfigurationError, Dataset, ParetoApproximation
 
 _KMEANS_MAX_ITER = 300
 _DUPLICATE_RADIUS = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class SamplePlan:
-    """A batch of in-bounds points, the rows of a read-only X (s, N), to
-    evaluate with the expensive model."""
-
-    X: np.ndarray
-    origin: str
-    seed: int
-
-    def __post_init__(self) -> None:
-        X = finite_matrix(self.X, "sample plan")
-        if X.shape[0] < 1:
-            raise EmptyInputError("sample plan must contain at least one point")
-        if self.origin not in ("latin-hypercube", "pareto-informed"):
-            raise ConfigurationError(f"unknown sample plan origin {self.origin!r}")
-        object.__setattr__(self, "X", X)
-
-    def __len__(self) -> int:
-        return self.X.shape[0]
-
-
-def latin_hypercube(s: int, bounds: BoxBounds, seed: int) -> SamplePlan:
-    """`s` points with exactly one point per axis stratum, jittered uniformly
-    within each stratum."""
+def latin_hypercube(s: int, bounds: BoxBounds, seed: int) -> np.ndarray:
+    """`s` points, the rows of an (s, N) matrix, with exactly one point per
+    axis stratum, jittered uniformly within each stratum."""
     if s < 1:
         raise ConfigurationError("sample count s must be at least 1")
     rng = np.random.default_rng(seed)
@@ -57,7 +27,7 @@ def latin_hypercube(s: int, bounds: BoxBounds, seed: int) -> SamplePlan:
     for j in range(n):
         strata = rng.permutation(s)
         out[:, j] = bounds.lower[j] + (strata + rng.random(s)) * (width[j] / s)
-    return SamplePlan(out, "latin-hypercube", seed)
+    return out
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,8 +79,7 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
         raise ConfigurationError(
             f"k must be between 1 and the number of distinct points ({n_distinct}), got {k}"
         )
-    centroids = _lloyd(X, k, np.random.default_rng(seed))
-    return centroids
+    return _lloyd(X, k, np.random.default_rng(seed))
 
 
 def _is_near_existing(point: np.ndarray, existing: np.ndarray) -> bool:
@@ -125,7 +94,7 @@ def pareto_informed_samples(
     existing: Dataset,
     bounds: BoxBounds,
     seed: int,
-) -> SamplePlan:
+) -> np.ndarray:
     """Next expensive batch: k-means centroids of the surrogate Pareto set,
     clamped to bounds, with duplicates of already-sampled points replaced.
 
@@ -161,7 +130,7 @@ def pareto_informed_samples(
         if not taken(c):
             chosen.append(c)
             continue
-        # nearest Pareto-set member that is not in the archive or this plan
+        # nearest Pareto-set member that is not in the archive or this batch
         order = np.argsort(((decision - c) ** 2).sum(axis=1), kind="stable")
         for idx in order:
             member = np.clip(decision[idx], bounds.lower, bounds.upper)
@@ -174,4 +143,4 @@ def pareto_informed_samples(
     while len(chosen) < s:
         chosen.append(fresh_random())
 
-    return SamplePlan(np.array(chosen), "pareto-informed", seed)
+    return np.array(chosen)

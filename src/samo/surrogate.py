@@ -340,18 +340,19 @@ def _forward_all(weights, biases, X):
 
 
 def _loss_and_grads(weights, biases, X, Y):
+    """Mean squared error on (X, Y) and its gradients, ordered as `weights + biases`."""
     activations = _forward_all(weights, biases, X)
     diff = activations[-1] - Y
     loss = float((diff**2).mean())
     delta = 2.0 * diff / diff.size
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    n_layers = len(weights)
+    grads = [None] * (2 * n_layers)
+    for layer in range(n_layers - 1, -1, -1):
+        grads[layer] = activations[layer].T @ delta
+        grads[n_layers + layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
-    return loss, grads_w, grads_b
+    return loss, grads
 
 
 def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
@@ -365,19 +366,18 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
     Xt, Yt = Xs[train_idx], Ys[train_idx]
     Xv, Yv = Xs[val_idx], Ys[val_idx]
 
+    # Adam updates `params` in place, so `weights` and `biases` stay current
     weights, biases = _init_layers(Xs.shape[1], Ys.shape[1], cfg.hidden, rng)
-    m_w = [np.zeros_like(W) for W in weights]
-    v_w = [np.zeros_like(W) for W in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     batch = cfg.batch_size if cfg.batch_size > 0 else len(Xt)
 
     best_val = np.inf
     best_epoch = 0
-    best_weights = [W.copy() for W in weights]
-    best_biases = [b.copy() for b in biases]
+    best_params = [p.copy() for p in params]
     train_history = []
     val_history = []
 
@@ -393,20 +393,17 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
             ]
         epoch_loss = 0.0
         for Xb, Yb in batches:
-            loss, grads_w, grads_b = _loss_and_grads(weights, biases, Xb, Yb)
+            loss, grads = _loss_and_grads(weights, biases, Xb, Yb)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss * len(Xb)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for i in range(len(weights)):
-                m_w[i] = beta1 * m_w[i] + (1.0 - beta1) * grads_w[i]
-                v_w[i] = beta2 * v_w[i] + (1.0 - beta2) * grads_w[i] ** 2
-                weights[i] = weights[i] - lr * (m_w[i] / bc1) / (np.sqrt(v_w[i] / bc2) + eps)
-                m_b[i] = beta1 * m_b[i] + (1.0 - beta1) * grads_b[i]
-                v_b[i] = beta2 * v_b[i] + (1.0 - beta2) * grads_b[i] ** 2
-                biases[i] = biases[i] - lr * (m_b[i] / bc1) / (np.sqrt(v_b[i] / bc2) + eps)
+            for i, (p, g) in enumerate(zip(params, grads)):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * g**2
+                p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
         train_history.append(epoch_loss / len(Xt))
         val_loss = float(((_forward_all(weights, biases, Xv)[-1] - Yv) ** 2).mean())
         if not np.isfinite(val_loss):
@@ -415,11 +412,11 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_weights = [W.copy() for W in weights]
-            best_biases = [b.copy() for b in biases]
+            best_params = [p.copy() for p in params]
         if epoch - best_epoch >= cfg.patience:
             break
-    return best_weights, best_biases, best_val, train_history, val_history
+    n_layers = len(weights)
+    return best_params[:n_layers], best_params[n_layers:], best_val, train_history, val_history
 
 
 def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:

@@ -10,13 +10,15 @@ ran on numpy-scalar parameters, evaluated the road input in the loop and
 checked finiteness at every step. Tests compare the package against them
 with exact equality.
 
-The rest are helpers only tests use: Pareto dominance of two points, the
-KKT residual, the quarter-car's mechanical energy, the inverse input
-scaling and the two-paraboloids problem with its analytic gradient as a
-model for descent tests.
+The rest are helpers only tests use: the package's descent step for one
+Jacobian, Pareto dominance of two points, the KKT residual, the
+quarter-car's mechanical energy, the inverse input scaling and the
+two-paraboloids problem with its analytic gradient as a model for descent
+tests.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from samo.core import (
     dominance_matrix,
     non_dominated_filter,
 )
-from samo.mgda import MgdaResult, _min_norm_weights_fw, common_descent_direction
+from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw
 from samo.moea import _evaluate, crowding_distance
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
@@ -54,6 +56,31 @@ def descent_step(J: np.ndarray) -> tuple:
         w = _min_norm_weights_fw(J @ J.T)
     direction = -(w @ J)
     return direction, w, float(np.linalg.norm(direction))
+
+
+class DescentStep(NamedTuple):
+    """Common descent direction d = -J^T w with its simplex weights."""
+
+    direction: np.ndarray
+    weights: np.ndarray
+    norm: float
+
+
+def common_descent_direction(jacobian) -> DescentStep:
+    """The descent step of one K x N Jacobian: one row of the package's
+    `_descent_directions(J[None])`, for finite entries only.
+
+    The weights minimize || sum_k w_k grad_k ||^2 over the simplex. K = 1
+    reduces to plain gradient descent; K = 2 uses the closed form
+    w* = clip(<g2 - g1, g2> / ||g1 - g2||^2, 0, 1); larger K uses
+    Frank-Wolfe. Zero gradient rows are legitimate (that objective is
+    already critical and the weights may concentrate there with d = 0).
+    """
+    J = np.atleast_2d(np.asarray(jacobian, dtype=float))
+    if not np.all(np.isfinite(J)):
+        raise SamoError("jacobian contains non-finite entries")
+    D, W, norms = _descent_directions(J[None])
+    return DescentStep(direction=D[0], weights=W[0], norm=float(norms[0]))
 
 
 def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
@@ -91,7 +118,7 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
 
 def multistart_mgda(model, bounds, cfg, trace_writer=None, stats=None) -> ParetoApproximation:
     """The starts of `samo.mgda.multistart_mgda`, run one after another."""
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed).X
+    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed)
     results = [mgda_run(model, x0, bounds, cfg) for x0 in starts]
     if trace_writer is not None:
         for start_index, result in enumerate(results):
@@ -233,7 +260,7 @@ def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> Paret
     rng = np.random.default_rng(cfg.seed)
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
-    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1))).X
+    X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))
     Y, demoted = _evaluate(objective, X)
     for gen in range(cfg.generations):
         off_X = offspring(X, Y, rng, cfg, bounds, mutation_prob)

@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from oracles import GradientModel, mechanical_energy
+from oracles import GradientModel, common_descent_direction, mechanical_energy
 from samo.core import hausdorff_distance, non_dominated_filter
 from samo.driver import SamoConfig, igd_normalized, sample_size_study, samo_run
-from samo.mgda import MgdaConfig, common_descent_direction, mgda_run
+from samo.mgda import MgdaConfig, mgda_run
 from samo.moea import MoeaConfig, fast_non_dominated_sort, nsga2_run
 from samo.problems import (
     Excitation,
@@ -155,7 +155,7 @@ def test_criterion_4_jacobian_fidelity():
     plan = latin_hypercube(30, problem.bounds, seed=5)
     from samo.core import Dataset
 
-    data = Dataset(plan.X, np.array([problem.evaluate(x) for x in plan.X]))
+    data = Dataset(plan, np.array([problem.evaluate(x) for x in plan]))
     models = {
         "rbf": fit_rbf(data, sigma=0.5, ridge=1e-8),
         "mlp": fit_mlp(data, TrainConfig(epochs=500, patience=500, seed=1)),
@@ -208,7 +208,7 @@ def test_criterion_6_mgda_criticality():
     problem = make_analytic_problem("two-paraboloids")
     model = GradientModel(problem)
     a = np.full(4, 0.5)
-    starts = latin_hypercube(100, problem.bounds, seed=17).X
+    starts = latin_hypercube(100, problem.bounds, seed=17)
     cfg = MgdaConfig(learning_rate=0.05, max_iterations=10_000, tolerance=1e-6)
     hits = 0
     for x0 in starts:

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,33 @@ CHEAP_CONFIG = {
     },
     "study": {"sizes": [4, 6], "surrogates": ["rbf"], "repetitions": 1},
 }
+
+
+# config files whose sections are not all objects or null, with the key
+# each must be rejected under
+NON_OBJECT_SECTIONS = [
+    ([], "config"),
+    ({"samo": [1]}, "samo"),
+    ({"samo": ""}, "samo"),
+    ({"samo": {"moea": 5}}, "samo.moea"),
+    ({"samo": {"moea": 0}}, "samo.moea"),
+    ({"samo": {"moea": []}}, "samo.moea"),
+    ({"samo": {"rbf": "wide"}}, "samo.rbf"),
+    ({"problem": {"horizon": 3}}, "problem.horizon"),
+    ({"problem": {"name": "mbs", "params": [250.0]}}, "problem.params"),
+    ({"study": "x"}, "study"),
+    ({"study": 0}, "study"),
+]
+# float fields given values that JSON parsers accept but no float field takes
+NON_FINITE_FLOATS = [
+    ({"samo": {"h_min": math.nan}}, "samo.h_min"),
+    ({"samo": {"h_min": math.inf}}, "samo.h_min"),
+    ({"samo": {"h_min": 10**400}}, "samo.h_min"),
+    ({"samo": {"rbf": {"sigma": math.nan}}}, "samo.rbf.sigma"),
+    ({"samo": {"rbf": {"grid": [0.5, -math.inf]}}}, "samo.rbf.grid"),
+    ({"samo": {"mgda": {"tolerance": math.nan}}}, "samo.mgda.tolerance"),
+    ({"problem": {"name": "mbs", "horizon": {"dt": math.nan}}}, "problem.horizon.dt"),
+]
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -193,6 +221,19 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=key):
             RunConfig.from_dict(payload)
 
+    @pytest.mark.parametrize("payload, key", NON_FINITE_FLOATS)
+    def test_non_finite_floats_rejected_naming_the_key(self, payload, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be .*finite number"):
+            RunConfig.from_dict(payload)
+
+    @pytest.mark.parametrize("payload, key", NON_OBJECT_SECTIONS)
+    def test_non_object_sections_rejected_naming_the_key(self, payload, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an object or null"):
+            RunConfig.from_dict(payload)
+
+    def test_null_top_level_keeps_every_default(self):
+        assert RunConfig.from_dict(None).samo == RunConfig.from_dict({}).samo
+
     def test_null_keeps_the_default_in_every_section(self):
         payload = {
             "problem": {
@@ -314,6 +355,23 @@ class TestCmdRun:
         out = tmp_path / "run"
         code = main(["run", "--config", str(config_path), "--out", str(out)])
         assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, key", NON_OBJECT_SECTIONS + NON_FINITE_FLOATS)
+    def test_malformed_config_exits_2_before_any_evaluation(
+        self, tmp_path, capsys, monkeypatch, payload, key
+    ):
+        import samo.driver
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the config was rejected")
+
+        monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        config_path = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        code = main(["run", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
     def test_same_seed_byte_identical_front_csvs(self, tmp_path):

@@ -10,7 +10,7 @@ import oracles
 import samo.driver
 from oracles import dominates
 from samo.cli import RunConfig, main
-from samo.core import ConfigurationError
+from samo.core import ConfigurationError, hausdorff_distance
 from samo.driver import (
     RunRecord,
     SamoConfig,
@@ -104,6 +104,14 @@ class TestLoopArithmetic:
         if not record.converged:
             assert batches[1:] == [5, 5, 2]
         assert record.total_evaluations <= 12 + 5
+
+    def test_normalized_hausdorff_between_consecutive_fronts(self):
+        record = samo_run(CHEAP, small_cfg(budget=15, normalize_hausdorff=True))
+        fronts = [r.pareto.F for r in record.rounds]
+        assert len(fronts) == 4 and record.rounds[0].hausdorff is None
+        for r, prev, cur in zip(record.rounds[1:], fronts, fronts[1:]):
+            assert r.hausdorff == hausdorff_distance(prev, cur, normalize=True)
+            assert r.hausdorff != hausdorff_distance(prev, cur)
 
     def test_round_indices_and_origins(self):
         record = samo_run(CHEAP, small_cfg())

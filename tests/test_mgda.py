@@ -11,11 +11,10 @@ from samo.core import (
 from samo.mgda import (
     MgdaConfig,
     _descent_directions,
-    common_descent_direction,
     mgda_run,
     multistart_mgda,
 )
-from oracles import GradientModel, dominates, kkt_residual
+from oracles import GradientModel, common_descent_direction, dominates, kkt_residual
 from samo.problems import make_analytic_problem
 from samo.surrogate import TrainConfig, fit_mlp, fit_rbf
 

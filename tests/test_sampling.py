@@ -9,7 +9,6 @@ from samo.core import (
 )
 from samo import sampling
 from samo.sampling import (
-    SamplePlan,
     _lloyd,
     kmeans,
     latin_hypercube,
@@ -30,24 +29,22 @@ def assert_stratified(points: np.ndarray, bounds: BoxBounds) -> None:
 
 class TestLatinHypercube:
     def test_single_point_in_box(self):
-        plan = latin_hypercube(1, UNIT_BOX_2D, seed=0)
-        assert len(plan) == 1
-        assert UNIT_BOX_2D.contains(plan.X[0])
+        X = latin_hypercube(1, UNIT_BOX_2D, seed=0)
+        assert X.shape == (1, 2)
+        assert UNIT_BOX_2D.contains(X[0])
 
     def test_stratification_20_points(self):
-        plan = latin_hypercube(20, UNIT_BOX_2D, seed=1)
-        assert_stratified(plan.X, UNIT_BOX_2D)
+        assert_stratified(latin_hypercube(20, UNIT_BOX_2D, seed=1), UNIT_BOX_2D)
 
     @pytest.mark.parametrize("s,n", [(3, 1), (7, 5), (20, 24), (13, 64)])
     def test_stratification_various_shapes(self, s, n):
         bounds = BoxBounds(np.full(n, -0.003), np.full(n, 0.003))
-        plan = latin_hypercube(s, bounds, seed=s * n)
-        assert_stratified(plan.X, bounds)
+        assert_stratified(latin_hypercube(s, bounds, seed=s * n), bounds)
 
     def test_deterministic(self):
         a = latin_hypercube(10, UNIT_BOX_2D, seed=42)
         b = latin_hypercube(10, UNIT_BOX_2D, seed=42)
-        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a, b)
 
     def test_invalid_count(self):
         with pytest.raises(ConfigurationError):
@@ -122,8 +119,8 @@ class TestParetoInformedSamples:
         rng = np.random.default_rng(1)
         pts = rng.random((10, 2))
         pareto = make_pareto(pts)
-        plan = pareto_informed_samples(pareto, 10, Dataset(), UNIT_BOX_2D, seed=0)
-        assert {tuple(p) for p in plan.X} == {tuple(p) for p in pts}
+        X = pareto_informed_samples(pareto, 10, Dataset(), UNIT_BOX_2D, seed=0)
+        assert {tuple(p) for p in X} == {tuple(p) for p in pts}
 
     def test_spread_beats_random_subsets(self):
         # k-means batches should be better spread than random subsets of the
@@ -138,9 +135,7 @@ class TestParetoInformedSamples:
 
         informed = np.mean(
             [
-                min_pairwise(
-                    pareto_informed_samples(pareto, 20, Dataset(), UNIT_BOX_2D, seed=s).X
-                )
+                min_pairwise(pareto_informed_samples(pareto, 20, Dataset(), UNIT_BOX_2D, seed=s))
                 for s in range(30)
             ]
         )
@@ -157,10 +152,10 @@ class TestParetoInformedSamples:
         pts = rng.random((5, 2))
         pareto = make_pareto(pts)
         existing = make_dataset(pts)
-        plan = pareto_informed_samples(pareto, 5, existing, UNIT_BOX_2D, seed=4)
-        assert len(plan) == 5
+        X = pareto_informed_samples(pareto, 5, existing, UNIT_BOX_2D, seed=4)
+        assert X.shape == (5, 2)
         archive = existing.X
-        for p in plan.X:
+        for p in X:
             assert UNIT_BOX_2D.contains(p)
             dist = np.sqrt(((archive - p) ** 2).sum(axis=1)).min()
             assert dist > 1e-9
@@ -172,8 +167,7 @@ class TestParetoInformedSamples:
             pareto = make_pareto(pts)
             existing = make_dataset(pts[:15])
             bounds = BoxBounds(np.zeros(3), np.ones(3))
-            plan = pareto_informed_samples(pareto, 8, existing, bounds, seed=seed)
-            matrix = plan.X
+            matrix = pareto_informed_samples(pareto, 8, existing, bounds, seed=seed)
             assert np.all(matrix >= 0.0) and np.all(matrix <= 1.0)
             archive = existing.X
             for row in matrix:
@@ -183,17 +177,10 @@ class TestParetoInformedSamples:
     def test_requests_more_than_members(self):
         rng = np.random.default_rng(8)
         pts = rng.random((3, 2))
-        plan = pareto_informed_samples(make_pareto(pts), 6, Dataset(), UNIT_BOX_2D, seed=1)
-        assert len(plan) == 6
+        X = pareto_informed_samples(make_pareto(pts), 6, Dataset(), UNIT_BOX_2D, seed=1)
+        assert X.shape == (6, 2)
 
-
-class TestSamplePlan:
-    def test_origin_validated(self):
+    def test_invalid_count(self):
+        pareto = make_pareto(np.random.default_rng(9).random((4, 2)))
         with pytest.raises(ConfigurationError):
-            SamplePlan(np.array([[0.5]]), "sobol", 0)
-
-    def test_empty_rejected(self):
-        from samo.core import EmptyInputError
-
-        with pytest.raises(EmptyInputError):
-            SamplePlan(np.empty((0, 2)), "latin-hypercube", 0)
+            pareto_informed_samples(pareto, 0, Dataset(), UNIT_BOX_2D, seed=0)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,18 @@ from samo.surrogate import (
 
 
 def lhs_dataset(problem, n, seed) -> Dataset:
-    plan = latin_hypercube(n, problem.bounds, seed)
-    X = plan.X
+    X = latin_hypercube(n, problem.bounds, seed)
     Y = np.array([problem.evaluate(x) for x in X])
     return Dataset(X, Y)
+
+
+def same_model(a: MlpModel, b: MlpModel) -> bool:
+    """Whether two networks agree bit for bit in parameters and histories."""
+
+    def arrays(m):
+        return [*m.weights, *m.biases, np.array(m.train_history), np.array(m.val_history)]
+
+    return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
 
 
 class TestScaler:
@@ -180,6 +189,23 @@ class TestMlp:
         data = lhs_dataset(problem, 40, seed=9)
         model = fit_mlp(data, TrainConfig(epochs=300, patience=300, seed=2))
         assert min(model.val_history) <= model.val_history[0]
+
+    @pytest.mark.parametrize("batch_size", [24, 1000])
+    def test_batch_of_all_training_rows_is_full_batch_bitwise(self, batch_size):
+        # 30 samples leave 24 training rows beside 6 validation rows
+        data = lhs_dataset(make_analytic_problem("two-paraboloids"), 30, seed=5)
+        full = fit_mlp(data, TrainConfig(epochs=60, patience=60, restarts=2, seed=4))
+        cfg = TrainConfig(epochs=60, patience=60, restarts=2, batch_size=batch_size, seed=4)
+        assert same_model(fit_mlp(data, cfg), full)
+
+    def test_mini_batches_deterministic_with_finite_histories(self):
+        data = lhs_dataset(make_analytic_problem("two-paraboloids"), 30, seed=5)
+        cfg = TrainConfig(epochs=40, patience=40, batch_size=2, restarts=2, seed=7)
+        model = fit_mlp(data, cfg)
+        assert same_model(model, fit_mlp(data, cfg))
+        assert not same_model(model, fit_mlp(data, replace(cfg, batch_size=0)))
+        assert len(model.train_history) == len(model.val_history) == 40
+        assert np.all(np.isfinite(model.train_history)) and np.all(np.isfinite(model.val_history))
 
     def test_needs_five_samples(self):
         problem = make_analytic_problem("two-paraboloids")
