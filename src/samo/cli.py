@@ -91,14 +91,15 @@ class StudyConfig:
 _HORIZON = ("t0", "te", "dt")
 # Fields a config file does not set, so their names are unknown keys there:
 # seeds derive from the master seed, the optimizer's population size comes
-# from samo.population_size, the network width is fixed, and the RBF fields,
-# the optimizer blocks, the quarter-car parameter blocks and its horizon are
-# nested sections of their own.
+# from samo.population_size, the network width is fixed, a problem's name is
+# read before its section, and the RBF fields, the optimizer blocks, the
+# quarter-car parameter blocks and its horizon are nested sections of their own.
 _NOT_IN_FILE = {
     SamoConfig: ("rbf_sigma", "rbf_sigma_grid", "rbf_ridge", "train", "moea", "mgda"),
     TrainConfig: ("seed", "hidden"),
     MoeaConfig: ("seed", "population_size"),
     MgdaConfig: ("seed", "n_starts"),
+    make_analytic_problem: ("name",),
     make_quarter_car_problem: ("nominal", "excitation", *_HORIZON),
 }
 # file keys that differ from the name of the argument they set
@@ -194,17 +195,24 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
         return cls.from_dict(raw)
 
 
 def _problem_from_config(section) -> Problem:
-    """A problem from the file's problem section. Its keys are the
-    arguments of `make_quarter_car_problem`, with the parameters, the
-    excitation and the horizon in blocks of their own; an analytic problem
-    uses only n_dim. Keys left out or null keep the defaults."""
+    """A problem from the file's problem section, read by the signature of
+    the builder its name selects: an analytic problem's only key is n_dim;
+    the quarter-car's keys are the arguments of `make_quarter_car_problem`,
+    with the parameters, the excitation and the horizon in blocks of their
+    own. Keys left out or null keep the defaults."""
     section = dict(_section(section, "problem"))
     name = section.pop("name", None)
     name = "mbs" if name is None else _cast(str, name, "problem.name")
+    if name in ANALYTIC_PROBLEM_NAMES:
+        return make_analytic_problem(name, **_file_values(make_analytic_problem, section, "problem"))
+    if name != "mbs":
+        raise ConfigurationError(f"unknown problem {name!r}")
     blocks = {key: section.pop(key, None) for key in ("params", "excitation", "horizon")}
     horizon_keys = {key: key for key in _HORIZON}
     args = _file_values(make_quarter_car_problem, section, "problem")
@@ -213,10 +221,6 @@ def _problem_from_config(section) -> Problem:
     )
     params = _file_values(QuarterCarParams, blocks["params"], "problem.params")
     excitation = _file_values(Excitation, blocks["excitation"], "problem.excitation")
-    if name in ANALYTIC_PROBLEM_NAMES:
-        return make_analytic_problem(name, n_dim=args.get("n_dim"))
-    if name != "mbs":
-        raise ConfigurationError(f"unknown problem {name!r}")
     return make_quarter_car_problem(
         nominal=QuarterCarParams(**params), excitation=Excitation(**excitation), **args
     )
@@ -335,13 +339,16 @@ def cmd_study(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    config = RunConfig.from_file(args.config)
+    problem = RunConfig.from_file(args.config).problem
     try:
         if args.x is not None:
             x = np.array([float(v) for v in args.x.split(",")], dtype=float)
         else:
-            x = np.zeros(config.problem.n_dim)
-        y = config.problem.evaluate(x)
+            x = np.zeros(problem.n_dim)
+        # NaN and the infinities fail the box comparison too
+        if x.shape != (problem.n_dim,) or not problem.bounds.contains(x):
+            raise ConfigurationError(f"--x must be a point of the problem's box, got {args.x}")
+        y = problem.evaluate(x)
     except (SamoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -350,9 +357,18 @@ def cmd_evaluate(args) -> int:
 
 
 _JOBS_HELP = (
-    "concurrent expensive evaluations, in threads; no speedup for the built-in "
-    "quarter-car, whose pure-Python integrator holds the GIL"
+    "concurrent expensive evaluations, in threads, at least 1; no speedup for the "
+    "built-in quarter-car, whose pure-Python integrator holds the GIL"
 )
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1. argparse names it in the
+    message for a value that is no integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON config file")
     p_run.add_argument("--out", required=True, help="run directory to create")
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_run.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_run.add_argument("--jobs", type=positive_int, default=1, help=_JOBS_HELP)
     p_run.set_defaults(func=cmd_run)
 
     p_front = sub.add_parser("front", help="combine run artifacts into one CSV")
@@ -379,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--config", required=True, help="JSON config file with a study section")
     p_study.add_argument("--out", required=True, help="output directory")
     p_study.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p_study.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
+    p_study.add_argument("--jobs", type=positive_int, default=1, help=_JOBS_HELP)
     p_study.set_defaults(func=cmd_study)
 
     p_eval = sub.add_parser("evaluate", help="expensive-evaluate one design point")
@@ -398,10 +414,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     # argparse enforces `command`; every subcommand sets func. A config
-    # error ends any of them with exit status 2.
+    # error, an unreadable config file included, ends any of them with exit status 2.
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -159,9 +159,6 @@ class RunRecord:
     def total_evaluations(self) -> int:
         return len(self.dataset)
 
-    def h_values(self) -> list:
-        return [r.hausdorff for r in self.rounds if r.hausdorff is not None]
-
 
 def check_convergence(front_prev, front_cur, h_min: float, normalize: bool = False):
     """Hausdorff distance between consecutive fronts and whether it is below
@@ -285,7 +282,7 @@ class RunDirectoryWriter:
                 }
                 for r in record.rounds
             ],
-            "h_values": record.h_values(),
+            "h_values": [r.hausdorff for r in record.rounds if r.hausdorff is not None],
             "total_evaluations": record.total_evaluations,
             "final_front_size": (
                 len(record.final_front) if record.final_front is not None else None
@@ -316,29 +313,23 @@ def samo_run(
         writer.write_config(cfg, problem.name)
         writer.write_projection_matrix(problem)
 
-    s = cfg.batch_size
-    previous_front: Optional[np.ndarray] = None
-
-    round_index = 0
-    informed_used = 0
+    cap = cfg.budget + cfg.batch_size  # round 0's batch comes on top of the budget
     while True:
+        round_index = len(record.rounds)
         timings: dict = {}
         t_round = time.perf_counter()
 
         t0 = time.perf_counter()
         if round_index == 0:
-            X_new = latin_hypercube(s, problem.bounds, derive_seed(cfg.seed, 0, 0))
+            X_new = latin_hypercube(cfg.batch_size, problem.bounds, derive_seed(cfg.seed, 0, 0))
         else:
-            remaining = cfg.budget - informed_used
-            batch = min(s, remaining)
             X_new = pareto_informed_samples(
                 record.rounds[-1].pareto,
-                batch,
+                min(cfg.batch_size, cap - len(record.dataset)),
                 record.dataset,
                 problem.bounds,
                 derive_seed(cfg.seed, 0, round_index),
             )
-            informed_used += batch
         timings["sampling"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -370,11 +361,10 @@ def samo_run(
 
         h: Optional[float] = None
         converged = False
-        if previous_front is not None:
+        if record.rounds:
             converged, h = check_convergence(
-                previous_front, pareto.F, cfg.h_min, normalize=cfg.normalize_hausdorff
+                record.rounds[-1].pareto.F, pareto.F, cfg.h_min, normalize=cfg.normalize_hausdorff
             )
-        previous_front = pareto.F
         timings["total"] = time.perf_counter() - t_round
 
         round_record = RoundRecord(
@@ -403,9 +393,8 @@ def samo_run(
         if converged:
             record.converged = True
             break
-        if informed_used >= cfg.budget:
+        if len(record.dataset) >= cap:
             break
-        round_index += 1
 
     if len(record.dataset):
         keep = non_dominated_filter(record.dataset.Y)

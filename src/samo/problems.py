@@ -43,17 +43,13 @@ class Problem:
     """
 
     name: str
-    n_dim: int
-    n_obj: int
     bounds: BoxBounds
     evaluate: Callable[[np.ndarray], np.ndarray]
     true_front: Optional[Callable[[int], np.ndarray]] = None
 
-    def __post_init__(self) -> None:
-        if self.n_obj < 2:
-            raise ConfigurationError("problems must have at least two objectives")
-        if self.bounds.dim != self.n_dim:
-            raise DimensionMismatchError("bounds dimension does not match n_dim")
+    @property
+    def n_dim(self) -> int:
+        return self.bounds.dim
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         """`evaluate` at every row of an (M, N) array, as an (M, K) array."""
@@ -270,11 +266,6 @@ def amplitude(channel, window: slice) -> float:
     return 0.5 * float(view.max() - view.min())
 
 
-def _projection_matrix(n_dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((5, n_dim))
-
-
 @dataclass(frozen=True)
 class QuarterCarEvaluator:
     """Maps a design offset vector onto relative parameter perturbations,
@@ -285,7 +276,6 @@ class QuarterCarEvaluator:
     each parameter by at most `max_swing` relative.
     """
 
-    n_dim: int
     bounds: BoxBounds
     nominal: QuarterCarParams
     excitation: Excitation
@@ -297,9 +287,9 @@ class QuarterCarEvaluator:
 
     def params_for(self, x: np.ndarray) -> QuarterCarParams:
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.n_dim:
+        if x.shape[0] != self.bounds.dim:
             raise DimensionMismatchError(
-                f"decision vector has {x.shape[0]} coordinates, expected {self.n_dim}"
+                f"decision vector has {x.shape[0]} coordinates, expected {self.bounds.dim}"
             )
         if not self.bounds.contains(x):
             raise DomainError(f"design point outside bounds: {x}")
@@ -334,12 +324,11 @@ def make_quarter_car_problem(
     nominal = nominal or QuarterCarParams()
     excitation = excitation or Excitation()
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))
-    P = _projection_matrix(n_dim, seed)
+    P = np.random.default_rng(seed).standard_normal((5, n_dim))
     # worst-case |P @ x| over the box is the 1-norm of each row times half_width
     worst = float(np.max(np.abs(P).sum(axis=1)) * half_width)
     scale = max_swing / worst
     evaluator = QuarterCarEvaluator(
-        n_dim=n_dim,
         bounds=bounds,
         nominal=nominal,
         excitation=excitation,
@@ -349,13 +338,7 @@ def make_quarter_car_problem(
         te=te,
         dt=dt,
     )
-    return Problem(
-        name="mbs",
-        n_dim=n_dim,
-        n_obj=2,
-        bounds=bounds,
-        evaluate=evaluator,
-    )
+    return Problem(name="mbs", bounds=bounds, evaluate=evaluator)
 
 
 def _two_paraboloids(n_dim: int) -> Problem:
@@ -373,8 +356,6 @@ def _two_paraboloids(n_dim: int) -> Problem:
     # the box comfortably contains the Pareto segment {t*a : t in [-1, 1]}
     return Problem(
         name="two-paraboloids",
-        n_dim=n_dim,
-        n_obj=2,
         bounds=BoxBounds(np.full(n_dim, -1.0), np.full(n_dim, 1.0)),
         evaluate=f,
         true_front=front,
@@ -394,8 +375,6 @@ def _zdt1(n_dim: int) -> Problem:
 
     return Problem(
         name="zdt1",
-        n_dim=n_dim,
-        n_obj=2,
         bounds=BoxBounds(np.zeros(n_dim), np.ones(n_dim)),
         evaluate=f,
         true_front=front,
@@ -428,8 +407,6 @@ def _branin_pair() -> Problem:
 
     return Problem(
         name="branin-pair",
-        n_dim=2,
-        n_obj=2,
         bounds=BoxBounds(np.array([-5.0, 0.0]), np.array([10.0, 15.0])),
         evaluate=f,
     )

@@ -82,12 +82,6 @@ def kmeans(points, k: int, seed: int) -> np.ndarray:
     return _lloyd(X, k, np.random.default_rng(seed))
 
 
-def _is_near_existing(point: np.ndarray, existing: np.ndarray) -> bool:
-    if existing.shape[0] == 0:
-        return False
-    return bool(np.min(((existing - point) ** 2).sum(axis=1)) <= _DUPLICATE_RADIUS**2)
-
-
 def pareto_informed_samples(
     pareto: ParetoApproximation,
     s: int,
@@ -116,7 +110,8 @@ def pareto_informed_samples(
     chosen: list[np.ndarray] = []
 
     def taken(point: np.ndarray) -> bool:
-        if _is_near_existing(point, archive):
+        # an empty archive has no minimum distance, so nothing is near it
+        if len(archive) and np.min(((archive - point) ** 2).sum(axis=1)) <= _DUPLICATE_RADIUS**2:
             return True
         return any(np.array_equal(point, c) for c in chosen)
 

@@ -145,10 +145,6 @@ class RbfModel:
     def n_dim(self) -> int:
         return self.centers.shape[1]
 
-    @property
-    def n_obj(self) -> int:
-        return self.weights.shape[1]
-
     def _scaled_offsets(self, X: np.ndarray) -> np.ndarray:
         """(M, C, N) offsets of the scaled inputs from every center."""
         X = _input_matrix(X, self.n_dim)
@@ -192,10 +188,6 @@ class MlpModel:
     @property
     def n_dim(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def n_obj(self) -> int:
-        return self.weights[-1].shape[1]
 
     def _layers(self, X: np.ndarray) -> list:
         """Scaled input and hidden activations, each (M, 1, width). Every
@@ -266,12 +258,6 @@ def fit_rbf(
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
 
-def _cv_fold_masks(n: int, folds: int) -> list:
-    """Deterministic round-robin fold assignment by sample index."""
-    idx = np.arange(n)
-    return [idx % folds == f for f in range(folds)]
-
-
 def cross_validated_mse(
     data: Dataset,
     sigma: float,
@@ -279,7 +265,7 @@ def cross_validated_mse(
     ridge: float = DEFAULT_RIDGE,
 ) -> float:
     """Mean squared prediction error over round-robin folds, in original
-    output units."""
+    output units: sample i is in fold i mod `folds`."""
     n = len(data)
     if folds > n:
         warnings.warn(
@@ -288,8 +274,10 @@ def cross_validated_mse(
         )
         folds = n
     X, Y = data.X, data.Y
+    fold = np.arange(n) % folds
     errors = []
-    for mask in _cv_fold_masks(n, folds):
+    for f in range(folds):
+        mask = fold == f
         train = Dataset(X[~mask], Y[~mask])
         model = fit_rbf(train, sigma=sigma, ridge=ridge)
         pred = model.predict_batch(X[mask])

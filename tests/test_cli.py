@@ -53,6 +53,9 @@ NON_FINITE_FLOATS = [
 ]
 
 
+CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -259,9 +262,37 @@ class TestRunConfig:
         assert config.study == default.study
         assert config.study.surrogates == ("mlp",) and config.study.repetitions == 1
         for evaluator in (config.problem.evaluate, default.problem.evaluate):
-            assert evaluator.n_dim == 24 and evaluator.dt == 1e-4
+            assert evaluator.bounds.dim == 24 and evaluator.dt == 1e-4
             assert evaluator.nominal == QuarterCarParams()
         assert np.array_equal(config.problem.evaluate.projection, default.problem.evaluate.projection)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"half_width": 0.5},
+            {"projection_seed": 1},
+            {"max_swing": 0.1},
+            {"params": {"sprung_mass": 250.0}},
+            {"excitation": {"frequency": 3.0}},
+            {"horizon": {"dt": 0.5}},
+            {"horizon": None},
+        ],
+    )
+    @pytest.mark.parametrize("name", ["zdt1", "two-paraboloids", "branin-pair"])
+    def test_analytic_section_takes_only_n_dim(self, name, extra):
+        (key,) = extra
+        section = {"name": name, "n_dim": None, **extra}
+        with pytest.raises(ConfigurationError, match=rf"^unknown keys in problem: \['{key}'\]$"):
+            RunConfig.from_dict({"problem": section})
+
+    def test_analytic_section_null_n_dim_keeps_the_default(self):
+        assert RunConfig.from_dict({"problem": {"name": "zdt1", "n_dim": None}}).problem.n_dim == 30
+        assert RunConfig.from_dict({"problem": {"name": "zdt1", "n_dim": 3}}).problem.n_dim == 3
+
+    def test_unknown_problem_name_rejected_before_its_keys(self):
+        section = {"name": "zdt2", "n_dim": "three", "half_width": 0.5, "horizon": 3}
+        with pytest.raises(ConfigurationError, match="^unknown problem 'zdt2'$"):
+            RunConfig.from_dict({"problem": section})
 
     @pytest.mark.parametrize(
         "payload, key",
@@ -374,6 +405,33 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "study"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected_by_the_parser(self, tmp_path, capsys, command, jobs):
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config_path), "--out", str(out), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimizer_failure_exits_1_and_keeps_the_artifacts(self, tmp_path, capsys):
+        # one MGDA iteration is too few for any start to turn critical
+        payload = json.loads(CHEAP_DEMO.read_text())
+        payload["samo"].update(optimizer="mgda-multistart", mgda={"max_iterations": 1})
+        config_path = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        error = (
+            "surrogate optimization failed in round 0: "
+            "no start of 60 converged within 1 iterations; "
+        )
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["error"].startswith(error) and metrics["rounds"] == []
+        assert (out / "final_front.csv").exists()
+
     def test_same_seed_byte_identical_front_csvs(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_CONFIG)
         out_a = tmp_path / "a"
@@ -459,6 +517,7 @@ class TestCmdStudy:
             {"samo": {**CHEAP_CONFIG["samo"], "moea": {"eta_mutation": -1}}},
             {"samo": {**CHEAP_CONFIG["samo"], "rbf": {"sigma": 0}}},
             {"problem": {"name": "zdt1", "n_dim": 1}},
+            {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}},
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):
@@ -553,3 +612,36 @@ class TestCmdEvaluate:
     def test_bad_point_rejected(self, tmp_path, capsys):
         config_path = write_config(tmp_path, {"problem": {"name": "two-paraboloids", "n_dim": 2}})
         assert main(["evaluate", "--config", str(config_path), "--x", "a,b"]) == 2
+
+    def test_point_on_the_boundary_evaluated(self, capsys):
+        assert main(["evaluate", "--config", str(CHEAP_DEMO), "--x", "1,-1,0,0"]) == 0
+        values = [float(v) for v in capsys.readouterr().out.strip().split(",")]
+        assert values == pytest.approx([3.0, 3.0])  # ||x -/+ a||^2 with a = 0.5
+
+    @pytest.mark.parametrize("x", ["nan,0,0,0", "inf,0,0,0", "50,0,0,0", "0,0", "0,0,0,0,0"])
+    def test_point_outside_the_box_rejected(self, capsys, x):
+        assert main(["evaluate", "--config", str(CHEAP_DEMO), "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --x must be a point of the problem's box, got {x}\n"
+        assert captured.out == ""
+
+    def test_analytic_section_with_quarter_car_keys_exits_2(self, tmp_path, capsys):
+        payload = {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}}
+        config_path = write_config(tmp_path, payload)
+        assert main(["evaluate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: unknown keys in problem: ['half_width']\n"
+
+
+@pytest.mark.parametrize("command", ["run", "study", "evaluate"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, command, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"\xff{}")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)] + ([] if command == "evaluate" else ["--out", str(out)])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+    assert not out.exists()

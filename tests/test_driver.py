@@ -10,7 +10,7 @@ import oracles
 import samo.driver
 from oracles import dominates
 from samo.cli import RunConfig, main
-from samo.core import ConfigurationError, hausdorff_distance
+from samo.core import ConfigurationError, SamoError, hausdorff_distance
 from samo.driver import (
     RunRecord,
     SamoConfig,
@@ -191,6 +191,8 @@ class TestArtifacts:
         assert metrics["total_evaluations"] == record.total_evaluations
         assert len(metrics["rounds"]) == rounds
         assert [r["optimizer"] for r in metrics["rounds"]] == [{"demoted": 0}] * rounds
+        distances = [r.hausdorff for r in record.rounds[1:]]
+        assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
 
     def test_config_json_records_population_used(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -341,6 +343,22 @@ class TestStudy:
             (4, 1),
             (6, 1),
         }
+
+    def test_failed_cell_skipped(self, monkeypatch):
+        def run_unless_size_5(problem, cfg, **kwargs):
+            if cfg.batch_size == 5:
+                raise SamoError("cell failed")
+            return samo_run(problem, cfg, **kwargs)
+
+        def untimed(rows):
+            return [replace(r, total_time=0.0, mean_round_time=0.0) for r in rows]
+
+        cfg = small_cfg(budget=6, batch_size=4)
+        expected = sample_size_study(CHEAP, [4, 6], cfg, repetitions=2)
+        monkeypatch.setattr(samo.driver, "samo_run", run_unless_size_5)
+        rows = sample_size_study(CHEAP, [4, 5, 6], cfg, repetitions=2)
+        assert untimed(rows) == untimed(expected)
+        assert [(r.batch_size, r.repetition) for r in rows] == [(4, 0), (6, 0), (4, 1), (6, 1)]
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

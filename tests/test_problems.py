@@ -4,8 +4,11 @@ import numpy as np
 import oracles
 import pytest
 
-from samo.core import ConfigurationError, DomainError
+from dataclasses import fields
+
+from samo.core import ConfigurationError, DimensionMismatchError, DomainError
 from samo.problems import (
+    ANALYTIC_PROBLEM_NAMES,
     Excitation,
     QuarterCarParams,
     DivergenceError,
@@ -180,6 +183,11 @@ class TestQuarterCarBenchmark:
         rel = evaluator.scale * (evaluator.projection @ corner)
         assert np.all(np.abs(rel) <= 0.15 + 1e-12)
 
+    def test_wrong_length_design_rejected(self):
+        evaluator = make_quarter_car_problem(n_dim=3).evaluate
+        with pytest.raises(DimensionMismatchError, match="has 4 coordinates, expected 3"):
+            evaluator.params_for(np.zeros(4))
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             QuarterCarParams(sprung_mass=-1.0)
@@ -305,6 +313,15 @@ class TestAnalyticProblems:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError):
             make_analytic_problem("rosenbrock")
+
+    @pytest.mark.parametrize("name", ANALYTIC_PROBLEM_NAMES + ("mbs",))
+    def test_dimension_is_read_from_the_box(self, name):
+        if name == "mbs":
+            problem = make_quarter_car_problem(n_dim=3)
+        else:
+            problem = make_analytic_problem(name)
+        assert [f.name for f in fields(problem)] == ["name", "bounds", "evaluate", "true_front"]
+        assert problem.n_dim == problem.bounds.dim
 
     def test_gradient_model_adapter(self):
         problem = make_analytic_problem("two-paraboloids")

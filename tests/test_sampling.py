@@ -86,6 +86,18 @@ class TestKmeans:
         pts = rng.random((30, 3))
         assert np.array_equal(kmeans(pts, 5, seed=7), kmeans(pts, 5, seed=7))
 
+    def test_empty_cluster_reseated_on_the_farthest_point(self, monkeypatch):
+        # a starting centroid far from every point wins no member, so Lloyd's
+        # update moves it onto the point farthest from its own centroid
+        pts = np.array([[0.0, 0.0], [0.0, 0.1], [1.0, 0.0], [1.0, 0.1]])
+        start = np.array([[0.0, 0.05], [100.0, 100.0]])
+        monkeypatch.setattr(sampling, "_kmeans_pp_init", lambda X, k, rng: start.copy())
+        monkeypatch.setattr(sampling, "_KMEANS_MAX_ITER", 1)
+        assert np.array_equal(_lloyd(pts, 2, np.random.default_rng(0)), [[0.5, 0.05], [1.0, 0.0]])
+        monkeypatch.setattr(sampling, "_KMEANS_MAX_ITER", 300)
+        centroids = _lloyd(pts, 2, np.random.default_rng(0))
+        assert np.allclose(centroids, [[0.0, 0.05], [1.0, 0.05]])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_wcss_non_increasing(self, seed, monkeypatch):
         # the within-cluster sum of squares of the centroids after 0, 1, 2,
