@@ -243,13 +243,37 @@ def _samo_from_config(section) -> SamoConfig:
     return SamoConfig(**values)
 
 
+def _output_directory(text: str) -> Path:
+    """The --out directory, created with its parents when missing."""
+    out = Path(text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a file on the way to it
+        raise ConfigurationError(
+            f"--out must name a directory, got {text}: {exc.strerror}"
+        ) from exc
+    return out
+
+
+def _point(text: str) -> np.ndarray:
+    """The comma-separated coordinates of --x."""
+    values = []
+    for position, entry in enumerate(text.split(","), start=1):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigurationError(
+                f"--x entry {position} is not a number: {entry!r}"
+            ) from None
+    return np.array(values)
+
+
 def cmd_run(args) -> int:
     config = RunConfig.from_file(args.config)
     samo_cfg = config.samo
     if args.seed is not None:
         samo_cfg = replace(samo_cfg, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(args.out)
     shutil.copyfile(args.config, out / "config_snapshot.json")
     record = samo_run(
         config.problem, samo_cfg, run_dir=out, jobs=args.jobs, verbose=args.verbose
@@ -310,8 +334,7 @@ def cmd_study(args) -> int:
     config = RunConfig.from_file(args.config)
     if not config.study.sizes:
         raise ConfigurationError("config has no study.sizes")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_directory(args.out)
     shutil.copyfile(args.config, out / "config_snapshot.json")
     base = config.samo
     if args.seed is not None:
@@ -342,7 +365,7 @@ def cmd_evaluate(args) -> int:
     problem = RunConfig.from_file(args.config).problem
     try:
         if args.x is not None:
-            x = np.array([float(v) for v in args.x.split(",")], dtype=float)
+            x = _point(args.x)
         else:
             x = np.zeros(problem.n_dim)
         # NaN and the infinities fail the box comparison too

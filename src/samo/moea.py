@@ -4,15 +4,17 @@ distance, binary tournament, simulated binary crossover and polynomial
 mutation with environmental selection from the combined parent/offspring
 pool.
 
-Crossover and mutation act on the whole population at once but consume the
-generator exactly as crossing one pair and mutating one child at a time
-would, so a seed gives the same run bit for bit.
+Tournaments, crossover and mutation act on the whole population at once but
+consume the generator exactly as one tournament, one pair and one child at a
+time would, so a seed gives the same run bit for bit. Crowding for all fronts
+comes from one sort per objective, and survivors keep the ranks and crowding
+they had in the pool; only the front cut by the population size is crowded
+again.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -73,7 +75,8 @@ def fast_non_dominated_sort(pop) -> list:
     if F.shape[1] == 2 and not np.isnan(F).any():
         rank = front_ranks_2d(F)
         by_rank = np.argsort(rank, kind="stable")
-        return np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])
+        ends = np.cumsum(np.bincount(rank)).tolist()
+        return [by_rank[start:end] for start, end in zip([0, *ends], ends)]
     dom = dominance_matrix(F)
     n_dominators = dom.sum(axis=0)
     fronts = []
@@ -97,16 +100,16 @@ def crowding_distance(front) -> np.ndarray:
     if n <= 2:
         return np.full(n, np.inf)
     dist = np.zeros(n)
-    for k in range(n_obj):
-        order = np.argsort(F[:, k], kind="stable")
-        vals = F[order, k]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        # demoted individuals carry infinite objectives; their span is not a
-        # number and contributes nothing
-        with np.errstate(invalid="ignore"):
+    # demoted individuals carry infinite objectives; their span is not a
+    # number and contributes nothing
+    with np.errstate(invalid="ignore"):
+        for k in range(n_obj):
+            order = np.argsort(F[:, k], kind="stable")
+            vals = F[order, k]
+            dist[order[0]] = dist[order[-1]] = np.inf
             span = vals[-1] - vals[0]
-        if np.isfinite(span) and span > 0.0:
-            dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+            if np.isfinite(span) and span > 0.0:
+                dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
     return dist
 
 
@@ -161,6 +164,16 @@ def polynomial_mutation(
     return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
 
 
+def _unpeek(bits, unused: int, has_uint32: int, uinteger: int) -> None:
+    """Give the last `unused` 64-bit outputs drawn from the PCG64 bit
+    generator `bits` back to it, and set its 32-bit buffer to
+    (`has_uint32`, `uinteger`); `advance` alone clears that buffer."""
+    bits.advance(-unused)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+    bits.state = state
+
+
 def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_prob: float) -> tuple:
     """The uniforms for crossing `n_pairs` pairs of N = `n` variables and
     mutating both children, drawn in the one-pair order: per pair a
@@ -169,38 +182,42 @@ def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_pro
     n step uniforms if any mask uniform is < `mutation_prob`.
 
     How many doubles a pair draws depends on its own draws, so a block big
-    enough for every pair is peeked, a walk through it finds where each
-    pair's and child's draws start, and the generator is rewound and
-    advanced by exactly the doubles consumed. `Generator.random` fills
-    sequentially, so one call for k doubles equals k calls for one.
+    enough for every pair is peeked. Where the draws of a pair, or of a
+    child, starting at a position would end is computed for every position
+    of the block at once; a walk from pair to pair then needs one lookup
+    per pair, and the doubles not consumed are given back. Each double
+    takes one 64-bit output and leaves the 32-bit integer buffer alone.
     Returns (crossed, u, sign_u) of shape (n_pairs, n) for `sbx_crossover`
     and (mutate, u) of shape (2 n_pairs, n), children in pair order, for
     `polynomial_mutation`.
     """
-    state = rng.bit_generator.state
+    bits = rng.bit_generator
+    state = bits.state
     block = rng.random(n_pairs * (1 + 7 * n))  # the most the pairs can draw
-    hits = np.flatnonzero(block < mutation_prob).tolist()
-    starts, crossing, masks = [], [], []
+    crossing = block <= cfg.crossover_prob
+    hits = np.concatenate(([0], (block < mutation_prob).astype(np.intp).cumsum()))
+    # a child whose n mask uniforms start at q draws n step uniforms after
+    # them iff one of the mask uniforms is a hit
+    child_end = np.arange(len(block) - n + 1) + n * (1 + (hits[n:] > hits[:-n]))
+    first_child = np.arange(len(block)) + np.where(crossing, 1 + 3 * n, 1)
+    # positions no walk reaches may point past the block; clip them
+    pair_end = child_end.take(child_end.take(first_child, mode="clip"), mode="clip")
+    starts = []
     pos = 0
     for _ in range(n_pairs):
         starts.append(pos)
-        crossing.append(bool(block[pos] <= cfg.crossover_prob))
-        pos += 1 + 3 * n * crossing[-1]
-        for _child in range(2):
-            masks.append(pos)
-            k = bisect_left(hits, pos)
-            pos += 2 * n if k < len(hits) and hits[k] < pos + n else n
-    rng.bit_generator.state = state
-    rng.random(pos)
+        pos = int(pair_end[pos])
+    _unpeek(bits, len(block) - pos, state["has_uint32"], state["uinteger"])
 
-    cols = np.arange(n)
-    pair = np.array(starts)[:, None] + 1 + cols
-    crossed = np.array(crossing)[:, None] & (block[pair] <= cfg.crossover_var_prob)
-    child = np.array(masks)[:, None] + cols
-    return (
-        (crossed, block[pair + n], block[pair + 2 * n]),
-        (block[child] < mutation_prob, block[child + n]),
-    )
+    starts = np.array(starts)
+    first = first_child[starts]
+    children = np.column_stack([first, child_end[first]]).reshape(-1)
+    # a pair that does not cross, or a child that takes no step, reads
+    # uniforms of later draws here; its mask ignores them
+    pair = block[starts[:, None, None] + 1 + np.arange(3 * n).reshape(3, n)]
+    child = block[children[:, None, None] + np.arange(2 * n).reshape(2, n)]
+    crossed = crossing[starts, None] & (pair[:, 0] <= cfg.crossover_var_prob)
+    return (crossed, pair[:, 1], pair[:, 2]), (child[:, 0] < mutation_prob, child[:, 1])
 
 
 def _evaluate(objective, X: np.ndarray) -> tuple:
@@ -220,34 +237,113 @@ def _evaluate(objective, X: np.ndarray) -> tuple:
 
 
 def _rank_and_crowding(Y: np.ndarray) -> tuple:
+    """Non-domination rank and crowding distance of every row of Y, equal
+    bit for bit to `crowding_distance` of each front of
+    `fast_non_dominated_sort`.
+
+    One stable sort by (rank, f_k) per objective puts every front in a
+    segment of its own, in the order `crowding_distance` sorts that front
+    (ties by index). A segment's ends get infinity; its inner points get
+    their neighbour gap over the segment's span, unless that span is not
+    a positive number. The gaps are added objective by objective, in the
+    order `crowding_distance` adds them.
+    """
     fronts = fast_non_dominated_sort(Y)
-    rank = np.empty(Y.shape[0], dtype=int)
-    crowd = np.empty(Y.shape[0])
-    for r, front in enumerate(fronts):
-        rank[front] = r
-        crowd[front] = crowding_distance(Y[front])
-    return rank, crowd, fronts
+    n, n_obj = Y.shape
+    sizes = np.array([len(f) for f in fronts])
+    sorted_rank = np.repeat(np.arange(len(fronts)), sizes)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.concatenate(fronts)] = sorted_rank
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    inner = np.ones(n, dtype=bool)
+    inner[first] = inner[last] = False
+
+    # one row per objective from here on
+    order = np.array([np.lexsort((Y[:, k], rank)) for k in range(n_obj)])
+    rows = np.arange(n_obj)[:, None]
+    vals = Y[order, rows]
+    gap = np.zeros((n_obj, n))
+    # demoted individuals carry infinite objectives; the span of a front
+    # holding them is not a number and contributes nothing. A gap across
+    # two fronts may overflow and is never used.
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = (vals[:, last] - vals[:, first])[:, sorted_rank]
+        gap[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
+        counted = inner & np.isfinite(span) & (span > 0.0)
+        gap[counted] /= span[counted]
+    gap[~counted] = 0.0
+    by_row = np.empty_like(gap)
+    by_row[rows, order] = gap
+    crowd = np.zeros(n)
+    for objective_gap in by_row:
+        crowd += objective_gap
+    crowd[order[:, first]] = crowd[order[:, last]] = np.inf
+    return rank, crowd
 
 
-def _tournament(rank: list, crowd: list, rng) -> int:
-    """Binary tournament on (rank, crowding) held as Python lists; a tie on
-    both is settled by a coin."""
+def _tournaments(rank, crowd, m: int, rng) -> list:
+    """The parents of `m` binary tournaments on (rank, crowding), drawn
+    exactly as `m` tournaments one at a time would: two `rng.integers(0, n)`
+    indices, n = len(rank) < 2**32, and an `rng.random() < 0.5` coin when the
+    pair ties on both rank and crowding.
+
+    `rank` and `crowd` are sequences indexed by position. numpy draws such
+    an index by Lemire's method, (x n) >> 32 of a 32-bit x, drawing again
+    while the low 32 bits of x n fall below (2**32 - n) % n. PCG64 gives x
+    as the low half of a 64-bit output and keeps the high half in its
+    buffer (`has_uint32`, `uinteger`) for the next 32-bit draw; a coin takes
+    one whole 64-bit output, (raw >> 11) < 2**52, and leaves the buffer
+    alone. A block of raw outputs is peeked and walked with that buffer,
+    then the generator is put where the one-at-a-time draws leave it.
+    """
     n = len(rank)
-    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowd[i] != crowd[j]:
-        return i if crowd[i] > crowd[j] else j
-    return i if rng.random() < 0.5 else j
+    bits = rng.bit_generator
+    state = bits.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    reject_below = (2**32 - n) % n
+    raw = bits.random_raw(2 * m).tolist()  # enough unless an index is rejected
+    used = 0
+    parents = []
+    for _ in range(m):
+        i = j = -1
+        while j < 0:
+            if has_half:
+                x, has_half = half, 0
+            else:
+                if used == len(raw):
+                    raw += bits.random_raw(m).tolist()
+                x = raw[used]
+                half, has_half = x >> 32, 1
+                x &= 0xFFFFFFFF
+                used += 1
+            x *= n
+            if x & 0xFFFFFFFF < reject_below:
+                continue  # rejected: the index takes the next 32-bit draw
+            if i < 0:
+                i = x >> 32
+            else:
+                j = x >> 32
+        if rank[i] != rank[j]:
+            parents.append(i if rank[i] < rank[j] else j)
+        elif crowd[i] != crowd[j]:
+            parents.append(i if crowd[i] > crowd[j] else j)
+        else:
+            if used == len(raw):
+                raw += bits.random_raw(m).tolist()
+            parents.append(i if raw[used] >> 11 < 2**52 else j)
+            used += 1
+    _unpeek(bits, len(raw) - used, has_half, half)
+    return parents
 
 
-def _offspring(X, Y, rng, cfg: MoeaConfig, bounds: BoxBounds, mutation_prob: float) -> np.ndarray:
-    """One generation's children of the population (X, Y): a binary
-    tournament per child, SBX of consecutive parents, then polynomial
-    mutation of every child."""
-    rank, crowd, _ = _rank_and_crowding(Y)
-    rank, crowd = rank.tolist(), crowd.tolist()
-    parents = np.array([_tournament(rank, crowd, rng) for _ in range(len(X))])
+def _offspring(
+    X, rank, crowd, rng, cfg: MoeaConfig, bounds: BoxBounds, mutation_prob: float
+) -> np.ndarray:
+    """One generation's children of the population X with its non-domination
+    `rank` and `crowd`ing distance: a binary tournament per child, SBX of
+    consecutive parents, then polynomial mutation of every child."""
+    parents = np.array(_tournaments(rank.tolist(), crowd.tolist(), len(X), rng))
     crossover, mutation = _variation_uniforms(rng, len(X) // 2, bounds.dim, cfg, mutation_prob)
     c1, c2 = sbx_crossover(
         X[parents[0::2]], X[parents[1::2]], *crossover, cfg.eta_crossover, bounds
@@ -282,31 +378,40 @@ def nsga2_run(
 
     X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))
     Y, demoted = _evaluate(objective, X)
+    rank, crowd = _rank_and_crowding(Y)
 
     for gen in range(cfg.generations):
-        off_X = _offspring(X, Y, rng, cfg, bounds, mutation_prob)
+        off_X = _offspring(X, rank, crowd, rng, cfg, bounds, mutation_prob)
         off_Y, flagged = _evaluate(objective, off_X)
         demoted += flagged
 
-        pool_X = np.vstack([X, off_X])
         pool_Y = np.vstack([Y, off_Y])
-        _, pool_crowd, pool_fronts = _rank_and_crowding(pool_Y)
-        keep: list[int] = []
-        for front in pool_fronts:
-            if len(keep) + len(front) <= M:
-                keep.extend(front.tolist())
-            else:
-                order = np.argsort(-pool_crowd[front], kind="stable")
-                keep.extend(front[order[: M - len(keep)]].tolist())
-                break
-        X = pool_X[keep]
+        pool_rank, pool_crowd = _rank_and_crowding(pool_Y)
+        # whole fronts in rank order, ascending index within a front, while
+        # they fit; then the most crowded-apart members of the front cut
+        by_rank = np.argsort(pool_rank, kind="stable")
+        filled = np.cumsum(np.bincount(pool_rank))
+        fitting = int(np.searchsorted(filled, M, side="right"))
+        cut = int(filled[fitting - 1]) if fitting else 0
+        keep = by_rank[:cut]
+        if cut < M:
+            front = by_rank[cut : filled[fitting]]
+            best = front[np.argsort(-pool_crowd[front], kind="stable")[: M - cut]]
+            keep = np.concatenate([keep, best])
+        X = np.vstack([X, off_X])[keep]
         Y = pool_Y[keep]
+        # removing worse fronts leaves every survivor's rank, and the
+        # crowding of every whole front, as they were in the pool
+        rank = pool_rank[keep]
+        crowd = pool_crowd[keep]
+        if cut < M:
+            crowd[cut:] = crowding_distance(Y[cut:])
 
         if snapshot_writer is not None:
-            first = fast_non_dominated_sort(Y)[0]
+            first = rank == 0
             snapshot_writer(gen, X[first], Y[first])
 
     if stats is not None:
         stats["demoted"] = demoted
-    first = fast_non_dominated_sort(Y)[0]
+    first = rank == 0
     return ParetoApproximation.from_arrays(X[first], Y[first])

@@ -5,7 +5,8 @@ starts together and NSGA-II worked on whole populations: one start at a
 time with one `predict` / `input_jacobian` call per point, NSGA-II
 objectives evaluated row by row, fronts peeled from the dominance matrix,
 and SBX and polynomial mutation applied one pair and one child at a time
-with the generator passed in. The quarter-car integrator is the form that
+with the generator passed in, and binary tournaments drawn one scalar
+generator call at a time. The quarter-car integrator is the form that
 ran on numpy-scalar parameters, evaluated the road input in the loop and
 checked finiteness at every step. Tests compare the package against them
 with exact equality.
@@ -226,12 +227,16 @@ def rank_and_crowding(Y) -> tuple:
 
 
 def tournament(rank, crowd, rng) -> int:
-    i, j = rng.integers(0, rank.shape[0], size=2)
+    """One binary tournament on (rank, crowding), sequences indexed by
+    position, with one scalar generator call per draw; a tie on both is
+    settled by a coin."""
+    n = len(rank)
+    i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
     if rank[i] != rank[j]:
-        return int(i if rank[i] < rank[j] else j)
+        return i if rank[i] < rank[j] else j
     if crowd[i] != crowd[j]:
-        return int(i if crowd[i] > crowd[j] else j)
-    return int(i if rng.random() < 0.5 else j)
+        return i if crowd[i] > crowd[j] else j
+    return i if rng.random() < 0.5 else j
 
 
 def offspring(X, Y, rng, cfg, bounds, mutation_prob):

@@ -613,6 +613,15 @@ class TestCmdEvaluate:
         config_path = write_config(tmp_path, {"problem": {"name": "two-paraboloids", "n_dim": 2}})
         assert main(["evaluate", "--config", str(config_path), "--x", "a,b"]) == 2
 
+    @pytest.mark.parametrize(
+        "x, position, entry", [("0,,0,0", 2, ""), ("0,0,0,x", 4, "x"), ("1e,0,0,0", 1, "1e")]
+    )
+    def test_entry_that_is_no_number_named_by_position(self, capsys, x, position, entry):
+        assert main(["evaluate", "--config", str(CHEAP_DEMO), "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --x entry {position} is not a number: {entry!r}\n"
+        assert captured.out == ""
+
     def test_point_on_the_boundary_evaluated(self, capsys):
         assert main(["evaluate", "--config", str(CHEAP_DEMO), "--x", "1,-1,0,0"]) == 0
         values = [float(v) for v in capsys.readouterr().out.strip().split(",")]
@@ -630,6 +639,18 @@ class TestCmdEvaluate:
         config_path = write_config(tmp_path, payload)
         assert main(["evaluate", "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == "error: unknown keys in problem: ['half_width']\n"
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "below-a-file"])
+def test_out_naming_a_file_exits_2_naming_out(tmp_path, capsys, command, nested):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if nested else taken
+    config_path = write_config(tmp_path, CHEAP_CONFIG)
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out must name a directory, got {out}: ")
+    assert taken.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["run", "study", "evaluate"])

@@ -111,6 +111,105 @@ class TestCrowding:
         assert len(finite) == 2 and np.all(finite >= 0.0)
 
 
+class TestRankAndCrowding:
+    """All fronts' crowding from one sort per objective against one
+    `crowding_distance` call per front of the dominance-matrix peeling."""
+
+    @staticmethod
+    def assert_matches_oracle(Y):
+        rank, crowd = moea._rank_and_crowding(Y)
+        want_rank, want_crowd, _ = oracles.rank_and_crowding(Y)
+        assert np.array_equal(rank, want_rank)
+        assert np.array_equal(crowd, want_crowd)
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=60),
+        st.lists(st.integers(0, 59), max_size=8),
+    )
+    def test_matches_per_front_crowding(self, k, grid, inf_rows):
+        # integer grids give exact duplicates, fronts of one and two points
+        # and fronts whose span in some objective is zero; +inf rows are
+        # demoted individuals, a front of their own with no finite span
+        Y = np.array(grid, dtype=float)[:, :k]
+        Y[[i for i in inf_rows if i < len(Y)]] = np.inf
+        self.assert_matches_oracle(Y)
+
+    @pytest.mark.parametrize(
+        "Y",
+        [
+            np.array([[2.0, 3.0]]),
+            np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]),
+            np.full((6, 3), 4.0),
+            np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 6.0], [3.0, 6.0]]),
+            np.vstack([np.random.default_rng(4).random((30, 3)), np.full((5, 3), np.inf)]),
+        ],
+        ids=["one-point", "fronts-of-one-and-two", "all-equal", "zero-span", "random-with-inf"],
+    )
+    def test_edge_cases(self, Y):
+        self.assert_matches_oracle(Y)
+
+
+class IndexFunction:
+    """A read-only sequence of length n whose item i is f(i), so tournaments
+    over billions of positions need no list of that length."""
+
+    def __init__(self, n, f):
+        self.n, self.f = n, f
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        return self.f(i)
+
+
+class TestTournaments:
+    """Tournaments walked over peeked raw outputs against one scalar
+    `rng.integers(0, n)` per index and one `rng.random()` per tie coin: the
+    same parents and the generator left in the same state."""
+
+    @pytest.mark.parametrize(
+        "n",
+        # about half of all 32-bit draws are rejected at 2**31 + 1, a quarter
+        # at 3 * 2**30
+        [2, 7, 60, 2**31 + 1, 3 * 2**30],
+    )
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "half-buffered"])
+    def test_matches_scalar_draws(self, n, buffered):
+        rank = IndexFunction(n, lambda i: i % 3)
+        crowd = IndexFunction(n, lambda i: (i // 3) % 2)  # one pair in six ties
+        fast = np.random.default_rng(11)
+        slow = np.random.default_rng(11)
+        if buffered:
+            for rng in (fast, slow):
+                rng.integers(0, 5)  # leaves the high half of an output buffered
+        for m in (1, 40, 200):
+            got = moea._tournaments(rank, crowd, m, fast)
+            want = [oracles.tournament(rank, crowd, slow) for _ in range(m)]
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+            assert fast.random() == slow.random()  # continue from the same stream
+
+    @pytest.mark.parametrize("n", [9, 2**31 + 1])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "half-buffered"])
+    def test_every_pair_tied(self, n, buffered):
+        # every tournament draws a coin, so coins take as many 64-bit outputs
+        # as the indices do; with rejections the peeked block also runs out
+        # right before a coin
+        ties = IndexFunction(n, lambda i: 0)
+        fast = np.random.default_rng(3)
+        slow = np.random.default_rng(3)
+        if buffered:
+            for rng in (fast, slow):
+                rng.integers(0, 5)
+        for m in (1, 2, 3, 50, 100):
+            got = moea._tournaments(ties, ties, m, fast)
+            want = [oracles.tournament(ties, ties, slow) for _ in range(m)]
+            assert got == want
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestSbx:
     # the operator takes the uniforms the one-pair form drew itself: a
     # crossed mask, spread uniforms and sign uniforms, one row per pair
@@ -217,7 +316,8 @@ class TestOneGeneration:
         fast = np.random.default_rng(5)
         slow = np.random.default_rng(5)
         for _ in range(4):  # consecutive generations share the generator
-            got = moea._offspring(X, Y, fast, cfg, bounds, pm)
+            rank, crowd, _ = oracles.rank_and_crowding(Y)
+            got = moea._offspring(X, rank, crowd, fast, cfg, bounds, pm)
             want = oracles.offspring(X, Y, slow, cfg, bounds, pm)
             assert np.array_equal(got, want)
             assert fast.bit_generator.state == slow.bit_generator.state
@@ -360,6 +460,63 @@ class TestNsga2:
 
         cfg = MoeaConfig(population_size=20, generations=15, seed=2)
         self.assert_same_run(flaky, problem.bounds, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("M", [8, 24, 60])
+    @pytest.mark.parametrize("demote", [False, True], ids=["finite", "demotions"])
+    def test_matches_one_pair_oracle_across_seeds(self, seed, M, demote):
+        problem = make_analytic_problem("zdt1", n_dim=6)
+
+        def objective(X):
+            Y = problem.evaluate_batch(X)
+            if demote:
+                Y[X[:, 0] > 0.6] = np.nan
+            return Y
+
+        cfg = MoeaConfig(population_size=M, generations=8, seed=seed)
+        self.assert_same_run(objective, problem.bounds, cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_one_pair_oracle_with_three_objectives(self, seed):
+        # three objectives take the dominance-matrix sort; rounding makes
+        # exact duplicates and zero-span fronts common
+        problem = make_analytic_problem("zdt1", n_dim=6)
+
+        def objective(X):
+            Y = np.column_stack([problem.evaluate_batch(X), X[:, 1]]).round(1)
+            Y[X[:, 2] > 0.8] = np.inf
+            return Y
+
+        cfg = MoeaConfig(population_size=24, generations=8, seed=seed)
+        self.assert_same_run(objective, problem.bounds, cfg)
+
+    @pytest.mark.parametrize("M", [8, 20, 60])
+    def test_carried_survivor_ranks_equal_a_fresh_ranking(self, M, monkeypatch):
+        # survivors keep their pool rank and crowding, and only the front cut
+        # by the population size is crowded again
+        problem = make_analytic_problem("two-paraboloids")
+
+        def flaky(X):
+            Y = problem.evaluate_batch(X)
+            Y[X[:, 0] > 0.3] = np.nan
+            return Y
+
+        generations = []
+        offspring = moea._offspring
+
+        def checked(X, rank, crowd, *args):
+            Y, _ = moea._evaluate(flaky, X)
+            want_rank, want_crowd = moea._rank_and_crowding(Y)
+            assert np.array_equal(rank, want_rank)
+            assert np.array_equal(crowd, want_crowd)
+            generations.append(len(generations))
+            return offspring(X, rank, crowd, *args)
+
+        monkeypatch.setattr(moea, "_offspring", checked)
+        stats = {}
+        cfg = MoeaConfig(population_size=M, generations=15, seed=6)
+        nsga2_run(flaky, problem.bounds, cfg, stats=stats)
+        assert len(generations) == 15 and stats["demoted"] > 0
 
     @staticmethod
     def assert_same_run(objective, bounds, cfg):
