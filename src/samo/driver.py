@@ -154,6 +154,7 @@ class RunRecord:
     final_front: Optional[np.ndarray] = None
     converged: bool = False
     error: Optional[str] = None
+    failed_round: Optional[dict] = None  # index, stage, timings, optimizer
 
     @property
     def total_evaluations(self) -> int:
@@ -187,21 +188,25 @@ def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
 
 
 def _optimize_surrogate(
-    model, problem: Problem, cfg: SamoConfig, round_index: int, writer=None, verbose=False
+    model,
+    problem: Problem,
+    cfg: SamoConfig,
+    round_index: int,
+    stats: dict,
+    writer=None,
+    verbose=False,
 ):
-    """The surrogate front of one round and the optimizer's counts."""
-    stats: dict = {}
+    """The surrogate front of one round; the optimizer's counts go into
+    `stats`, also when it raises."""
     if cfg.optimizer == "nsga2":
         moea_cfg = replace(cfg.moea, seed=derive_seed(cfg.seed, 2, round_index))
         snapshot = writer.front_snapshot_writer(round_index) if (writer and verbose) else None
-        pareto = nsga2_run(
+        return nsga2_run(
             model.predict_batch, problem.bounds, moea_cfg, snapshot_writer=snapshot, stats=stats
         )
-        return pareto, stats
     mgda_cfg = replace(cfg.mgda, seed=derive_seed(cfg.seed, 2, round_index))
     traces = writer.mgda_trace_writer(round_index) if (writer and verbose) else None
-    pareto = multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces, stats=stats)
-    return pareto, stats
+    return multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces, stats=stats)
 
 
 class RunDirectoryWriter:
@@ -289,6 +294,8 @@ class RunDirectoryWriter:
             ),
             "error": record.error,
         }
+        if record.failed_round is not None:
+            metrics["failed_round"] = record.failed_round
         (self.run_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
 
 
@@ -339,25 +346,31 @@ def samo_run(
         if writer:
             writer.write_points(f"samples_round_{round_index}.csv", X_new, Y_new, "f")
 
+        optimizer_stats: dict = {}
+        stage = "fit"
         t0 = time.perf_counter()
         try:
             model = _fit_surrogate(record.dataset, cfg, round_index)
-        except SamoError as exc:
-            record.error = f"surrogate training failed in round {round_index}: {exc}"
-            logger.error(record.error)
-            break
-        timings["fit"] = time.perf_counter() - t0
+            timings["fit"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        try:
-            pareto, optimizer_stats = _optimize_surrogate(
-                model, problem, cfg, round_index, writer=writer, verbose=verbose
+            stage = "optimization"
+            t0 = time.perf_counter()
+            pareto = _optimize_surrogate(
+                model, problem, cfg, round_index, optimizer_stats, writer=writer, verbose=verbose
             )
+            timings["optimization"] = time.perf_counter() - t0
         except SamoError as exc:
-            record.error = f"surrogate optimization failed in round {round_index}: {exc}"
+            timings[stage] = time.perf_counter() - t0
+            what = "training" if stage == "fit" else "optimization"
+            record.error = f"surrogate {what} failed in round {round_index}: {exc}"
+            record.failed_round = {
+                "index": round_index,
+                "stage": stage,
+                "timings": timings,
+                "optimizer": optimizer_stats,
+            }
             logger.error(record.error)
             break
-        timings["optimization"] = time.perf_counter() - t0
 
         h: Optional[float] = None
         converged = False

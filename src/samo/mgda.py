@@ -8,6 +8,10 @@ the tight duality-gap tolerance cheaply for small objective counts.
 
 All starts of a multistart run advance together, with one batched Jacobian
 call per iteration; each start's path is bit for bit the one it takes alone.
+The starts still moving are kept in one compact array. Only in an iteration
+where some start turns critical are the end points, flags and counts
+written out and the array shrunk; late in a run few starts move, so an
+iteration costs little more than its Jacobian call and its descent step.
 """
 
 from __future__ import annotations
@@ -105,14 +109,24 @@ def _descent_directions(J: np.ndarray) -> tuple:
         g1, g2 = J[:, 0], J[:, 1]
         diff = g1 - g2
         denom = _row_dot(diff, diff)
-        w1 = np.full(n_starts, 0.5)
-        apart = denom != 0.0
-        w1[apart] = np.minimum(np.maximum(_row_dot(g2 - g1, g2)[apart] / denom[apart], 0.0), 1.0)
-        W = np.column_stack([w1, 1.0 - w1])
+        # w1 stays 0.5 where both gradients coincide
+        W = np.full((n_starts, 2), 0.5)
+        w1 = W[:, 0]
+        np.divide(_row_dot(g2 - g1, g2), denom, out=w1, where=denom != 0.0)
+        np.maximum(w1, 0.0, out=w1)
+        np.minimum(w1, 1.0, out=w1)
+        np.subtract(1.0, w1, out=W[:, 1])
     else:
         W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
     D = -(W[:, None, :] @ J)[:, 0, :]
     return D, W, np.sqrt(_row_dot(D, D))
+
+
+def _clamp(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """`np.clip(X, lower, upper)` bit for bit, NaN and signed zeros
+    included: the same maximum-then-minimum, without np.clip's Python-level
+    dispatch."""
+    return np.minimum(np.maximum(X, lower), upper)
 
 
 @dataclass(frozen=True)
@@ -128,43 +142,55 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     ||d|| drops below the criticality tolerance or the iteration budget is
     exhausted.
 
-    Each iteration makes one `input_jacobian_batch` call on the starts still
-    moving; a start that turns critical leaves that set. `predict_batch` is
-    called only for traces and backtracking. Returns the end points, the
-    converged flags, the iteration counts and, with `keep_traces`, one trace
-    per start with rows (iteration, ||d||, objectives).
+    The starts still moving are kept in one compact array, and each
+    iteration makes one `input_jacobian_batch` call on it; a start that
+    turns critical leaves it, and only then are its end point, flag and
+    iteration count written out. The starts still moving when the budget
+    runs out are written out once at the end. `predict_batch` is called
+    only for traces and backtracking. Returns the end points, the
+    converged flags, the iteration counts and, with `keep_traces`, one
+    trace per start with rows (iteration, ||d||, objectives).
     """
     X = np.array(X0, dtype=float)
     n_starts = X.shape[0]
     converged = np.zeros(n_starts, dtype=bool)
     iterations = np.full(n_starts, cfg.max_iterations)
     active = np.arange(n_starts)
+    Xa = X
+    eta, lower, upper, tolerance = cfg.learning_rate, bounds.lower, bounds.upper, cfg.tolerance
+    backtracking = cfg.backtracking
     rows, owners = [], []
     for iteration in range(1, cfg.max_iterations + 1):
-        Xa = X[active]
         J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             raise SamoError(
                 f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
             )
         D, W, norms = _descent_directions(J)
-        if keep_traces or cfg.backtracking:
+        if keep_traces or backtracking:
             F = np.asarray(model.predict_batch(Xa), dtype=float)
         if keep_traces:
             rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
             owners.append(active)
-        done = norms < cfg.tolerance
-        converged[active[done]] = True
-        iterations[active[done]] = iteration
-        moving = ~done
-        active = active[moving]
-        if active.size == 0:
-            break
-        Xm, Dm = Xa[moving], D[moving]
-        candidate = np.clip(Xm + cfg.learning_rate * Dm, bounds.lower, bounds.upper)
-        if cfg.backtracking:
-            candidate = _backtrack(model, Xm, Dm, W[moving], F[moving], candidate, bounds, cfg)
-        X[active] = candidate
+        done = norms < tolerance
+        if done.any():
+            finished = active[done]
+            X[finished] = Xa[done]
+            converged[finished] = True
+            iterations[finished] = iteration
+            moving = ~done
+            active = active[moving]
+            if active.size == 0:
+                break
+            Xa, D = Xa[moving], D[moving]
+            if backtracking:
+                W, F = W[moving], F[moving]
+        candidate = _clamp(Xa + eta * D, lower, upper)
+        if backtracking:
+            candidate = _backtrack(model, Xa, D, W, F, candidate, bounds, cfg)
+        Xa = candidate
+    else:
+        X[active] = Xa
     traces = None
     if keep_traces:
         owner = np.concatenate(owners)
@@ -188,7 +214,7 @@ def _backtrack(model, X, D, W, F, candidate, bounds: BoxBounds, cfg: MgdaConfig)
         if pending.size == 0:
             break
         eta[pending] *= 0.5
-        candidate[pending] = np.clip(
+        candidate[pending] = _clamp(
             X[pending] + eta[pending, None] * D[pending], bounds.lower, bounds.upper
         )
     return candidate

@@ -128,20 +128,16 @@ def sbx_crossover(
     `eta_c` through the uniform `u`; the uniform `sign_u` < 0.5 swaps which
     child lies near which parent. Children are clamped to the box. The
     children's midpoint equals the parents' midpoint in every crossed
-    coordinate before clamping."""
-    beta = np.where(
-        u <= 0.5,
-        (2.0 * u) ** (1.0 / (eta_c + 1.0)),
-        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
-    )
-    sign = np.where(sign_u < 0.5, -1.0, 1.0)
-    b = sign * beta
-    child_a = 0.5 * ((1.0 + b) * P1 + (1.0 - b) * P2)
-    child_b = 0.5 * ((1.0 - b) * P1 + (1.0 + b) * P2)
-    return (
-        np.clip(np.where(crossed, child_a, P1), bounds.lower, bounds.upper),
-        np.clip(np.where(crossed, child_b, P2), bounds.lower, bounds.upper),
-    )
+    coordinate before clamping. Only the crossed coordinates are computed."""
+    uc = u[crossed]
+    exp = 1.0 / (eta_c + 1.0)
+    beta = np.where(uc <= 0.5, (2.0 * uc) ** exp, (1.0 / (2.0 * (1.0 - uc))) ** exp)
+    b = np.where(sign_u[crossed] < 0.5, -1.0, 1.0) * beta
+    p1, p2 = P1[crossed], P2[crossed]
+    C1, C2 = P1.copy(), P2.copy()
+    C1[crossed] = 0.5 * ((1.0 + b) * p1 + (1.0 - b) * p2)
+    C2[crossed] = 0.5 * ((1.0 - b) * p1 + (1.0 + b) * p2)
+    return np.clip(C1, bounds.lower, bounds.upper), np.clip(C2, bounds.lower, bounds.upper)
 
 
 def polynomial_mutation(
@@ -153,15 +149,19 @@ def polynomial_mutation(
 ) -> np.ndarray:
     """Bounded polynomial mutation with distribution index `eta_m` of the
     (M, N) rows X where `mutate` is true, with the step drawn through the
-    uniform `u`."""
-    width = bounds.width
-    d_lo = (X - bounds.lower) / width
-    d_hi = (bounds.upper - X) / width
+    uniform `u`. Only the mutated entries are computed."""
+    cols = np.nonzero(mutate)[1]
+    x, um = X[mutate], u[mutate]
+    lower, upper = bounds.lower[cols], bounds.upper[cols]
+    width = bounds.width[cols]
+    d_lo = (x - lower) / width
+    d_hi = (upper - x) / width
     exp = 1.0 / (eta_m + 1.0)
-    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta_m + 1.0)) ** exp - 1.0
-    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
-    delta = np.where(u < 0.5, low_branch, high_branch)
-    return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
+    low_branch = (2.0 * um + (1.0 - 2.0 * um) * (1.0 - d_lo) ** (eta_m + 1.0)) ** exp - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - um) + 2.0 * (um - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
+    Y = X.copy()
+    Y[mutate] = x + np.where(um < 0.5, low_branch, high_branch) * width
+    return np.clip(Y, bounds.lower, bounds.upper)
 
 
 def _unpeek(bits, unused: int, has_uint32: int, uinteger: int) -> None:

@@ -129,6 +129,43 @@ def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
     return X
 
 
+def _offsets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(N, len(A), len(B)) offsets A[i] - B[j], coordinate-major. The
+    result is C-ordered, so each coordinate's slice is one contiguous
+    block; numpy would otherwise lay it out like the transposed inputs."""
+    return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
+
+
+def _sum_squares(diff: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis of `diff`, bit for bit what
+    numpy's `(d**2).sum(axis=-1)` gives on the same values laid out with
+    that axis last.
+
+    numpy reduces a contiguous axis pairwise: sequentially below 8 terms,
+    in eight interleaved accumulators up to 128, and by halves (cut at a
+    multiple of 8) above. Adding whole coordinate slices in that order
+    keeps every squared distance, and so every kernel value, what the
+    row-major form computes, while each addition runs over a long axis.
+    """
+    return _pairwise_sum(diff**2, 0, diff.shape[0])
+
+
+def _pairwise_sum(sq: np.ndarray, start: int, n: int) -> np.ndarray:
+    # a reduction over the outer axis adds the slices one after another
+    if n < 8:
+        return sq[start : start + n].sum(axis=0)
+    if n <= 128:
+        blocked = n - n % 8
+        r = sq[start : start + blocked].reshape(blocked // 8, 8, *sq.shape[1:]).sum(axis=0)
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(start + blocked, start + n):
+            total += sq[k]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(sq, start, half) + _pairwise_sum(sq, start + half, n - half)
+
+
 @dataclass(frozen=True)
 class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
@@ -146,12 +183,15 @@ class RbfModel:
         return self.centers.shape[1]
 
     def _scaled_offsets(self, X: np.ndarray) -> np.ndarray:
-        """(M, C, N) offsets of the scaled inputs from every center."""
-        X = _input_matrix(X, self.n_dim)
-        return self.scaler.transform_x(X)[:, None, :] - self.centers
+        """(N, M, C) offsets of the scaled inputs from every center."""
+        return _offsets(self.scaler.transform_x(_input_matrix(X, self.n_dim)), self.centers)
 
     def _kernel(self, diff: np.ndarray) -> np.ndarray:
-        return np.exp(-(diff**2).sum(axis=2) / (2.0 * self.sigma**2))
+        # x / -c equals -x / c bit for bit for every non-NaN x; the fresh
+        # sum is scaled in place
+        phi = _sum_squares(diff)
+        np.divide(phi, -(2.0 * self.sigma**2), out=phi)
+        return np.exp(phi, out=phi)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         phi = self._kernel(self._scaled_offsets(X))
@@ -165,9 +205,10 @@ class RbfModel:
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         diff = self._scaled_offsets(X)
         phi = self._kernel(diff)
-        # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2
-        dphi = -(phi[:, :, None] * diff) / self.sigma**2
-        jac_scaled = self.weights.T @ dphi
+        # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C)
+        dphi = phi * diff
+        np.divide(dphi, -(self.sigma**2), out=dphi)
+        jac_scaled = self.weights.T @ dphi.transpose(1, 2, 0)
         return (self.scaler.y_scale[:, None] * jac_scaled) / self.scaler.x_scale
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -235,7 +276,7 @@ def fit_rbf(
     scaler = Scaler.fit(X, Y)
     Xs = scaler.transform_x(X)
     Ys = scaler.transform_y(Y)
-    d2 = ((Xs[:, None, :] - Xs[None, :, :]) ** 2).sum(axis=2)
+    d2 = _sum_squares(_offsets(Xs, Xs))
     system = np.exp(-d2 / (2.0 * sigma**2)) + ridge * np.eye(len(Xs))
     try:
         W = np.linalg.solve(system, Ys)

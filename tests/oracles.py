@@ -11,6 +11,12 @@ ran on numpy-scalar parameters, evaluated the road input in the loop and
 checked finiteness at every step. Tests compare the package against them
 with exact equality.
 
+The batched forms that leaner ones replaced are kept as well, and the
+package must match them byte for byte: the MGDA loop that gathered and
+scattered the moving starts every iteration, the RBF kernel on row-major
+(M, C, N) offsets, and SBX and polynomial mutation computed for every
+entry.
+
 The rest are helpers only tests use: the package's descent step for one
 Jacobian, Pareto dominance of two points, the KKT residual, the
 quarter-car's mechanical energy, the inverse input scaling and the
@@ -31,10 +37,11 @@ from samo.core import (
     dominance_matrix,
     non_dominated_filter,
 )
-from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw
+from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _row_dot
 from samo.moea import _evaluate, crowding_distance
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
+from samo.surrogate import RbfModel, Scaler
 
 
 def descent_step(J: np.ndarray) -> tuple:
@@ -140,6 +147,124 @@ def multistart_mgda(model, bounds, cfg, trace_writer=None, stats=None) -> Pareto
     return ParetoApproximation.from_arrays(X[keep], Y[keep])
 
 
+def descent_directions_masked(J: np.ndarray) -> tuple:
+    """`samo.mgda._descent_directions` as it was before the weights were
+    built in place: K = 2 fills w1 through a boolean mask and stacks the
+    two weight columns."""
+    n_starts, n_obj = J.shape[:2]
+    if n_obj == 1:
+        W = np.ones((n_starts, 1))
+    elif n_obj == 2:
+        g1, g2 = J[:, 0], J[:, 1]
+        diff = g1 - g2
+        denom = _row_dot(diff, diff)
+        w1 = np.full(n_starts, 0.5)
+        apart = denom != 0.0
+        w1[apart] = np.minimum(np.maximum(_row_dot(g2 - g1, g2)[apart] / denom[apart], 0.0), 1.0)
+        W = np.column_stack([w1, 1.0 - w1])
+    else:
+        W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
+    D = -(W[:, None, :] @ J)[:, 0, :]
+    return D, W, np.sqrt(_row_dot(D, D))
+
+
+def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
+    """`samo.mgda._descend` as it was before the compact active set: every
+    iteration gathers the moving starts from X, updates the flags and
+    counts, and scatters the clipped steps back into X."""
+    X = np.array(X0, dtype=float)
+    n_starts = X.shape[0]
+    converged = np.zeros(n_starts, dtype=bool)
+    iterations = np.full(n_starts, cfg.max_iterations)
+    active = np.arange(n_starts)
+    rows, owners = [], []
+    for iteration in range(1, cfg.max_iterations + 1):
+        Xa = X[active]
+        J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
+        if not np.all(np.isfinite(J)):
+            raise SamoError(
+                f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
+            )
+        D, W, norms = descent_directions_masked(J)
+        if keep_traces or cfg.backtracking:
+            F = np.asarray(model.predict_batch(Xa), dtype=float)
+        if keep_traces:
+            rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
+            owners.append(active)
+        done = norms < cfg.tolerance
+        converged[active[done]] = True
+        iterations[active[done]] = iteration
+        moving = ~done
+        active = active[moving]
+        if active.size == 0:
+            break
+        Xm, Dm = Xa[moving], D[moving]
+        candidate = np.clip(Xm + cfg.learning_rate * Dm, bounds.lower, bounds.upper)
+        if cfg.backtracking:
+            candidate = _backtrack_clip(model, Xm, Dm, W[moving], F[moving], candidate, bounds, cfg)
+        X[active] = candidate
+    traces = None
+    if keep_traces:
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        ends = np.cumsum(np.bincount(owner, minlength=n_starts))[:-1]
+        traces = np.split(np.vstack(rows)[order], ends)
+    return X, converged, iterations, traces
+
+
+def _backtrack_clip(model, X, D, W, F, candidate, bounds, cfg):
+    """`samo.mgda._backtrack` with `np.clip`."""
+    weighted = _row_dot(W, F)
+    eta = np.full(X.shape[0], cfg.learning_rate)
+    pending = np.arange(X.shape[0])
+    for _ in range(30):
+        values = _row_dot(W[pending], np.asarray(model.predict_batch(candidate[pending]), dtype=float))
+        accepted = (values <= weighted[pending]) | (eta[pending] < 1e-12)
+        pending = pending[~accepted]
+        if pending.size == 0:
+            break
+        eta[pending] *= 0.5
+        candidate[pending] = np.clip(
+            X[pending] + eta[pending, None] * D[pending], bounds.lower, bounds.upper
+        )
+    return candidate
+
+
+def _rbf_kernel_row_major(model, X) -> tuple:
+    """(M, C, N) offsets of the scaled inputs from the centers and the
+    kernel values, their squares summed over the last, coordinate axis."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    diff = model.scaler.transform_x(X)[:, None, :] - model.centers
+    return diff, np.exp(-(diff**2).sum(axis=2) / (2.0 * model.sigma**2))
+
+
+def rbf_predict_row_major(model, X) -> np.ndarray:
+    """`RbfModel.predict_batch` on row-major offsets."""
+    phi = _rbf_kernel_row_major(model, X)[1]
+    return model.scaler.inverse_y((phi[:, None, :] @ model.weights)[:, 0, :])
+
+
+def rbf_input_jacobian_row_major(model, X) -> np.ndarray:
+    """`RbfModel.input_jacobian_batch` on row-major offsets."""
+    diff, phi = _rbf_kernel_row_major(model, X)
+    dphi = -(phi[:, :, None] * diff) / model.sigma**2
+    jac_scaled = model.weights.T @ dphi
+    return (model.scaler.y_scale[:, None] * jac_scaled) / model.scaler.x_scale
+
+
+def fit_rbf_row_major(data, sigma, ridge) -> RbfModel:
+    """`fit_rbf` with the squared distances reduced over the last axis of
+    an (C, C, N) offset array, without its argument and residual checks."""
+    scaler = Scaler.fit(data.X, data.Y)
+    Xs = scaler.transform_x(data.X)
+    Ys = scaler.transform_y(data.Y)
+    d2 = ((Xs[:, None, :] - Xs[None, :, :]) ** 2).sum(axis=2)
+    system = np.exp(-d2 / (2.0 * sigma**2)) + ridge * np.eye(len(Xs))
+    W = np.linalg.solve(system, Ys)
+    W = W + np.linalg.solve(system, Ys - system @ W)
+    return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
+
+
 def rowwise_nsga2(nsga2_run):
     """`nsga2_run` given a surrogate's `predict_batch`, but evaluating each
     population with one `predict` call per row."""
@@ -214,6 +339,37 @@ def polynomial_mutation(x, eta_m, per_var_prob, bounds, rng):
     delta = np.where(u < 0.5, low_branch, high_branch)
     y[mutate] = (x + delta * width)[mutate]
     return np.clip(y, bounds.lower, bounds.upper)
+
+
+def sbx_crossover_dense(P1, P2, crossed, u, sign_u, eta_c, bounds) -> tuple:
+    """`samo.moea.sbx_crossover` computing the spread and both children in
+    every coordinate, then keeping the crossed ones."""
+    beta = np.where(
+        u <= 0.5,
+        (2.0 * u) ** (1.0 / (eta_c + 1.0)),
+        (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (eta_c + 1.0)),
+    )
+    sign = np.where(sign_u < 0.5, -1.0, 1.0)
+    b = sign * beta
+    child_a = 0.5 * ((1.0 + b) * P1 + (1.0 - b) * P2)
+    child_b = 0.5 * ((1.0 - b) * P1 + (1.0 + b) * P2)
+    return (
+        np.clip(np.where(crossed, child_a, P1), bounds.lower, bounds.upper),
+        np.clip(np.where(crossed, child_b, P2), bounds.lower, bounds.upper),
+    )
+
+
+def polynomial_mutation_dense(X, mutate, u, eta_m, bounds) -> np.ndarray:
+    """`samo.moea.polynomial_mutation` computing both step branches for
+    every entry, then keeping the mutated ones."""
+    width = bounds.width
+    d_lo = (X - bounds.lower) / width
+    d_hi = (bounds.upper - X) / width
+    exp = 1.0 / (eta_m + 1.0)
+    low_branch = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d_lo) ** (eta_m + 1.0)) ** exp - 1.0
+    high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
+    delta = np.where(u < 0.5, low_branch, high_branch)
+    return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
 
 
 def rank_and_crowding(Y) -> tuple:

@@ -430,6 +430,13 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith(f"error: {error}")
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["error"].startswith(error) and metrics["rounds"] == []
+        failed = metrics["failed_round"]
+        assert (failed["index"], failed["stage"]) == (0, "optimization")
+        assert list(failed["timings"]) == ["sampling", "evaluation", "fit", "optimization"]
+        assert all(t >= 0.0 for t in failed["timings"].values())
+        assert failed["optimizer"] == {
+            "starts": 60, "converged": 0, "dropped": 60, "max_iterations_used": 1
+        }
         assert (out / "final_front.csv").exists()
 
     def test_same_seed_byte_identical_front_csvs(self, tmp_path):

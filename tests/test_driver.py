@@ -191,6 +191,7 @@ class TestArtifacts:
         assert metrics["total_evaluations"] == record.total_evaluations
         assert len(metrics["rounds"]) == rounds
         assert [r["optimizer"] for r in metrics["rounds"]] == [{"demoted": 0}] * rounds
+        assert "failed_round" not in metrics
         distances = [r.hausdorff for r in record.rounds[1:]]
         assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
 
@@ -259,6 +260,9 @@ class TestFailureHandling:
         assert not record.converged
         assert record.total_evaluations == 5
         assert record.final_front is not None
+        failed = record.failed_round
+        assert (failed["index"], failed["stage"], failed["optimizer"]) == (0, "fit", {})
+        assert list(failed["timings"]) == ["sampling", "evaluation", "fit"]
 
 
     def test_optimizer_failure_keeps_run(self, tmp_path):

@@ -10,12 +10,15 @@ from samo.core import (
 )
 from samo.mgda import (
     MgdaConfig,
+    _clamp,
+    _descend,
     _descent_directions,
     mgda_run,
     multistart_mgda,
 )
 from oracles import GradientModel, common_descent_direction, dominates, kkt_residual
 from samo.problems import make_analytic_problem
+from samo.sampling import latin_hypercube
 from samo.surrogate import TrainConfig, fit_mlp, fit_rbf
 
 
@@ -283,6 +286,8 @@ class TestBatchedMatchesOnePointOracle:
         J[2, -1] = -J[2, 0]  # opposing gradients
         J[3] = 0.0
         D, W, norms = _descent_directions(J)
+        for got, want in zip((D, W, norms), oracles.descent_directions_masked(J)):
+            assert got.tobytes() == want.tobytes()
         for i, Ji in enumerate(J):
             direction, weights, norm = oracles.descent_step(Ji)
             assert np.array_equal(D[i], direction)
@@ -374,6 +379,68 @@ class TestBatchedMatchesOnePointOracle:
         assert np.array_equal(fast.x, slow.x)
         assert np.array_equal(fast.trace, slow.trace, equal_nan=True)
         assert np.isnan(fast.trace).any()
+
+
+class TestLeanDescentMatchesGatherScatter:
+    """`_descend` against the loop that gathered and scattered the moving
+    starts every iteration (tests/oracles.py), byte for byte."""
+
+    @staticmethod
+    def setting(name):
+        if name == "gradient":
+            problem = make_analytic_problem("two-paraboloids")
+            return GradientModel(problem), problem.bounds
+        problem, model = paraboloid_model(int(name[-1]))
+        return model, problem.bounds
+
+    @pytest.mark.parametrize("name", ["gradient", "rbf2", "rbf3"])
+    @pytest.mark.parametrize("backtracking", [False, True])
+    @pytest.mark.parametrize("keep_traces", [False, True])
+    @pytest.mark.parametrize("max_iterations", [5, 10_000])
+    def test_outputs_byte_equal(self, name, backtracking, keep_traces, max_iterations):
+        model, bounds = self.setting(name)
+        starts = latin_hypercube(12, bounds, 3)
+        # repeated starts finish in the same iteration; for the analytic
+        # gradients the origin is critical at iteration 1
+        X0 = np.vstack([starts, starts[:3], np.zeros((1, 4)), bounds.lower, bounds.upper])
+        # steps of 1.5 overshoot, so backtracking halves some of them
+        cfg = MgdaConfig(
+            learning_rate=1.5 if backtracking else 0.2,
+            max_iterations=max_iterations,
+            backtracking=backtracking,
+        )
+        got = _descend(model, X0, bounds, cfg, keep_traces)
+        want = oracles.descend_gather_scatter(model, X0, bounds, cfg, keep_traces)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if keep_traces:
+            assert len(got[3]) == len(X0)
+            for a, b in zip(got[3], want[3]):
+                assert a.tobytes() == b.tobytes()
+        else:
+            assert got[3] is None
+        assert np.array_equal(got[2][:3], got[2][12:15])
+        if name == "gradient":
+            assert got[1][15] and got[2][15] == 1
+
+    def test_every_start_critical_at_the_first_iteration(self):
+        model, bounds = self.setting("gradient")
+        X0 = np.zeros((3, 4))
+        got = _descend(model, X0, bounds, MgdaConfig(), keep_traces=True)
+        want = oracles.descend_gather_scatter(model, X0, bounds, MgdaConfig(), keep_traces=True)
+        assert got[1].all() and (got[2] == 1).all()
+        for a, b in zip(got, want):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
+
+    def test_clamp_is_np_clip(self):
+        # values on the bounds, just outside, signed zeros, infinities and
+        # NaN, against bounds that are themselves signed zeros
+        values = [-0.0, 0.0, -1.0, 1.0, 0.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+        values += [np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300]
+        lower = np.array([-1.0, 0.0, -0.0, -1.0, -0.0, 0.0, -0.0])
+        upper = np.array([1.0, 1.0, 0.5, -0.0, 0.0, 0.0, -0.0])
+        X = np.repeat(np.array(values)[:, None], len(lower), axis=1)
+        assert _clamp(X, lower, upper).tobytes() == np.clip(X, lower, upper).tobytes()
 
 
 class TestMultistartStats:

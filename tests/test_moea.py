@@ -296,6 +296,44 @@ class TestPolynomialMutation:
         assert mean_step(20.0, 5) > mean_step(100.0, 5)
 
 
+class TestSparseVariationMatchesDense:
+    """SBX and polynomial mutation compute only the crossed or mutated
+    entries; they must keep the bytes of the forms in tests/oracles.py
+    that compute every entry and then select."""
+
+    @staticmethod
+    def setting(m, n, p):
+        rng = np.random.default_rng(1000 * m + n)
+        bounds = BoxBounds(rng.uniform(-3.0, -0.1, n), rng.uniform(0.1, 3.0, n))
+        X = rng.uniform(bounds.lower, bounds.upper, (m, n))
+        X[0], X[-1] = bounds.lower, bounds.upper  # on the bounds
+        mask = rng.random((m, n)) < p
+        u = rng.random((m, n))
+        u[0], u[-1] = 0.5, 0.0  # the branch edge and the smallest uniform
+        return rng, bounds, X, mask, u
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (60, 4), (100, 24)])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 20.0])
+    def test_polynomial_mutation(self, m, n, p, eta):
+        _, bounds, X, mutate, u = self.setting(m, n, p)
+        got = polynomial_mutation(X, mutate, u, eta, bounds)
+        want = oracles.polynomial_mutation_dense(X, mutate, u, eta, bounds)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (7, 3), (30, 4), (50, 24)])
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 20.0])
+    def test_sbx_crossover(self, m, n, p, eta):
+        rng, bounds, P1, crossed, u = self.setting(m, n, p)
+        P2 = rng.uniform(bounds.lower, bounds.upper, (m, n))
+        sign_u = rng.random((m, n))
+        got = sbx_crossover(P1, P2, crossed, u, sign_u, eta, bounds)
+        want = oracles.sbx_crossover_dense(P1, P2, crossed, u, sign_u, eta, bounds)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestOneGeneration:
     """Whole-population variation against the one-pair operators: the same
     children bit for bit, and the generator left in the same state."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from samo.core import ConfigurationError, Dataset
+import oracles
 from oracles import GradientModel, inverse_x
 from samo.problems import make_analytic_problem, make_quarter_car_problem
 from samo.sampling import latin_hypercube
@@ -14,6 +15,7 @@ from samo.surrogate import (
     Scaler,
     SolverError,
     TrainConfig,
+    _sum_squares,
     cross_validated_mse,
     fit_mlp,
     fit_rbf,
@@ -111,6 +113,36 @@ class TestRbf:
         phi = np.exp(-(diff @ diff) / (2 * 0.8**2))
         expected = -2.5 * phi * diff / 0.8**2
         assert np.allclose(model.input_jacobian(x)[0], expected, rtol=1e-12)
+
+
+class TestCoordinateMajorKernel:
+    """The RBF kernel sums squared offsets over coordinate slices in
+    numpy's pairwise order; every result must keep the bytes of the
+    row-major forms in tests/oracles.py. A numpy whose reduction order
+    differs fails here instead of changing results silently."""
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 300])
+    def test_sum_squares_matches_last_axis_reduction(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=(3, 5, n)) * 10.0 ** rng.uniform(-6, 6, (3, 5, n))
+        got = _sum_squares(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
+        assert got.tobytes() == ((d**2).sum(axis=-1)).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 24, 30])
+    @pytest.mark.parametrize("c", [2, 50, 130])
+    def test_fit_predict_and_jacobian_match_row_major(self, n, c):
+        rng = np.random.default_rng(100 * n + c)
+        X = rng.uniform(-1.0, 1.0, (c, n))
+        data = Dataset(X, np.column_stack([(X**2).sum(axis=1), np.cos(X).sum(axis=1)]))
+        model = fit_rbf(data, sigma=2.0, ridge=1e-6)
+        reference = oracles.fit_rbf_row_major(data, sigma=2.0, ridge=1e-6)
+        assert model.weights.tobytes() == reference.weights.tobytes()
+        for s in (1, 7, 60):
+            Q = rng.uniform(-1.2, 1.2, (s, n))
+            predicted = oracles.rbf_predict_row_major(model, Q)
+            assert model.predict_batch(Q).tobytes() == predicted.tobytes()
+            jacobian = oracles.rbf_input_jacobian_row_major(model, Q)
+            assert model.input_jacobian_batch(Q).tobytes() == jacobian.tobytes()
 
 
 class TestSigmaSelection:
