@@ -310,12 +310,18 @@ def cmd_front(args) -> int:
         if not metrics_path.exists():
             raise MissingArtifactError(f"missing artifact: {metrics_path}")
         metrics = json.loads(metrics_path.read_text())
+        artifacts = [
+            (r["index"], kind, name)
+            for r in metrics["rounds"]
+            for kind, name in (("sample", "samples"), ("front", "front"))
+        ]
+        if "failed_round" in metrics:
+            # a failed round evaluated its samples but made no front
+            artifacts.append((metrics["failed_round"]["index"], "sample", "samples"))
         combined_rows = []
-        for round_info in metrics["rounds"]:
-            index = round_info["index"]
-            for kind, artifact in (("sample", "samples"), ("front", "front")):
-                _, rows = _read_csv(run_dir / f"{artifact}_round_{index}.csv")
-                combined_rows.extend([index, kind, *row] for row in rows)
+        for index, kind, name in artifacts:
+            _, rows = _read_csv(run_dir / f"{name}_round_{index}.csv")
+            combined_rows.extend([index, kind, *row] for row in rows)
         # every run that wrote metrics.json wrote the final front too
         final_header, final_rows = _read_csv(run_dir / "final_front.csv")
         combined_rows.extend([-1, "final", *row] for row in final_rows)

@@ -1,6 +1,6 @@
 """Foundational types and set operations: the sample archive and Pareto
-approximations as matrices, Pareto dominance, non-dominance filtering,
-Hausdorff distance and box bounds.
+approximations as matrices, Pareto dominance, non-domination ranks and
+filtering, Hausdorff distance and box bounds.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across concurrent workers.
@@ -235,13 +235,28 @@ def front_ranks_2d(F: np.ndarray) -> np.ndarray:
     return rank
 
 
+def front_ranks(F: np.ndarray) -> np.ndarray:
+    """Non-domination rank of every row of an (n, K) objective matrix, as
+    defined in `front_ranks_2d`.
+
+    Two objectives without NaN take the sweep of `front_ranks_2d`; any
+    other input peels the dominance matrix one front at a time.
+    """
+    if F.shape[1] == 2 and not np.isnan(F).any():
+        return front_ranks_2d(F)
+    dom = dominance_matrix(F)
+    n_dominators = dom.sum(axis=0)
+    rank = np.full(F.shape[0], -1, dtype=np.intp)
+    while (rank < 0).any():
+        front = np.flatnonzero((n_dominators == 0) & (rank < 0))
+        rank[front] = rank.max() + 1
+        n_dominators = n_dominators - dom[front].sum(axis=0)
+    return rank
+
+
 def non_dominated_filter(points) -> np.ndarray:
     """Indices of all points not dominated by any other point, in input order."""
-    F = _as_points(points, "point set")
-    if F.shape[1] == 2 and not np.isnan(F).any():
-        return np.flatnonzero(front_ranks_2d(F) == 0)
-    dominated = dominance_matrix(F).any(axis=0)
-    return np.flatnonzero(~dominated)
+    return np.flatnonzero(front_ranks(_as_points(points, "point set")) == 0)
 
 
 def hausdorff_distance(X, Y, normalize: bool = False) -> float:

@@ -464,7 +464,9 @@ def sample_size_study(
     jobs: int = 1,
 ) -> list:
     """Re-run the adaptive loop for each batch size (and repetition),
-    reporting rounds, evaluation counts, wall-clock and front quality."""
+    reporting rounds, evaluation counts, wall-clock and front quality. A
+    cell whose run fails, by raising or with a `record.error`, is logged and
+    left out."""
     if len(sizes) == 0:
         raise ConfigurationError("study needs at least one sample size")
     reference = problem.true_front(1000) if problem.true_front is not None else None
@@ -475,8 +477,11 @@ def sample_size_study(
             t0 = time.perf_counter()
             try:
                 record = samo_run(problem, run_cfg, jobs=jobs)
+                error = record.error
             except SamoError as exc:
-                logger.error("study cell (s=%d, rep=%d) failed: %s", size, rep, exc)
+                error = exc
+            if error is not None:
+                logger.error("study cell (s=%d, rep=%d) failed: %s", size, rep, error)
                 continue
             elapsed = time.perf_counter() - t0
             quality = None

@@ -1,15 +1,15 @@
 """Elitist non-dominated-sorting genetic algorithm (NSGA-II style) used to
-optimize the surrogate problem: fast non-dominated sorting, crowding
-distance, binary tournament, simulated binary crossover and polynomial
-mutation with environmental selection from the combined parent/offspring
-pool.
+optimize the surrogate problem: non-domination ranks, crowding distance,
+binary tournament, simulated binary crossover and polynomial mutation with
+environmental selection from the combined parent/offspring pool.
 
 Tournaments, crossover and mutation act on the whole population at once but
 consume the generator exactly as one tournament, one pair and one child at a
-time would, so a seed gives the same run bit for bit. Crowding for all fronts
-comes from one sort per objective, and survivors keep the ranks and crowding
-they had in the pool; only the front cut by the population size is crowded
-again.
+time would, so a seed gives the same run bit for bit. A generation passes
+around one rank vector, from `samo.core.front_ranks` for any number of
+objectives. One routine, `_crowding`, crowds all fronts at once with one sort
+per objective. Survivors are chosen by one stable sort on (rank, crowding on
+the front cut by the population size) and crowded once.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .core import (
     DimensionMismatchError,
     EmptyInputError,
     ParetoApproximation,
-    dominance_matrix,
-    front_ranks_2d,
+    dominance_matrix,  # unused here; resolves the `moea.dominance_matrix` trace site
+    front_ranks,
 )
 from .sampling import latin_hypercube
 
@@ -66,51 +66,63 @@ def fast_non_dominated_sort(pop) -> list:
     front i+1 is non-dominated once fronts <= i are removed.
 
     Takes an (n, K) array of objectives; returns a list of ascending index
-    arrays. Two objectives without NaN take the O(n log n) sweep of
-    `front_ranks_2d`; any other input peels the dominance matrix.
+    arrays, the rows of `samo.core.front_ranks` grouped by rank.
     """
     F = np.atleast_2d(np.asarray(pop, dtype=float))
     if F.shape[0] == 0:
         raise EmptyInputError("population must not be empty")
-    if F.shape[1] == 2 and not np.isnan(F).any():
-        rank = front_ranks_2d(F)
-        by_rank = np.argsort(rank, kind="stable")
-        ends = np.cumsum(np.bincount(rank)).tolist()
-        return [by_rank[start:end] for start, end in zip([0, *ends], ends)]
-    dom = dominance_matrix(F)
-    n_dominators = dom.sum(axis=0)
-    fronts = []
-    assigned = np.zeros(F.shape[0], dtype=bool)
-    remaining = n_dominators.astype(int)
-    while not assigned.all():
-        front = np.flatnonzero((remaining == 0) & ~assigned)
-        fronts.append(front)
-        assigned[front] = True
-        remaining = remaining - dom[front].sum(axis=0)
-    return fronts
+    rank = front_ranks(F)
+    return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
 
 
 def crowding_distance(front) -> np.ndarray:
     """Per-objective normalized neighbor gaps, summed; boundary points and
     fronts of size <= 2 get infinity."""
     F = np.atleast_2d(np.asarray(front, dtype=float))
-    n, n_obj = F.shape
-    if n == 0:
+    if F.shape[0] == 0:
         raise EmptyInputError("front must not be empty")
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
-    # demoted individuals carry infinite objectives; their span is not a
-    # number and contributes nothing
-    with np.errstate(invalid="ignore"):
-        for k in range(n_obj):
-            order = np.argsort(F[:, k], kind="stable")
-            vals = F[order, k]
-            dist[order[0]] = dist[order[-1]] = np.inf
-            span = vals[-1] - vals[0]
-            if np.isfinite(span) and span > 0.0:
-                dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
-    return dist
+    return _crowding(F, np.zeros(F.shape[0], dtype=np.intp))
+
+
+def _crowding(Y: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Crowding distance of every row of Y within its front, the rows of
+    rank r; `rank` holds every value from 0 to its largest.
+
+    One stable sort by (rank, f_k) per objective puts every front in a
+    segment of its own, sorted by f_k with ties in index order. A segment's
+    ends get infinity; its inner points get their neighbour gap over the
+    segment's span, unless that span is not a positive number. The gaps are
+    added objective by objective.
+    """
+    n, n_obj = Y.shape
+    sizes = np.bincount(rank)
+    sorted_rank = np.repeat(np.arange(len(sizes)), sizes)
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    inner = np.ones(n, dtype=bool)
+    inner[first] = inner[last] = False
+
+    # one row per objective from here on
+    order = np.array([np.lexsort((Y[:, k], rank)) for k in range(n_obj)])
+    rows = np.arange(n_obj)[:, None]
+    vals = Y[order, rows]
+    gap = np.zeros((n_obj, n))
+    # demoted individuals carry infinite objectives; the span of a front
+    # holding them is not a number and contributes nothing. A gap across
+    # two fronts may overflow and is never used.
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = (vals[:, last] - vals[:, first])[:, sorted_rank]
+        gap[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
+        counted = inner & np.isfinite(span) & (span > 0.0)
+        gap[counted] /= span[counted]
+    gap[~counted] = 0.0
+    by_row = np.empty_like(gap)
+    by_row[rows, order] = gap
+    crowd = np.zeros(n)
+    for objective_gap in by_row:
+        crowd += objective_gap
+    crowd[order[:, first]] = crowd[order[:, last]] = np.inf
+    return crowd
 
 
 def sbx_crossover(
@@ -236,52 +248,6 @@ def _evaluate(objective, X: np.ndarray) -> tuple:
     return Y, flagged
 
 
-def _rank_and_crowding(Y: np.ndarray) -> tuple:
-    """Non-domination rank and crowding distance of every row of Y, equal
-    bit for bit to `crowding_distance` of each front of
-    `fast_non_dominated_sort`.
-
-    One stable sort by (rank, f_k) per objective puts every front in a
-    segment of its own, in the order `crowding_distance` sorts that front
-    (ties by index). A segment's ends get infinity; its inner points get
-    their neighbour gap over the segment's span, unless that span is not
-    a positive number. The gaps are added objective by objective, in the
-    order `crowding_distance` adds them.
-    """
-    fronts = fast_non_dominated_sort(Y)
-    n, n_obj = Y.shape
-    sizes = np.array([len(f) for f in fronts])
-    sorted_rank = np.repeat(np.arange(len(fronts)), sizes)
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.concatenate(fronts)] = sorted_rank
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    inner = np.ones(n, dtype=bool)
-    inner[first] = inner[last] = False
-
-    # one row per objective from here on
-    order = np.array([np.lexsort((Y[:, k], rank)) for k in range(n_obj)])
-    rows = np.arange(n_obj)[:, None]
-    vals = Y[order, rows]
-    gap = np.zeros((n_obj, n))
-    # demoted individuals carry infinite objectives; the span of a front
-    # holding them is not a number and contributes nothing. A gap across
-    # two fronts may overflow and is never used.
-    with np.errstate(invalid="ignore", over="ignore"):
-        span = (vals[:, last] - vals[:, first])[:, sorted_rank]
-        gap[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
-        counted = inner & np.isfinite(span) & (span > 0.0)
-        gap[counted] /= span[counted]
-    gap[~counted] = 0.0
-    by_row = np.empty_like(gap)
-    by_row[rows, order] = gap
-    crowd = np.zeros(n)
-    for objective_gap in by_row:
-        crowd += objective_gap
-    crowd[order[:, first]] = crowd[order[:, last]] = np.inf
-    return rank, crowd
-
-
 def _tournaments(rank, crowd, m: int, rng) -> list:
     """The parents of `m` binary tournaments on (rank, crowding), drawn
     exactly as `m` tournaments one at a time would: two `rng.integers(0, n)`
@@ -378,7 +344,8 @@ def nsga2_run(
 
     X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))
     Y, demoted = _evaluate(objective, X)
-    rank, crowd = _rank_and_crowding(Y)
+    rank = front_ranks(Y)
+    crowd = _crowding(Y, rank)
 
     for gen in range(cfg.generations):
         off_X = _offspring(X, rank, crowd, rng, cfg, bounds, mutation_prob)
@@ -386,26 +353,20 @@ def nsga2_run(
         demoted += flagged
 
         pool_Y = np.vstack([Y, off_Y])
-        pool_rank, pool_crowd = _rank_and_crowding(pool_Y)
-        # whole fronts in rank order, ascending index within a front, while
-        # they fit; then the most crowded-apart members of the front cut
-        by_rank = np.argsort(pool_rank, kind="stable")
-        filled = np.cumsum(np.bincount(pool_rank))
-        fitting = int(np.searchsorted(filled, M, side="right"))
-        cut = int(filled[fitting - 1]) if fitting else 0
-        keep = by_rank[:cut]
-        if cut < M:
-            front = by_rank[cut : filled[fitting]]
-            best = front[np.argsort(-pool_crowd[front], kind="stable")[: M - cut]]
-            keep = np.concatenate([keep, best])
+        pool_rank = front_ranks(pool_Y)
+        # whole fronts while they fit, then the most crowded-apart members of
+        # the front cut by the population size, ties to the lower pool index.
+        # Removing worse fronts leaves each survivor's rank as it was in the
+        # pool. The sort is stable, so a whole front keeps pool-index order,
+        # its crowding breaks ties as in the pool and is the pool's bit for bit.
+        cut = pool_rank == np.sort(pool_rank)[M]
+        spread = np.zeros(2 * M)
+        spread[cut] = -crowding_distance(pool_Y[cut])
+        keep = np.lexsort((spread, pool_rank))[:M]
         X = np.vstack([X, off_X])[keep]
         Y = pool_Y[keep]
-        # removing worse fronts leaves every survivor's rank, and the
-        # crowding of every whole front, as they were in the pool
         rank = pool_rank[keep]
-        crowd = pool_crowd[keep]
-        if cut < M:
-            crowd[cut:] = crowding_distance(Y[cut:])
+        crowd = _crowding(Y, rank)
 
         if snapshot_writer is not None:
             first = rank == 0

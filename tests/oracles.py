@@ -3,8 +3,9 @@
 These are the one-point forms the package used before MGDA stepped all
 starts together and NSGA-II worked on whole populations: one start at a
 time with one `predict` / `input_jacobian` call per point, NSGA-II
-objectives evaluated row by row, fronts peeled from the dominance matrix,
-and SBX and polynomial mutation applied one pair and one child at a time
+objectives evaluated row by row, fronts peeled from the dominance matrix
+and crowded one front at a time, survivors gathered front by front in a
+list, and SBX and polynomial mutation applied one pair and one child at a time
 with the generator passed in, and binary tournaments drawn one scalar
 generator call at a time. The quarter-car integrator is the form that
 ran on numpy-scalar parameters, evaluated the road input in the loop and
@@ -38,7 +39,7 @@ from samo.core import (
     non_dominated_filter,
 )
 from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _row_dot
-from samo.moea import _evaluate, crowding_distance
+from samo.moea import _evaluate
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
 from samo.surrogate import RbfModel, Scaler
@@ -295,6 +296,28 @@ def dominance_sort(F) -> list:
     return fronts
 
 
+def crowding_distance(front) -> np.ndarray:
+    """Crowding distance of one front, one objective at a time: per-objective
+    normalized neighbor gaps, summed; boundary points and fronts of size
+    <= 2 get infinity."""
+    F = np.atleast_2d(np.asarray(front, dtype=float))
+    n, n_obj = F.shape
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    # demoted individuals carry infinite objectives; their span is not a
+    # number and contributes nothing
+    with np.errstate(invalid="ignore"):
+        for k in range(n_obj):
+            order = np.argsort(F[:, k], kind="stable")
+            vals = F[order, k]
+            dist[order[0]] = dist[order[-1]] = np.inf
+            span = vals[-1] - vals[0]
+            if np.isfinite(span) and span > 0.0:
+                dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+    return dist
+
+
 def sbx_crossover(p1, p2, prob, eta_c, bounds, rng, var_prob=0.5):
     """One pair of SBX children, drawing its own uniforms."""
     p1 = np.asarray(p1, dtype=float)
@@ -373,6 +396,8 @@ def polynomial_mutation_dense(X, mutate, u, eta_m, bounds) -> np.ndarray:
 
 
 def rank_and_crowding(Y) -> tuple:
+    """Rank, crowding and fronts of every row of Y: fronts peeled from the
+    dominance matrix, each crowded on its own."""
     fronts = dominance_sort(Y)
     rank = np.empty(Y.shape[0], dtype=int)
     crowd = np.empty(Y.shape[0])
@@ -416,8 +441,9 @@ def offspring(X, Y, rng, cfg, bounds, mutation_prob):
 
 
 def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> ParetoApproximation:
-    """`samo.moea.nsga2_run` built from the one-pair operators and the
-    dominance-matrix sort."""
+    """`samo.moea.nsga2_run` built from the dominance-matrix sort, per-front
+    crowding, survivors gathered front by front, one tournament per child
+    and the one-pair operators."""
     rng = np.random.default_rng(cfg.seed)
     M = cfg.population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim

@@ -479,24 +479,40 @@ class TestDefaultConfig:
 
 
 class TestCmdFront:
+    @staticmethod
+    def combined(out: Path) -> tuple:
+        """The data rows of `samo front`'s combined.csv, split by their
+        kind column, and the run's metrics."""
+        assert main(["front", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "combined.csv").read_text().strip().splitlines()[1:]]
+        kinds = {kind: [r for r in rows if r[1] == kind] for kind in ("sample", "front", "final")}
+        return kinds, json.loads((out / "metrics.json").read_text())
+
     def test_combined_row_count_identity(self, tmp_path, capsys):
         config_path = write_config(tmp_path, CHEAP_CONFIG)
         out = tmp_path / "run"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
-        assert main(["front", str(out)]) == 0
-        combined = (out / "combined.csv").read_text().strip().splitlines()
-        metrics = json.loads((out / "metrics.json").read_text())
-        expected_round_rows = sum(
-            r["new_samples"] + r["front_size"] for r in metrics["rounds"]
-        )
-        data_rows = combined[1:]
-        round_rows = [r for r in data_rows if not r.startswith("-1,")]
-        final_rows = [r for r in data_rows if r.startswith("-1,")]
-        assert len(round_rows) == expected_round_rows
-        assert len(final_rows) == metrics["final_front_size"]
+        kinds, metrics = self.combined(out)
+        assert len(kinds["sample"]) == sum(r["new_samples"] for r in metrics["rounds"])
+        assert len(kinds["sample"]) == metrics["total_evaluations"]
+        assert len(kinds["front"]) == sum(r["front_size"] for r in metrics["rounds"])
+        assert len(kinds["final"]) == metrics["final_front_size"]
         # every round index appears
-        rounds_seen = {int(r.split(",")[0]) for r in round_rows}
+        rounds_seen = {int(r[0]) for r in kinds["sample"] + kinds["front"]}
         assert rounds_seen == set(range(len(metrics["rounds"])))
+
+    def test_combined_keeps_the_failed_round_samples(self, tmp_path, capsys):
+        payload = json.loads(CHEAP_DEMO.read_text())
+        payload["samo"].update(optimizer="mgda-multistart", mgda={"max_iterations": 1})
+        config_path = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+        kinds, metrics = self.combined(out)
+        assert metrics["rounds"] == [] and metrics["failed_round"]["index"] == 0
+        assert len(kinds["sample"]) == metrics["total_evaluations"] == 10
+        assert {r[0] for r in kinds["sample"]} == {"0"}
+        assert kinds["front"] == []
+        assert len(kinds["final"]) == metrics["final_front_size"]
 
     def test_missing_artifacts_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"

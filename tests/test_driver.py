@@ -28,6 +28,7 @@ from samo.surrogate import TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
+DEFAULT_CONFIG = CHEAP_DEMO.with_name("default.json")
 
 
 def small_cfg(**overrides) -> SamoConfig:
@@ -311,6 +312,29 @@ class TestBatchedOptimizersMatchOnePointPath:
         for name in ("samples_round_*.csv", "front_round_*.csv", "final_front.csv"):
             assert self.artifacts(tmp_path / "fast", name) == self.artifacts(tmp_path / "slow", name)
 
+    @staticmethod
+    def short_quarter_car(tmp_path: Path) -> Path:
+        payload = json.loads(DEFAULT_CONFIG.read_text())
+        payload["problem"]["horizon"]["te"] = 0.2
+        payload["samo"].update(population_size=40, budget=40, batch_size=10)
+        payload["samo"]["moea"]["generations"] = 40
+        path = tmp_path / "qcar-short.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("config", ["cheap_demo", "qcar-short"])
+    def test_whole_nsga2_byte_identical(self, tmp_path, monkeypatch, config):
+        # the oracle ranks by the dominance peel, crowds front by front,
+        # gathers survivors in a list and draws one tournament per child
+        path = CHEAP_DEMO if config == "cheap_demo" else self.short_quarter_car(tmp_path)
+        run = RunConfig.from_file(path)
+        samo_run(run.problem, run.samo, run_dir=tmp_path / "fast", verbose=True)
+        monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
+        samo_run(run.problem, run.samo, run_dir=tmp_path / "slow", verbose=True)
+        fast = self.artifacts(tmp_path / "fast", "*.csv")
+        assert "nsga2_fronts_round_0.csv" in fast
+        assert fast == self.artifacts(tmp_path / "slow", "*.csv")
+
 
 class TestIgd:
     def test_exact_cover_zero(self):
@@ -363,6 +387,19 @@ class TestStudy:
         rows = sample_size_study(CHEAP, [4, 5, 6], cfg, repetitions=2)
         assert untimed(rows) == untimed(expected)
         assert [(r.batch_size, r.repetition) for r in rows] == [(4, 0), (6, 0), (4, 1), (6, 1)]
+
+    def test_cell_with_a_recorded_error_left_out(self, caplog):
+        # samo_run records the optimizer's failure instead of raising; 50
+        # MGDA iterations are too few for any start on the MLP to converge
+        config = RunConfig.from_file(CHEAP_DEMO)
+        cfg = replace(
+            config.samo,
+            surrogate="mlp",
+            optimizer="mgda-multistart",
+            mgda=replace(config.samo.mgda, max_iterations=50),
+        )
+        assert sample_size_study(config.problem, [5], cfg) == []
+        assert "study cell (s=5, rep=0) failed: surrogate optimization failed in round 0" in caplog.text
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

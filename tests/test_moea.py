@@ -8,6 +8,7 @@ from samo.core import (
     BoxBounds,
     ConfigurationError,
     DimensionMismatchError,
+    front_ranks,
     non_dominated_filter,
 )
 from oracles import dominates
@@ -86,6 +87,22 @@ class TestSorting:
     def test_two_objective_sweep_edge_cases(self, Y):
         assert [f.tolist() for f in fast_non_dominated_sort(Y)] == [list(range(len(Y)))]
 
+    @given(
+        st.sampled_from([2, 3]),
+        st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=60),
+        st.lists(st.integers(0, 59), max_size=8),
+        st.lists(st.integers(0, 59), max_size=4),
+    )
+    def test_front_ranks_equal_dominance_peeling(self, k, grid, inf_rows, nan_rows):
+        # two objectives take the sweep unless a NaN sends them to the peel
+        Y = np.array(grid, dtype=float)[:, :k]
+        Y[[i for i in inf_rows if i < len(Y)]] = np.inf
+        Y[[i for i in nan_rows if i < len(Y)], 0] = np.nan
+        want = np.empty(len(Y), dtype=np.intp)
+        for r, front in enumerate(oracles.dominance_sort(Y)):
+            want[front] = r
+        assert np.array_equal(front_ranks(Y), want)
+
     def test_dominated_point_in_second_front(self):
         fronts = fast_non_dominated_sort(np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
         assert sorted(fronts[0].tolist()) == [0, 1]
@@ -112,12 +129,14 @@ class TestCrowding:
 
 
 class TestRankAndCrowding:
-    """All fronts' crowding from one sort per objective against one
-    `crowding_distance` call per front of the dominance-matrix peeling."""
+    """`front_ranks` and all fronts' crowding from one sort per objective
+    against the dominance-matrix peeling and the per-front crowding of
+    tests/oracles.py."""
 
     @staticmethod
     def assert_matches_oracle(Y):
-        rank, crowd = moea._rank_and_crowding(Y)
+        rank = front_ranks(Y)
+        crowd = moea._crowding(Y, rank)
         want_rank, want_crowd, _ = oracles.rank_and_crowding(Y)
         assert np.array_equal(rank, want_rank)
         assert np.array_equal(crowd, want_crowd)
@@ -143,8 +162,18 @@ class TestRankAndCrowding:
             np.full((6, 3), 4.0),
             np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 6.0], [3.0, 6.0]]),
             np.vstack([np.random.default_rng(4).random((30, 3)), np.full((5, 3), np.inf)]),
+            np.array([[0.0, 3.0], [1.0, 2.0], [2.0, 1.0], [1.0, 4.0], [2.0, 3.0], [3.0, 3.0]]),
+            np.vstack([np.full((3, 2), 1.0), [[0.0, 2.0], [2.0, 0.0]], np.full((2, 2), np.inf)]),
         ],
-        ids=["one-point", "fronts-of-one-and-two", "all-equal", "zero-span", "random-with-inf"],
+        ids=[
+            "one-point",
+            "fronts-of-one-and-two",
+            "all-equal",
+            "zero-span",
+            "random-with-inf",
+            "fronts-of-three-two-one",
+            "duplicates-between-ends-and-inf",
+        ],
     )
     def test_edge_cases(self, Y):
         self.assert_matches_oracle(Y)
@@ -530,8 +559,8 @@ class TestNsga2:
 
     @pytest.mark.parametrize("M", [8, 20, 60])
     def test_carried_survivor_ranks_equal_a_fresh_ranking(self, M, monkeypatch):
-        # survivors keep their pool rank and crowding, and only the front cut
-        # by the population size is crowded again
+        # survivors keep their pool rank and are crowded once; both must equal
+        # a fresh peel and per-front crowding of the survivors
         problem = make_analytic_problem("two-paraboloids")
 
         def flaky(X):
@@ -544,7 +573,7 @@ class TestNsga2:
 
         def checked(X, rank, crowd, *args):
             Y, _ = moea._evaluate(flaky, X)
-            want_rank, want_crowd = moea._rank_and_crowding(Y)
+            want_rank, want_crowd, _ = oracles.rank_and_crowding(Y)
             assert np.array_equal(rank, want_rank)
             assert np.array_equal(crowd, want_crowd)
             generations.append(len(generations))
