@@ -15,7 +15,7 @@ from .core import (
     hausdorff_distance,
     non_dominated_filter,
 )
-from .driver import RunRecord, SamoConfig, check_convergence, igd, sample_size_study, samo_run
+from .driver import RunRecord, SamoConfig, check_convergence, sample_size_study, samo_run
 from .mgda import MgdaConfig, mgda_run, multistart_mgda
 from .moea import MoeaConfig, nsga2_run
 from .problems import (

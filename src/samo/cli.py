@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``run``       execute one adaptive optimization run from a JSON config
-* ``front``     combine a run directory's per-round artifacts into one CSV
+* ``front``     combine a run directory's point sets into one CSV
 * ``study``     sweep batch sizes and surrogate kinds, emit a study table
 * ``evaluate``  expensive-evaluate a single design point (debugging aid)
 
@@ -31,6 +31,8 @@ from .driver import (
     SamoConfig,
     StudyRow,
     format_float,
+    point_header,
+    read_run,
     sample_size_study,
     samo_run,
     write_csv,
@@ -48,10 +50,6 @@ from .problems import (
 from .surrogate import TrainConfig
 
 logger = logging.getLogger(__name__)
-
-
-class MissingArtifactError(SamoError):
-    """A run directory lacks an artifact required by this command."""
 
 
 def _section(value, where: str) -> dict:
@@ -294,45 +292,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_csv(path: Path):
-    if not path.exists():
-        raise MissingArtifactError(f"missing artifact: {path}")
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    return header, rows
-
-
 def cmd_front(args) -> int:
     run_dir = Path(args.run_dir)
     try:
-        metrics_path = run_dir / "metrics.json"
-        if not metrics_path.exists():
-            raise MissingArtifactError(f"missing artifact: {metrics_path}")
-        metrics = json.loads(metrics_path.read_text())
-        artifacts = [
-            (r["index"], kind, name)
-            for r in metrics["rounds"]
-            for kind, name in (("sample", "samples"), ("front", "front"))
-        ]
-        if "failed_round" in metrics:
-            # a failed round evaluated its samples but made no front
-            artifacts.append((metrics["failed_round"]["index"], "sample", "samples"))
-        combined_rows = []
-        for index, kind, name in artifacts:
-            _, rows = _read_csv(run_dir / f"{name}_round_{index}.csv")
-            combined_rows.extend([index, kind, *row] for row in rows)
-        # every run that wrote metrics.json wrote the final front too
-        final_header, final_rows = _read_csv(run_dir / "final_front.csv")
-        combined_rows.extend([-1, "final", *row] for row in final_rows)
-    except (MissingArtifactError, json.JSONDecodeError, KeyError) as exc:
+        point_sets = read_run(run_dir)
+    except SamoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    x_names = [c for c in final_header if c.startswith("x")]
-    value_names = [f"obj{k}" for k in range(len(final_header) - len(x_names))]
+    rows = [[j, kind, *x, *f] for j, kind, X, F in point_sets for x, f in zip(X, F)]
+    _, _, X, F = point_sets[-1]
     out = Path(args.out) if args.out else run_dir / "combined.csv"
-    write_csv(out, ["round", "kind", *x_names, *value_names], combined_rows)
-    print(f"wrote {out} ({len(combined_rows)} rows)")
+    write_csv(out, ["round", "kind", *point_header(X, F, "obj")], rows)
+    print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
@@ -364,6 +335,10 @@ def cmd_study(args) -> int:
     ]
     write_csv(out / "study.csv", header, table)
     print(f"wrote {out / 'study.csv'} ({len(table)} rows)")
+    if not rows:
+        cells = len(config.study.surrogates) * len(config.study.sizes) * config.study.repetitions
+        print(f"error: {cells} of {cells} study cells failed", file=sys.stderr)
+        return 1
     return 0
 
 

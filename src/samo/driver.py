@@ -5,7 +5,8 @@ optimization, stopping when the Hausdorff distance between consecutive
 surrogate fronts falls below a threshold or the evaluation budget is spent,
 and finishes with a non-dominance test over every expensive sample
 collected. All artifacts (samples, fronts, serialized surrogates, metrics)
-are written into a run directory as they are produced.
+are written into a run directory as they are produced; `read_run` reads its
+point sets back.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Dataset,
     EmptyInputError,
     ParetoApproximation,
+    SamoError,
     hausdorff_distance,
     non_dominated_filter,
 )
@@ -35,7 +37,6 @@ from .sampling import latin_hypercube, pareto_informed_samples
 from .surrogate import (
     DEFAULT_RIDGE,
     DEFAULT_SIGMA_GRID,
-    SamoError,
     TrainConfig,
     fit_mlp,
     fit_rbf,
@@ -49,6 +50,19 @@ METRICS_SCHEMA_VERSION = 2
 
 SURROGATE_KINDS = ("mlp", "rbf")
 OPTIMIZER_KINDS = ("nsga2", "mgda-multistart")
+
+# The point sets of a run directory, by the kind `samo front` tags their rows
+# with; a round's file name takes its index, the final front's none.
+POINT_FILES = {
+    "sample": "samples_round_{}.csv",
+    "front": "front_round_{}.csv",
+    "final": "final_front.csv",
+}
+METRICS_FILE = "metrics.json"
+
+
+class MissingArtifactError(SamoError):
+    """A run directory lacks an artifact that is read from it."""
 
 
 def format_float(value: float) -> str:
@@ -70,6 +84,34 @@ def point_header(X: np.ndarray, F: np.ndarray, obj: str) -> list:
     the objectives F prefixed `obj` (f for true values, g for surrogate
     values)."""
     return [f"x{i}" for i in range(X.shape[1])] + [f"{obj}{k}" for k in range(F.shape[1])]
+
+
+def _read_artifact(path: Path) -> str:
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        raise MissingArtifactError(f"missing artifact: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SamoError(f"cannot read {path}: {exc}") from None
+
+
+def read_points(path: Path) -> tuple:
+    """The decisions X and objectives F of a CSV file written by
+    `RunDirectoryWriter.write_points`, bit for bit: the x-prefixed columns
+    are X, the others F."""
+    lines = _read_artifact(path).splitlines()
+    if not lines:
+        raise SamoError(f"{path} is empty")
+    header = lines[0].split(",")
+    try:
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise SamoError(f"{path} holds a value that is no number: {exc}") from None
+    if any(len(row) != len(header) for row in rows):
+        raise SamoError(f"{path} has a row not as wide as its {len(header)} columns")
+    values = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    n_x = sum(name.startswith("x") for name in header)
+    return values[:, :n_x], values[:, n_x:]
 
 
 def derive_seed(master: int, *tags: int) -> int:
@@ -296,7 +338,27 @@ class RunDirectoryWriter:
         }
         if record.failed_round is not None:
             metrics["failed_round"] = record.failed_round
-        (self.run_dir / "metrics.json").write_text(json.dumps(metrics, indent=2))
+        (self.run_dir / METRICS_FILE).write_text(json.dumps(metrics, indent=2))
+
+
+def read_run(run_dir: Path) -> list:
+    """Every point set of a run directory as (round index, kind, X, F), in
+    the order `metrics.json` lists them: each round's samples and front, a
+    failed round's samples, and the final front as round -1."""
+    path = run_dir / METRICS_FILE
+    try:
+        metrics = json.loads(_read_artifact(path))
+        sets = [(r["index"], kind) for r in metrics["rounds"] for kind in ("sample", "front")]
+        if "failed_round" in metrics:
+            # a failed round evaluated its samples but made no front
+            sets.append((metrics["failed_round"]["index"], "sample"))
+    except json.JSONDecodeError as exc:
+        raise SamoError(f"{path} is not valid JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise SamoError(f"{path} lists no rounds: {exc!r}") from None
+    # every run that wrote metrics.json wrote the final front too
+    sets.append((-1, "final"))
+    return [(j, kind, *read_points(run_dir / POINT_FILES[kind].format(j))) for j, kind in sets]
 
 
 def samo_run(
@@ -344,7 +406,7 @@ def samo_run(
         record.dataset = record.dataset.with_samples(X_new, Y_new)
         timings["evaluation"] = time.perf_counter() - t0
         if writer:
-            writer.write_points(f"samples_round_{round_index}.csv", X_new, Y_new, "f")
+            writer.write_points(POINT_FILES["sample"].format(round_index), X_new, Y_new, "f")
 
         optimizer_stats: dict = {}
         stage = "fit"
@@ -392,7 +454,7 @@ def samo_run(
         )
         record.rounds.append(round_record)
         if writer:
-            writer.write_points(f"front_round_{round_index}.csv", pareto.X, pareto.F, "g")
+            writer.write_points(POINT_FILES["front"].format(round_index), pareto.X, pareto.F, "g")
             writer.write_surrogate(round_index, model)
         if verbose or h is not None:
             logger.info(
@@ -414,33 +476,29 @@ def samo_run(
         record.final_decision = record.dataset.X[keep]
         record.final_front = record.dataset.Y[keep]
         if writer:
-            writer.write_points("final_front.csv", record.final_decision, record.final_front, "f")
+            writer.write_points(
+                POINT_FILES["final"], record.final_decision, record.final_front, "f"
+            )
     if writer:
         writer.write_metrics(record)
     return record
 
 
-def igd(front, reference) -> float:
-    """Inverted generational distance: mean distance from each reference
-    point to its nearest front member, optionally after normalizing both
-    sets by the reference's bounding box (see `igd_normalized`)."""
+def igd_normalized(front, reference) -> float:
+    """Inverted generational distance: the mean distance from each reference
+    point to its nearest front member, with both sets scaled by the
+    reference front's per-objective range, making the indicator comparable
+    across problems."""
     F = np.atleast_2d(np.asarray(front, dtype=float))
     R = np.atleast_2d(np.asarray(reference, dtype=float))
     if F.shape[0] == 0 or R.shape[0] == 0:
         raise EmptyInputError("front and reference must be non-empty")
-    d = np.sqrt(((R[:, None, :] - F[None, :, :]) ** 2).sum(axis=2))
-    return float(d.min(axis=1).mean())
-
-
-def igd_normalized(front, reference) -> float:
-    """IGD with both sets scaled by the reference front's per-objective
-    range, making the indicator comparable across problems."""
-    R = np.atleast_2d(np.asarray(reference, dtype=float))
     lo = R.min(axis=0)
     span = R.max(axis=0) - lo
     span = np.where(span > 0.0, span, 1.0)
-    F = (np.atleast_2d(np.asarray(front, dtype=float)) - lo) / span
-    return igd(F, (R - lo) / span)
+    F, R = (F - lo) / span, (R - lo) / span
+    d = np.sqrt(((R[:, None, :] - F[None, :, :]) ** 2).sum(axis=2))
+    return float(d.min(axis=1).mean())
 
 
 @dataclass(frozen=True)

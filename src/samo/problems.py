@@ -26,7 +26,7 @@ from .core import (
     SamoError,
 )
 
-ANALYTIC_PROBLEM_NAMES = ("two-paraboloids", "zdt1", "branin-pair")
+ANALYTIC_PROBLEM_NAMES = ("two-paraboloids", "zdt1")
 
 
 class DivergenceError(SamoError):
@@ -381,38 +381,7 @@ def _zdt1(n_dim: int) -> Problem:
     )
 
 
-def _branin_value(x1: float, x2: float) -> float:
-    a = 1.0
-    b = 5.1 / (4.0 * math.pi**2)
-    c = 5.0 / math.pi
-    r = 6.0
-    s = 10.0
-    t = 1.0 / (8.0 * math.pi)
-    return a * (x2 - b * x1**2 + c * x1 - r) ** 2 + s * (1.0 - t) * math.cos(x1) + s
-
-
-def _branin_pair() -> Problem:
-    # second objective is the same surface with the input shifted, so the
-    # two minima landscapes conflict; no closed-form front is known
-    shift = np.array([2.5, -2.5])
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array(
-            [
-                _branin_value(x[0], x[1]),
-                _branin_value(x[0] - shift[0], x[1] - shift[1]),
-            ]
-        )
-
-    return Problem(
-        name="branin-pair",
-        bounds=BoxBounds(np.array([-5.0, 0.0]), np.array([10.0, 15.0])),
-        evaluate=f,
-    )
-
-
-# builder, smallest and default dimension of the problems of free dimension
+# builder, smallest and default dimension of each analytic problem
 _FREE_DIM = {"two-paraboloids": (_two_paraboloids, 1, 4), "zdt1": (_zdt1, 2, 30)}
 
 
@@ -424,10 +393,6 @@ def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
         if n_dim < smallest:
             raise ConfigurationError(f"{name} needs n_dim of at least {smallest}, got {n_dim}")
         return build(n_dim)
-    if name == "branin-pair":
-        if n_dim not in (None, 2):
-            raise ConfigurationError("branin-pair is two-dimensional")
-        return _branin_pair()
     raise ConfigurationError(
         f"unknown analytic problem {name!r}; choose from {ANALYTIC_PROBLEM_NAMES}"
     )

@@ -278,7 +278,7 @@ class TestRunConfig:
             {"horizon": None},
         ],
     )
-    @pytest.mark.parametrize("name", ["zdt1", "two-paraboloids", "branin-pair"])
+    @pytest.mark.parametrize("name", ["zdt1", "two-paraboloids"])
     def test_analytic_section_takes_only_n_dim(self, name, extra):
         (key,) = extra
         section = {"name": name, "n_dim": None, **extra}
@@ -289,10 +289,14 @@ class TestRunConfig:
         assert RunConfig.from_dict({"problem": {"name": "zdt1", "n_dim": None}}).problem.n_dim == 30
         assert RunConfig.from_dict({"problem": {"name": "zdt1", "n_dim": 3}}).problem.n_dim == 3
 
-    def test_unknown_problem_name_rejected_before_its_keys(self):
-        section = {"name": "zdt2", "n_dim": "three", "half_width": 0.5, "horizon": 3}
-        with pytest.raises(ConfigurationError, match="^unknown problem 'zdt2'$"):
-            RunConfig.from_dict({"problem": section})
+    def test_unknown_problem_name_rejected_before_its_keys(self, tmp_path, capsys):
+        for name in ("zdt2", "branin-pair"):
+            section = {"name": name, "n_dim": "three", "half_width": 0.5, "horizon": 3}
+            with pytest.raises(ConfigurationError, match=f"^unknown problem '{name}'$"):
+                RunConfig.from_dict({"problem": section})
+            config_path = write_config(tmp_path, {"problem": {"name": name}})
+            assert main(["evaluate", "--config", str(config_path)]) == 2
+            assert capsys.readouterr().err == f"error: unknown problem '{name}'\n"
 
     @pytest.mark.parametrize(
         "payload, key",
@@ -520,6 +524,31 @@ class TestCmdFront:
         assert main(["front", str(empty)]) == 1
         assert "missing artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage", ["empty-final-front", "metrics-not-utf-8", "metrics-a-directory", "truncated-row"]
+    )
+    def test_unreadable_artifact_exits_1(self, tmp_path, capsys, damage):
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        metrics = out / "metrics.json"
+        samples = out / "samples_round_0.csv"
+        if damage == "empty-final-front":
+            (out / "final_front.csv").write_text("")
+        elif damage == "metrics-not-utf-8":
+            metrics.write_bytes(b"\xff" + metrics.read_bytes())
+        elif damage == "metrics-a-directory":
+            metrics.unlink()
+            metrics.mkdir()
+        else:  # the last row loses its last value
+            text = samples.read_text()
+            samples.write_text(text[: text.rindex(",")])
+        capsys.readouterr()
+        assert main(["front", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "combined.csv").exists()
+
 
 class TestCmdStudy:
     def test_study_table(self, tmp_path):
@@ -555,6 +584,18 @@ class TestCmdStudy:
             out = tmp_path / command
             assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_every_cell_failing_exits_1(self, tmp_path, capsys):
+        # one MGDA iteration is too few for any start to turn critical
+        payload = json.loads(CHEAP_DEMO.read_text())
+        payload["samo"].update(optimizer="mgda-multistart", mgda={"max_iterations": 1})
+        payload["study"]["sizes"] = [10]
+        config_path = write_config(tmp_path, payload)
+        out = tmp_path / "study"
+        assert main(["study", "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: 1 of 1 study cells failed\n"
+        lines = (out / "study.csv").read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("batch_size,")
 
     def test_study_requires_sizes(self, tmp_path):
         payload = {"problem": {"name": "two-paraboloids"}}

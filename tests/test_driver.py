@@ -12,13 +12,16 @@ from oracles import dominates
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError, SamoError, hausdorff_distance
 from samo.driver import (
+    MissingArtifactError,
+    RunDirectoryWriter,
     RunRecord,
     SamoConfig,
     check_convergence,
     derive_seed,
     format_float,
-    igd,
     igd_normalized,
+    read_points,
+    read_run,
     sample_size_study,
     samo_run,
 )
@@ -234,6 +237,55 @@ class TestArtifacts:
         expected = [*record.dataset.X[0], *record.dataset.Y[0]]
         assert values == expected
 
+    def test_read_points_inverts_write_points(self, tmp_path):
+        # signed zero, the smallest subnormal, the ends of the range and
+        # values that need all 17 digits
+        X = np.array([[-0.0, 5e-324], [1e308, 0.1 + 0.2], [-1e308, 2.0 / 3.0]])
+        F = np.array(
+            [[math.pi, -2.2250738585072014e-308], [1.0000000000000002, 0.0], [-1e-300, 1e16 + 2]]
+        )
+        RunDirectoryWriter(tmp_path).write_points("points.csv", X, F, "g")
+        X_read, F_read = read_points(tmp_path / "points.csv")
+        assert X_read.shape == X.shape and X_read.tobytes() == X.tobytes()
+        assert F_read.shape == F.shape and F_read.tobytes() == F.tobytes()
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "missing artifact: "),
+            ("directory", "cannot read "),
+            (b"", " is empty"),
+            (b"\xffx0,f0\n1,2\n", "cannot read "),
+            (b"x0,f0\n1,2\n3\n", " has a row not as wide as its 2 columns"),
+            (b"x0,f0\n1,2\n3,4,5\n", " has a row not as wide as its 2 columns"),
+            (b"x0,f0\n1,two\n", " holds a value that is no number: "),
+        ],
+        ids=["missing", "directory", "empty", "not-utf-8", "short-row", "long-row", "no-number"],
+    )
+    def test_read_points_rejects_an_unreadable_file(self, tmp_path, content, message):
+        path = tmp_path / "points.csv"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SamoError) as info:
+            read_points(path)
+        assert type(info.value) is (MissingArtifactError if content is None else SamoError)
+        assert message in str(info.value) and str(path) in str(info.value)
+
+    def test_read_run_returns_every_point_set(self, tmp_path):
+        record = samo_run(CHEAP, small_cfg(), run_dir=tmp_path)
+        sets = read_run(tmp_path)
+        expected = [(r.index, kind) for r in record.rounds for kind in ("sample", "front")]
+        assert [(j, kind) for j, kind, _, _ in sets] == expected + [(-1, "final")]
+        samples = [(X, F) for _, kind, X, F in sets if kind == "sample"]
+        assert np.array_equal(np.vstack([X for X, _ in samples]), record.dataset.X)
+        assert np.array_equal(np.vstack([F for _, F in samples]), record.dataset.Y)
+        for r, (_, _, X, F) in zip(record.rounds, sets[1::2]):
+            assert np.array_equal(X, r.pareto.X) and np.array_equal(F, r.pareto.F)
+        assert np.array_equal(sets[-1][2], record.final_decision)
+        assert np.array_equal(sets[-1][3], record.final_front)
+
     def test_verbose_rerun_replaces_front_snapshots(self, tmp_path):
         config = RunConfig.from_file(CHEAP_DEMO)
         cfg = replace(config.samo, budget=10, batch_size=5)
@@ -339,13 +391,14 @@ class TestBatchedOptimizersMatchOnePointPath:
 class TestIgd:
     def test_exact_cover_zero(self):
         ref = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert igd(ref, ref) == 0.0
+        assert igd_normalized(ref, ref) == 0.0
 
     def test_known_value(self):
         ref = np.array([[0.0, 0.0], [2.0, 0.0]])
         front = np.array([[0.0, 1.0]])
-        # distances 1 and sqrt(5), averaged
-        assert igd(front, ref) == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0)
+        # the reference box scales f0 by 1/2 and leaves f1, of zero range,
+        # unscaled: distances 1 and sqrt(2), averaged
+        assert igd_normalized(front, ref) == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0)
 
     def test_normalized_by_reference_box(self):
         ref = np.array([[0.0, 0.0], [10.0, 20.0]])

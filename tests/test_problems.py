@@ -293,14 +293,6 @@ class TestAnalyticProblems:
         front = problem.true_front(101)
         assert np.allclose(front[:, 1], 1.0 - np.sqrt(front[:, 0]))
 
-    def test_branin_pair_bounds_and_shift(self):
-        problem = make_analytic_problem("branin-pair")
-        assert problem.n_dim == 2
-        assert np.array_equal(problem.bounds.lower, [-5.0, 0.0])
-        assert np.array_equal(problem.bounds.upper, [10.0, 15.0])
-        y = problem.evaluate(np.array([2.5, 5.0]))
-        assert np.all(np.isfinite(y)) and len(y) == 2
-
     @pytest.mark.parametrize("name, n_dim", [("zdt1", 1), ("zdt1", 0), ("two-paraboloids", 0)])
     def test_too_few_dimensions_rejected(self, name, n_dim):
         with pytest.raises(ConfigurationError, match="n_dim"):
