@@ -302,7 +302,10 @@ def cmd_front(args) -> int:
     rows = [[j, kind, *x, *f] for j, kind, X, F in point_sets for x, f in zip(X, F)]
     _, _, X, F = point_sets[-1]
     out = Path(args.out) if args.out else run_dir / "combined.csv"
-    write_csv(out, ["round", "kind", *point_header(X, F, "obj")], rows)
+    try:
+        write_csv(out, ["round", "kind", *point_header(X, F, "obj")], rows)
+    except OSError as exc:  # a missing directory on the way, or a directory named
+        raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from exc
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

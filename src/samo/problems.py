@@ -13,6 +13,7 @@ import functools
 import math
 from array import array
 from dataclasses import astuple, dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -132,60 +133,25 @@ def _road_samples(amp: float, freq: float, t0: float, h: float, n_steps: int) ->
     )
 
 
-def _check_horizon(t0: float, te: float, dt: float) -> None:
+def _step_count(t0: float, te: float, dt: float) -> int:
+    """Number of integration steps of the horizon, checked."""
     if dt <= 0.0:
         raise ConfigurationError("time step dt must be strictly positive")
     if te <= t0:
         raise ConfigurationError("end time te must exceed start time t0")
+    return int(round((te - t0) / dt))
 
 
-def integrate_quarter_car(
-    params: QuarterCarParams,
-    exc: Excitation,
-    t0: float = 0.0,
-    te: float = 2.0,
-    dt: float = 1e-4,
-    initial_state: Optional[np.ndarray] = None,
-):
-    """Classical fourth-order Runge-Kutta integration of the quarter-car
-    state (z_s, z_u, v_s, v_u); returns (time grid, state matrix).
-
-    The suspension spring/damper couples the two masses; the tire acts as a
-    spring between the unsprung mass and the road profile. State starts at
-    zero unless `initial_state` is given.
-    """
-    _check_horizon(t0, te, dt)
-
-    # Python floats, not numpy scalars: the same IEEE operations in the same
-    # order, so the states are bitwise those of numpy-scalar arithmetic,
-    # at well under half the cost per operation
-    ms = float(params.sprung_mass)
-    mu = float(params.unsprung_mass)
-    ks = float(params.suspension_stiffness)
-    cs = float(params.suspension_damping)
-    kt = float(params.tire_stiffness)
-    t0 = float(t0)
-    h = float(dt)
-
-    n_steps = int(round((te - t0) / h))
-    if initial_state is None:
-        zs = zu = vs = vu = 0.0
-    else:
-        state = np.asarray(initial_state, dtype=float)
-        if state.shape != (4,):
-            raise DimensionMismatchError("initial_state must have shape (4,)")
-        zs, zu, vs, vu = (float(v) for v in state)
-
-    inv_ms = 1.0 / ms
-    inv_mu = 1.0 / mu
+def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:
+    """Advance `state` = (z_s, z_u, v_s, v_u) one classical Runge-Kutta step per
+    road triple (start, midpoint and end of the step) and return the last
+    state; every new state goes to `store` unless it is None."""
+    ks, cs, kt, inv_ms, inv_mu, h = coeffs
     # Python evaluates `0.5 * h * v` as `(0.5 * h) * v`, so hoisting keeps the bytes
     half = 0.5 * h
     sixth = h / 6.0
-    road = _road_samples(float(exc.amplitude), float(exc.frequency), t0, h, n_steps)
-
-    flat = array("d", (zs, zu, vs, vu))
-    extend = flat.extend
-    for zr1, zr2, zr3 in zip(*road):
+    zs, zu, vs, vu = state
+    for zr1, zr2, zr3 in road:
         fs = ks * (zs - zu) + cs * (vs - vu)
         a1s = -fs * inv_ms
         a1u = (fs + kt * (zr1 - zu)) * inv_mu
@@ -218,19 +184,69 @@ def integrate_quarter_car(
         zu += sixth * (vu + 2.0 * vu2 + 2.0 * vu3 + vu4)
         vs += sixth * (a1s + 2.0 * a2s + 2.0 * a3s + a4s)
         vu += sixth * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
-        extend((zs, zu, vs, vu))
+        if store is not None:
+            store((zs, zu, vs, vu))
+    return zs, zu, vs, vu
 
-    states = np.frombuffer(flat, dtype=float).reshape(n_steps + 1, 4)
+
+def integrate_quarter_car(
+    params: QuarterCarParams,
+    exc: Excitation,
+    t0: float = 0.0,
+    te: float = 2.0,
+    dt: float = 1e-4,
+    initial_state: Optional[np.ndarray] = None,
+    store_from: int = 0,
+):
+    """Classical fourth-order Runge-Kutta integration of the quarter-car
+    state (z_s, z_u, v_s, v_u); returns the time grid and state matrix from
+    row `store_from` on. The steps before it are integrated without being
+    stored.
+
+    The suspension spring/damper couples the two masses; the tire acts as a
+    spring between the unsprung mass and the road profile. State starts at
+    zero unless `initial_state` is given.
+    """
+    n_steps = _step_count(t0, te, dt)
+
+    # Python floats, not numpy scalars: the same IEEE operations in the same
+    # order, so the states are bitwise those of numpy-scalar arithmetic,
+    # at well under half the cost per operation
+    ms, mu, ks, cs, kt = map(float, astuple(params))
+    t0, h = float(t0), float(dt)
+    state = np.zeros(4) if initial_state is None else np.asarray(initial_state, dtype=float)
+    if state.shape != (4,):
+        raise DimensionMismatchError("initial_state must have shape (4,)")
+
+    coeffs = (ks, cs, kt, 1.0 / ms, 1.0 / mu, h)
+    steps = zip(*_road_samples(float(exc.amplitude), float(exc.frequency), t0, h, n_steps))
+    state = _rk4_steps(tuple(map(float, state)), islice(steps, store_from), coeffs)
+    flat = array("d", state)
+    _rk4_steps(state, steps, coeffs, flat.extend)
+
+    states = np.frombuffer(flat, dtype=float).reshape(n_steps + 1 - store_from, 4)
     # float arithmetic overflows to inf without raising, so the loop runs on
     # and the first non-finite row names the step where divergence began
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        i = int(np.argmin(finite)) - 1
+        if store_from and not finite[0]:
+            # a non-finite state stays non-finite, so the divergence began
+            # before the stored rows; integrating them all names its step
+            integrate_quarter_car(params, exc, t0, te, dt, initial_state)
+        i = store_from + int(np.argmin(finite)) - 1
         t = t0 + i * h
         raise DivergenceError(f"non-finite state at step {i + 1} (t = {t + h:.6g} s)")
 
-    time_grid = t0 + dt * np.arange(n_steps + 1)
+    time_grid = t0 + dt * np.arange(store_from, n_steps + 1)
     return time_grid, states
+
+
+def _channels(params: QuarterCarParams, exc: Excitation, time_grid, states) -> tuple:
+    """Wheel load F_z = k_t (z_r - z_u) and body acceleration at each state."""
+    road = exc.amplitude * np.sin(2.0 * math.pi * exc.frequency * time_grid)
+    zs, zu, vs, vu = states.T
+    fs = params.suspension_stiffness * (zs - zu) + params.suspension_damping * (vs - vu)
+    return params.tire_stiffness * (road - zu), -fs / params.sprung_mass
 
 
 def simulate_quarter_car(
@@ -241,17 +257,9 @@ def simulate_quarter_car(
     dt: float = 1e-4,
     initial_state: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Integrate and collect the wheel load F_z = k_t (z_r - z_u) and body
-    acceleration channels."""
+    """Integrate and collect the wheel load and body acceleration channels."""
     time_grid, states = integrate_quarter_car(params, exc, t0, te, dt, initial_state)
-    road = exc.amplitude * np.sin(2.0 * math.pi * exc.frequency * time_grid)
-    zs, zu, vs, vu = states.T
-    wheel_load = params.tire_stiffness * (road - zu)
-    body_acc = (
-        -(params.suspension_stiffness * (zs - zu) + params.suspension_damping * (vs - vu))
-        / params.sprung_mass
-    )
-    return Trajectory(time_grid, wheel_load, body_acc)
+    return Trajectory(time_grid, *_channels(params, exc, time_grid, states))
 
 
 def amplitude(channel, window: slice) -> float:
@@ -298,11 +306,15 @@ class QuarterCarEvaluator:
         return QuarterCarParams(*p)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        traj = simulate_quarter_car(self.params_for(x), self.excitation, self.t0, self.te, self.dt)
-        half = slice(len(traj) // 2, None)
-        return np.array(
-            [amplitude(traj.wheel_load, half), amplitude(traj.body_acceleration, half)]
+        # the amplitudes are read over the second half of the trajectory,
+        # rows len // 2 = (n_steps + 1) // 2 on; only those are stored
+        params = self.params_for(x)
+        half = (_step_count(self.t0, self.te, self.dt) + 1) // 2
+        grid, states = integrate_quarter_car(
+            params, self.excitation, self.t0, self.te, self.dt, store_from=half
         )
+        channels = _channels(params, self.excitation, grid, states)
+        return np.array([amplitude(c, slice(None)) for c in channels])
 
 
 def make_quarter_car_problem(
@@ -320,7 +332,7 @@ def make_quarter_car_problem(
     a sinusoidal road input, with design offsets in a +/- half_width box."""
     if n_dim < 1:
         raise ConfigurationError("n_dim must be at least 1")
-    _check_horizon(t0, te, dt)
+    _step_count(t0, te, dt)
     nominal = nominal or QuarterCarParams()
     excitation = excitation or Excitation()
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))

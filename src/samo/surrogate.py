@@ -347,15 +347,13 @@ def select_rbf_width(
     return best_sigma
 
 
-def _init_layers(n_in: int, n_out: int, hidden: Sequence[int], rng: np.random.Generator):
-    sizes = [n_in, *hidden, n_out]
-    weights = []
-    biases = []
-    for a, b in zip(sizes[:-1], sizes[1:]):
-        limit = np.sqrt(6.0 / (a + b))
-        weights.append(rng.uniform(-limit, limit, size=(a, b)))
-        biases.append(np.zeros(b))
-    return weights, biases
+def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple:
+    """The (a, b) weights of every layer, then its (b,) biases, viewed as
+    consecutive row-major blocks of `flat`."""
+    shapes = [*zip(sizes[:-1], sizes[1:]), *((b,) for b in sizes[1:])]
+    ends = np.cumsum([np.prod(shape, dtype=int) for shape in shapes])[:-1]
+    views = [block.reshape(shape) for block, shape in zip(np.split(flat, ends), shapes)]
+    return views[: len(sizes) - 1], views[len(sizes) - 1 :]
 
 
 def _forward_all(weights, biases, X):
@@ -368,20 +366,19 @@ def _forward_all(weights, biases, X):
     return activations
 
 
-def _loss_and_grads(weights, biases, X, Y):
-    """Mean squared error on (X, Y) and its gradients, ordered as `weights + biases`."""
+def _loss_and_grads(weights, biases, X, Y, weight_grads, bias_grads) -> float:
+    """Mean squared error on (X, Y); its gradients are written into
+    `weight_grads` and `bias_grads`."""
     activations = _forward_all(weights, biases, X)
     diff = activations[-1] - Y
     loss = float((diff**2).mean())
     delta = 2.0 * diff / diff.size
-    n_layers = len(weights)
-    grads = [None] * (2 * n_layers)
-    for layer in range(n_layers - 1, -1, -1):
-        grads[layer] = activations[layer].T @ delta
-        grads[n_layers + layer] = delta.sum(axis=0)
+    for layer in range(len(weights) - 1, -1, -1):
+        np.matmul(activations[layer].T, delta, out=weight_grads[layer])
+        np.sum(delta, axis=0, out=bias_grads[layer])
         if layer > 0:
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
-    return loss, grads
+    return loss
 
 
 def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
@@ -395,18 +392,24 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
     Xt, Yt = Xs[train_idx], Ys[train_idx]
     Xv, Yv = Xs[val_idx], Ys[val_idx]
 
-    # Adam updates `params` in place, so `weights` and `biases` stay current
-    weights, biases = _init_layers(Xs.shape[1], Ys.shape[1], cfg.hidden, rng)
-    params = weights + biases
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # weights and biases are views into one flat vector `theta`, and their
+    # gradients into `grad`, so Adam updates all of them at once
+    sizes = [Xs.shape[1], *cfg.hidden, Ys.shape[1]]
+    theta = np.zeros(sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:])))
+    weights, biases = _layer_views(theta, sizes)
+    for W in weights:
+        limit = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    grad = np.empty_like(theta)
+    grad_views = _layer_views(grad, sizes)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     lr = cfg.learning_rate
     batch = cfg.batch_size if cfg.batch_size > 0 else len(Xt)
 
     best_val = np.inf
     best_epoch = 0
-    best_params = [p.copy() for p in params]
+    best = theta.copy()
     train_history = []
     val_history = []
 
@@ -422,17 +425,18 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
             ]
         epoch_loss = 0.0
         for Xb, Yb in batches:
-            loss, grads = _loss_and_grads(weights, biases, Xb, Yb)
+            loss = _loss_and_grads(weights, biases, Xb, Yb, *grad_views)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             epoch_loss += loss * len(Xb)
             step += 1
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
-            for i, (p, g) in enumerate(zip(params, grads)):
-                m[i] = beta1 * m[i] + (1.0 - beta1) * g
-                v[i] = beta2 * v[i] + (1.0 - beta2) * g**2
-                p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad**2
+            theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         train_history.append(epoch_loss / len(Xt))
         val_loss = float(((_forward_all(weights, biases, Xv)[-1] - Yv) ** 2).mean())
         if not np.isfinite(val_loss):
@@ -441,11 +445,10 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            best[:] = theta
         if epoch - best_epoch >= cfg.patience:
             break
-    n_layers = len(weights)
-    return best_params[:n_layers], best_params[n_layers:], best_val, train_history, val_history
+    return (*_layer_views(best, sizes), best_val, train_history, val_history)
 
 
 def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:

@@ -9,8 +9,9 @@ list, and SBX and polynomial mutation applied one pair and one child at a time
 with the generator passed in, and binary tournaments drawn one scalar
 generator call at a time. The quarter-car integrator is the form that
 ran on numpy-scalar parameters, evaluated the road input in the loop and
-checked finiteness at every step. Tests compare the package against them
-with exact equality.
+checked finiteness at every step and stored every state. The network
+training keeps one Adam moment array per weight and bias. Tests compare
+the package against them with exact equality.
 
 The batched forms that leaner ones replaced are kept as well, and the
 package must match them byte for byte: the MGDA loop that gathered and
@@ -26,7 +27,7 @@ tests.
 """
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _ro
 from samo.moea import _evaluate
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
-from samo.surrogate import RbfModel, Scaler
+from samo.surrogate import RbfModel, Scaler, TrainConfig, TrainingError
 
 
 def descent_step(J: np.ndarray) -> tuple:
@@ -569,6 +570,109 @@ def quarter_car_objectives(evaluator, x) -> np.ndarray:
     )
     half = slice(len(time_grid) // 2, None)
     return np.array([amplitude(wheel_load, half), amplitude(body_acc, half)])
+
+
+def init_layers(n_in: int, n_out: int, hidden: Sequence[int], rng: np.random.Generator):
+    sizes = [n_in, *hidden, n_out]
+    weights = []
+    biases = []
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        limit = np.sqrt(6.0 / (a + b))
+        weights.append(rng.uniform(-limit, limit, size=(a, b)))
+        biases.append(np.zeros(b))
+    return weights, biases
+
+
+def forward_all(weights, biases, X):
+    activations = [X]
+    h = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ W + b)
+        activations.append(h)
+    activations.append(h @ weights[-1] + biases[-1])
+    return activations
+
+
+def loss_and_grads(weights, biases, X, Y):
+    """Mean squared error on (X, Y) and its gradients, ordered as `weights + biases`."""
+    activations = forward_all(weights, biases, X)
+    diff = activations[-1] - Y
+    loss = float((diff**2).mean())
+    delta = 2.0 * diff / diff.size
+    n_layers = len(weights)
+    grads = [None] * (2 * n_layers)
+    for layer in range(n_layers - 1, -1, -1):
+        grads[layer] = activations[layer].T @ delta
+        grads[n_layers + layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+    return loss, grads
+
+
+def train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
+    """`samo.surrogate._train_once` with one Adam moment array per weight
+    and bias, updated and copied one parameter at a time."""
+    # the split is shared across restarts so their validation losses are
+    # comparable; only the initialization differs
+    n = len(Xs)
+    order = np.random.default_rng(split_seed).permutation(n)
+    rng = np.random.default_rng(init_seed)
+    n_val = max(1, int(round(cfg.validation_fraction * n)))
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    Xt, Yt = Xs[train_idx], Ys[train_idx]
+    Xv, Yv = Xs[val_idx], Ys[val_idx]
+
+    # Adam updates `params` in place, so `weights` and `biases` stay current
+    weights, biases = init_layers(Xs.shape[1], Ys.shape[1], cfg.hidden, rng)
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = cfg.learning_rate
+    batch = cfg.batch_size if cfg.batch_size > 0 else len(Xt)
+
+    best_val = np.inf
+    best_epoch = 0
+    best_params = [p.copy() for p in params]
+    train_history = []
+    val_history = []
+
+    step = 0
+    for epoch in range(1, cfg.epochs + 1):
+        if batch >= len(Xt):
+            batches = [(Xt, Yt)]
+        else:
+            perm = rng.permutation(len(Xt))
+            batches = [
+                (Xt[perm[i : i + batch]], Yt[perm[i : i + batch]])
+                for i in range(0, len(Xt), batch)
+            ]
+        epoch_loss = 0.0
+        for Xb, Yb in batches:
+            loss, grads = loss_and_grads(weights, biases, Xb, Yb)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}")
+            epoch_loss += loss * len(Xb)
+            step += 1
+            bc1 = 1.0 - beta1**step
+            bc2 = 1.0 - beta2**step
+            for i, (p, g) in enumerate(zip(params, grads)):
+                m[i] = beta1 * m[i] + (1.0 - beta1) * g
+                v[i] = beta2 * v[i] + (1.0 - beta2) * g**2
+                p -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+        train_history.append(epoch_loss / len(Xt))
+        val_loss = float(((forward_all(weights, biases, Xv)[-1] - Yv) ** 2).mean())
+        if not np.isfinite(val_loss):
+            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+        val_history.append(val_loss)
+        if val_loss < best_val:
+            best_val = val_loss
+            best_epoch = epoch
+            best_params = [p.copy() for p in params]
+        if epoch - best_epoch >= cfg.patience:
+            break
+    n_layers = len(weights)
+    return best_params[:n_layers], best_params[n_layers:], best_val, train_history, val_history
 
 
 def dominates(a, b) -> bool:

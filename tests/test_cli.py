@@ -549,6 +549,17 @@ class TestCmdFront:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (out / "combined.csv").exists()
 
+    @pytest.mark.parametrize("target", ["missing/c.csv", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["front", str(out), "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestCmdStudy:
     def test_study_table(self, tmp_path):

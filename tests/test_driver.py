@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import samo.driver
+import samo.surrogate
 from oracles import dominates
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError, SamoError, hausdorff_distance
@@ -26,7 +27,7 @@ from samo.driver import (
     samo_run,
 )
 from samo.moea import MoeaConfig
-from samo.problems import make_analytic_problem, make_quarter_car_problem
+from samo.problems import QuarterCarEvaluator, make_analytic_problem, make_quarter_car_problem
 from samo.surrogate import TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
@@ -376,16 +377,21 @@ class TestBatchedOptimizersMatchOnePointPath:
 
     @pytest.mark.parametrize("config", ["cheap_demo", "qcar-short"])
     def test_whole_nsga2_byte_identical(self, tmp_path, monkeypatch, config):
-        # the oracle ranks by the dominance peel, crowds front by front,
-        # gathers survivors in a list and draws one tournament per child
+        # the NSGA-II oracle ranks by the dominance peel, crowds front by
+        # front, gathers survivors in a list and draws one tournament per
+        # child; the quarter-car oracle stores every state on numpy scalars,
+        # and the network oracle runs Adam one parameter array at a time
         path = CHEAP_DEMO if config == "cheap_demo" else self.short_quarter_car(tmp_path)
         run = RunConfig.from_file(path)
         samo_run(run.problem, run.samo, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
+        monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
+        monkeypatch.setattr(samo.surrogate, "_train_once", oracles.train_once)
         samo_run(run.problem, run.samo, run_dir=tmp_path / "slow", verbose=True)
-        fast = self.artifacts(tmp_path / "fast", "*.csv")
-        assert "nsga2_fronts_round_0.csv" in fast
-        assert fast == self.artifacts(tmp_path / "slow", "*.csv")
+        for pattern in ("*.csv", "surrogate_round_*.json"):
+            fast = self.artifacts(tmp_path / "fast", pattern)
+            assert fast and fast == self.artifacts(tmp_path / "slow", pattern)
+        assert "nsga2_fronts_round_0.csv" in self.artifacts(tmp_path / "fast", "*.csv")
 
 
 class TestIgd:

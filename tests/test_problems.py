@@ -257,6 +257,54 @@ class TestFloatLoopAgainstOracle:
         assert as_floats.tobytes() == as_numpy.tobytes()
 
 
+
+class TestWindowedEvaluator:
+    """The evaluator integrates the first half of the horizon without
+    storing it; its objectives and errors must be those of the oracle that
+    stores every state."""
+
+    @staticmethod
+    def designs(evaluator):
+        corner = np.where(evaluator.projection.sum(axis=0) >= 0, 0.003, -0.003)
+        random = np.random.default_rng(11).uniform(-0.003, 0.003, (4, 24))
+        return (np.zeros(24), corner, -corner, np.full(24, -0.003), *random)
+
+    @pytest.mark.parametrize("te, n_steps", [(0.2, 2000), (0.2001, 2001), (0.0003, 3), (0.0001, 1)])
+    def test_objectives_bitwise_for_odd_and_even_step_counts(self, te, n_steps):
+        problem = make_quarter_car_problem(te=te)
+        evaluator = problem.evaluate
+        assert int(round(te / evaluator.dt)) == n_steps
+        for x in self.designs(evaluator):
+            y = problem.evaluate(x)
+            assert y.tobytes() == oracles.quarter_car_objectives(evaluator, x).tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, 6])
+    def test_window_is_the_tail_of_the_full_integration(self, n_steps):
+        params = QuarterCarParams(310.0, 42.5, 23_000.0, 1_700.0, 190_000.0)
+        args = (params, Excitation(0.002, 3.0), 0.25, 0.25 + n_steps * 1e-3, 1e-3, [0.01, 0.0, 0.0, 0.02])
+        t_full, s_full = integrate_quarter_car(*args)
+        assert len(t_full) == n_steps + 1
+        for start in range(n_steps + 1):
+            t, s = integrate_quarter_car(*args, store_from=start)
+            assert t.tobytes() == t_full[start:].tobytes()
+            assert s.tobytes() == s_full[start:].tobytes()
+
+    @pytest.mark.parametrize(
+        "te, stored",
+        [(100.0, False), (49.95, True), (35.0, True)],
+        ids=["unstored-half", "first-stored-row", "stored-half"],
+    )
+    def test_divergence_message_in_either_half(self, te, stored):
+        # at dt = 0.05 the nominal design first turns non-finite at step 500
+        problem = make_quarter_car_problem(te=te, dt=0.05)
+        half = (int(round(te / 0.05)) + 1) // 2
+        assert (500 >= half) == stored
+        with pytest.raises(DivergenceError, match="step 500 ") as new:
+            problem.evaluate(np.zeros(24))
+        with pytest.raises(DivergenceError) as old, np.errstate(over="ignore", invalid="ignore"):
+            oracles.quarter_car_objectives(problem.evaluate, np.zeros(24))
+        assert str(new.value) == str(old.value)
+
 class TestAnalyticProblems:
     def test_two_paraboloids_values(self):
         problem = make_analytic_problem("two-paraboloids")

@@ -8,6 +8,7 @@ from samo.core import ConfigurationError, Dataset
 import oracles
 from oracles import GradientModel, inverse_x
 from samo.problems import make_analytic_problem, make_quarter_car_problem
+from samo import surrogate
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
     MlpModel,
@@ -251,6 +252,63 @@ class TestMlp:
         x = np.array([0.1, 0.2, -0.3, 0.4])
         assert np.array_equal(model.predict(x), model.predict(x))
 
+
+
+class TestFlatAdamAgainstListAdam:
+    """`_train_once` keeps every weight, bias and gradient in one flat
+    buffer; it must train bit for bit as the per-parameter Adam in
+    tests/oracles.py."""
+
+    @staticmethod
+    def scaled(n, seed, problem=None):
+        data = lhs_dataset(problem or make_analytic_problem("two-paraboloids"), n, seed)
+        scaler = Scaler.fit(data.X, data.Y)
+        return data, scaler.transform_x(data.X), scaler.transform_y(data.Y)
+
+    @staticmethod
+    def assert_same_training(fast, slow):
+        (w1, b1, best1, train1, val1), (w2, b2, best2, train2, val2) = fast, slow
+        assert len(w1) == len(w2) and len(b1) == len(b2)
+        for a, b in zip([*w1, *b1], [*w2, *b2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.float64(best1).tobytes() == np.float64(best2).tobytes()
+        assert np.array(train1).tobytes() == np.array(train2).tobytes()
+        assert np.array(val1).tobytes() == np.array(val2).tobytes()
+
+    @pytest.mark.parametrize("batch_size", [0, 2, 7])
+    def test_batches(self, batch_size):
+        _, Xs, Ys = self.scaled(30, seed=5)
+        cfg = TrainConfig(epochs=60, patience=60, batch_size=batch_size, hidden=(16, 9))
+        self.assert_same_training(
+            surrogate._train_once(Xs, Ys, cfg, 3, 8), oracles.train_once(Xs, Ys, cfg, 3, 8)
+        )
+
+    def test_quarter_car_full_batch(self):
+        _, Xs, Ys = self.scaled(40, seed=2, problem=make_quarter_car_problem(te=0.2))
+        cfg = TrainConfig(epochs=150, patience=150)
+        self.assert_same_training(
+            surrogate._train_once(Xs, Ys, cfg, 1, 2), oracles.train_once(Xs, Ys, cfg, 1, 2)
+        )
+
+    def test_stops_on_patience(self):
+        # a large step overfits within a few epochs, so the best epoch is
+        # copied several times and the run stops well before `epochs`
+        _, Xs, Ys = self.scaled(30, seed=6)
+        cfg = TrainConfig(epochs=2000, patience=20, learning_rate=0.05)
+        fast = surrogate._train_once(Xs, Ys, cfg, 4, 5)
+        self.assert_same_training(fast, oracles.train_once(Xs, Ys, cfg, 4, 5))
+        val = fast[4]
+        assert len(val) < cfg.epochs and len(val) - 1 - int(np.argmin(val)) == cfg.patience
+        assert np.sum(np.minimum.accumulate(val)[1:] < np.minimum.accumulate(val)[:-1]) > 1
+
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_restarts_through_fit_mlp(self, tmp_path, monkeypatch, restarts):
+        data, _, _ = self.scaled(25, seed=7)
+        cfg = TrainConfig(epochs=40, patience=40, batch_size=7, restarts=restarts, seed=3)
+        save_model(fit_mlp(data, cfg), tmp_path / "flat.json")
+        monkeypatch.setattr(surrogate, "_train_once", oracles.train_once)
+        save_model(fit_mlp(data, cfg), tmp_path / "list.json")
+        assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
 @pytest.fixture(scope="module")
 def trained_models():
