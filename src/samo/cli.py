@@ -37,8 +37,6 @@ from .driver import (
     samo_run,
     write_csv,
 )
-from .mgda import MgdaConfig
-from .moea import MoeaConfig
 from .problems import (
     ANALYTIC_PROBLEM_NAMES,
     Excitation,
@@ -88,15 +86,12 @@ class StudyConfig:
 
 _HORIZON = ("t0", "te", "dt")
 # Fields a config file does not set, so their names are unknown keys there:
-# seeds derive from the master seed, the optimizer's population size comes
-# from samo.population_size, the network width is fixed, a problem's name is
-# read before its section, and the RBF fields, the optimizer blocks, the
-# quarter-car parameter blocks and its horizon are nested sections of their own.
+# the network width is fixed, a problem's name is read before its section,
+# and the RBF fields, the optimizer blocks, the quarter-car parameter blocks
+# and its horizon are nested sections of their own.
 _NOT_IN_FILE = {
     SamoConfig: ("rbf_sigma", "rbf_sigma_grid", "rbf_ridge", "train", "moea", "mgda"),
-    TrainConfig: ("seed", "hidden"),
-    MoeaConfig: ("seed", "population_size"),
-    MgdaConfig: ("seed", "n_starts"),
+    TrainConfig: ("hidden",),
     make_analytic_problem: ("name",),
     make_quarter_car_problem: ("nominal", "excitation", *_HORIZON),
 }

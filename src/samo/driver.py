@@ -31,7 +31,7 @@ from .core import (
     non_dominated_filter,
 )
 from .mgda import MgdaConfig, multistart_mgda
-from .moea import MoeaConfig, nsga2_run
+from .moea import MoeaConfig, check_population_size, nsga2_run
 from .problems import Problem, QuarterCarEvaluator
 from .sampling import latin_hypercube, pareto_informed_samples
 from .surrogate import (
@@ -127,9 +127,10 @@ class SamoConfig:
     `budget` is the cap on Pareto-informed evaluations; the initial random
     round adds its own `batch_size` on top, so at most budget + batch_size
     expensive evaluations occur. A round's batch is truncated when fewer
-    evaluations remain in the budget. `population_size` is written into the
-    selected optimizer's block (`moea.population_size` or `mgda.n_starts`),
-    so that block's own checks run at construction.
+    evaluations remain in the budget. `population_size` is the NSGA-II
+    population or the number of descent starts, whichever `optimizer`
+    selects. `seed` is the run's only seed: every round derives the seeds of
+    its sampling, training and optimizer from it with `derive_seed`.
     """
 
     budget: int = 120
@@ -160,18 +161,14 @@ class SamoConfig:
             raise ConfigurationError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.population_size < 2:
             raise ConfigurationError("population_size must be at least 2")
+        if self.optimizer == "nsga2":
+            check_population_size(self.population_size)
         if self.rbf_sigma is not None and self.rbf_sigma <= 0.0:
             raise ConfigurationError("rbf_sigma must be strictly positive")
         if not self.rbf_sigma_grid or min(self.rbf_sigma_grid) <= 0.0:
             raise ConfigurationError("rbf_sigma_grid must hold at least one width, all positive")
         if self.rbf_ridge < 0.0:
             raise ConfigurationError("rbf_ridge must be non-negative")
-        if self.optimizer == "nsga2":
-            moea = replace(self.moea, population_size=self.population_size)
-            object.__setattr__(self, "moea", moea)
-        else:
-            mgda = replace(self.mgda, n_starts=self.population_size)
-            object.__setattr__(self, "mgda", mgda)
 
 
 @dataclass
@@ -225,30 +222,25 @@ def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
         if sigma is None:
             sigma = select_rbf_width(data, cfg.rbf_sigma_grid, ridge=cfg.rbf_ridge)
         return fit_rbf(data, sigma=sigma, ridge=cfg.rbf_ridge)
-    train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, 1, round_index))
-    return fit_mlp(data, train_cfg)
+    return fit_mlp(data, cfg.train, seed=derive_seed(cfg.seed, 1, round_index))
 
 
-def _optimize_surrogate(
-    model,
-    problem: Problem,
-    cfg: SamoConfig,
-    round_index: int,
-    stats: dict,
-    writer=None,
-    verbose=False,
-):
+def _optimize_surrogate(model, bounds, cfg: SamoConfig, round_index: int, stats: dict, log=None):
     """The surrogate front of one round; the optimizer's counts go into
-    `stats`, also when it raises."""
+    `stats`, also when it raises. A `log`, the run directory's writer of a
+    verbose run, receives every generation's front or every start's trace."""
+    seed = derive_seed(cfg.seed, 2, round_index)
     if cfg.optimizer == "nsga2":
-        moea_cfg = replace(cfg.moea, seed=derive_seed(cfg.seed, 2, round_index))
-        snapshot = writer.front_snapshot_writer(round_index) if (writer and verbose) else None
+        fronts = log.front_snapshot_writer(round_index) if log else None
         return nsga2_run(
-            model.predict_batch, problem.bounds, moea_cfg, snapshot_writer=snapshot, stats=stats
+            model.predict_batch, bounds, cfg.moea, population_size=cfg.population_size, seed=seed,
+            snapshot_writer=fronts, stats=stats,
         )
-    mgda_cfg = replace(cfg.mgda, seed=derive_seed(cfg.seed, 2, round_index))
-    traces = writer.mgda_trace_writer(round_index) if (writer and verbose) else None
-    return multistart_mgda(model, problem.bounds, mgda_cfg, trace_writer=traces, stats=stats)
+    traces = log.mgda_trace_writer(round_index) if log else None
+    return multistart_mgda(
+        model, bounds, cfg.mgda, n_starts=cfg.population_size, seed=seed, trace_writer=traces,
+        stats=stats,
+    )
 
 
 class RunDirectoryWriter:
@@ -418,7 +410,7 @@ def samo_run(
             stage = "optimization"
             t0 = time.perf_counter()
             pareto = _optimize_surrogate(
-                model, problem, cfg, round_index, optimizer_stats, writer=writer, verbose=verbose
+                model, problem.bounds, cfg, round_index, optimizer_stats, writer if verbose else None
             )
             timings["optimization"] = time.perf_counter() - t0
         except SamoError as exc:

@@ -41,17 +41,15 @@ class MgdaConfig:
     learning_rate: float = 0.05
     max_iterations: int = 10_000
     tolerance: float = 1e-6
-    n_starts: int = 100
     backtracking: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
             raise ConfigurationError("learning_rate must be strictly positive")
         if self.tolerance <= 0.0:
             raise ConfigurationError("tolerance must be strictly positive")
-        if self.max_iterations < 1 or self.n_starts < 1:
-            raise ConfigurationError("max_iterations and n_starts must be positive")
+        if self.max_iterations < 1:
+            raise ConfigurationError("max_iterations must be positive")
 
 
 def _min_norm_weights_fw(G: np.ndarray) -> np.ndarray:
@@ -237,17 +235,21 @@ def mgda_run(model, x0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig) -> MgdaR
 
 
 def multistart_mgda(
-    model, bounds: BoxBounds, cfg: MgdaConfig, trace_writer=None, stats=None
+    model, bounds: BoxBounds, cfg: MgdaConfig, *, n_starts: int, seed: int, trace_writer=None,
+    stats=None,
 ) -> ParetoApproximation:
-    """Descend from Latin-hypercube starting points, all stepped together,
-    and keep the non-dominated converged endpoints.
+    """Descend from `n_starts` Latin-hypercube starting points drawn with
+    `seed`, all stepped together, and keep the non-dominated converged
+    endpoints.
 
     `trace_writer(start_index, trace)` receives every start's iteration
     trace when given. A `stats` dict, when given, receives the counts
     `starts`, `converged`, `dropped` and `max_iterations_used`, also when
     no start converges and SamoError is raised.
     """
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed)
+    if n_starts < 1:
+        raise ConfigurationError("n_starts must be positive")
+    starts = latin_hypercube(n_starts, bounds, seed)
     X, converged, iterations, traces = _descend(
         model, starts, bounds, cfg, keep_traces=trace_writer is not None
     )
@@ -255,19 +257,19 @@ def multistart_mgda(
         for start_index, trace in enumerate(traces):
             trace_writer(start_index, trace)
     n_converged = int(converged.sum())
-    dropped = cfg.n_starts - n_converged
+    dropped = n_starts - n_converged
     if stats is not None:
         stats.update(
-            starts=cfg.n_starts,
+            starts=n_starts,
             converged=n_converged,
             dropped=dropped,
             max_iterations_used=int(iterations.max()),
         )
     if dropped:
-        logger.info("multistart: %d of %d starts did not converge", dropped, cfg.n_starts)
+        logger.info("multistart: %d of %d starts did not converge", dropped, n_starts)
     if not n_converged:
         raise SamoError(
-            f"no start of {cfg.n_starts} converged within {cfg.max_iterations} iterations; "
+            f"no start of {n_starts} converged within {cfg.max_iterations} iterations; "
             "consider more iterations or a smaller step"
         )
     X = X[converged]

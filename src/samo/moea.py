@@ -34,20 +34,22 @@ from .sampling import latin_hypercube
 logger = logging.getLogger(__name__)
 
 
+def check_population_size(population_size: int) -> None:
+    """NSGA-II breeds its children in pairs, so its population is even."""
+    if population_size < 2 or population_size % 2 != 0:
+        raise ConfigurationError("population_size must be even and at least 2")
+
+
 @dataclass(frozen=True)
 class MoeaConfig:
-    population_size: int = 100
     generations: int = 200
     crossover_prob: float = 0.5
     eta_crossover: float = 20.0
     eta_mutation: float = 20.0
     mutation_prob: Optional[float] = None  # None = 1/N
     crossover_var_prob: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population_size < 2 or self.population_size % 2 != 0:
-            raise ConfigurationError("population_size must be even and at least 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be at least 1")
         for name in ("crossover_prob", "crossover_var_prob"):
@@ -324,22 +326,27 @@ def nsga2_run(
     objective: Callable[[np.ndarray], np.ndarray],
     bounds: BoxBounds,
     cfg: MoeaConfig,
+    *,
+    population_size: int,
+    seed: int,
     snapshot_writer: Optional[Callable[[int, np.ndarray, np.ndarray], None]] = None,
     stats: Optional[dict] = None,
 ) -> ParetoApproximation:
     """Full generational loop; returns the final population's first front.
 
-    `objective` maps an (M, N) population to its (M, K) objectives and is
-    called once per population (a surrogate's `predict_batch`, or
-    `Problem.evaluate_batch`). The initial population is a Latin hypercube
-    over the box. Parents are chosen by binary tournament on (rank,
-    crowding); survivors are the best of parents plus offspring (elitism).
+    `objective` maps a (population_size, N) population to its objectives
+    and is called once per population (a surrogate's `predict_batch`, or
+    `Problem.evaluate_batch`). `seed` seeds the run's one generator. The
+    initial population is a Latin hypercube over the box. Parents are
+    chosen by binary tournament on (rank, crowding); survivors are the best
+    of parents plus offspring (elitism).
     `snapshot_writer(gen, X, Y)` is called with the current first front
     after each generation when given. A `stats` dict, when given, receives
     `demoted`: how many evaluated individuals had non-finite objectives.
     """
-    rng = np.random.default_rng(cfg.seed)
-    M = cfg.population_size
+    check_population_size(population_size)
+    rng = np.random.default_rng(seed)
+    M = population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
 
     X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))

@@ -137,9 +137,12 @@ def _step_count(t0: float, te: float, dt: float) -> int:
     """Number of integration steps of the horizon, checked."""
     if dt <= 0.0:
         raise ConfigurationError("time step dt must be strictly positive")
-    if te <= t0:
-        raise ConfigurationError("end time te must exceed start time t0")
-    return int(round((te - t0) / dt))
+    n_steps = int(round((te - t0) / dt))
+    if n_steps < 1:  # te before t0, or less than half a step after it
+        raise ConfigurationError(
+            f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds no step of dt = {dt:.6g} s"
+        )
+    return n_steps
 
 
 def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:

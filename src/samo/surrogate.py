@@ -109,7 +109,6 @@ class TrainConfig:
     patience: int = 200
     restarts: int = 1
     hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.validation_fraction < 1.0:
@@ -451,9 +450,11 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
     return (*_layer_views(best, sizes), best_val, train_history, val_history)
 
 
-def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:
+def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None, *, seed: int = 0) -> MlpModel:
     """Train the network on the archive with an 80:20 train/validation split
-    and return the parameters from the epoch with the lowest validation loss."""
+    and return the parameters from the epoch with the lowest validation loss.
+    `seed` draws the split and, with the restart's index, its initial
+    weights."""
     cfg = cfg or TrainConfig()
     if len(data) < 5:
         raise ConfigurationError("network training needs at least five samples")
@@ -463,13 +464,7 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None) -> MlpModel:
     Ys = scaler.transform_y(Y)
     best = None
     for restart in range(cfg.restarts):
-        result = _train_once(
-            Xs,
-            Ys,
-            cfg,
-            split_seed=cfg.seed,
-            init_seed=cfg.seed * 1_000_003 + restart + 1,
-        )
+        result = _train_once(Xs, Ys, cfg, split_seed=seed, init_seed=seed * 1_000_003 + restart + 1)
         if best is None or result[2] < best[2]:
             best = result
     weights, biases, _, train_history, val_history = best

@@ -126,9 +126,11 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
     return MgdaResult(x=x, converged=converged, iterations=iteration, trace=np.array(rows, dtype=float))
 
 
-def multistart_mgda(model, bounds, cfg, trace_writer=None, stats=None) -> ParetoApproximation:
+def multistart_mgda(
+    model, bounds, cfg, *, n_starts, seed, trace_writer=None, stats=None
+) -> ParetoApproximation:
     """The starts of `samo.mgda.multistart_mgda`, run one after another."""
-    starts = latin_hypercube(cfg.n_starts, bounds, cfg.seed)
+    starts = latin_hypercube(n_starts, bounds, seed)
     results = [mgda_run(model, x0, bounds, cfg) for x0 in starts]
     if trace_writer is not None:
         for start_index, result in enumerate(results):
@@ -136,9 +138,9 @@ def multistart_mgda(model, bounds, cfg, trace_writer=None, stats=None) -> Pareto
     points = [r.x for r in results if r.converged]
     if stats is not None:
         stats.update(
-            starts=cfg.n_starts,
+            starts=n_starts,
             converged=len(points),
-            dropped=cfg.n_starts - len(points),
+            dropped=n_starts - len(points),
             max_iterations_used=max(r.iterations for r in results),
         )
     if not points:
@@ -441,12 +443,14 @@ def offspring(X, Y, rng, cfg, bounds, mutation_prob):
     return off_X
 
 
-def nsga2_run(objective, bounds, cfg, snapshot_writer=None, stats=None) -> ParetoApproximation:
+def nsga2_run(
+    objective, bounds, cfg, *, population_size, seed, snapshot_writer=None, stats=None
+) -> ParetoApproximation:
     """`samo.moea.nsga2_run` built from the dominance-matrix sort, per-front
     crowding, survivors gathered front by front, one tournament per child
     and the one-pair operators."""
-    rng = np.random.default_rng(cfg.seed)
-    M = cfg.population_size
+    rng = np.random.default_rng(seed)
+    M = population_size
     mutation_prob = cfg.mutation_prob if cfg.mutation_prob is not None else 1.0 / bounds.dim
     X = latin_hypercube(M, bounds, int(rng.integers(2**31 - 1)))
     Y, demoted = _evaluate(objective, X)

@@ -158,7 +158,7 @@ def test_criterion_4_jacobian_fidelity():
     data = Dataset(plan, np.array([problem.evaluate(x) for x in plan]))
     models = {
         "rbf": fit_rbf(data, sigma=0.5, ridge=1e-8),
-        "mlp": fit_mlp(data, TrainConfig(epochs=500, patience=500, seed=1)),
+        "mlp": fit_mlp(data, TrainConfig(epochs=500, patience=500), seed=1),
     }
     h = 1e-5
     worst = 0.0
@@ -190,8 +190,10 @@ def test_criterion_5_nsga2_quality():
         start = time.perf_counter()
         values = []
         for seed in range(5):
-            cfg = MoeaConfig(population_size=100, generations=200, seed=seed)
-            front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
+            cfg = MoeaConfig(generations=200)
+            front = nsga2_run(
+                problem.evaluate_batch, problem.bounds, cfg, population_size=100, seed=seed
+            ).F
             values.append(igd_normalized(front, reference))
         elapsed = time.perf_counter() - start
         mean_igd = float(np.mean(values))
@@ -248,7 +250,7 @@ def test_criterion_7_end_to_end_adaptive_runs():
             surrogate=kind,
             optimizer="nsga2",
             population_size=100,
-            moea=MoeaConfig(population_size=100, generations=200),
+            moea=MoeaConfig(generations=200),
             train=train,
             seed=1,
         )
@@ -280,7 +282,7 @@ def test_criterion_8_sample_size_trends():
         surrogate="rbf",
         optimizer="nsga2",
         population_size=60,
-        moea=MoeaConfig(population_size=60, generations=60),
+        moea=MoeaConfig(generations=60),
         seed=0,
     )
     sizes = [5, 10, 20, 30]
@@ -363,7 +365,7 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
         surrogate="mlp",
         optimizer="nsga2",
         population_size=24,
-        moea=MoeaConfig(population_size=24, generations=30),
+        moea=MoeaConfig(generations=30),
         train=TrainConfig(epochs=300, patience=300),
         seed=42,
     )

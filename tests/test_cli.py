@@ -122,7 +122,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match="even"):
             RunConfig.from_dict(payload)
         payload["samo"]["optimizer"] = "mgda-multistart"
-        assert RunConfig.from_dict(payload).samo.mgda.n_starts == 61
+        assert RunConfig.from_dict(payload).samo.population_size == 61
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = write_config(tmp_path, {"problems": {}})
@@ -707,6 +707,16 @@ class TestCmdEvaluate:
         assert main(["evaluate", "--config", str(CHEAP_DEMO), "--x", x]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: --x must be a point of the problem's box, got {x}\n"
+        assert captured.out == ""
+
+    def test_horizon_without_a_whole_step_exits_2(self, tmp_path, capsys):
+        payload = {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"te": 0.00001}}}
+        config_path = write_config(tmp_path, payload)
+        assert main(["evaluate", "--config", str(config_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: horizon t0 = 0 s to te = 1e-05 s holds no step of dt = 0.0001 s\n"
+        )
         assert captured.out == ""
 
     def test_analytic_section_with_quarter_car_keys_exits_2(self, tmp_path, capsys):

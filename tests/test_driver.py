@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 import samo.driver
+import samo.mgda
 import samo.surrogate
 from oracles import dominates
 from samo.cli import RunConfig, main
@@ -26,9 +27,10 @@ from samo.driver import (
     sample_size_study,
     samo_run,
 )
+from samo.mgda import MgdaConfig
 from samo.moea import MoeaConfig
 from samo.problems import QuarterCarEvaluator, make_analytic_problem, make_quarter_car_problem
-from samo.surrogate import TrainConfig
+from samo.surrogate import RbfModel, TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
@@ -43,7 +45,7 @@ def small_cfg(**overrides) -> SamoConfig:
         surrogate="rbf",
         optimizer="nsga2",
         population_size=16,
-        moea=MoeaConfig(population_size=16, generations=10, seed=0),
+        moea=MoeaConfig(generations=10),
         train=TrainConfig(epochs=60, patience=60),
         seed=11,
     )
@@ -53,10 +55,10 @@ def small_cfg(**overrides) -> SamoConfig:
 
 class TestConfigValidation:
     def test_population_size_checked_by_selected_optimizer(self):
-        with pytest.raises(ConfigurationError, match="even"):
+        with pytest.raises(ConfigurationError, match="population_size must be even and at least 2"):
             SamoConfig(population_size=61, optimizer="nsga2")
         cfg = SamoConfig(population_size=61, optimizer="mgda-multistart")
-        assert cfg.mgda.n_starts == 61
+        assert cfg.population_size == 61 and cfg.mgda == MgdaConfig()
 
     def test_batch_larger_than_budget_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -201,11 +203,15 @@ class TestArtifacts:
         assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
 
     def test_config_json_records_population_used(self, tmp_path):
-        run_dir = tmp_path / "run"
-        samo_run(CHEAP, small_cfg(population_size=12, budget=5), run_dir=run_dir)
-        written = json.loads((run_dir / "config.json").read_text())["samo"]
-        assert written["population_size"] == 12
-        assert written["moea"]["population_size"] == 12
+        # the population and the master seed are each written once; no
+        # block holds a value the run does not use
+        for optimizer in ("nsga2", "mgda-multistart"):
+            run_dir = tmp_path / optimizer
+            samo_run(CHEAP, small_cfg(population_size=12, budget=5, optimizer=optimizer), run_dir=run_dir)
+            written = json.loads((run_dir / "config.json").read_text())["samo"]
+            assert (written["population_size"], written["seed"]) == (12, 11)
+            for block in ("moea", "mgda", "train"):
+                assert not {"seed", "population_size", "n_starts"} & set(written[block])
 
     def test_mgda_counts_in_metrics(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -366,32 +372,72 @@ class TestBatchedOptimizersMatchOnePointPath:
             assert self.artifacts(tmp_path / "fast", name) == self.artifacts(tmp_path / "slow", name)
 
     @staticmethod
-    def short_quarter_car(tmp_path: Path) -> Path:
-        payload = json.loads(DEFAULT_CONFIG.read_text())
-        payload["problem"]["horizon"]["te"] = 0.2
-        payload["samo"].update(population_size=40, budget=40, batch_size=10)
-        payload["samo"]["moea"]["generations"] = 40
-        path = tmp_path / "qcar-short.json"
+    def config(tmp_path: Path, name: str) -> RunConfig:
+        """cheap_demo, cheap_demo on a 10-dimensional box, or a quarter-car
+        run on a short horizon."""
+        if name == "cheap_demo":
+            return RunConfig.from_file(CHEAP_DEMO)
+        if name == "cheap_demo-n10":
+            payload = json.loads(CHEAP_DEMO.read_text())
+            payload["problem"]["n_dim"] = 10
+        else:
+            payload = json.loads(DEFAULT_CONFIG.read_text())
+            payload["problem"]["horizon"]["te"] = 0.2
+            payload["samo"].update(population_size=40, budget=40, batch_size=10)
+            payload["samo"]["moea"]["generations"] = 40
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
-        return path
+        return RunConfig.from_file(path)
 
-    @pytest.mark.parametrize("config", ["cheap_demo", "qcar-short"])
-    def test_whole_nsga2_byte_identical(self, tmp_path, monkeypatch, config):
-        # the NSGA-II oracle ranks by the dominance peel, crowds front by
-        # front, gathers survivors in a list and draws one tournament per
-        # child; the quarter-car oracle stores every state on numpy scalars,
-        # and the network oracle runs Adam one parameter array at a time
-        path = CHEAP_DEMO if config == "cheap_demo" else self.short_quarter_car(tmp_path)
-        run = RunConfig.from_file(path)
-        samo_run(run.problem, run.samo, run_dir=tmp_path / "fast", verbose=True)
+    @staticmethod
+    def untimed_metrics(run_dir: Path) -> dict:
+        metrics = json.loads((run_dir / "metrics.json").read_text())
+        for r in [*metrics["rounds"], metrics.get("failed_round", {})]:
+            r.pop("timings", None)
+        return metrics
+
+    def assert_whole_run_byte_identical(self, tmp_path, monkeypatch, problem, cfg):
+        """Every artifact is the same, metrics.json apart from its timings,
+        with the slow side's reference paths swapped in: the NSGA-II oracle
+        ranks by the dominance peel, crowds front by front, gathers
+        survivors in a list and draws one tournament per child; the
+        quarter-car oracle stores every state on numpy scalars; the network
+        oracle runs Adam one parameter array at a time; the RBF oracles
+        reduce row-major offsets over their last axis, in numpy's pairwise
+        order from 8 coordinates on; the descent oracle scatters every
+        start back each iteration."""
+        samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
         monkeypatch.setattr(samo.surrogate, "_train_once", oracles.train_once)
-        samo_run(run.problem, run.samo, run_dir=tmp_path / "slow", verbose=True)
-        for pattern in ("*.csv", "surrogate_round_*.json"):
-            fast = self.artifacts(tmp_path / "fast", pattern)
-            assert fast and fast == self.artifacts(tmp_path / "slow", pattern)
-        assert "nsga2_fronts_round_0.csv" in self.artifacts(tmp_path / "fast", "*.csv")
+        monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
+        monkeypatch.setattr(samo.surrogate, "fit_rbf", oracles.fit_rbf_row_major)
+        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
+        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_row_major)
+        monkeypatch.setattr(samo.mgda, "_descend", oracles.descend_gather_scatter)
+        samo_run(problem, cfg, run_dir=tmp_path / "slow", verbose=True)
+        fast, slow = (self.artifacts(tmp_path / side, "*") for side in ("fast", "slow"))
+        del fast["metrics.json"], slow["metrics.json"]
+        assert len(fast) > 3 and fast == slow
+        assert self.untimed_metrics(tmp_path / "fast") == self.untimed_metrics(tmp_path / "slow")
+        return fast
+
+    @pytest.mark.parametrize("config", ["cheap_demo", "cheap_demo-n10", "qcar-short"])
+    def test_whole_nsga2_byte_identical(self, tmp_path, monkeypatch, config):
+        run = self.config(tmp_path, config)
+        fast = self.assert_whole_run_byte_identical(tmp_path, monkeypatch, run.problem, run.samo)
+        assert "nsga2_fronts_round_0.csv" in fast and "surrogate_round_0.json" in fast
+
+    @pytest.mark.parametrize("config", ["cheap_demo", "cheap_demo-n10"])
+    def test_whole_mgda_byte_identical(self, tmp_path, monkeypatch, config):
+        # on 10 coordinates no start turns critical in round 0, so the run
+        # ends there; a short budget still writes every start's trace
+        run = self.config(tmp_path, config)
+        cfg = replace(run.samo, optimizer="mgda-multistart")
+        if config == "cheap_demo-n10":
+            cfg = replace(cfg, mgda=replace(cfg.mgda, max_iterations=200))
+        fast = self.assert_whole_run_byte_identical(tmp_path, monkeypatch, run.problem, cfg)
+        assert "mgda_trace_round_0_start_59.csv" in fast and "final_front.csv" in fast
 
 
 class TestIgd:

@@ -239,8 +239,7 @@ class TestMultistart:
     def test_front_coverage_and_criticality(self):
         problem = make_analytic_problem("two-paraboloids")
         model = GradientModel(problem)
-        cfg = MgdaConfig(n_starts=100, seed=7)
-        pareto = multistart_mgda(model, problem.bounds, cfg)
+        pareto = multistart_mgda(model, problem.bounds, MgdaConfig(), n_starts=100, seed=7)
         assert len(pareto) >= 90
         for x in pareto.X:
             assert segment_distance(x) < 1e-3
@@ -248,13 +247,13 @@ class TestMultistart:
     def test_single_start(self):
         problem = make_analytic_problem("two-paraboloids")
         model = GradientModel(problem)
-        pareto = multistart_mgda(model, problem.bounds, MgdaConfig(n_starts=1, seed=3))
+        pareto = multistart_mgda(model, problem.bounds, MgdaConfig(), n_starts=1, seed=3)
         assert len(pareto) == 1
 
     def test_front_mutually_non_dominated(self):
         problem = make_analytic_problem("two-paraboloids")
         model = GradientModel(problem)
-        front = multistart_mgda(model, problem.bounds, MgdaConfig(n_starts=30, seed=5)).F
+        front = multistart_mgda(model, problem.bounds, MgdaConfig(), n_starts=30, seed=5).F
         for i in range(len(front)):
             for j in range(len(front)):
                 if i != j:
@@ -270,7 +269,7 @@ def paraboloid_model(n_obj: int, kind: str = "rbf"):
     Y = np.column_stack([((X - a) ** 2).sum(axis=1) for a in anchors])
     data = Dataset(X, Y)
     if kind == "mlp":
-        return problem, fit_mlp(data, TrainConfig(epochs=40, patience=40, seed=1))
+        return problem, fit_mlp(data, TrainConfig(epochs=40, patience=40), seed=1)
     return problem, fit_rbf(data, sigma=1.0)
 
 
@@ -296,11 +295,19 @@ class TestBatchedMatchesOnePointOracle:
             assert common_descent_direction(Ji).norm == norm
 
     @staticmethod
-    def recorded(run, model, bounds, cfg):
+    def recorded(run, model, bounds, cfg, n_starts, seed):
         """Front (or the error raised), traces and counts of one multistart."""
         traces, stats = {}, {}
         try:
-            pareto = run(model, bounds, cfg, trace_writer=traces.__setitem__, stats=stats)
+            pareto = run(
+                model,
+                bounds,
+                cfg,
+                n_starts=n_starts,
+                seed=seed,
+                trace_writer=traces.__setitem__,
+                stats=stats,
+            )
             outcome = (pareto.X, pareto.F)
         except SamoError:
             outcome = None
@@ -316,14 +323,12 @@ class TestBatchedMatchesOnePointOracle:
         # not converge; a short budget still compares every stacked step.
         # The long steps with backtracking make it halve some of them.
         cfg = MgdaConfig(
-            n_starts=24,
-            seed=5,
             backtracking=backtracking,
             learning_rate=2.0 if backtracking else 0.2,
             max_iterations=60 if kind == "mlp" else 10_000,
         )
-        fast = self.recorded(multistart_mgda, model, problem.bounds, cfg)
-        slow = self.recorded(oracles.multistart_mgda, model, problem.bounds, cfg)
+        fast = self.recorded(multistart_mgda, model, problem.bounds, cfg, 24, 5)
+        slow = self.recorded(oracles.multistart_mgda, model, problem.bounds, cfg, 24, 5)
         if kind == "rbf":
             assert slow[0] is not None
         if slow[0] is None:
@@ -338,9 +343,8 @@ class TestBatchedMatchesOnePointOracle:
 
     def test_multistart_without_traces_same_front(self):
         problem, model = paraboloid_model(2)
-        cfg = MgdaConfig(n_starts=24, seed=6)
-        fast = multistart_mgda(model, problem.bounds, cfg)
-        slow = oracles.multistart_mgda(model, problem.bounds, cfg)
+        fast = multistart_mgda(model, problem.bounds, MgdaConfig(), n_starts=24, seed=6)
+        slow = oracles.multistart_mgda(model, problem.bounds, MgdaConfig(), n_starts=24, seed=6)
         assert np.array_equal(fast.X, slow.X)
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 50])
@@ -447,7 +451,9 @@ class TestMultistartStats:
     def test_counts(self):
         problem = make_analytic_problem("two-paraboloids")
         stats = {}
-        multistart_mgda(GradientModel(problem), problem.bounds, MgdaConfig(n_starts=10, seed=2), stats=stats)
+        multistart_mgda(
+            GradientModel(problem), problem.bounds, MgdaConfig(), n_starts=10, seed=2, stats=stats
+        )
         assert stats["starts"] == 10
         assert stats["converged"] + stats["dropped"] == 10
         assert 1 <= stats["max_iterations_used"] <= 10_000
@@ -455,7 +461,19 @@ class TestMultistartStats:
     def test_counts_kept_when_no_start_converges(self):
         problem = make_analytic_problem("two-paraboloids")
         stats = {}
-        cfg = MgdaConfig(n_starts=10, seed=2, max_iterations=1)
+        cfg = MgdaConfig(max_iterations=1)
         with pytest.raises(SamoError, match="no start of 10 converged"):
-            multistart_mgda(GradientModel(problem), problem.bounds, cfg, stats=stats)
+            multistart_mgda(GradientModel(problem), problem.bounds, cfg, n_starts=10, seed=2, stats=stats)
         assert stats == {"starts": 10, "converged": 0, "dropped": 10, "max_iterations_used": 1}
+
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_no_start_rejected_before_any_model_call(self, n_starts):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"model.{name} used before n_starts was rejected")
+
+        bounds = BoxBounds(np.zeros(2), np.ones(2))
+        stats = {}
+        with pytest.raises(ConfigurationError, match="n_starts must be positive"):
+            multistart_mgda(Untouchable(), bounds, MgdaConfig(), n_starts=n_starts, seed=0, stats=stats)
+        assert stats == {}

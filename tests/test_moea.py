@@ -371,9 +371,7 @@ class TestOneGeneration:
     @pytest.mark.parametrize("mutation_prob", [0.0, None, 1.0])
     def test_offspring_and_generator_state(self, crossover_prob, mutation_prob):
         bounds = BoxBounds(np.full(5, -1.0), np.full(5, 2.0))
-        cfg = MoeaConfig(
-            population_size=24, crossover_prob=crossover_prob, mutation_prob=mutation_prob
-        )
+        cfg = MoeaConfig(crossover_prob=crossover_prob, mutation_prob=mutation_prob)
         pm = mutation_prob if mutation_prob is not None else 1.0 / bounds.dim
         data = np.random.default_rng(17)
         X = data.uniform(-1.0, 2.0, (24, 5))
@@ -395,9 +393,16 @@ class TestOneGeneration:
 class TestNsga2:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            MoeaConfig(population_size=99)  # odd
-        with pytest.raises(ConfigurationError):
             MoeaConfig(crossover_prob=1.5)
+
+    @pytest.mark.parametrize("population_size", [61, 1, 0])
+    def test_population_size_rejected_before_any_evaluation(self, population_size):
+        def fail(X):
+            raise AssertionError("evaluated before the population size was rejected")
+
+        bounds = BoxBounds(np.zeros(2), np.ones(2))
+        with pytest.raises(ConfigurationError, match="population_size must be even and at least 2"):
+            nsga2_run(fail, bounds, MoeaConfig(), population_size=population_size, seed=0)
 
     @pytest.mark.parametrize("name", ["eta_crossover", "eta_mutation"])
     def test_negative_distribution_index_rejected(self, name):
@@ -407,16 +412,16 @@ class TestNsga2:
 
     def test_seeded_determinism(self):
         problem = make_analytic_problem("two-paraboloids")
-        cfg = MoeaConfig(population_size=20, generations=15, seed=5)
-        a = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
-        b = nsga2_run(problem.evaluate_batch, problem.bounds, cfg)
+        cfg = MoeaConfig(generations=15)
+        a = nsga2_run(problem.evaluate_batch, problem.bounds, cfg, population_size=20, seed=5)
+        b = nsga2_run(problem.evaluate_batch, problem.bounds, cfg, population_size=20, seed=5)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.F, b.F)
 
     def test_front_mutually_non_dominated(self):
         problem = make_analytic_problem("two-paraboloids")
-        cfg = MoeaConfig(population_size=20, generations=10, seed=1)
-        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
+        cfg = MoeaConfig(generations=10)
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg, population_size=20, seed=1).F
         for i in range(len(front)):
             for j in range(len(front)):
                 if i != j:
@@ -424,13 +429,20 @@ class TestNsga2:
 
     def test_population_size_and_elitism_via_snapshots(self):
         problem = make_analytic_problem("two-paraboloids")
-        cfg = MoeaConfig(population_size=16, generations=25, seed=3)
+        cfg = MoeaConfig(generations=25)
         snapshots = []
 
         def writer(gen, X, Y):
             snapshots.append((gen, X.copy(), Y.copy()))
 
-        nsga2_run(problem.evaluate_batch, problem.bounds, cfg, snapshot_writer=writer)
+        nsga2_run(
+            problem.evaluate_batch,
+            problem.bounds,
+            cfg,
+            population_size=16,
+            seed=3,
+            snapshot_writer=writer,
+        )
         assert len(snapshots) == 25
         for gen, X, Y in snapshots:
             assert X.shape[0] <= 16 and X.shape[0] >= 1
@@ -450,7 +462,7 @@ class TestNsga2:
             return problem.evaluate_batch(X)
 
         m, gens = 14, 9
-        nsga2_run(counting, problem.bounds, MoeaConfig(population_size=m, generations=gens, seed=4))
+        nsga2_run(counting, problem.bounds, MoeaConfig(generations=gens), population_size=m, seed=4)
         assert calls["n"] == m * (gens + 1)  # initial population plus one batch per generation
         assert calls["populations"] == gens + 1  # one objective call per population
 
@@ -462,8 +474,8 @@ class TestNsga2:
             Y[X[:, 0] > 0.5] = np.nan
             return Y
 
-        cfg = MoeaConfig(population_size=12, generations=8, seed=2)
-        front = nsga2_run(flaky, problem.bounds, cfg).F
+        cfg = MoeaConfig(generations=8)
+        front = nsga2_run(flaky, problem.bounds, cfg, population_size=12, seed=2).F
         assert np.all(np.isfinite(front))
 
     def test_demoted_count(self):
@@ -475,14 +487,20 @@ class TestNsga2:
             return Y
 
         stats = {}
-        cfg = MoeaConfig(population_size=10, generations=6, seed=1)
-        nsga2_run(flaky, problem.bounds, cfg, stats=stats)
+        cfg = MoeaConfig(generations=6)
+        nsga2_run(flaky, problem.bounds, cfg, population_size=10, seed=1, stats=stats)
         assert stats == {"demoted": 2 * (6 + 1)}
 
     def test_objective_must_return_one_row_per_point(self):
         problem = make_analytic_problem("two-paraboloids")
         with pytest.raises(DimensionMismatchError):
-            nsga2_run(lambda X: problem.evaluate_batch(X)[:-1], problem.bounds, MoeaConfig())
+            nsga2_run(
+                lambda X: problem.evaluate_batch(X)[:-1],
+                problem.bounds,
+                MoeaConfig(),
+                population_size=100,
+                seed=0,
+            )
 
     def test_one_batch_call_matches_rowwise_evaluation(self):
         # a network whose batch product differs from the one-point product
@@ -494,11 +512,12 @@ class TestNsga2:
             scaler=Scaler(np.zeros(4), np.ones(4), np.zeros(2), np.ones(2)),
         )
         bounds = BoxBounds(np.full(4, -1.0), np.full(4, 1.0))
-        cfg = MoeaConfig(population_size=20, generations=15, seed=3)
+        cfg = MoeaConfig(generations=15)
+        run = dict(population_size=20, seed=3)
         fast, slow = [], []
-        nsga2_run(model.predict_batch, bounds, cfg, snapshot_writer=lambda *a: fast.append(a))
+        nsga2_run(model.predict_batch, bounds, cfg, **run, snapshot_writer=lambda *a: fast.append(a))
         oracles.rowwise_nsga2(nsga2_run)(
-            model.predict_batch, bounds, cfg, snapshot_writer=lambda *a: slow.append(a)
+            model.predict_batch, bounds, cfg, **run, snapshot_writer=lambda *a: slow.append(a)
         )
         assert len(fast) == len(slow) == 15
         for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
@@ -509,13 +528,11 @@ class TestNsga2:
     def test_matches_one_pair_oracle(self, crossover_prob, mutation_prob):
         problem = make_analytic_problem("zdt1", n_dim=6)
         cfg = MoeaConfig(
-            population_size=16,
             generations=12,
             crossover_prob=crossover_prob,
             mutation_prob=mutation_prob,
-            seed=8,
         )
-        self.assert_same_run(problem.evaluate_batch, problem.bounds, cfg)
+        self.assert_same_run(problem.evaluate_batch, problem.bounds, cfg, 16, 8)
 
     def test_matches_one_pair_oracle_with_demotions(self):
         problem = make_analytic_problem("two-paraboloids")
@@ -525,8 +542,8 @@ class TestNsga2:
             Y[X[:, 0] > 0.3] = np.nan
             return Y
 
-        cfg = MoeaConfig(population_size=20, generations=15, seed=2)
-        self.assert_same_run(flaky, problem.bounds, cfg)
+        cfg = MoeaConfig(generations=15)
+        self.assert_same_run(flaky, problem.bounds, cfg, 20, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("M", [8, 24, 60])
@@ -540,8 +557,8 @@ class TestNsga2:
                 Y[X[:, 0] > 0.6] = np.nan
             return Y
 
-        cfg = MoeaConfig(population_size=M, generations=8, seed=seed)
-        self.assert_same_run(objective, problem.bounds, cfg)
+        cfg = MoeaConfig(generations=8)
+        self.assert_same_run(objective, problem.bounds, cfg, M, seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_one_pair_oracle_with_three_objectives(self, seed):
@@ -554,8 +571,8 @@ class TestNsga2:
             Y[X[:, 2] > 0.8] = np.inf
             return Y
 
-        cfg = MoeaConfig(population_size=24, generations=8, seed=seed)
-        self.assert_same_run(objective, problem.bounds, cfg)
+        cfg = MoeaConfig(generations=8)
+        self.assert_same_run(objective, problem.bounds, cfg, 24, seed)
 
     @pytest.mark.parametrize("M", [8, 20, 60])
     def test_carried_survivor_ranks_equal_a_fresh_ranking(self, M, monkeypatch):
@@ -581,16 +598,21 @@ class TestNsga2:
 
         monkeypatch.setattr(moea, "_offspring", checked)
         stats = {}
-        cfg = MoeaConfig(population_size=M, generations=15, seed=6)
-        nsga2_run(flaky, problem.bounds, cfg, stats=stats)
+        cfg = MoeaConfig(generations=15)
+        nsga2_run(flaky, problem.bounds, cfg, population_size=M, seed=6, stats=stats)
         assert len(generations) == 15 and stats["demoted"] > 0
 
     @staticmethod
-    def assert_same_run(objective, bounds, cfg):
+    def assert_same_run(objective, bounds, cfg, population_size, seed):
+        run = dict(population_size=population_size, seed=seed)
         fast, slow = [], []
         fast_stats, slow_stats = {}, {}
-        a = nsga2_run(objective, bounds, cfg, lambda *s: fast.append(s), fast_stats)
-        b = oracles.nsga2_run(objective, bounds, cfg, lambda *s: slow.append(s), slow_stats)
+        a = nsga2_run(
+            objective, bounds, cfg, **run, snapshot_writer=lambda *s: fast.append(s), stats=fast_stats
+        )
+        b = oracles.nsga2_run(
+            objective, bounds, cfg, **run, snapshot_writer=lambda *s: slow.append(s), stats=slow_stats
+        )
         assert len(fast) == len(slow) == cfg.generations
         for (g1, X1, Y1), (g2, X2, Y2) in zip(fast, slow):
             assert g1 == g2 and np.array_equal(X1, X2) and np.array_equal(Y1, Y2)
@@ -602,8 +624,8 @@ class TestNsga2:
         # half-length sanity run; the full paper-sized runs live in the
         # acceptance suite
         problem = make_analytic_problem("zdt1")
-        cfg = MoeaConfig(population_size=100, generations=100, seed=0)
-        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg).F
+        cfg = MoeaConfig(generations=100)
+        front = nsga2_run(problem.evaluate_batch, problem.bounds, cfg, population_size=100, seed=0).F
         from samo.driver import igd_normalized
 
         assert igd_normalized(front, problem.true_front(500)) < 0.05

@@ -91,10 +91,22 @@ class TestSimulation:
             simulate_quarter_car(QuarterCarParams(), Excitation(), dt=-1e-4)
         with pytest.raises(ConfigurationError):
             simulate_quarter_car(QuarterCarParams(), Excitation(), t0=1.0, te=0.5)
+        with pytest.raises(ConfigurationError):  # 0.1 of a step rounds to none
+            simulate_quarter_car(QuarterCarParams(), Excitation(), te=1e-5)
 
     @pytest.mark.parametrize(
         "horizon, message",
-        [({"dt": 0.0}, "dt"), ({"dt": -1e-4}, "dt"), ({"te": 0.0}, "te"), ({"t0": 1.0, "te": 0.5}, "te")],
+        [
+            ({"dt": 0.0}, "dt"),
+            ({"dt": -1e-4}, "dt"),
+            ({"te": 0.0}, "te"),
+            ({"t0": 1.0, "te": 0.5}, "te"),
+            # (te - t0) / dt rounds to no step, which would leave every design
+            # at the zero initial state
+            ({"te": 1e-5}, "horizon t0 = 0 s to te = 1e-05 s holds no step of dt = 0.0001 s"),
+            ({"te": 5e-5}, "holds no step"),
+            ({"t0": 1.0, "te": 1.00004}, "horizon t0 = 1 s to te = 1.00004 s holds no step"),
+        ],
     )
     def test_invalid_grid_rejected_when_the_problem_is_built(self, horizon, message):
         with pytest.raises(ConfigurationError, match=message):

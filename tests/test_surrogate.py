@@ -196,16 +196,16 @@ class TestMlp:
         X = rng.uniform(-1.0, 1.0, (400, 6))
         B = rng.normal(size=(6, 2))
         Y = X @ B + rng.normal(size=2)
-        model = fit_mlp(Dataset(X, Y), TrainConfig(seed=3))
+        model = fit_mlp(Dataset(X, Y), seed=3)
         # validation loss is tracked on scaled targets
         assert min(model.val_history) < 1e-3
 
     def test_seeded_determinism_bitwise(self):
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 30, seed=5)
-        cfg = TrainConfig(epochs=200, patience=200, seed=11)
-        m1 = fit_mlp(data, cfg)
-        m2 = fit_mlp(data, cfg)
+        cfg = TrainConfig(epochs=200, patience=200)
+        m1 = fit_mlp(data, cfg, seed=11)
+        m2 = fit_mlp(data, cfg, seed=11)
         for W1, W2 in zip(m1.weights, m2.weights):
             assert np.array_equal(W1, W2)
         for b1, b2 in zip(m1.biases, m2.biases):
@@ -214,29 +214,29 @@ class TestMlp:
     def test_benchmark_training_improves_10x(self):
         problem = make_quarter_car_problem()
         data = lhs_dataset(problem, 20, seed=1)
-        model = fit_mlp(data, TrainConfig(seed=0))
+        model = fit_mlp(data, seed=0)
         assert model.train_history[-1] * 10.0 <= model.train_history[0]
 
     def test_best_val_no_worse_than_first_epoch(self):
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 40, seed=9)
-        model = fit_mlp(data, TrainConfig(epochs=300, patience=300, seed=2))
+        model = fit_mlp(data, TrainConfig(epochs=300, patience=300), seed=2)
         assert min(model.val_history) <= model.val_history[0]
 
     @pytest.mark.parametrize("batch_size", [24, 1000])
     def test_batch_of_all_training_rows_is_full_batch_bitwise(self, batch_size):
         # 30 samples leave 24 training rows beside 6 validation rows
         data = lhs_dataset(make_analytic_problem("two-paraboloids"), 30, seed=5)
-        full = fit_mlp(data, TrainConfig(epochs=60, patience=60, restarts=2, seed=4))
-        cfg = TrainConfig(epochs=60, patience=60, restarts=2, batch_size=batch_size, seed=4)
-        assert same_model(fit_mlp(data, cfg), full)
+        full = fit_mlp(data, TrainConfig(epochs=60, patience=60, restarts=2), seed=4)
+        cfg = TrainConfig(epochs=60, patience=60, restarts=2, batch_size=batch_size)
+        assert same_model(fit_mlp(data, cfg, seed=4), full)
 
     def test_mini_batches_deterministic_with_finite_histories(self):
         data = lhs_dataset(make_analytic_problem("two-paraboloids"), 30, seed=5)
-        cfg = TrainConfig(epochs=40, patience=40, batch_size=2, restarts=2, seed=7)
-        model = fit_mlp(data, cfg)
-        assert same_model(model, fit_mlp(data, cfg))
-        assert not same_model(model, fit_mlp(data, replace(cfg, batch_size=0)))
+        cfg = TrainConfig(epochs=40, patience=40, batch_size=2, restarts=2)
+        model = fit_mlp(data, cfg, seed=7)
+        assert same_model(model, fit_mlp(data, cfg, seed=7))
+        assert not same_model(model, fit_mlp(data, replace(cfg, batch_size=0), seed=7))
         assert len(model.train_history) == len(model.val_history) == 40
         assert np.all(np.isfinite(model.train_history)) and np.all(np.isfinite(model.val_history))
 
@@ -248,7 +248,7 @@ class TestMlp:
     def test_prediction_repeatable(self):
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 20, seed=4)
-        model = fit_mlp(data, TrainConfig(epochs=100, patience=100, seed=1))
+        model = fit_mlp(data, TrainConfig(epochs=100, patience=100), seed=1)
         x = np.array([0.1, 0.2, -0.3, 0.4])
         assert np.array_equal(model.predict(x), model.predict(x))
 
@@ -304,10 +304,10 @@ class TestFlatAdamAgainstListAdam:
     @pytest.mark.parametrize("restarts", [1, 2, 3])
     def test_restarts_through_fit_mlp(self, tmp_path, monkeypatch, restarts):
         data, _, _ = self.scaled(25, seed=7)
-        cfg = TrainConfig(epochs=40, patience=40, batch_size=7, restarts=restarts, seed=3)
-        save_model(fit_mlp(data, cfg), tmp_path / "flat.json")
+        cfg = TrainConfig(epochs=40, patience=40, batch_size=7, restarts=restarts)
+        save_model(fit_mlp(data, cfg, seed=3), tmp_path / "flat.json")
         monkeypatch.setattr(surrogate, "_train_once", oracles.train_once)
-        save_model(fit_mlp(data, cfg), tmp_path / "list.json")
+        save_model(fit_mlp(data, cfg, seed=3), tmp_path / "list.json")
         assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "list.json").read_bytes()
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ def trained_models():
     problem = make_analytic_problem("two-paraboloids")
     data = lhs_dataset(problem, 30, seed=8)
     rbf = fit_rbf(data, sigma=0.5, ridge=1e-8)
-    mlp = fit_mlp(data, TrainConfig(epochs=500, patience=500, seed=6))
+    mlp = fit_mlp(data, TrainConfig(epochs=500, patience=500), seed=6)
     return problem, rbf, mlp
 
 
@@ -376,7 +376,7 @@ class TestBatchRowsEqualOnePoint:
             "rbf": rbf,
             "mlp": mlp,
             "rbf-24d": fit_rbf(wide, sigma=2.0),
-            "mlp-24d": fit_mlp(wide, TrainConfig(epochs=20, patience=20, seed=2)),
+            "mlp-24d": fit_mlp(wide, TrainConfig(epochs=20, patience=20), seed=2),
             "gradient": GradientModel(problem),
         }
 
@@ -423,7 +423,7 @@ class TestSerialization:
     def test_mlp_round_trip(self, tmp_path):
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 15, seed=13)
-        model = fit_mlp(data, TrainConfig(epochs=50, patience=50, seed=4))
+        model = fit_mlp(data, TrainConfig(epochs=50, patience=50), seed=4)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -447,7 +447,7 @@ class TestSerialization:
         if kind == "rbf":
             model = fit_rbf(data, sigma=0.5)
         else:
-            model = fit_mlp(data, TrainConfig(epochs=30, patience=30, seed=2))
+            model = fit_mlp(data, TrainConfig(epochs=30, patience=30), seed=2)
         path = tmp_path / "model.json"
         save_model(model, path)
         saved = json.loads(path.read_text())
