@@ -27,8 +27,8 @@ import numpy as np
 
 from .core import ConfigurationError, SamoError
 from .driver import (
-    SURROGATE_KINDS,
     SamoConfig,
+    StudyConfig,
     StudyRow,
     format_float,
     point_header,
@@ -62,26 +62,6 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """The sweep of `samo study`: every batch size in `sizes` with every
-    surrogate kind in `surrogates` (none: the samo section's), each
-    `repetitions` times."""
-
-    sizes: tuple[int, ...] = ()
-    surrogates: tuple[str, ...] = ()
-    repetitions: int = 1
-
-    def __post_init__(self) -> None:
-        unknown = sorted(set(self.surrogates) - set(SURROGATE_KINDS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown study.surrogates {unknown}; choose from {SURROGATE_KINDS}"
-            )
-        if self.repetitions < 1:
-            raise ConfigurationError("study.repetitions must be at least 1")
 
 
 _HORIZON = ("t0", "te", "dt")
@@ -166,7 +146,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw) -> "RunConfig":
         """Every section read by `_file_values`; each study cell's config is
-        built here too, so a bad one fails before any evaluation."""
+        built here too, by `StudyConfig.cells`, so a bad one fails before any
+        evaluation."""
         raw = _section(raw, "config")
         _reject_unknown(raw, ("problem", "samo", "study"), "config")
         problem = _problem_from_config(raw.get("problem"))
@@ -174,12 +155,7 @@ class RunConfig:
         study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
         if not study.surrogates:
             study = replace(study, surrogates=(samo_cfg.surrogate,))
-        for kind in study.surrogates:
-            for size in study.sizes:
-                try:
-                    replace(samo_cfg, surrogate=kind, batch_size=size)
-                except ConfigurationError as exc:
-                    raise ConfigurationError(f"study.sizes entry {size}: {exc}") from None
+        study.cells(samo_cfg)
         return cls(problem=problem, samo=samo_cfg, study=study)
 
     @classmethod
@@ -314,18 +290,7 @@ def cmd_study(args) -> int:
     base = config.samo
     if args.seed is not None:
         base = replace(base, seed=args.seed)
-    rows = []
-    for kind in config.study.surrogates:
-        cell_cfg = replace(base, surrogate=kind)
-        rows.extend(
-            sample_size_study(
-                config.problem,
-                config.study.sizes,
-                cell_cfg,
-                repetitions=config.study.repetitions,
-                jobs=args.jobs,
-            )
-        )
+    rows = sample_size_study(config.problem, base, config.study, jobs=args.jobs)
     header = [f.name for f in fields(StudyRow)]
     table = [
         ["" if v is None else int(v) if isinstance(v, bool) else v for v in astuple(r)]
@@ -334,7 +299,7 @@ def cmd_study(args) -> int:
     write_csv(out / "study.csv", header, table)
     print(f"wrote {out / 'study.csv'} ({len(table)} rows)")
     if not rows:
-        cells = len(config.study.surrogates) * len(config.study.sizes) * config.study.repetitions
+        cells = len(config.study.cells(base))
         print(f"error: {cells} of {cells} study cells failed", file=sys.stderr)
         return 1
     return 0

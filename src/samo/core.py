@@ -84,6 +84,12 @@ class BoxBounds:
         arr = np.asarray(x, dtype=float)
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
+    def clip(self, X: np.ndarray) -> np.ndarray:
+        """`np.clip(X, lower, upper)` bit for bit, NaN and signed zeros
+        included: the same maximum-then-minimum, without np.clip's
+        Python-level dispatch."""
+        return np.minimum(np.maximum(X, self.lower), self.upper)
+
 
 def finite_matrix(values, what: str) -> np.ndarray:
     """A read-only float copy of a two-dimensional array of finite values."""
@@ -180,14 +186,16 @@ class ParetoApproximation:
         return cls(np.atleast_2d(X), np.atleast_2d(F))
 
 
-def _as_points(points, what: str) -> np.ndarray:
-    """Coerce a sequence of objective vectors (or an array) to an (n, K) matrix."""
+def point_matrix(points, what: str) -> np.ndarray:
+    """A point set, a sequence of vectors or an array, as an (n, K) float
+    matrix; one vector is one point. Raises DimensionMismatchError beyond
+    two dimensions and EmptyInputError for no point or no coordinate."""
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise DimensionMismatchError(f"{what} must be a sequence of points")
-    if arr.shape[0] == 0:
+    if arr.size == 0:
         raise EmptyInputError(f"{what} must not be empty")
     return arr
 
@@ -256,7 +264,7 @@ def front_ranks(F: np.ndarray) -> np.ndarray:
 
 def non_dominated_filter(points) -> np.ndarray:
     """Indices of all points not dominated by any other point, in input order."""
-    return np.flatnonzero(front_ranks(_as_points(points, "point set")) == 0)
+    return np.flatnonzero(front_ranks(point_matrix(points, "point set")) == 0)
 
 
 def hausdorff_distance(X, Y, normalize: bool = False) -> float:
@@ -267,8 +275,8 @@ def hausdorff_distance(X, Y, normalize: bool = False) -> float:
     ``normalize=True`` both sets are first mapped into the unit box spanned
     by their union (degenerate coordinates are left unscaled).
     """
-    Xa = _as_points(X, "first set")
-    Ya = _as_points(Y, "second set")
+    Xa = point_matrix(X, "first set")
+    Ya = point_matrix(Y, "second set")
     if Xa.shape[1] != Ya.shape[1]:
         raise DimensionMismatchError(
             f"sets differ in objective count: {Xa.shape[1]} vs {Ya.shape[1]}"

@@ -24,11 +24,11 @@ import numpy as np
 from .core import (
     ConfigurationError,
     Dataset,
-    EmptyInputError,
     ParetoApproximation,
     SamoError,
     hausdorff_distance,
     non_dominated_filter,
+    point_matrix,
 )
 from .mgda import MgdaConfig, multistart_mgda
 from .moea import MoeaConfig, check_population_size, nsga2_run
@@ -40,6 +40,7 @@ from .surrogate import (
     TrainConfig,
     fit_mlp,
     fit_rbf,
+    min_training_samples,
     save_model,
     select_rbf_width,
 )
@@ -130,7 +131,9 @@ class SamoConfig:
     evaluations remain in the budget. `population_size` is the NSGA-II
     population or the number of descent starts, whichever `optimizer`
     selects. `seed` is the run's only seed: every round derives the seeds of
-    its sampling, training and optimizer from it with `derive_seed`.
+    its sampling, training and optimizer from it with `derive_seed`. Round 0
+    fits the surrogate on its batch alone, so `batch_size` is at least
+    `samo.surrogate.min_training_samples`.
     """
 
     budget: int = 120
@@ -149,14 +152,17 @@ class SamoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 2:
-            raise ConfigurationError("batch_size must be at least 2")
+        if self.surrogate not in SURROGATE_KINDS:
+            raise ConfigurationError(f"surrogate must be one of {SURROGATE_KINDS}")
+        least = min_training_samples(self.surrogate, cross_validated=self.rbf_sigma is None)
+        if self.batch_size < least:
+            raise ConfigurationError(
+                f"batch_size must be at least {least} to fit the {self.surrogate} surrogate"
+            )
         if self.budget < self.batch_size:
             raise ConfigurationError("budget must be at least batch_size")
         if self.h_min <= 0.0:
             raise ConfigurationError("h_min must be strictly positive")
-        if self.surrogate not in SURROGATE_KINDS:
-            raise ConfigurationError(f"surrogate must be one of {SURROGATE_KINDS}")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ConfigurationError(f"optimizer must be one of {OPTIMIZER_KINDS}")
         if self.population_size < 2:
@@ -323,9 +329,7 @@ class RunDirectoryWriter:
             ],
             "h_values": [r.hausdorff for r in record.rounds if r.hausdorff is not None],
             "total_evaluations": record.total_evaluations,
-            "final_front_size": (
-                len(record.final_front) if record.final_front is not None else None
-            ),
+            "final_front_size": len(record.final_front),
             "error": record.error,
         }
         if record.failed_round is not None:
@@ -463,15 +467,12 @@ def samo_run(
         if len(record.dataset) >= cap:
             break
 
-    if len(record.dataset):
-        keep = non_dominated_filter(record.dataset.Y)
-        record.final_decision = record.dataset.X[keep]
-        record.final_front = record.dataset.Y[keep]
-        if writer:
-            writer.write_points(
-                POINT_FILES["final"], record.final_decision, record.final_front, "f"
-            )
+    # round 0 evaluated its batch before anything could end the loop
+    keep = non_dominated_filter(record.dataset.Y)
+    record.final_decision = record.dataset.X[keep]
+    record.final_front = record.dataset.Y[keep]
     if writer:
+        writer.write_points(POINT_FILES["final"], record.final_decision, record.final_front, "f")
         writer.write_metrics(record)
     return record
 
@@ -480,17 +481,52 @@ def igd_normalized(front, reference) -> float:
     """Inverted generational distance: the mean distance from each reference
     point to its nearest front member, with both sets scaled by the
     reference front's per-objective range, making the indicator comparable
-    across problems."""
-    F = np.atleast_2d(np.asarray(front, dtype=float))
-    R = np.atleast_2d(np.asarray(reference, dtype=float))
-    if F.shape[0] == 0 or R.shape[0] == 0:
-        raise EmptyInputError("front and reference must be non-empty")
+    across problems. Both are `samo.core.point_matrix` point sets."""
+    F = point_matrix(front, "front")
+    R = point_matrix(reference, "reference")
     lo = R.min(axis=0)
     span = R.max(axis=0) - lo
     span = np.where(span > 0.0, span, 1.0)
     F, R = (F - lo) / span, (R - lo) / span
     d = np.sqrt(((R[:, None, :] - F[None, :, :]) ** 2).sum(axis=2))
     return float(d.min(axis=1).mean())
+
+
+@dataclass(frozen=True)
+class StudyConfig:
+    """The sweep of `samo study`: every batch size in `sizes` with every
+    surrogate kind in `surrogates` (none: the run config's), each
+    `repetitions` times."""
+
+    sizes: tuple[int, ...] = ()
+    surrogates: tuple[str, ...] = ()
+    repetitions: int = 1
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.surrogates) - set(SURROGATE_KINDS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown study.surrogates {unknown}; choose from {SURROGATE_KINDS}"
+            )
+        if self.repetitions < 1:
+            raise ConfigurationError("study.repetitions must be at least 1")
+
+    def cells(self, cfg: SamoConfig) -> list:
+        """Every cell of the sweep around the run config `cfg` as
+        (repetition, run config), by surrogate kind, then repetition, then
+        size; a cell's seed is `derive_seed(cfg.seed, 3, size, repetition)`.
+        A size its cell's config rejects raises ConfigurationError."""
+        cells = []
+        for kind in self.surrogates or (cfg.surrogate,):
+            for rep in range(self.repetitions):
+                for size in self.sizes:
+                    seed = derive_seed(cfg.seed, 3, size, rep)
+                    try:
+                        cell = replace(cfg, surrogate=kind, batch_size=size, seed=seed)
+                    except ConfigurationError as exc:
+                        raise ConfigurationError(f"study.sizes entry {size}: {exc}") from None
+                    cells.append((rep, cell))
+        return cells
 
 
 @dataclass(frozen=True)
@@ -506,48 +542,37 @@ class StudyRow:
     igd: Optional[float]
 
 
-def sample_size_study(
-    problem: Problem,
-    sizes: Sequence[int],
-    cfg: SamoConfig,
-    repetitions: int = 1,
-    jobs: int = 1,
-) -> list:
-    """Re-run the adaptive loop for each batch size (and repetition),
+def sample_size_study(problem: Problem, cfg: SamoConfig, study: StudyConfig, jobs: int = 1) -> list:
+    """Run the adaptive loop on every cell of `study.cells(cfg)`, in order,
     reporting rounds, evaluation counts, wall-clock and front quality. A
     cell whose run fails, by raising or with a `record.error`, is logged and
     left out."""
-    if len(sizes) == 0:
+    if len(study.sizes) == 0:
         raise ConfigurationError("study needs at least one sample size")
     reference = problem.true_front(1000) if problem.true_front is not None else None
     rows = []
-    for rep in range(repetitions):
-        for size in sizes:
-            run_cfg = replace(cfg, batch_size=size, seed=derive_seed(cfg.seed, 3, size, rep))
-            t0 = time.perf_counter()
-            try:
-                record = samo_run(problem, run_cfg, jobs=jobs)
-                error = record.error
-            except SamoError as exc:
-                error = exc
-            if error is not None:
-                logger.error("study cell (s=%d, rep=%d) failed: %s", size, rep, error)
-                continue
-            elapsed = time.perf_counter() - t0
-            quality = None
-            if reference is not None and record.final_front is not None:
-                quality = igd_normalized(record.final_front, reference)
-            rows.append(
-                StudyRow(
-                    batch_size=size,
-                    surrogate=run_cfg.surrogate,
-                    repetition=rep,
-                    rounds=len(record.rounds),
-                    evaluations=record.total_evaluations,
-                    converged=record.converged,
-                    total_time=elapsed,
-                    mean_round_time=elapsed / max(len(record.rounds), 1),
-                    igd=quality,
-                )
+    for rep, run_cfg in study.cells(cfg):
+        t0 = time.perf_counter()
+        try:
+            record = samo_run(problem, run_cfg, jobs=jobs)
+            error = record.error
+        except SamoError as exc:
+            error = exc
+        if error is not None:
+            logger.error("study cell (s=%d, rep=%d) failed: %s", run_cfg.batch_size, rep, error)
+            continue
+        elapsed = time.perf_counter() - t0
+        rows.append(
+            StudyRow(
+                batch_size=run_cfg.batch_size,
+                surrogate=run_cfg.surrogate,
+                repetition=rep,
+                rounds=len(record.rounds),
+                evaluations=record.total_evaluations,
+                converged=record.converged,
+                total_time=elapsed,
+                mean_round_time=elapsed / len(record.rounds),
+                igd=None if reference is None else igd_normalized(record.final_front, reference),
             )
+        )
     return rows

@@ -120,13 +120,6 @@ def _descent_directions(J: np.ndarray) -> tuple:
     return D, W, np.sqrt(_row_dot(D, D))
 
 
-def _clamp(X: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """`np.clip(X, lower, upper)` bit for bit, NaN and signed zeros
-    included: the same maximum-then-minimum, without np.clip's Python-level
-    dispatch."""
-    return np.minimum(np.maximum(X, lower), upper)
-
-
 @dataclass(frozen=True)
 class MgdaResult:
     x: np.ndarray
@@ -155,7 +148,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     iterations = np.full(n_starts, cfg.max_iterations)
     active = np.arange(n_starts)
     Xa = X
-    eta, lower, upper, tolerance = cfg.learning_rate, bounds.lower, bounds.upper, cfg.tolerance
+    eta, tolerance = cfg.learning_rate, cfg.tolerance
     backtracking = cfg.backtracking
     rows, owners = [], []
     for iteration in range(1, cfg.max_iterations + 1):
@@ -183,7 +176,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
             Xa, D = Xa[moving], D[moving]
             if backtracking:
                 W, F = W[moving], F[moving]
-        candidate = _clamp(Xa + eta * D, lower, upper)
+        candidate = bounds.clip(Xa + eta * D)
         if backtracking:
             candidate = _backtrack(model, Xa, D, W, F, candidate, bounds, cfg)
         Xa = candidate
@@ -212,9 +205,7 @@ def _backtrack(model, X, D, W, F, candidate, bounds: BoxBounds, cfg: MgdaConfig)
         if pending.size == 0:
             break
         eta[pending] *= 0.5
-        candidate[pending] = _clamp(
-            X[pending] + eta[pending, None] * D[pending], bounds.lower, bounds.upper
-        )
+        candidate[pending] = bounds.clip(X[pending] + eta[pending, None] * D[pending])
     return candidate
 
 

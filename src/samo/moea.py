@@ -24,10 +24,10 @@ from .core import (
     BoxBounds,
     ConfigurationError,
     DimensionMismatchError,
-    EmptyInputError,
     ParetoApproximation,
     dominance_matrix,  # unused here; resolves the `moea.dominance_matrix` trace site
     front_ranks,
+    point_matrix,
 )
 from .sampling import latin_hypercube
 
@@ -67,22 +67,19 @@ def fast_non_dominated_sort(pop) -> list:
     """Partition a population into fronts: front 0 is the non-dominated set,
     front i+1 is non-dominated once fronts <= i are removed.
 
-    Takes an (n, K) array of objectives; returns a list of ascending index
-    arrays, the rows of `samo.core.front_ranks` grouped by rank.
+    Takes the objectives as a `samo.core.point_matrix` point set; returns a
+    list of ascending index arrays, the rows of `samo.core.front_ranks`
+    grouped by rank.
     """
-    F = np.atleast_2d(np.asarray(pop, dtype=float))
-    if F.shape[0] == 0:
-        raise EmptyInputError("population must not be empty")
+    F = point_matrix(pop, "population")
     rank = front_ranks(F)
     return np.split(np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank))[:-1])
 
 
 def crowding_distance(front) -> np.ndarray:
-    """Per-objective normalized neighbor gaps, summed; boundary points and
-    fronts of size <= 2 get infinity."""
-    F = np.atleast_2d(np.asarray(front, dtype=float))
-    if F.shape[0] == 0:
-        raise EmptyInputError("front must not be empty")
+    """Per-objective normalized neighbor gaps of a `samo.core.point_matrix`
+    point set, summed; boundary points and fronts of size <= 2 get infinity."""
+    F = point_matrix(front, "front")
     return _crowding(F, np.zeros(F.shape[0], dtype=np.intp))
 
 
@@ -151,7 +148,7 @@ def sbx_crossover(
     C1, C2 = P1.copy(), P2.copy()
     C1[crossed] = 0.5 * ((1.0 + b) * p1 + (1.0 - b) * p2)
     C2[crossed] = 0.5 * ((1.0 - b) * p1 + (1.0 + b) * p2)
-    return np.clip(C1, bounds.lower, bounds.upper), np.clip(C2, bounds.lower, bounds.upper)
+    return bounds.clip(C1), bounds.clip(C2)
 
 
 def polynomial_mutation(
@@ -175,7 +172,7 @@ def polynomial_mutation(
     high_branch = 1.0 - (2.0 * (1.0 - um) + 2.0 * (um - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
     Y = X.copy()
     Y[mutate] = x + np.where(um < 0.5, low_branch, high_branch) * width
-    return np.clip(Y, bounds.lower, bounds.upper)
+    return bounds.clip(Y)
 
 
 def _unpeek(bits, unused: int, has_uint32: int, uinteger: int) -> None:

@@ -335,7 +335,12 @@ def make_quarter_car_problem(
     a sinusoidal road input, with design offsets in a +/- half_width box."""
     if n_dim < 1:
         raise ConfigurationError("n_dim must be at least 1")
-    _step_count(t0, te, dt)
+    # the amplitudes are read over rows (n_steps + 1) // 2 on: one row for one step
+    if _step_count(t0, te, dt) < 2:
+        raise ConfigurationError(
+            f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds 1 step of dt = {dt:.6g} s; "
+            "the amplitudes need at least 2"
+        )
     nominal = nominal or QuarterCarParams()
     excitation = excitation or Excitation()
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BoxBounds, ConfigurationError, Dataset, ParetoApproximation
+from .core import BoxBounds, ConfigurationError, Dataset, ParetoApproximation, point_matrix
 
 _KMEANS_MAX_ITER = 300
 _DUPLICATE_RADIUS = 1e-9
@@ -69,11 +69,10 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator):
 
 
 def kmeans(points, k: int, seed: int) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding; runs to an assignment
-    fixpoint or 300 iterations. Deterministic for a fixed seed."""
-    X = np.asarray(points, dtype=float)
-    if X.ndim == 1:
-        X = X[None, :]
+    """Lloyd's algorithm with k-means++ seeding on a `samo.core.point_matrix`
+    point set; runs to an assignment fixpoint or 300 iterations.
+    Deterministic for a fixed seed."""
+    X = point_matrix(points, "k-means points")
     n_distinct = np.unique(X, axis=0).shape[0]
     if k < 1 or k > n_distinct:
         raise ConfigurationError(
@@ -104,8 +103,7 @@ def pareto_informed_samples(
 
     n_distinct = np.unique(decision, axis=0).shape[0]
     k = min(s, n_distinct)
-    centroids = kmeans(decision, k, seed)
-    centroids = np.clip(centroids, bounds.lower, bounds.upper)
+    centroids = bounds.clip(kmeans(decision, k, seed))
 
     chosen: list[np.ndarray] = []
 
@@ -128,7 +126,7 @@ def pareto_informed_samples(
         # nearest Pareto-set member that is not in the archive or this batch
         order = np.argsort(((decision - c) ** 2).sum(axis=1), kind="stable")
         for idx in order:
-            member = np.clip(decision[idx], bounds.lower, bounds.upper)
+            member = bounds.clip(decision[idx])
             if not taken(member):
                 chosen.append(member)
                 break

@@ -121,6 +121,15 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be non-negative (0 = full batch)")
 
 
+def min_training_samples(kind: str, cross_validated: bool = False) -> int:
+    """The fewest samples a surrogate of `kind` is fitted on: 5 for the
+    network, 2 for an RBF of fixed width and 3 for one whose width is
+    cross-validated, since each fold then leaves a sample out."""
+    if kind == "mlp":
+        return 5
+    return 3 if cross_validated else 2
+
+
 def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != n_dim:
@@ -165,6 +174,15 @@ def _pairwise_sum(sq: np.ndarray, start: int, n: int) -> np.ndarray:
     return _pairwise_sum(sq, start, half) + _pairwise_sum(sq, start + half, n - half)
 
 
+def _gaussian(diff: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian kernel exp(-d^2 / (2 sigma^2)) of coordinate-major
+    offsets `diff`, with d^2 from `_sum_squares` and scaled in place;
+    x / -c equals -x / c bit for bit for every non-NaN x."""
+    phi = _sum_squares(diff)
+    np.divide(phi, -(2.0 * sigma**2), out=phi)
+    return np.exp(phi, out=phi)
+
+
 @dataclass(frozen=True)
 class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
@@ -185,15 +203,8 @@ class RbfModel:
         """(N, M, C) offsets of the scaled inputs from every center."""
         return _offsets(self.scaler.transform_x(_input_matrix(X, self.n_dim)), self.centers)
 
-    def _kernel(self, diff: np.ndarray) -> np.ndarray:
-        # x / -c equals -x / c bit for bit for every non-NaN x; the fresh
-        # sum is scaled in place
-        phi = _sum_squares(diff)
-        np.divide(phi, -(2.0 * self.sigma**2), out=phi)
-        return np.exp(phi, out=phi)
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        phi = self._kernel(self._scaled_offsets(X))
+        phi = _gaussian(self._scaled_offsets(X), self.sigma)
         # (M, 1, C) @ (C, K) is one vector-matrix product per row, so every
         # row equals the one-point prediction bit for bit
         return self.scaler.inverse_y((phi[:, None, :] @ self.weights)[:, 0, :])
@@ -203,7 +214,7 @@ class RbfModel:
 
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         diff = self._scaled_offsets(X)
-        phi = self._kernel(diff)
+        phi = _gaussian(diff, self.sigma)
         # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C)
         dphi = phi * diff
         np.divide(dphi, -(self.sigma**2), out=dphi)
@@ -230,19 +241,14 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def _layers(self, X: np.ndarray) -> list:
-        """Scaled input and hidden activations, each (M, 1, width). Every
-        layer is one vector-matrix product per row, so every row equals the
-        one-point forward pass bit for bit."""
+        """`_forward_all` on the scaled inputs as (M, 1, N): every layer is
+        one vector-matrix product per row, so every row equals the one-point
+        forward pass bit for bit."""
         h = self.scaler.transform_x(_input_matrix(X, self.n_dim))[:, None, :]
-        layers = [h]
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ W + b)
-            layers.append(h)
-        return layers
+        return _forward_all(self.weights, self.biases, h)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        h = self._layers(X)[-1]
-        return self.scaler.inverse_y((h @ self.weights[-1] + self.biases[-1])[:, 0, :])
+        return self.scaler.inverse_y(self._layers(X)[-1][:, 0, :])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -250,7 +256,7 @@ class MlpModel:
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         layers = self._layers(X)
         jac = np.repeat(self.weights[-1].T[None], len(layers[0]), axis=0)
-        for W, act in zip(reversed(self.weights[:-1]), reversed(layers[1:])):
+        for W, act in zip(reversed(self.weights[:-1]), reversed(layers[1:-1])):
             jac = (jac * (1.0 - act**2)) @ W.T
         return (self.scaler.y_scale[:, None] * jac) / self.scaler.x_scale
 
@@ -265,7 +271,7 @@ def fit_rbf(
 ) -> RbfModel:
     """Interpolate the archive with a Gaussian-kernel model by solving the
     regularized symmetric system (Phi + ridge * I) W = Y per objective."""
-    if len(data) < 2:
+    if len(data) < min_training_samples("rbf"):
         raise ConfigurationError("RBF fitting needs at least two samples")
     if sigma <= 0.0:
         raise ConfigurationError("kernel width sigma must be strictly positive")
@@ -275,8 +281,7 @@ def fit_rbf(
     scaler = Scaler.fit(X, Y)
     Xs = scaler.transform_x(X)
     Ys = scaler.transform_y(Y)
-    d2 = _sum_squares(_offsets(Xs, Xs))
-    system = np.exp(-d2 / (2.0 * sigma**2)) + ridge * np.eye(len(Xs))
+    system = _gaussian(_offsets(Xs, Xs), sigma) + ridge * np.eye(len(Xs))
     try:
         W = np.linalg.solve(system, Ys)
         # one step of iterative refinement keeps the residual near machine
@@ -456,7 +461,7 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None, *, seed: int = 0) 
     `seed` draws the split and, with the restart's index, its initial
     weights."""
     cfg = cfg or TrainConfig()
-    if len(data) < 5:
+    if len(data) < min_training_samples("mlp"):
         raise ConfigurationError("network training needs at least five samples")
     X, Y = data.X, data.Y
     scaler = Scaler.fit(X, Y)

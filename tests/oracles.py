@@ -597,6 +597,15 @@ def forward_all(weights, biases, X):
     return activations
 
 
+def mlp_predict_per_layer(model, X) -> np.ndarray:
+    """`MlpModel.predict_batch` with a layer loop of its own: the hidden
+    layers, then the output layer, on the scaled inputs as (M, 1, N)."""
+    h = model.scaler.transform_x(np.atleast_2d(np.asarray(X, dtype=float)))[:, None, :]
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = np.tanh(h @ W + b)
+    return model.scaler.inverse_y((h @ model.weights[-1] + model.biases[-1])[:, 0, :])
+
+
 def loss_and_grads(weights, biases, X, Y):
     """Mean squared error on (X, Y) and its gradients, ordered as `weights + biases`."""
     activations = forward_all(weights, biases, X)

@@ -13,7 +13,7 @@ import numpy as np
 
 from oracles import GradientModel, common_descent_direction, mechanical_energy
 from samo.core import hausdorff_distance, non_dominated_filter
-from samo.driver import SamoConfig, igd_normalized, sample_size_study, samo_run
+from samo.driver import SamoConfig, StudyConfig, igd_normalized, sample_size_study, samo_run
 from samo.mgda import MgdaConfig, mgda_run
 from samo.moea import MoeaConfig, fast_non_dominated_sort, nsga2_run
 from samo.problems import (
@@ -286,7 +286,7 @@ def test_criterion_8_sample_size_trends():
         seed=0,
     )
     sizes = [5, 10, 20, 30]
-    rows = sample_size_study(problem, sizes, cfg, repetitions=3)
+    rows = sample_size_study(problem, cfg, StudyConfig(sizes=tuple(sizes), repetitions=3))
     monotone_reps = 0
     for rep in range(3):
         rounds = [r.rounds for r in rows if r.repetition == rep]

@@ -317,6 +317,12 @@ class TestRunConfig:
             ({"problem": {"name": "mbs", "horizon": {"dt": 0}}}, "dt"),
             ({"problem": {"name": "zdt1", "n_dim": 1}}, "n_dim"),
             ({"problem": {"name": "two-paraboloids", "n_dim": 0}}, "n_dim"),
+            ({"problem": {"name": "mbs", "horizon": {"te": 1e-4}}}, "te"),
+            # round 0 fits the surrogate on its batch alone
+            ({"samo": {"surrogate": "mlp", "batch_size": 4}}, "batch_size must be at least 5"),
+            ({"samo": {"surrogate": "rbf", "batch_size": 2}}, "batch_size must be at least 3"),
+            ({"samo": {"surrogate": "rbf"}, "study": {"sizes": [10, 2]}}, "study.sizes entry 2"),
+            ({"study": {"sizes": [10, 4], "surrogates": ["rbf", "mlp"]}}, "study.sizes entry 4"),
         ],
     )
     def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):

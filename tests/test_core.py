@@ -18,7 +18,11 @@ from samo.core import (
     dominance_matrix,
     hausdorff_distance,
     non_dominated_filter,
+    point_matrix,
 )
+from samo.driver import igd_normalized
+from samo.moea import crowding_distance, fast_non_dominated_sort
+from samo.sampling import kmeans
 
 
 def brute_force_non_dominated(points: np.ndarray) -> np.ndarray:
@@ -126,6 +130,29 @@ class TestNonDominatedFilter:
                     assert not dominates(front[i], front[j])
 
 
+# every function that takes a point set reads it through `point_matrix`
+POINT_SET_USERS = {
+    "non_dominated_filter": non_dominated_filter,
+    "fast_non_dominated_sort": fast_non_dominated_sort,
+    "crowding_distance": crowding_distance,
+    "igd_normalized": lambda points: igd_normalized(points, [[1.0, 2.0]]),
+    "kmeans": lambda points: kmeans(points, 1, 0),
+}
+
+
+class TestPointMatrix:
+    @pytest.mark.parametrize("user", POINT_SET_USERS)
+    def test_one_check_for_every_user(self, user):
+        use = POINT_SET_USERS[user]
+        # no point, and points without coordinates
+        for points in ([], np.empty((0, 2)), np.empty((3, 0))):
+            with pytest.raises(EmptyInputError, match="must not be empty"):
+                use(points)
+        with pytest.raises(DimensionMismatchError, match="must be a sequence of points"):
+            use(np.zeros((2, 2, 2)))
+        assert point_matrix([1.0, 2.0], "one vector").tolist() == [[1.0, 2.0]]
+
+
 class TestHausdorff:
     def test_identical_sets_zero(self):
         pts = np.random.default_rng(0).random((7, 2))
@@ -193,6 +220,17 @@ class TestTypes:
     def test_bounds_require_lower_below_upper(self):
         with pytest.raises(ConfigurationError):
             BoxBounds(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+    def test_box_clip_is_np_clip(self):
+        # values on the bounds, just outside, signed zeros, infinities and
+        # NaN, against bounds that are themselves signed zeros
+        values = [-0.0, 0.0, -1.0, 1.0, 0.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
+        values += [np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300]
+        bounds = BoxBounds(np.array([-1.0, 0.0, -0.0, -1.0, -1.0]), np.array([1.0, 1.0, 0.5, -0.0, 0.0]))
+        X = np.repeat(np.array(values)[:, None], bounds.dim, axis=1)
+        want = np.clip(X, bounds.lower, bounds.upper)
+        assert bounds.clip(X).tobytes() == want.tobytes()
+        assert bounds.clip(X[2]).tobytes() == want[2].tobytes()
 
     def test_dataset_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):

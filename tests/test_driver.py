@@ -18,6 +18,7 @@ from samo.driver import (
     RunDirectoryWriter,
     RunRecord,
     SamoConfig,
+    StudyConfig,
     check_convergence,
     derive_seed,
     format_float,
@@ -30,7 +31,7 @@ from samo.driver import (
 from samo.mgda import MgdaConfig
 from samo.moea import MoeaConfig
 from samo.problems import QuarterCarEvaluator, make_analytic_problem, make_quarter_car_problem
-from samo.surrogate import RbfModel, TrainConfig
+from samo.surrogate import MlpModel, RbfModel, TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
@@ -67,6 +68,14 @@ class TestConfigValidation:
     def test_h_min_positive(self):
         with pytest.raises(ConfigurationError):
             SamoConfig(h_min=0.0)
+
+    @pytest.mark.parametrize("kind, sigma, least", [("mlp", None, 5), ("rbf", None, 3), ("rbf", 0.5, 2)])
+    def test_batch_size_at_least_what_round_0_fits_on(self, kind, sigma, least):
+        with pytest.raises(ConfigurationError, match=f"^batch_size must be at least {least} "):
+            small_cfg(surrogate=kind, rbf_sigma=sigma, batch_size=least - 1)
+        cfg = small_cfg(surrogate=kind, rbf_sigma=sigma, batch_size=least, budget=least)
+        record = samo_run(CHEAP, cfg)
+        assert record.error is None and record.rounds[0].dataset_size == least
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -402,7 +411,8 @@ class TestBatchedOptimizersMatchOnePointPath:
         ranks by the dominance peel, crowds front by front, gathers
         survivors in a list and draws one tournament per child; the
         quarter-car oracle stores every state on numpy scalars; the network
-        oracle runs Adam one parameter array at a time; the RBF oracles
+        oracles run Adam one parameter array at a time and predict with a
+        layer loop of their own; the RBF oracles
         reduce row-major offsets over their last axis, in numpy's pairwise
         order from 8 coordinates on; the descent oracle scatters every
         start back each iteration."""
@@ -410,6 +420,7 @@ class TestBatchedOptimizersMatchOnePointPath:
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
         monkeypatch.setattr(samo.surrogate, "_train_once", oracles.train_once)
+        monkeypatch.setattr(MlpModel, "predict_batch", oracles.mlp_predict_per_layer)
         monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
         monkeypatch.setattr(samo.surrogate, "fit_rbf", oracles.fit_rbf_row_major)
         monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
@@ -460,7 +471,7 @@ class TestIgd:
 
 class TestStudy:
     def test_single_size_single_row(self):
-        rows = sample_size_study(CHEAP, [5], small_cfg())
+        rows = sample_size_study(CHEAP, small_cfg(), StudyConfig(sizes=(5,)))
         assert len(rows) == 1
         row = rows[0]
         assert row.batch_size == 5
@@ -468,7 +479,8 @@ class TestStudy:
         assert row.igd is not None
 
     def test_sizes_and_repetitions(self):
-        rows = sample_size_study(CHEAP, [4, 6], small_cfg(budget=6, batch_size=4), repetitions=2)
+        cfg = small_cfg(budget=6, batch_size=4)
+        rows = sample_size_study(CHEAP, cfg, StudyConfig(sizes=(4, 6), repetitions=2))
         assert len(rows) == 4
         assert {(r.batch_size, r.repetition) for r in rows} == {
             (4, 0),
@@ -487,9 +499,9 @@ class TestStudy:
             return [replace(r, total_time=0.0, mean_round_time=0.0) for r in rows]
 
         cfg = small_cfg(budget=6, batch_size=4)
-        expected = sample_size_study(CHEAP, [4, 6], cfg, repetitions=2)
+        expected = sample_size_study(CHEAP, cfg, StudyConfig(sizes=(4, 6), repetitions=2))
         monkeypatch.setattr(samo.driver, "samo_run", run_unless_size_5)
-        rows = sample_size_study(CHEAP, [4, 5, 6], cfg, repetitions=2)
+        rows = sample_size_study(CHEAP, cfg, StudyConfig(sizes=(4, 5, 6), repetitions=2))
         assert untimed(rows) == untimed(expected)
         assert [(r.batch_size, r.repetition) for r in rows] == [(4, 0), (6, 0), (4, 1), (6, 1)]
 
@@ -503,9 +515,27 @@ class TestStudy:
             optimizer="mgda-multistart",
             mgda=replace(config.samo.mgda, max_iterations=50),
         )
-        assert sample_size_study(config.problem, [5], cfg) == []
+        assert sample_size_study(config.problem, cfg, StudyConfig(sizes=(5,))) == []
         assert "study cell (s=5, rep=0) failed: surrogate optimization failed in round 0" in caplog.text
 
     def test_empty_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
-            sample_size_study(CHEAP, [], small_cfg())
+            sample_size_study(CHEAP, small_cfg(), StudyConfig())
+
+    def test_cells_in_the_triple_loop_order_with_derived_seeds(self):
+        # surrogate kind, then repetition, then size, as the sweep ran when
+        # `samo study` looped over the kinds around a repetition-size loop
+        cfg = small_cfg()
+        study = StudyConfig(sizes=(6, 5, 10), surrogates=("rbf", "mlp"), repetitions=2)
+        want = []
+        for kind in ("rbf", "mlp"):
+            for rep in range(2):
+                for size in (6, 5, 10):
+                    seed = derive_seed(cfg.seed, 3, size, rep)
+                    want.append((rep, replace(cfg, surrogate=kind, batch_size=size, seed=seed)))
+        assert study.cells(cfg) == want
+        assert StudyConfig(sizes=(5,)).cells(cfg) == [(0, replace(cfg, seed=derive_seed(11, 3, 5, 0)))]
+
+    def test_cell_below_the_surrogate_minimum_rejected(self):
+        with pytest.raises(ConfigurationError, match="^study.sizes entry 4: batch_size must be at least 5"):
+            StudyConfig(sizes=(6, 4), surrogates=("rbf", "mlp")).cells(small_cfg())

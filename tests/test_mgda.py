@@ -10,7 +10,6 @@ from samo.core import (
 )
 from samo.mgda import (
     MgdaConfig,
-    _clamp,
     _descend,
     _descent_directions,
     mgda_run,
@@ -435,16 +434,6 @@ class TestLeanDescentMatchesGatherScatter:
         assert got[1].all() and (got[2] == 1).all()
         for a, b in zip(got, want):
             assert np.array_equal(np.asarray(a), np.asarray(b))
-
-    def test_clamp_is_np_clip(self):
-        # values on the bounds, just outside, signed zeros, infinities and
-        # NaN, against bounds that are themselves signed zeros
-        values = [-0.0, 0.0, -1.0, 1.0, 0.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0)]
-        values += [np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300]
-        lower = np.array([-1.0, 0.0, -0.0, -1.0, -0.0, 0.0, -0.0])
-        upper = np.array([1.0, 1.0, 0.5, -0.0, 0.0, 0.0, -0.0])
-        X = np.repeat(np.array(values)[:, None], len(lower), axis=1)
-        assert _clamp(X, lower, upper).tobytes() == np.clip(X, lower, upper).tobytes()
 
 
 class TestMultistartStats:

@@ -106,6 +106,9 @@ class TestSimulation:
             ({"te": 1e-5}, "horizon t0 = 0 s to te = 1e-05 s holds no step of dt = 0.0001 s"),
             ({"te": 5e-5}, "holds no step"),
             ({"t0": 1.0, "te": 1.00004}, "horizon t0 = 1 s to te = 1.00004 s holds no step"),
+            # one step leaves a single row in the amplitude window, so every
+            # design would give [0, 0]
+            ({"te": 1e-4}, "te = 0.0001 s holds 1 step of dt = 0.0001 s; the amplitudes need at least 2"),
         ],
     )
     def test_invalid_grid_rejected_when_the_problem_is_built(self, horizon, message):
@@ -281,7 +284,7 @@ class TestWindowedEvaluator:
         random = np.random.default_rng(11).uniform(-0.003, 0.003, (4, 24))
         return (np.zeros(24), corner, -corner, np.full(24, -0.003), *random)
 
-    @pytest.mark.parametrize("te, n_steps", [(0.2, 2000), (0.2001, 2001), (0.0003, 3), (0.0001, 1)])
+    @pytest.mark.parametrize("te, n_steps", [(0.2, 2000), (0.2001, 2001), (0.0003, 3), (0.0002, 2)])
     def test_objectives_bitwise_for_odd_and_even_step_counts(self, te, n_steps):
         problem = make_quarter_car_problem(te=te)
         evaluator = problem.evaluate
