@@ -8,7 +8,9 @@ Subcommands:
 * ``evaluate``  expensive-evaluate a single design point (debugging aid)
 
 The config file is a single JSON document with nested sections; unknown
-keys anywhere are rejected before any expensive evaluation happens.
+keys anywhere are rejected before any expensive evaluation happens. ``run``
+and ``study`` write the config they ran back as ``config.json`` in their
+``--out`` directory, in the same schema with every value resolved.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import shutil
 import sys
-from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass, replace
 from inspect import signature
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -64,7 +65,8 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-_HORIZON = ("t0", "te", "dt")
+# keys of the problem.horizon section, each the argument it sets
+_HORIZON = {key: key for key in ("t0", "te", "dt")}
 # Fields a config file does not set, so their names are unknown keys there:
 # the network width is fixed, a problem's name is read before its section,
 # and the RBF fields, the optimizer blocks, the quarter-car parameter blocks
@@ -114,20 +116,25 @@ def _cast(hint, value, key: str):
     raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
-def _file_values(target, section, where: str, keys: Optional[dict] = None) -> dict:
-    """Values one file section sets for the fields of config dataclass
-    `target`, or for the parameters of factory function `target`.
+def _file_keys(target) -> dict:
+    """The keys of the file section for the fields of config dataclass
+    `target`, or for the parameters of factory function `target`, mapped to
+    the names they set: every field not in `_NOT_IN_FILE`, under its own
+    name or its `_RENAMED` name."""
+    names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
+    renamed = _RENAMED.get(target, {})
+    return {renamed.get(n, n): n for n in names if n not in _NOT_IN_FILE.get(target, ())}
 
-    `keys` maps the section's keys to field names; by default every field
-    not in `_NOT_IN_FILE` is a key of its own name, or of its `_RENAMED`
-    name. Other keys are rejected, values are checked against the fields'
+
+def _file_values(target, section, where: str, keys: Optional[dict] = None) -> dict:
+    """Values one file section sets for the fields or parameters of `target`.
+
+    `keys` maps the section's keys to field names, by default `_file_keys`.
+    Other keys are rejected, values are checked against the fields'
     declared types, and null values are dropped, so they keep the default.
     """
     hints = get_type_hints(target)
-    names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
-    if keys is None:
-        renamed = _RENAMED.get(target, {})
-        keys = {renamed.get(n, n): n for n in names if n not in _NOT_IN_FILE.get(target, ())}
+    keys = keys or _file_keys(target)
     section = _section(section, where)
     _reject_unknown(section, keys, where)
     return {
@@ -135,13 +142,21 @@ def _file_values(target, section, where: str, keys: Optional[dict] = None) -> di
     }
 
 
+def _file_section(target, values: dict, keys: Optional[dict] = None) -> dict:
+    """The file section that `_file_values` reads back as `values`, the
+    fields or parameters of `target` by name: one key per field of `keys`."""
+    return {k: values[n] for k, n in (keys or _file_keys(target)).items()}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated contents of a config file."""
+    """Validated contents of a config file; `problem_section` is its
+    problem section resolved, every key with its default filled in."""
 
     problem: Problem
+    problem_section: dict
     samo: SamoConfig
-    study: StudyConfig = field(default_factory=StudyConfig)
+    study: StudyConfig
 
     @classmethod
     def from_dict(cls, raw) -> "RunConfig":
@@ -150,13 +165,22 @@ class RunConfig:
         evaluation."""
         raw = _section(raw, "config")
         _reject_unknown(raw, ("problem", "samo", "study"), "config")
-        problem = _problem_from_config(raw.get("problem"))
+        problem, section = _problem_from_config(raw.get("problem"))
         samo_cfg = _samo_from_config(raw.get("samo"))
         study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
         if not study.surrogates:
             study = replace(study, surrogates=(samo_cfg.surrogate,))
         study.cells(samo_cfg)
-        return cls(problem=problem, samo=samo_cfg, study=study)
+        return cls(problem=problem, problem_section=section, samo=samo_cfg, study=study)
+
+    def to_dict(self) -> dict:
+        """This config in the schema `from_dict` reads, with every value
+        given: the inverse of `from_dict`, which loads it back to the same values."""
+        cfg = vars(self.samo)
+        samo = {**_file_section(SamoConfig, cfg), "rbf": _file_section(SamoConfig, cfg, _RBF_KEYS)}
+        samo.update((k, _file_section(type(v), vars(v))) for k, v in cfg.items() if is_dataclass(v))
+        study = _file_section(StudyConfig, vars(self.study))
+        return {"problem": self.problem_section, "samo": samo, "study": study}
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -169,30 +193,35 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
-def _problem_from_config(section) -> Problem:
+def _problem_from_config(section) -> tuple:
     """A problem from the file's problem section, read by the signature of
-    the builder its name selects: an analytic problem's only key is n_dim;
-    the quarter-car's keys are the arguments of `make_quarter_car_problem`,
-    with the parameters, the excitation and the horizon in blocks of their
-    own. Keys left out or null keep the defaults."""
+    the builder its name selects, and the section resolved: an analytic
+    problem's only key is n_dim; the quarter-car's keys are the arguments of
+    `make_quarter_car_problem`, with the parameters, the excitation and the
+    horizon in blocks of their own. Keys left out or null keep the defaults."""
     section = dict(_section(section, "problem"))
     name = section.pop("name", None)
     name = "mbs" if name is None else _cast(str, name, "problem.name")
     if name in ANALYTIC_PROBLEM_NAMES:
-        return make_analytic_problem(name, **_file_values(make_analytic_problem, section, "problem"))
+        args = _file_values(make_analytic_problem, section, "problem")
+        problem = make_analytic_problem(name, **args)
+        return problem, {"name": name, "n_dim": problem.n_dim}
     if name != "mbs":
         raise ConfigurationError(f"unknown problem {name!r}")
     blocks = {key: section.pop(key, None) for key in ("params", "excitation", "horizon")}
-    horizon_keys = {key: key for key in _HORIZON}
-    args = _file_values(make_quarter_car_problem, section, "problem")
-    args.update(
-        _file_values(make_quarter_car_problem, blocks["horizon"], "problem.horizon", horizon_keys)
+    args = {n: p.default for n, p in signature(make_quarter_car_problem).parameters.items()}
+    args.update(_file_values(make_quarter_car_problem, section, "problem"))
+    horizon = _file_values(make_quarter_car_problem, blocks["horizon"], "problem.horizon", _HORIZON)
+    params = QuarterCarParams(**_file_values(QuarterCarParams, blocks["params"], "problem.params"))
+    excitation = Excitation(**_file_values(Excitation, blocks["excitation"], "problem.excitation"))
+    args.update(horizon, nominal=params, excitation=excitation)
+    resolved = {"name": name, **_file_section(make_quarter_car_problem, args)}
+    resolved.update(
+        params=_file_section(QuarterCarParams, vars(params)),
+        excitation=_file_section(Excitation, vars(excitation)),
+        horizon=_file_section(make_quarter_car_problem, args, _HORIZON),
     )
-    params = _file_values(QuarterCarParams, blocks["params"], "problem.params")
-    excitation = _file_values(Excitation, blocks["excitation"], "problem.excitation")
-    return make_quarter_car_problem(
-        nominal=QuarterCarParams(**params), excitation=Excitation(**excitation), **args
-    )
+    return make_quarter_car_problem(**args), resolved
 
 
 def _samo_from_config(section) -> SamoConfig:
@@ -212,8 +241,16 @@ def _samo_from_config(section) -> SamoConfig:
     return SamoConfig(**values)
 
 
-def _output_directory(text: str) -> Path:
-    """The --out directory, created with its parents when missing."""
+def _configure(args) -> RunConfig:
+    """The --config file of `samo run` or `samo study`, with --seed applied."""
+    config = RunConfig.from_file(args.config)
+    seed = config.samo.seed if args.seed is None else args.seed
+    return replace(config, samo=replace(config.samo, seed=seed))
+
+
+def _output_directory(text: str, config: RunConfig) -> Path:
+    """The --out directory, created with its parents when missing, holding
+    `config` as config.json."""
     out = Path(text)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -221,6 +258,7 @@ def _output_directory(text: str) -> Path:
         raise ConfigurationError(
             f"--out must name a directory, got {text}: {exc.strerror}"
         ) from exc
+    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2))
     return out
 
 
@@ -238,14 +276,10 @@ def _point(text: str) -> np.ndarray:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig.from_file(args.config)
-    samo_cfg = config.samo
-    if args.seed is not None:
-        samo_cfg = replace(samo_cfg, seed=args.seed)
-    out = _output_directory(args.out)
-    shutil.copyfile(args.config, out / "config_snapshot.json")
+    config = _configure(args)
+    out = _output_directory(args.out, config)
     record = samo_run(
-        config.problem, samo_cfg, run_dir=out, jobs=args.jobs, verbose=args.verbose
+        config.problem, config.samo, run_dir=out, jobs=args.jobs, verbose=args.verbose
     )
     for r in record.rounds:
         h = "n/a" if r.hausdorff is None else format_float(r.hausdorff)
@@ -282,15 +316,11 @@ def cmd_front(args) -> int:
 
 
 def cmd_study(args) -> int:
-    config = RunConfig.from_file(args.config)
+    config = _configure(args)
     if not config.study.sizes:
         raise ConfigurationError("config has no study.sizes")
-    out = _output_directory(args.out)
-    shutil.copyfile(args.config, out / "config_snapshot.json")
-    base = config.samo
-    if args.seed is not None:
-        base = replace(base, seed=args.seed)
-    rows = sample_size_study(config.problem, base, config.study, jobs=args.jobs)
+    out = _output_directory(args.out, config)
+    rows = sample_size_study(config.problem, config.samo, config.study, jobs=args.jobs)
     header = [f.name for f in fields(StudyRow)]
     table = [
         ["" if v is None else int(v) if isinstance(v, bool) else v for v in astuple(r)]
@@ -299,7 +329,7 @@ def cmd_study(args) -> int:
     write_csv(out / "study.csv", header, table)
     print(f"wrote {out / 'study.csv'} ({len(table)} rows)")
     if not rows:
-        cells = len(config.study.cells(base))
+        cells = len(config.study.cells(config.samo))
         print(f"error: {cells} of {cells} study cells failed", file=sys.stderr)
         return 1
     return 0

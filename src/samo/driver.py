@@ -15,7 +15,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -175,6 +175,8 @@ class SamoConfig:
             raise ConfigurationError("rbf_sigma_grid must hold at least one width, all positive")
         if self.rbf_ridge < 0.0:
             raise ConfigurationError("rbf_ridge must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -255,10 +257,6 @@ class RunDirectoryWriter:
     def __init__(self, run_dir: Union[str, Path]):
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-
-    def write_config(self, cfg: SamoConfig, problem_name: str) -> None:
-        snapshot = {"problem": problem_name, "samo": asdict(cfg)}
-        (self.run_dir / "config.json").write_text(json.dumps(snapshot, indent=2))
 
     def write_projection_matrix(self, problem: Problem) -> None:
         evaluator = problem.evaluate
@@ -375,7 +373,6 @@ def samo_run(
     writer = RunDirectoryWriter(run_dir) if run_dir is not None else None
     record = RunRecord(config=cfg, problem_name=problem.name)
     if writer:
-        writer.write_config(cfg, problem.name)
         writer.write_projection_matrix(problem)
 
     cap = cfg.budget + cfg.batch_size  # round 0's batch comes on top of the budget

@@ -335,6 +335,8 @@ def make_quarter_car_problem(
     a sinusoidal road input, with design offsets in a +/- half_width box."""
     if n_dim < 1:
         raise ConfigurationError("n_dim must be at least 1")
+    if seed < 0:
+        raise ConfigurationError(f"projection seed must be non-negative, got {seed}")
     # the amplitudes are read over rows (n_steps + 1) // 2 on: one row for one step
     if _step_count(t0, te, dt) < 2:
         raise ConfigurationError(

@@ -21,12 +21,15 @@ entry.
 
 The rest are helpers only tests use: the package's descent step for one
 Jacobian, Pareto dominance of two points, the KKT residual, the
-quarter-car's mechanical energy, the inverse input scaling and the
+quarter-car's mechanical energy, the inverse input scaling, the
 two-paraboloids problem with its analytic gradient as a model for descent
-tests.
+tests, the config files of whole-run tests and a run's metrics.json
+without its timings.
 """
 
+import json
 import math
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -752,3 +755,30 @@ class GradientModel:
 
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         return np.array([self.input_jacobian(x) for x in np.atleast_2d(X)])
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def run_config_payload(name: str) -> dict:
+    """The config file of a whole-run test: cheap_demo, cheap_demo on a
+    10-dimensional box (cheap_demo-n10), or a quarter-car run of
+    default.json on a short horizon (qcar-short)."""
+    if name.startswith("cheap_demo"):
+        payload = json.loads((CONFIGS / "cheap_demo.json").read_text())
+        if name == "cheap_demo-n10":
+            payload["problem"]["n_dim"] = 10
+        return payload
+    payload = json.loads((CONFIGS / "default.json").read_text())
+    payload["problem"]["horizon"]["te"] = 0.2
+    payload["samo"].update(population_size=40, budget=40, batch_size=10)
+    payload["samo"]["moea"]["generations"] = 40
+    return payload
+
+
+def untimed_metrics(run_dir: Path) -> dict:
+    """A run directory's metrics.json without the timings of its rounds."""
+    metrics = json.loads((run_dir / "metrics.json").read_text())
+    for r in [*metrics["rounds"], metrics.get("failed_round", {})]:
+        r.pop("timings", None)
+    return metrics

@@ -1,14 +1,18 @@
+import csv
 import json
 import math
+from dataclasses import fields
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracles
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError
-from samo.driver import SamoConfig
-from samo.problems import Excitation, QuarterCarParams
+from samo.driver import SamoConfig, StudyConfig
+from samo.problems import Excitation, QuarterCarParams, make_quarter_car_problem
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -54,6 +58,13 @@ NON_FINITE_FLOATS = [
 
 
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
+SHIPPED_CONFIGS = [
+    "configs/default.json",
+    "configs/cheap_demo.json",
+    "perfbench/workloads/qcar-mlp-nsga2.json",
+    "perfbench/workloads/paraboloid-rbf-nsga2.json",
+    "perfbench/workloads/paraboloid-rbf-mgda.json",
+]
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -323,6 +334,8 @@ class TestRunConfig:
             ({"samo": {"surrogate": "rbf", "batch_size": 2}}, "batch_size must be at least 3"),
             ({"samo": {"surrogate": "rbf"}, "study": {"sizes": [10, 2]}}, "study.sizes entry 2"),
             ({"study": {"sizes": [10, 4], "surrogates": ["rbf", "mlp"]}}, "study.sizes entry 4"),
+            ({"samo": {"seed": -2}}, "^seed must be non-negative, got -2$"),
+            ({"problem": {"name": "mbs", "projection_seed": -5}}, "^projection seed must be non-negative"),
         ],
     )
     def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):
@@ -336,16 +349,7 @@ class TestRunConfig:
         with pytest.raises(ConfigurationError, match=key):
             RunConfig.from_dict(payload)
 
-    @pytest.mark.parametrize(
-        "path",
-        [
-            "configs/default.json",
-            "configs/cheap_demo.json",
-            "perfbench/workloads/qcar-mlp-nsga2.json",
-            "perfbench/workloads/paraboloid-rbf-nsga2.json",
-            "perfbench/workloads/paraboloid-rbf-mgda.json",
-        ],
-    )
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
     def test_shipped_configs_load_their_values(self, path):
         path = Path(__file__).parent.parent / path
         raw = json.loads(path.read_text())
@@ -375,6 +379,50 @@ class TestRunConfig:
         assert config.study.surrogates == tuple(study.get("surrogates", [samo.surrogate]))
         assert config.study.repetitions == study.get("repetitions", 1)
 
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+    def test_to_dict_inverts_from_dict(self, path):
+        config = RunConfig.from_file(Path(__file__).parent.parent / path)
+        written = config.to_dict()
+        loaded = RunConfig.from_dict(json.loads(json.dumps(written)))
+        assert loaded.to_dict() == written
+        assert (loaded.samo, loaded.study) == (config.samo, config.study)
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+    def test_written_sections_are_the_sections_the_loader_reads(self, path):
+        config = RunConfig.from_file(Path(__file__).parent.parent / path)
+        written = json.loads(json.dumps(config.to_dict()))
+
+        def sections(section, where):
+            yield where, section
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from sections(value, key if where == "config" else f"{where}.{key}")
+
+        # the loader accepts every key written: one more is the only unknown key
+        for where, section in sections(written, "config"):
+            section["extra"] = 0
+            with pytest.raises(ConfigurationError, match=rf"^unknown keys in {where}: \['extra'\]$"):
+                RunConfig.from_dict(written)
+            del section["extra"]
+        # and every field is written: under its own name, or the rbf section's
+        samo, rbf = written["samo"], {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
+        assert set(samo["rbf"]) == set(rbf)
+        assert set(samo) - {"rbf"} | set(rbf.values()) == {f.name for f in fields(SamoConfig)}
+        for block in ("train", "moea", "mgda"):
+            cls = type(getattr(config.samo, block))
+            assert set(samo[block]) == {f.name for f in fields(cls)} - {"hidden"}
+        assert set(written["study"]) == {f.name for f in fields(StudyConfig)}
+        problem = written["problem"]
+        if problem["name"] != "mbs":
+            assert set(problem) == {"name", "n_dim"}
+            return
+        args = set(signature(make_quarter_car_problem).parameters)
+        args -= {"seed", "nominal", "t0", "te", "dt"}
+        assert set(problem) == {"name", "projection_seed", "params", "horizon"} | args
+        assert set(problem["params"]) == {f.name for f in fields(QuarterCarParams)}
+        assert set(problem["excitation"]) == {f.name for f in fields(Excitation)}
+        assert set(problem["horizon"]) == {"t0", "te", "dt"}
+
 
 class TestCmdRun:
     def test_end_to_end_run(self, tmp_path, capsys):
@@ -385,10 +433,10 @@ class TestCmdRun:
         printed = capsys.readouterr().out
         assert "round 0" in printed and "h=" in printed
         assert (out / "metrics.json").exists()
-        assert (out / "config_snapshot.json").exists()
-        # snapshot re-parses to an equivalent configuration
-        snapshot = RunConfig.from_file(out / "config_snapshot.json")
-        assert snapshot.samo == RunConfig.from_file(config_path).samo
+        assert not (out / "config_snapshot.json").exists()
+        # the run directory's config re-parses to an equivalent configuration
+        written = RunConfig.from_file(out / "config.json")
+        assert written.samo == RunConfig.from_file(config_path).samo
 
     def test_rejected_config_exits_2_and_writes_nothing(self, tmp_path):
         payload = {"problem": {"name": "two-paraboloids"}, "samo": {"budget": 5, "batch_size": 20}}
@@ -397,6 +445,12 @@ class TestCmdRun:
         code = main(["run", "--config", str(config_path), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+        # a negative --seed is rejected as a negative samo.seed is
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        for command in ("run", "study"):
+            code = main([command, "--config", str(config_path), "--out", str(out), "--seed", "-1"])
+            assert code == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("payload, key", NON_OBJECT_SECTIONS + NON_FINITE_FLOATS)
     def test_malformed_config_exits_2_before_any_evaluation(
@@ -471,6 +525,47 @@ class TestCmdRun:
         assert (out_a / "samples_round_0.csv").read_bytes() != (
             out_b / "samples_round_0.csv"
         ).read_bytes()
+
+
+    def test_config_json_records_population_used(self, tmp_path):
+        # the population and the master seed, --seed included, are each
+        # written once; no block holds a value the run does not use
+        for optimizer in ("nsga2", "mgda-multistart"):
+            payload = {**CHEAP_CONFIG, "samo": {**CHEAP_CONFIG["samo"], "optimizer": optimizer}}
+            config_path = write_config(tmp_path, payload, f"{optimizer}.json")
+            out = tmp_path / optimizer
+            assert main(["run", "--config", str(config_path), "--out", str(out), "--seed", "11"]) == 0
+            written = json.loads((out / "config.json").read_text())["samo"]
+            assert (written["population_size"], written["seed"]) == (12, 11)
+            blocks = [block for block in written.values() if isinstance(block, dict)]
+            assert len(blocks) == 4
+            for block in blocks:
+                assert not {"seed", "population_size", "n_starts"} & set(block)
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [("cheap_demo", ["--seed", "5"]), ("qcar-short", [])],
+        ids=["cheap_demo-seed5", "qcar-short"],
+    )
+    def test_rerun_from_config_json_byte_identical(self, tmp_path, capsys, name, args):
+        # apart from the timings in metrics.json
+        config_path = write_config(tmp_path, oracles.run_config_payload(name), "input.json")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["run", "--config", str(config_path), "--out", str(first), *args]) == 0
+        assert main(["run", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+        runs = [{p.name: p.read_bytes() for p in out.iterdir()} for out in (first, again)]
+        for run in runs:
+            del run["metrics.json"]
+        assert len(runs[0]) > 10 and runs[0] == runs[1]
+        assert oracles.untimed_metrics(first) == oracles.untimed_metrics(again)
+        if args:
+            assert json.loads(runs[0]["config.json"])["samo"]["seed"] == 5
+        # samo evaluate reads the same problem from either file
+        capsys.readouterr()
+        for path in (config_path, first / "config.json"):
+            assert main(["evaluate", "--config", str(path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and printed[0] == printed[1]
 
 
 class TestDefaultConfig:
@@ -587,6 +682,8 @@ class TestCmdStudy:
             {"samo": {**CHEAP_CONFIG["samo"], "rbf": {"sigma": 0}}},
             {"problem": {"name": "zdt1", "n_dim": 1}},
             {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}},
+            {"samo": {**CHEAP_CONFIG["samo"], "seed": -2}},
+            {"problem": {"name": "mbs", "projection_seed": -5}},
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):
@@ -601,6 +698,20 @@ class TestCmdStudy:
             out = tmp_path / command
             assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_rerun_from_config_json_same_table(self, tmp_path):
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["study", "--config", str(config_path), "--out", str(first), "--seed", "5"]) == 0
+        assert main(["study", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+        assert (first / "config.json").read_bytes() == (again / "config.json").read_bytes()
+        tables = []
+        for out in (first, again):
+            rows = list(csv.DictReader((out / "study.csv").read_text().splitlines()))
+            for row in rows:
+                del row["total_time"], row["mean_round_time"]
+            tables.append(rows)
+        assert len(tables[0]) == 2 and tables[0] == tables[1]
 
     def test_every_cell_failing_exits_1(self, tmp_path, capsys):
         # one MGDA iteration is too few for any start to turn critical

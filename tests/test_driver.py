@@ -35,7 +35,6 @@ from samo.surrogate import MlpModel, RbfModel, TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
-DEFAULT_CONFIG = CHEAP_DEMO.with_name("default.json")
 
 
 def small_cfg(**overrides) -> SamoConfig:
@@ -195,7 +194,7 @@ class TestArtifacts:
         run_dir = tmp_path / "run"
         record = samo_run(CHEAP, small_cfg(), run_dir=run_dir)
         rounds = len(record.rounds)
-        assert (run_dir / "config.json").exists()
+        assert not (run_dir / "config.json").exists()  # samo_run writes no config file
         assert (run_dir / "metrics.json").exists()
         assert (run_dir / "final_front.csv").exists()
         for j in range(rounds):
@@ -210,17 +209,6 @@ class TestArtifacts:
         assert "failed_round" not in metrics
         distances = [r.hausdorff for r in record.rounds[1:]]
         assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
-
-    def test_config_json_records_population_used(self, tmp_path):
-        # the population and the master seed are each written once; no
-        # block holds a value the run does not use
-        for optimizer in ("nsga2", "mgda-multistart"):
-            run_dir = tmp_path / optimizer
-            samo_run(CHEAP, small_cfg(population_size=12, budget=5, optimizer=optimizer), run_dir=run_dir)
-            written = json.loads((run_dir / "config.json").read_text())["samo"]
-            assert (written["population_size"], written["seed"]) == (12, 11)
-            for block in ("moea", "mgda", "train"):
-                assert not {"seed", "population_size", "n_starts"} & set(written[block])
 
     def test_mgda_counts_in_metrics(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -380,31 +368,6 @@ class TestBatchedOptimizersMatchOnePointPath:
         for name in ("samples_round_*.csv", "front_round_*.csv", "final_front.csv"):
             assert self.artifacts(tmp_path / "fast", name) == self.artifacts(tmp_path / "slow", name)
 
-    @staticmethod
-    def config(tmp_path: Path, name: str) -> RunConfig:
-        """cheap_demo, cheap_demo on a 10-dimensional box, or a quarter-car
-        run on a short horizon."""
-        if name == "cheap_demo":
-            return RunConfig.from_file(CHEAP_DEMO)
-        if name == "cheap_demo-n10":
-            payload = json.loads(CHEAP_DEMO.read_text())
-            payload["problem"]["n_dim"] = 10
-        else:
-            payload = json.loads(DEFAULT_CONFIG.read_text())
-            payload["problem"]["horizon"]["te"] = 0.2
-            payload["samo"].update(population_size=40, budget=40, batch_size=10)
-            payload["samo"]["moea"]["generations"] = 40
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
-        return RunConfig.from_file(path)
-
-    @staticmethod
-    def untimed_metrics(run_dir: Path) -> dict:
-        metrics = json.loads((run_dir / "metrics.json").read_text())
-        for r in [*metrics["rounds"], metrics.get("failed_round", {})]:
-            r.pop("timings", None)
-        return metrics
-
     def assert_whole_run_byte_identical(self, tmp_path, monkeypatch, problem, cfg):
         """Every artifact is the same, metrics.json apart from its timings,
         with the slow side's reference paths swapped in: the NSGA-II oracle
@@ -430,12 +393,12 @@ class TestBatchedOptimizersMatchOnePointPath:
         fast, slow = (self.artifacts(tmp_path / side, "*") for side in ("fast", "slow"))
         del fast["metrics.json"], slow["metrics.json"]
         assert len(fast) > 3 and fast == slow
-        assert self.untimed_metrics(tmp_path / "fast") == self.untimed_metrics(tmp_path / "slow")
+        assert oracles.untimed_metrics(tmp_path / "fast") == oracles.untimed_metrics(tmp_path / "slow")
         return fast
 
     @pytest.mark.parametrize("config", ["cheap_demo", "cheap_demo-n10", "qcar-short"])
     def test_whole_nsga2_byte_identical(self, tmp_path, monkeypatch, config):
-        run = self.config(tmp_path, config)
+        run = RunConfig.from_dict(oracles.run_config_payload(config))
         fast = self.assert_whole_run_byte_identical(tmp_path, monkeypatch, run.problem, run.samo)
         assert "nsga2_fronts_round_0.csv" in fast and "surrogate_round_0.json" in fast
 
@@ -443,7 +406,7 @@ class TestBatchedOptimizersMatchOnePointPath:
     def test_whole_mgda_byte_identical(self, tmp_path, monkeypatch, config):
         # on 10 coordinates no start turns critical in round 0, so the run
         # ends there; a short budget still writes every start's trace
-        run = self.config(tmp_path, config)
+        run = RunConfig.from_dict(oracles.run_config_payload(config))
         cfg = replace(run.samo, optimizer="mgda-multistart")
         if config == "cheap_demo-n10":
             cfg = replace(cfg, mgda=replace(cfg.mgda, max_iterations=200))
