@@ -20,6 +20,7 @@ from .mgda import MgdaConfig, mgda_run, multistart_mgda
 from .moea import MoeaConfig, nsga2_run
 from .problems import (
     Excitation,
+    Horizon,
     Problem,
     QuarterCarParams,
     Trajectory,
@@ -31,6 +32,7 @@ from .problems import (
 from .sampling import kmeans, latin_hypercube, pareto_informed_samples
 from .surrogate import (
     MlpModel,
+    RbfConfig,
     RbfModel,
     Scaler,
     TrainConfig,

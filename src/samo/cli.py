@@ -7,8 +7,11 @@ Subcommands:
 * ``study``     sweep batch sizes and surrogate kinds, emit a study table
 * ``evaluate``  expensive-evaluate a single design point (debugging aid)
 
-The config file is a single JSON document with nested sections; unknown
-keys anywhere are rejected before any expensive evaluation happens. ``run``
+The config file is a single JSON document with nested sections: each key
+is a field of a config dataclass, or a parameter of the problem builder,
+under its own name, and a field declared as a config dataclass is a section
+of its own. Unknown keys anywhere are rejected before any expensive
+evaluation happens. ``run``
 and ``study`` write the config they ran back as ``config.json`` in their
 ``--out`` directory, in the same schema with every value resolved.
 """
@@ -19,10 +22,10 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass, replace
+from dataclasses import astuple, dataclass, fields, is_dataclass, replace
 from inspect import signature
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,9 +43,7 @@ from .driver import (
 )
 from .problems import (
     ANALYTIC_PROBLEM_NAMES,
-    Excitation,
     Problem,
-    QuarterCarParams,
     make_analytic_problem,
     make_quarter_car_problem,
 )
@@ -65,22 +66,9 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-# keys of the problem.horizon section, each the argument it sets
-_HORIZON = {key: key for key in ("t0", "te", "dt")}
 # Fields a config file does not set, so their names are unknown keys there:
-# the network width is fixed, a problem's name is read before its section,
-# and the RBF fields, the optimizer blocks, the quarter-car parameter blocks
-# and its horizon are nested sections of their own.
-_NOT_IN_FILE = {
-    SamoConfig: ("rbf_sigma", "rbf_sigma_grid", "rbf_ridge", "train", "moea", "mgda"),
-    TrainConfig: ("hidden",),
-    make_analytic_problem: ("name",),
-    make_quarter_car_problem: ("nominal", "excitation", *_HORIZON),
-}
-# file keys that differ from the name of the argument they set
-_RENAMED = {make_quarter_car_problem: {"seed": "projection_seed"}}
-# keys of the samo.rbf section and the SamoConfig fields they set
-_RBF_KEYS = {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
+# the network width is fixed.
+_NOT_IN_FILE = {TrainConfig: ("hidden",)}
 _EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
@@ -97,9 +85,12 @@ def _scalar(hint, value):
 
 
 def _cast(hint, value, key: str):
-    """A file value checked against its field's declared type: a bool takes
-    a JSON boolean, an int an integral number, a float a finite number,
-    a str a string, Optional[T] what T takes and tuple[T, ...] a list of those."""
+    """A file value checked against its field's declared type: a config
+    dataclass takes a section, a bool a JSON boolean, an int an integral
+    number, a float a finite number, a str a string, Optional[T] what T
+    takes and tuple[T, ...] a list of those."""
+    if is_dataclass(hint):
+        return hint(**_file_values(hint, value, key))
     if get_origin(hint) is Union:
         (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
     if get_origin(hint) is tuple:
@@ -116,36 +107,31 @@ def _cast(hint, value, key: str):
     raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
 
 
-def _file_keys(target) -> dict:
-    """The keys of the file section for the fields of config dataclass
-    `target`, or for the parameters of factory function `target`, mapped to
-    the names they set: every field not in `_NOT_IN_FILE`, under its own
-    name or its `_RENAMED` name."""
+def _file_keys(target) -> list:
+    """The keys of the file section for config dataclass `target`, or for
+    factory function `target`: the names of its fields or parameters, in
+    order, but those in `_NOT_IN_FILE`."""
     names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
-    renamed = _RENAMED.get(target, {})
-    return {renamed.get(n, n): n for n in names if n not in _NOT_IN_FILE.get(target, ())}
+    return [n for n in names if n not in _NOT_IN_FILE.get(target, ())]
 
 
-def _file_values(target, section, where: str, keys: Optional[dict] = None) -> dict:
-    """Values one file section sets for the fields or parameters of `target`.
-
-    `keys` maps the section's keys to field names, by default `_file_keys`.
-    Other keys are rejected, values are checked against the fields'
-    declared types, and null values are dropped, so they keep the default.
-    """
+def _file_values(target, section, where: str) -> dict:
+    """Values one file section sets for the fields or parameters of `target`,
+    by name. Other keys are rejected, values are checked against the
+    declared types, a config dataclass is read from a section of its own,
+    and null values are dropped, so they keep the default."""
     hints = get_type_hints(target)
-    keys = keys or _file_keys(target)
     section = _section(section, where)
-    _reject_unknown(section, keys, where)
-    return {
-        keys[k]: _cast(hints[keys[k]], v, f"{where}.{k}") for k, v in section.items() if v is not None
-    }
+    _reject_unknown(section, _file_keys(target), where)
+    return {k: _cast(hints[k], v, f"{where}.{k}") for k, v in section.items() if v is not None}
 
 
-def _file_section(target, values: dict, keys: Optional[dict] = None) -> dict:
+def _file_section(target, values: dict) -> dict:
     """The file section that `_file_values` reads back as `values`, the
-    fields or parameters of `target` by name: one key per field of `keys`."""
-    return {k: values[n] for k, n in (keys or _file_keys(target)).items()}
+    fields or parameters of `target` by name; a config dataclass value
+    becomes a section of its own."""
+    section = {n: values[n] for n in _file_keys(target)}
+    return {n: _file_section(type(v), vars(v)) if is_dataclass(v) else v for n, v in section.items()}
 
 
 @dataclass(frozen=True)
@@ -166,7 +152,7 @@ class RunConfig:
         raw = _section(raw, "config")
         _reject_unknown(raw, ("problem", "samo", "study"), "config")
         problem, section = _problem_from_config(raw.get("problem"))
-        samo_cfg = _samo_from_config(raw.get("samo"))
+        samo_cfg = SamoConfig(**_file_values(SamoConfig, raw.get("samo"), "samo"))
         study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
         if not study.surrogates:
             study = replace(study, surrogates=(samo_cfg.surrogate,))
@@ -176,9 +162,7 @@ class RunConfig:
     def to_dict(self) -> dict:
         """This config in the schema `from_dict` reads, with every value
         given: the inverse of `from_dict`, which loads it back to the same values."""
-        cfg = vars(self.samo)
-        samo = {**_file_section(SamoConfig, cfg), "rbf": _file_section(SamoConfig, cfg, _RBF_KEYS)}
-        samo.update((k, _file_section(type(v), vars(v))) for k, v in cfg.items() if is_dataclass(v))
+        samo = _file_section(SamoConfig, vars(self.samo))
         study = _file_section(StudyConfig, vars(self.study))
         return {"problem": self.problem_section, "samo": samo, "study": study}
 
@@ -196,9 +180,8 @@ class RunConfig:
 def _problem_from_config(section) -> tuple:
     """A problem from the file's problem section, read by the signature of
     the builder its name selects, and the section resolved: an analytic
-    problem's only key is n_dim; the quarter-car's keys are the arguments of
-    `make_quarter_car_problem`, with the parameters, the excitation and the
-    horizon in blocks of their own. Keys left out or null keep the defaults."""
+    problem's only key is n_dim; the quarter-car's keys are the parameters
+    of `make_quarter_car_problem`. Keys left out or null keep the defaults."""
     section = dict(_section(section, "problem"))
     name = section.pop("name", None)
     name = "mbs" if name is None else _cast(str, name, "problem.name")
@@ -208,37 +191,10 @@ def _problem_from_config(section) -> tuple:
         return problem, {"name": name, "n_dim": problem.n_dim}
     if name != "mbs":
         raise ConfigurationError(f"unknown problem {name!r}")
-    blocks = {key: section.pop(key, None) for key in ("params", "excitation", "horizon")}
     args = {n: p.default for n, p in signature(make_quarter_car_problem).parameters.items()}
     args.update(_file_values(make_quarter_car_problem, section, "problem"))
-    horizon = _file_values(make_quarter_car_problem, blocks["horizon"], "problem.horizon", _HORIZON)
-    params = QuarterCarParams(**_file_values(QuarterCarParams, blocks["params"], "problem.params"))
-    excitation = Excitation(**_file_values(Excitation, blocks["excitation"], "problem.excitation"))
-    args.update(horizon, nominal=params, excitation=excitation)
     resolved = {"name": name, **_file_section(make_quarter_car_problem, args)}
-    resolved.update(
-        params=_file_section(QuarterCarParams, vars(params)),
-        excitation=_file_section(Excitation, vars(excitation)),
-        horizon=_file_section(make_quarter_car_problem, args, _HORIZON),
-    )
     return make_quarter_car_problem(**args), resolved
-
-
-def _samo_from_config(section) -> SamoConfig:
-    """A SamoConfig from the file's samo section: its own fields, the rbf
-    section and one section per optimizer or training block. Keys left out
-    or null keep the dataclass defaults."""
-    section = dict(_section(section, "samo"))
-    blocks = {
-        f.name: f.default_factory for f in fields(SamoConfig) if f.default_factory is not MISSING
-    }
-    nested = {name: section.pop(name, None) for name in ("rbf", *blocks)}
-    values = _file_values(SamoConfig, section, "samo")
-    values.update(_file_values(SamoConfig, nested.pop("rbf"), "samo.rbf", _RBF_KEYS))
-    for name, block in nested.items():
-        cls = blocks[name]
-        values[name] = cls(**_file_values(cls, block, f"samo.{name}"))
-    return SamoConfig(**values)
 
 
 def _configure(args) -> RunConfig:

@@ -35,8 +35,7 @@ from .moea import MoeaConfig, check_population_size, nsga2_run
 from .problems import Problem, QuarterCarEvaluator
 from .sampling import latin_hypercube, pareto_informed_samples
 from .surrogate import (
-    DEFAULT_RIDGE,
-    DEFAULT_SIGMA_GRID,
+    RbfConfig,
     TrainConfig,
     fit_mlp,
     fit_rbf,
@@ -143,21 +142,21 @@ class SamoConfig:
     optimizer: str = "nsga2"
     population_size: int = 100
     normalize_hausdorff: bool = False
-    rbf_sigma: Optional[float] = None  # None = cross-validated on the grid
-    rbf_sigma_grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
-    rbf_ridge: float = DEFAULT_RIDGE
+    seed: int = 0
+    rbf: RbfConfig = field(default_factory=RbfConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     moea: MoeaConfig = field(default_factory=MoeaConfig)
     mgda: MgdaConfig = field(default_factory=MgdaConfig)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.surrogate not in SURROGATE_KINDS:
             raise ConfigurationError(f"surrogate must be one of {SURROGATE_KINDS}")
-        least = min_training_samples(self.surrogate, cross_validated=self.rbf_sigma is None)
+        fraction = self.train.validation_fraction
+        least = min_training_samples(self.surrogate, self.rbf.sigma is None, fraction)
         if self.batch_size < least:
+            split = f" with train.validation_fraction {fraction:g}" if self.surrogate == "mlp" else ""
             raise ConfigurationError(
-                f"batch_size must be at least {least} to fit the {self.surrogate} surrogate"
+                f"batch_size must be at least {least} to fit the {self.surrogate} surrogate{split}"
             )
         if self.budget < self.batch_size:
             raise ConfigurationError("budget must be at least batch_size")
@@ -169,12 +168,6 @@ class SamoConfig:
             raise ConfigurationError("population_size must be at least 2")
         if self.optimizer == "nsga2":
             check_population_size(self.population_size)
-        if self.rbf_sigma is not None and self.rbf_sigma <= 0.0:
-            raise ConfigurationError("rbf_sigma must be strictly positive")
-        if not self.rbf_sigma_grid or min(self.rbf_sigma_grid) <= 0.0:
-            raise ConfigurationError("rbf_sigma_grid must hold at least one width, all positive")
-        if self.rbf_ridge < 0.0:
-            raise ConfigurationError("rbf_ridge must be non-negative")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
@@ -226,10 +219,10 @@ def evaluate_batch(problem: Problem, X: np.ndarray, jobs: int = 1) -> np.ndarray
 
 def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
     if cfg.surrogate == "rbf":
-        sigma = cfg.rbf_sigma
+        sigma = cfg.rbf.sigma
         if sigma is None:
-            sigma = select_rbf_width(data, cfg.rbf_sigma_grid, ridge=cfg.rbf_ridge)
-        return fit_rbf(data, sigma=sigma, ridge=cfg.rbf_ridge)
+            sigma = select_rbf_width(data, cfg.rbf.grid, ridge=cfg.rbf.ridge)
+        return fit_rbf(data, sigma=sigma, ridge=cfg.rbf.ridge)
     return fit_mlp(data, cfg.train, seed=derive_seed(cfg.seed, 1, round_index))
 
 

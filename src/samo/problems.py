@@ -93,6 +93,15 @@ class Excitation:
 
 
 @dataclass(frozen=True)
+class Horizon:
+    """Simulated time span, t0 to te, in steps of dt (seconds)."""
+
+    t0: float = 0.0
+    te: float = 2.0
+    dt: float = 1e-4
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """Simulated time histories of wheel load and body acceleration."""
 
@@ -101,9 +110,10 @@ class Trajectory:
     body_acceleration: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.time, dtype=float)
-        f = np.asarray(self.wheel_load, dtype=float)
-        a = np.asarray(self.body_acceleration, dtype=float)
+        # copies, so the caller's arrays stay writeable
+        t = np.array(self.time, dtype=float)
+        f = np.array(self.wheel_load, dtype=float)
+        a = np.array(self.body_acceleration, dtype=float)
         if not (t.shape == f.shape == a.shape):
             raise DimensionMismatchError("trajectory channels must have equal lengths")
         if t.size >= 2 and not np.all(np.diff(t) > 0):
@@ -323,36 +333,34 @@ class QuarterCarEvaluator:
 def make_quarter_car_problem(
     n_dim: int = 24,
     half_width: float = 0.003,
-    seed: int = 2024,
-    nominal: Optional[QuarterCarParams] = None,
-    excitation: Optional[Excitation] = None,
-    t0: float = 0.0,
-    te: float = 2.0,
-    dt: float = 1e-4,
+    projection_seed: int = 2024,
     max_swing: float = 0.15,
+    params: QuarterCarParams = QuarterCarParams(),
+    excitation: Excitation = Excitation(),
+    horizon: Horizon = Horizon(),
 ) -> Problem:
     """The built-in expensive benchmark: quarter-car vertical dynamics under
-    a sinusoidal road input, with design offsets in a +/- half_width box."""
+    a sinusoidal road input, with design offsets in a +/- half_width box
+    moving the nominal `params`."""
     if n_dim < 1:
         raise ConfigurationError("n_dim must be at least 1")
-    if seed < 0:
-        raise ConfigurationError(f"projection seed must be non-negative, got {seed}")
+    if projection_seed < 0:
+        raise ConfigurationError(f"projection seed must be non-negative, got {projection_seed}")
+    t0, te, dt = horizon.t0, horizon.te, horizon.dt
     # the amplitudes are read over rows (n_steps + 1) // 2 on: one row for one step
     if _step_count(t0, te, dt) < 2:
         raise ConfigurationError(
             f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds 1 step of dt = {dt:.6g} s; "
             "the amplitudes need at least 2"
         )
-    nominal = nominal or QuarterCarParams()
-    excitation = excitation or Excitation()
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))
-    P = np.random.default_rng(seed).standard_normal((5, n_dim))
+    P = np.random.default_rng(projection_seed).standard_normal((5, n_dim))
     # worst-case |P @ x| over the box is the 1-norm of each row times half_width
     worst = float(np.max(np.abs(P).sum(axis=1)) * half_width)
     scale = max_swing / worst
     evaluator = QuarterCarEvaluator(
         bounds=bounds,
-        nominal=nominal,
+        nominal=params,
         excitation=excitation,
         projection=P,
         scale=scale,

@@ -121,12 +121,43 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be non-negative (0 = full batch)")
 
 
-def min_training_samples(kind: str, cross_validated: bool = False) -> int:
-    """The fewest samples a surrogate of `kind` is fitted on: 5 for the
-    network, 2 for an RBF of fixed width and 3 for one whose width is
-    cross-validated, since each fold then leaves a sample out."""
+@dataclass(frozen=True)
+class RbfConfig:
+    """Width and ridge of the RBF interpolant; a `sigma` of None is chosen
+    by cross-validation over `grid`."""
+
+    sigma: Optional[float] = None
+    grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
+    ridge: float = DEFAULT_RIDGE
+
+    def __post_init__(self) -> None:
+        if self.sigma is not None and self.sigma <= 0.0:
+            raise ConfigurationError("rbf.sigma must be strictly positive")
+        if not self.grid or min(self.grid) <= 0.0:
+            raise ConfigurationError("rbf.grid must hold at least one width, all positive")
+        if self.ridge < 0.0:
+            raise ConfigurationError("rbf.ridge must be non-negative")
+
+
+def _validation_rows(n: int, validation_fraction: float) -> int:
+    """Rows of an n-sample archive that network training holds out."""
+    return max(1, int(round(validation_fraction * n)))
+
+
+def min_training_samples(
+    kind: str, cross_validated: bool = False, validation_fraction: float = 0.2
+) -> int:
+    """The fewest samples a surrogate of `kind` is fitted on: for the
+    network, the least n of at least 5 whose split by `validation_fraction`
+    keeps a training row; 2 for an RBF of fixed width and 3 for one whose
+    width is cross-validated, since each fold then leaves a sample out."""
     if kind == "mlp":
-        return 5
+        # no n below 0.5 / (1 - fraction) keeps a training row; starting
+        # there bounds the search for a fraction near 1
+        n = max(5, int(0.5 / (1.0 - validation_fraction)))
+        while n - _validation_rows(n, validation_fraction) < 1:
+            n += 1
+        return n
     return 3 if cross_validated else 2
 
 
@@ -391,7 +422,7 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
     n = len(Xs)
     order = np.random.default_rng(split_seed).permutation(n)
     rng = np.random.default_rng(init_seed)
-    n_val = max(1, int(round(cfg.validation_fraction * n)))
+    n_val = _validation_rows(n, cfg.validation_fraction)
     val_idx, train_idx = order[:n_val], order[n_val:]
     Xt, Yt = Xs[train_idx], Ys[train_idx]
     Xv, Yv = Xs[val_idx], Ys[val_idx]
@@ -456,13 +487,17 @@ def _train_once(Xs, Ys, cfg: TrainConfig, split_seed: int, init_seed: int):
 
 
 def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None, *, seed: int = 0) -> MlpModel:
-    """Train the network on the archive with an 80:20 train/validation split
-    and return the parameters from the epoch with the lowest validation loss.
-    `seed` draws the split and, with the restart's index, its initial
-    weights."""
+    """Train the network on the archive, split into training and validation
+    rows by `cfg.validation_fraction` (80:20 by default), and return the
+    parameters from the epoch with the lowest validation loss. `seed` draws
+    the split and, with the restart's index, its initial weights."""
     cfg = cfg or TrainConfig()
-    if len(data) < min_training_samples("mlp"):
-        raise ConfigurationError("network training needs at least five samples")
+    least = min_training_samples("mlp", validation_fraction=cfg.validation_fraction)
+    if len(data) < least:
+        raise ConfigurationError(
+            f"network training needs at least {least} samples with "
+            f"validation_fraction {cfg.validation_fraction:g}, got {len(data)}"
+        )
     X, Y = data.X, data.Y
     scaler = Scaler.fit(X, Y)
     Xs = scaler.transform_x(X)

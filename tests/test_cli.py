@@ -1,18 +1,24 @@
 import csv
 import json
 import math
-from dataclasses import fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from inspect import signature
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
 
 import oracles
-from samo.cli import RunConfig, main
+from samo.cli import _NOT_IN_FILE, RunConfig, _file_section, _file_values, main
 from samo.core import ConfigurationError
 from samo.driver import SamoConfig, StudyConfig
-from samo.problems import Excitation, QuarterCarParams, make_quarter_car_problem
+from samo.problems import (
+    Excitation,
+    QuarterCarParams,
+    make_analytic_problem,
+    make_quarter_car_problem,
+)
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -55,6 +61,20 @@ NON_FINITE_FLOATS = [
     ({"samo": {"mgda": {"tolerance": math.nan}}}, "samo.mgda.tolerance"),
     ({"problem": {"name": "mbs", "horizon": {"dt": math.nan}}}, "problem.horizon.dt"),
 ]
+
+
+# a config tree no loader code knows of
+@dataclass(frozen=True)
+class _Leaf:
+    width: Optional[float] = None
+    grid: tuple[float, ...] = (1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class _Tree:
+    count: int = 3
+    leaf: _Leaf = field(default_factory=_Leaf)
+    name: str = "x"
 
 
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
@@ -103,7 +123,7 @@ class TestRunConfig:
     def test_rbf_section_sets_rbf_fields(self):
         rbf = {"sigma": 2, "grid": [1, 3], "ridge": 0}
         samo = RunConfig.from_dict({"samo": {"surrogate": "rbf", "rbf": rbf}}).samo
-        assert (samo.rbf_sigma, samo.rbf_sigma_grid, samo.rbf_ridge) == (2.0, (1.0, 3.0), 0.0)
+        assert (samo.rbf.sigma, samo.rbf.grid, samo.rbf.ridge) == (2.0, (1.0, 3.0), 0.0)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -312,11 +332,11 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "payload, key",
         [
-            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": 0}}}, "rbf_sigma"),
-            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": -1.0}}}, "rbf_sigma"),
-            ({"samo": {"surrogate": "rbf", "rbf": {"ridge": -1e-8}}}, "rbf_ridge"),
-            ({"samo": {"surrogate": "rbf", "rbf": {"grid": []}}}, "rbf_sigma_grid"),
-            ({"samo": {"surrogate": "rbf", "rbf": {"grid": [0.5, 0.0]}}}, "rbf_sigma_grid"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": 0}}}, "rbf.sigma"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": -1.0}}}, "rbf.sigma"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"ridge": -1e-8}}}, "rbf.ridge"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": []}}}, "rbf.grid"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": [0.5, 0.0]}}}, "rbf.grid"),
             ({"samo": {"moea": {"eta_mutation": -1}}}, "eta_mutation"),
             ({"samo": {"moea": {"eta_crossover": -1}}}, "eta_crossover"),
             ({"samo": {"budget": 20}, "study": {"sizes": [10, 30]}}, "study.sizes"),
@@ -336,6 +356,11 @@ class TestRunConfig:
             ({"study": {"sizes": [10, 4], "surrogates": ["rbf", "mlp"]}}, "study.sizes entry 4"),
             ({"samo": {"seed": -2}}, "^seed must be non-negative, got -2$"),
             ({"problem": {"name": "mbs", "projection_seed": -5}}, "^projection seed must be non-negative"),
+            # 10 samples split at 0.95 leave no training row
+            (
+                {"samo": {"batch_size": 10, "train": {"validation_fraction": 0.95}}},
+                "^batch_size must be at least 11 .* with train.validation_fraction 0.95$",
+            ),
         ],
     )
     def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):
@@ -404,24 +429,36 @@ class TestRunConfig:
             with pytest.raises(ConfigurationError, match=rf"^unknown keys in {where}: \['extra'\]$"):
                 RunConfig.from_dict(written)
             del section["extra"]
-        # and every field is written: under its own name, or the rbf section's
-        samo, rbf = written["samo"], {"sigma": "rbf_sigma", "grid": "rbf_sigma_grid", "ridge": "rbf_ridge"}
-        assert set(samo["rbf"]) == set(rbf)
-        assert set(samo) - {"rbf"} | set(rbf.values()) == {f.name for f in fields(SamoConfig)}
-        for block in ("train", "moea", "mgda"):
-            cls = type(getattr(config.samo, block))
-            assert set(samo[block]) == {f.name for f in fields(cls)} - {"hidden"}
-        assert set(written["study"]) == {f.name for f in fields(StudyConfig)}
+        # and every section holds its target's fields or parameters by name,
+        # a config dataclass among them as a section of its own
+        def check(section, target, also=()):
+            names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
+            assert set(section) == set(names) - {"hidden"} | set(also)
+            hints = get_type_hints(target)
+            for key in set(section) - set(also):
+                assert isinstance(section[key], dict) == is_dataclass(hints[key])
+                if isinstance(section[key], dict):
+                    check(section[key], hints[key])
+
+        check(written["samo"], SamoConfig)
+        check(written["study"], StudyConfig)
         problem = written["problem"]
-        if problem["name"] != "mbs":
-            assert set(problem) == {"name", "n_dim"}
-            return
-        args = set(signature(make_quarter_car_problem).parameters)
-        args -= {"seed", "nominal", "t0", "te", "dt"}
-        assert set(problem) == {"name", "projection_seed", "params", "horizon"} | args
-        assert set(problem["params"]) == {f.name for f in fields(QuarterCarParams)}
-        assert set(problem["excitation"]) == {f.name for f in fields(Excitation)}
-        assert set(problem["horizon"]) == {"t0", "te", "dt"}
+        builder = make_quarter_car_problem if problem["name"] == "mbs" else make_analytic_problem
+        check(problem, builder, also={"name"})
+
+    def test_a_config_tree_round_trips_with_no_loader_code(self):
+        tree = _Tree(count=4, leaf=_Leaf(width=0.5, grid=(0.25, 4.0)))
+        section = json.loads(json.dumps(_file_section(_Tree, vars(tree))))
+        assert section == {"count": 4, "leaf": {"width": 0.5, "grid": [0.25, 4.0]}, "name": "x"}
+        assert _Tree(**_file_values(_Tree, section, "tree")) == tree
+        assert _Tree(**_file_values(_Tree, {"leaf": {"width": None}}, "tree")) == _Tree()
+        with pytest.raises(ConfigurationError, match=r"^unknown keys in tree.leaf: \['sigma'\]$"):
+            _file_values(_Tree, {"leaf": {"sigma": 1.0}}, "tree")
+        with pytest.raises(ConfigurationError, match="^tree.leaf.grid must be a list"):
+            _file_values(_Tree, {"leaf": {"grid": [1.0, "2"]}}, "tree")
+        with pytest.raises(ConfigurationError, match="^tree.leaf.width must be a finite number"):
+            _file_values(_Tree, {"leaf": {"width": "wide"}}, "tree")
+        assert not {_Tree, _Leaf} & set(_NOT_IN_FILE)
 
 
 class TestCmdRun:

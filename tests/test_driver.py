@@ -30,8 +30,13 @@ from samo.driver import (
 )
 from samo.mgda import MgdaConfig
 from samo.moea import MoeaConfig
-from samo.problems import QuarterCarEvaluator, make_analytic_problem, make_quarter_car_problem
-from samo.surrogate import MlpModel, RbfModel, TrainConfig
+from samo.problems import (
+    Horizon,
+    QuarterCarEvaluator,
+    make_analytic_problem,
+    make_quarter_car_problem,
+)
+from samo.surrogate import MlpModel, RbfConfig, RbfModel, TrainConfig
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CHEAP_DEMO = Path(__file__).parent.parent / "configs" / "cheap_demo.json"
@@ -68,11 +73,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SamoConfig(h_min=0.0)
 
-    @pytest.mark.parametrize("kind, sigma, least", [("mlp", None, 5), ("rbf", None, 3), ("rbf", 0.5, 2)])
-    def test_batch_size_at_least_what_round_0_fits_on(self, kind, sigma, least):
+    @pytest.mark.parametrize(
+        "kind, sigma, fraction, least",
+        [
+            pytest.param("mlp", None, 0.2, 5, id="mlp-None-5"),
+            # 10 samples split at 0.95 hold out all 10, 11 keep one to train on
+            pytest.param("mlp", None, 0.95, 11, id="mlp-validation_fraction0.95-11"),
+            pytest.param("rbf", None, 0.2, 3, id="rbf-None-3"),
+            pytest.param("rbf", 0.5, 0.2, 2, id="rbf-0.5-2"),
+        ],
+    )
+    def test_batch_size_at_least_what_round_0_fits_on(self, kind, sigma, fraction, least):
+        train = TrainConfig(epochs=60, patience=60, validation_fraction=fraction)
         with pytest.raises(ConfigurationError, match=f"^batch_size must be at least {least} "):
-            small_cfg(surrogate=kind, rbf_sigma=sigma, batch_size=least - 1)
-        cfg = small_cfg(surrogate=kind, rbf_sigma=sigma, batch_size=least, budget=least)
+            small_cfg(surrogate=kind, rbf=RbfConfig(sigma=sigma), train=train, batch_size=least - 1)
+        cfg = small_cfg(
+            surrogate=kind, rbf=RbfConfig(sigma=sigma), train=train, batch_size=least, budget=least
+        )
         record = samo_run(CHEAP, cfg)
         assert record.error is None and record.rounds[0].dataset_size == least
 
@@ -223,7 +240,7 @@ class TestArtifacts:
             assert counts["converged"] + counts["dropped"] == 8
 
     def test_projection_matrix_written_for_benchmark(self, tmp_path):
-        problem = make_quarter_car_problem(te=0.5, dt=1e-3)
+        problem = make_quarter_car_problem(horizon=Horizon(te=0.5, dt=1e-3))
         cfg = small_cfg(budget=6, batch_size=3, h_min=math.inf)
         run_dir = tmp_path / "mbs"
         record = samo_run(problem, cfg, run_dir=run_dir)
@@ -311,7 +328,7 @@ class TestFailureHandling:
     def test_training_failure_partial_record(self):
         # an unregularized kernel with an absurdly wide width is numerically
         # singular, so the first fit fails and the run ends gracefully
-        cfg = small_cfg(rbf_sigma=1e9, rbf_ridge=0.0)
+        cfg = small_cfg(rbf=RbfConfig(sigma=1e9, ridge=0.0))
         record = samo_run(CHEAP, cfg)
         assert record.error is not None
         assert not record.converged

@@ -10,6 +10,7 @@ from samo.core import ConfigurationError, DimensionMismatchError, DomainError
 from samo.problems import (
     ANALYTIC_PROBLEM_NAMES,
     Excitation,
+    Horizon,
     QuarterCarParams,
     DivergenceError,
     Trajectory,
@@ -113,7 +114,7 @@ class TestSimulation:
     )
     def test_invalid_grid_rejected_when_the_problem_is_built(self, horizon, message):
         with pytest.raises(ConfigurationError, match=message):
-            make_quarter_car_problem(n_dim=2, **horizon)
+            make_quarter_car_problem(n_dim=2, horizon=Horizon(**horizon))
 
     def test_unstable_step_reports_divergence_location(self):
         from samo.problems import DivergenceError
@@ -127,6 +128,15 @@ class TestSimulation:
             Trajectory(np.array([0.0, 0.1]), np.zeros(3), np.zeros(2))
         with pytest.raises(Exception):
             Trajectory(np.array([0.1, 0.0]), np.zeros(2), np.zeros(2))
+        # the trajectory keeps read-only copies and leaves the caller's arrays writeable
+        t, f, a = np.array([0.0, 0.1]), np.zeros(2), np.ones(2)
+        traj = Trajectory(t, f, a)
+        t[0], f[0], a[0] = -1.0, 5.0, 5.0
+        assert traj.time.tolist() == [0.0, 0.1] and traj.wheel_load.tolist() == [0.0, 0.0]
+        assert traj.body_acceleration.tolist() == [1.0, 1.0]
+        for channel in (traj.time, traj.wheel_load, traj.body_acceleration):
+            with pytest.raises(ValueError, match="read-only"):
+                channel[0] = 2.0
 
 
 class TestAmplitude:
@@ -259,7 +269,7 @@ class TestFloatLoopAgainstOracle:
         x = np.full(24, 0.001)
         for frequency, dt in ((7.0, 1e-4), (5.0, 1e-4), (7.0, 1e-4), (7.0, 2e-4), (7.0, 1e-4)):
             problem = make_quarter_car_problem(
-                excitation=Excitation(frequency=frequency), te=0.5, dt=dt
+                excitation=Excitation(frequency=frequency), horizon=Horizon(te=0.5, dt=dt)
             )
             y = problem.evaluate(x)
             assert y.tobytes() == oracles.quarter_car_objectives(problem.evaluate, x).tobytes()
@@ -286,7 +296,7 @@ class TestWindowedEvaluator:
 
     @pytest.mark.parametrize("te, n_steps", [(0.2, 2000), (0.2001, 2001), (0.0003, 3), (0.0002, 2)])
     def test_objectives_bitwise_for_odd_and_even_step_counts(self, te, n_steps):
-        problem = make_quarter_car_problem(te=te)
+        problem = make_quarter_car_problem(horizon=Horizon(te=te))
         evaluator = problem.evaluate
         assert int(round(te / evaluator.dt)) == n_steps
         for x in self.designs(evaluator):
@@ -311,7 +321,7 @@ class TestWindowedEvaluator:
     )
     def test_divergence_message_in_either_half(self, te, stored):
         # at dt = 0.05 the nominal design first turns non-finite at step 500
-        problem = make_quarter_car_problem(te=te, dt=0.05)
+        problem = make_quarter_car_problem(horizon=Horizon(te=te, dt=0.05))
         half = (int(round(te / 0.05)) + 1) // 2
         assert (500 >= half) == stored
         with pytest.raises(DivergenceError, match="step 500 ") as new:

@@ -7,7 +7,7 @@ import pytest
 from samo.core import ConfigurationError, Dataset
 import oracles
 from oracles import GradientModel, inverse_x
-from samo.problems import make_analytic_problem, make_quarter_car_problem
+from samo.problems import Horizon, make_analytic_problem, make_quarter_car_problem
 from samo import surrogate
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
@@ -21,6 +21,7 @@ from samo.surrogate import (
     fit_mlp,
     fit_rbf,
     load_model,
+    min_training_samples,
     model_from_json_dict,
     save_model,
     select_rbf_width,
@@ -244,6 +245,19 @@ class TestMlp:
         problem = make_analytic_problem("two-paraboloids")
         with pytest.raises(ConfigurationError):
             fit_mlp(lhs_dataset(problem, 4, seed=0))
+        # 10 samples split at 0.95 leave no training row
+        cfg = TrainConfig(validation_fraction=0.95)
+        with pytest.raises(ConfigurationError, match="^network training needs at least 11 samples"):
+            fit_mlp(lhs_dataset(problem, 10, seed=0), cfg)
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.2, 0.5, 0.8, 0.9, 0.95, 0.999])
+    def test_min_training_samples_is_the_least_split_with_a_training_row(self, fraction):
+        def training_rows(n):
+            return n - max(1, int(round(fraction * n)))
+
+        least = min_training_samples("mlp", validation_fraction=fraction)
+        assert least >= 5 and training_rows(least) >= 1
+        assert least == 5 or training_rows(least - 1) < 1
 
     def test_prediction_repeatable(self):
         problem = make_analytic_problem("two-paraboloids")
@@ -284,7 +298,7 @@ class TestFlatAdamAgainstListAdam:
         )
 
     def test_quarter_car_full_batch(self):
-        _, Xs, Ys = self.scaled(40, seed=2, problem=make_quarter_car_problem(te=0.2))
+        _, Xs, Ys = self.scaled(40, seed=2, problem=make_quarter_car_problem(horizon=Horizon(te=0.2)))
         cfg = TrainConfig(epochs=150, patience=150)
         self.assert_same_training(
             surrogate._train_once(Xs, Ys, cfg, 1, 2), oracles.train_once(Xs, Ys, cfg, 1, 2)
