@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -76,9 +77,12 @@ class BoxBounds:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    @property
+    @cached_property
     def width(self) -> np.ndarray:
-        return self.upper - self.lower
+        """upper - lower, computed on first use and read-only like both."""
+        width = self.upper - self.lower
+        width.flags.writeable = False
+        return width
 
     def contains(self, x: ArrayLike) -> bool:
         arr = np.asarray(x, dtype=float)

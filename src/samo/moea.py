@@ -5,11 +5,13 @@ environmental selection from the combined parent/offspring pool.
 
 Tournaments, crossover and mutation act on the whole population at once but
 consume the generator exactly as one tournament, one pair and one child at a
-time would, so a seed gives the same run bit for bit. A generation passes
-around one rank vector, from `samo.core.front_ranks` for any number of
-objectives. One routine, `_crowding`, crowds all fronts at once with one sort
-per objective. Survivors are chosen by one stable sort on (rank, crowding on
-the front cut by the population size) and crowded once.
+time would, so a seed gives the same run bit for bit: the crossover and
+mutation uniforms are peeked as one block, which a walk over the pairs
+splits by reading two byte masks of it. A generation passes around one rank
+vector, from `samo.core.front_ranks` for any number of objectives. One
+routine, `_crowding`, crowds all fronts at once with one sort per objective.
+Survivors are chosen by one stable sort on (rank, crowding on the front cut
+by the population size) and crowded once.
 """
 
 from __future__ import annotations
@@ -95,8 +97,7 @@ def _crowding(Y: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """
     n, n_obj = Y.shape
     sizes = np.bincount(rank)
-    sorted_rank = np.repeat(np.arange(len(sizes)), sizes)
-    last = np.cumsum(sizes) - 1
+    last = sizes.cumsum() - 1
     first = last - sizes + 1
     inner = np.ones(n, dtype=bool)
     inner[first] = inner[last] = False
@@ -110,11 +111,12 @@ def _crowding(Y: np.ndarray, rank: np.ndarray) -> np.ndarray:
     # holding them is not a number and contributes nothing. A gap across
     # two fronts may overflow and is never used.
     with np.errstate(invalid="ignore", over="ignore"):
-        span = (vals[:, last] - vals[:, first])[:, sorted_rank]
+        # every order sorts by rank first, so rank[order[0]] is the rank of
+        # each sorted position
+        span = (vals[:, last] - vals[:, first])[:, rank[order[0]]]
         gap[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
         counted = inner & np.isfinite(span) & (span > 0.0)
-        gap[counted] /= span[counted]
-    gap[~counted] = 0.0
+        gap = np.divide(gap, span, out=np.zeros_like(gap), where=counted)
     by_row = np.empty_like(gap)
     by_row[rows, order] = gap
     crowd = np.zeros(n)
@@ -193,11 +195,12 @@ def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_pro
     n step uniforms if any mask uniform is < `mutation_prob`.
 
     How many doubles a pair draws depends on its own draws, so a block big
-    enough for every pair is peeked. Where the draws of a pair, or of a
-    child, starting at a position would end is computed for every position
-    of the block at once; a walk from pair to pair then needs one lookup
-    per pair, and the doubles not consumed are given back. Each double
-    takes one 64-bit output and leaves the 32-bit integer buffer alone.
+    enough for every pair is peeked, and its coins and mask uniforms are
+    compared with their probabilities once, into two byte strings. A walk
+    from pair to pair reads a pair's coin from the first and finds a hit
+    among a child's mask uniforms with one `bytes.find` on the second; the
+    doubles not consumed are given back. Each double takes one 64-bit
+    output and leaves the 32-bit integer buffer alone.
     Returns (crossed, u, sign_u) of shape (n_pairs, n) for `sbx_crossover`
     and (mutate, u) of shape (2 n_pairs, n), children in pair order, for
     `polynomial_mutation`.
@@ -206,27 +209,26 @@ def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_pro
     state = bits.state
     block = rng.random(n_pairs * (1 + 7 * n))  # the most the pairs can draw
     crossing = block <= cfg.crossover_prob
-    hits = np.concatenate(([0], (block < mutation_prob).astype(np.intp).cumsum()))
-    # a child whose n mask uniforms start at q draws n step uniforms after
-    # them iff one of the mask uniforms is a hit
-    child_end = np.arange(len(block) - n + 1) + n * (1 + (hits[n:] > hits[:-n]))
-    first_child = np.arange(len(block)) + np.where(crossing, 1 + 3 * n, 1)
-    # positions no walk reaches may point past the block; clip them
-    pair_end = child_end.take(child_end.take(first_child, mode="clip"), mode="clip")
+    coins = crossing.tobytes()
+    hits = (block < mutation_prob).tobytes()
+    crossed_draws, stepped_draws = 1 + 3 * n, 2 * n
     starts = []
+    children = []
     pos = 0
     for _ in range(n_pairs):
         starts.append(pos)
-        pos = int(pair_end[pos])
+        first = pos + crossed_draws if coins[pos] else pos + 1
+        # a child draws n step uniforms after its mask iff the mask has a hit
+        second = first + (stepped_draws if hits.find(1, first, first + n) >= 0 else n)
+        pos = second + (stepped_draws if hits.find(1, second, second + n) >= 0 else n)
+        children += (first, second)
     _unpeek(bits, len(block) - pos, state["has_uint32"], state["uinteger"])
 
     starts = np.array(starts)
-    first = first_child[starts]
-    children = np.column_stack([first, child_end[first]]).reshape(-1)
     # a pair that does not cross, or a child that takes no step, reads
     # uniforms of later draws here; its mask ignores them
     pair = block[starts[:, None, None] + 1 + np.arange(3 * n).reshape(3, n)]
-    child = block[children[:, None, None] + np.arange(2 * n).reshape(2, n)]
+    child = block[np.array(children)[:, None, None] + np.arange(2 * n).reshape(2, n)]
     crossed = crossing[starts, None] & (pair[:, 0] <= cfg.crossover_var_prob)
     return (crossed, pair[:, 1], pair[:, 2]), (child[:, 0] < mutation_prob, child[:, 1])
 
@@ -239,7 +241,10 @@ def _evaluate(objective, X: np.ndarray) -> tuple:
         raise DimensionMismatchError(
             f"objective returned shape {Y.shape} for {X.shape[0]} points; expected (M, K)"
         )
-    bad = ~np.isfinite(Y).all(axis=1)
+    finite = np.isfinite(Y)
+    if finite.all():
+        return Y, 0
+    bad = ~finite.all(axis=1)
     flagged = int(bad.sum())
     if flagged:
         logger.warning("%d individuals returned non-finite objectives; demoted", flagged)
@@ -308,11 +313,9 @@ def _offspring(
     """One generation's children of the population X with its non-domination
     `rank` and `crowd`ing distance: a binary tournament per child, SBX of
     consecutive parents, then polynomial mutation of every child."""
-    parents = np.array(_tournaments(rank.tolist(), crowd.tolist(), len(X), rng))
+    P = X[_tournaments(rank.tolist(), crowd.tolist(), len(X), rng)]
     crossover, mutation = _variation_uniforms(rng, len(X) // 2, bounds.dim, cfg, mutation_prob)
-    c1, c2 = sbx_crossover(
-        X[parents[0::2]], X[parents[1::2]], *crossover, cfg.eta_crossover, bounds
-    )
+    c1, c2 = sbx_crossover(P[0::2], P[1::2], *crossover, cfg.eta_crossover, bounds)
     children = np.empty_like(X)
     children[0::2] = c1
     children[1::2] = c2
@@ -356,7 +359,7 @@ def nsga2_run(
         off_Y, flagged = _evaluate(objective, off_X)
         demoted += flagged
 
-        pool_Y = np.vstack([Y, off_Y])
+        pool_Y = np.concatenate((Y, off_Y))
         pool_rank = front_ranks(pool_Y)
         # whole fronts while they fit, then the most crowded-apart members of
         # the front cut by the population size, ties to the lower pool index.
@@ -367,7 +370,7 @@ def nsga2_run(
         spread = np.zeros(2 * M)
         spread[cut] = -crowding_distance(pool_Y[cut])
         keep = np.lexsort((spread, pool_rank))[:M]
-        X = np.vstack([X, off_X])[keep]
+        X = np.concatenate((X, off_X))[keep]
         Y = pool_Y[keep]
         rank = pool_rank[keep]
         crowd = _crowding(Y, rank)

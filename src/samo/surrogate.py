@@ -205,12 +205,11 @@ def _pairwise_sum(sq: np.ndarray, start: int, n: int) -> np.ndarray:
     return _pairwise_sum(sq, start, half) + _pairwise_sum(sq, start + half, n - half)
 
 
-def _gaussian(diff: np.ndarray, sigma: float) -> np.ndarray:
-    """The Gaussian kernel exp(-d^2 / (2 sigma^2)) of coordinate-major
-    offsets `diff`, with d^2 from `_sum_squares` and scaled in place;
-    x / -c equals -x / c bit for bit for every non-NaN x."""
-    phi = _sum_squares(diff)
-    np.divide(phi, -(2.0 * sigma**2), out=phi)
+def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """The Gaussian kernel exp(-d^2 / (2 sigma^2)) of squared distances
+    `d2` from `_sum_squares`, which it leaves unchanged; x / -c equals
+    -x / c bit for bit for every non-NaN x."""
+    phi = np.divide(d2, -(2.0 * sigma**2))
     return np.exp(phi, out=phi)
 
 
@@ -235,7 +234,7 @@ class RbfModel:
         return _offsets(self.scaler.transform_x(_input_matrix(X, self.n_dim)), self.centers)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        phi = _gaussian(self._scaled_offsets(X), self.sigma)
+        phi = _gaussian(_sum_squares(self._scaled_offsets(X)), self.sigma)
         # (M, 1, C) @ (C, K) is one vector-matrix product per row, so every
         # row equals the one-point prediction bit for bit
         return self.scaler.inverse_y((phi[:, None, :] @ self.weights)[:, 0, :])
@@ -245,7 +244,7 @@ class RbfModel:
 
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         diff = self._scaled_offsets(X)
-        phi = _gaussian(diff, self.sigma)
+        phi = _gaussian(_sum_squares(diff), self.sigma)
         # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C)
         dphi = phi * diff
         np.divide(dphi, -(self.sigma**2), out=dphi)
@@ -295,24 +294,22 @@ class MlpModel:
         return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
-def fit_rbf(
-    data: Dataset,
-    sigma: float = 0.5,
-    ridge: float = DEFAULT_RIDGE,
-) -> RbfModel:
-    """Interpolate the archive with a Gaussian-kernel model by solving the
-    regularized symmetric system (Phi + ridge * I) W = Y per objective."""
-    if len(data) < min_training_samples("rbf"):
+def _check_rbf_fit(n: int, sigma: float, ridge: float) -> None:
+    """Reject an RBF fit on fewer than two samples or with a width that is
+    not positive or a negative ridge."""
+    if n < min_training_samples("rbf"):
         raise ConfigurationError("RBF fitting needs at least two samples")
     if sigma <= 0.0:
         raise ConfigurationError("kernel width sigma must be strictly positive")
     if ridge < 0.0:
         raise ConfigurationError("ridge parameter must be non-negative")
-    X, Y = data.X, data.Y
-    scaler = Scaler.fit(X, Y)
-    Xs = scaler.transform_x(X)
-    Ys = scaler.transform_y(Y)
-    system = _gaussian(_offsets(Xs, Xs), sigma) + ridge * np.eye(len(Xs))
+
+
+def _rbf_weights(d2: np.ndarray, Ys: np.ndarray, sigma: float, ridge: float) -> np.ndarray:
+    """Weights W of the regularized symmetric system (Phi + ridge * I) W =
+    Ys, Phi the kernel of the centers' squared distances `d2`; raises
+    `SolverError` when the system cannot be solved accurately."""
+    system = _gaussian(d2, sigma) + ridge * np.eye(len(Ys))
     try:
         W = np.linalg.solve(system, Ys)
         # one step of iterative refinement keeps the residual near machine
@@ -331,7 +328,61 @@ def fit_rbf(
             f"interpolation residual {residual:.3e} exceeds 1e-8; "
             "the system is too ill-conditioned, use a larger ridge parameter"
         )
+    return W
+
+
+def fit_rbf(
+    data: Dataset,
+    sigma: float = 0.5,
+    ridge: float = DEFAULT_RIDGE,
+) -> RbfModel:
+    """Interpolate the archive with a Gaussian-kernel model by solving the
+    regularized symmetric system (Phi + ridge * I) W = Y per objective."""
+    _check_rbf_fit(len(data), sigma, ridge)
+    scaler = Scaler.fit(data.X, data.Y)
+    Xs = scaler.transform_x(data.X)
+    W = _rbf_weights(_sum_squares(_offsets(Xs, Xs)), scaler.transform_y(data.Y), sigma, ridge)
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
+
+
+def _cross_validated_mses(data: Dataset, widths: Sequence[float], folds: int, ridge: float) -> list:
+    """`cross_validated_mse` of every width in `widths`, in order.
+
+    Each fold's scaler and its training and held-out squared distances do
+    not depend on the width, so they are computed once; each width then
+    costs one kernel, one refined solve and one prediction per fold, the
+    arithmetic of `fit_rbf` and `RbfModel.predict_batch` bit for bit.
+    """
+    n = len(data)
+    if folds > n:
+        warnings.warn(
+            f"only {n} samples for {folds}-fold cross-validation; using {n} folds",
+            stacklevel=3,
+        )
+        folds = n
+    X, Y = data.X, data.Y
+    fold = np.arange(n) % folds
+    # the largest fold is fold 0, so its training rows are the fewest
+    for sigma in widths:
+        _check_rbf_fit(n - int((fold == 0).sum()), sigma, ridge)
+    splits = []
+    for f in range(folds):
+        held = fold == f
+        scaler = Scaler.fit(X[~held], Y[~held])
+        Xs = scaler.transform_x(X[~held])
+        d2_held = _sum_squares(_offsets(scaler.transform_x(X[held]), Xs))
+        splits.append(
+            (scaler, _sum_squares(_offsets(Xs, Xs)), scaler.transform_y(Y[~held]), d2_held, Y[held])
+        )
+    mses = []
+    for sigma in widths:
+        errors = []
+        for scaler, d2, Ys, d2_held, Y_held in splits:
+            W = _rbf_weights(d2, Ys, sigma, ridge)
+            pred = scaler.inverse_y((_gaussian(d2_held, sigma)[:, None, :] @ W)[:, 0, :])
+            errors.append(float(((pred - Y_held) ** 2).mean()))
+        mses.append(float(np.mean(errors)))
+    return mses
 
 
 def cross_validated_mse(
@@ -341,24 +392,10 @@ def cross_validated_mse(
     ridge: float = DEFAULT_RIDGE,
 ) -> float:
     """Mean squared prediction error over round-robin folds, in original
-    output units: sample i is in fold i mod `folds`."""
-    n = len(data)
-    if folds > n:
-        warnings.warn(
-            f"only {n} samples for {folds}-fold cross-validation; using {n} folds",
-            stacklevel=2,
-        )
-        folds = n
-    X, Y = data.X, data.Y
-    fold = np.arange(n) % folds
-    errors = []
-    for f in range(folds):
-        mask = fold == f
-        train = Dataset(X[~mask], Y[~mask])
-        model = fit_rbf(train, sigma=sigma, ridge=ridge)
-        pred = model.predict_batch(X[mask])
-        errors.append(float(((pred - Y[mask]) ** 2).mean()))
-    return float(np.mean(errors))
+    output units: sample i is in fold i mod `folds`, and each fold is
+    predicted by `fit_rbf` of width `sigma` on the other folds. Fewer than
+    `folds` samples give one fold per sample, with a `UserWarning`."""
+    return _cross_validated_mses(data, [sigma], folds, ridge)[0]
 
 
 def select_rbf_width(
@@ -367,15 +404,16 @@ def select_rbf_width(
     folds: int = 5,
     ridge: float = DEFAULT_RIDGE,
 ) -> float:
-    """Grid member with the lowest cross-validated MSE; ties go to the
-    smaller width."""
+    """Grid member with the lowest `cross_validated_mse`; ties go to the
+    smaller width. Every width is scored on the same folds, whose scalers
+    and squared distances are computed once for the whole grid; fewer
+    than `folds` samples give one `UserWarning` per call."""
     if len(grid) == 0:
         raise ConfigurationError("sigma grid must not be empty")
     candidates = sorted(float(s) for s in grid)
     best_sigma = candidates[0]
     best_mse = np.inf
-    for sigma in candidates:
-        mse = cross_validated_mse(data, sigma, folds=folds, ridge=ridge)
+    for sigma, mse in zip(candidates, _cross_validated_mses(data, candidates, folds, ridge)):
         if mse < best_mse:
             best_mse = mse
             best_sigma = sigma

@@ -16,8 +16,9 @@ the package against them with exact equality.
 The batched forms that leaner ones replaced are kept as well, and the
 package must match them byte for byte: the MGDA loop that gathered and
 scattered the moving starts every iteration, the RBF kernel on row-major
-(M, C, N) offsets, and SBX and polynomial mutation computed for every
-entry.
+(M, C, N) offsets, SBX and polynomial mutation computed for every entry,
+the variation uniforms located through end tables over the whole peeked
+block, and the RBF width search that fitted one model per width and fold.
 
 The rest are helpers only tests use: the package's descent step for one
 Jacobian, Pareto dominance of two points, the KKT residual, the
@@ -29,13 +30,16 @@ without its timings.
 
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from samo import surrogate
 from samo.core import (
     ConfigurationError,
+    Dataset,
     DimensionMismatchError,
     ParetoApproximation,
     SamoError,
@@ -43,10 +47,10 @@ from samo.core import (
     non_dominated_filter,
 )
 from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _row_dot
-from samo.moea import _evaluate
+from samo.moea import _evaluate, _unpeek
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
-from samo.surrogate import RbfModel, Scaler, TrainConfig, TrainingError
+from samo.surrogate import DEFAULT_RIDGE, DEFAULT_SIGMA_GRID, RbfModel, Scaler, TrainConfig, TrainingError
 
 
 def descent_step(J: np.ndarray) -> tuple:
@@ -272,6 +276,39 @@ def fit_rbf_row_major(data, sigma, ridge) -> RbfModel:
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
 
+def cross_validated_mse(data, sigma, folds=5, ridge=DEFAULT_RIDGE) -> float:
+    """`samo.surrogate.cross_validated_mse` as it was before the folds were
+    shared by the whole grid: one `Dataset` and one call of the package's
+    current `fit_rbf` per fold, and the fitted model's `predict_batch`."""
+    n = len(data)
+    if folds > n:
+        warnings.warn(f"only {n} samples for {folds}-fold cross-validation; using {n} folds")
+        folds = n
+    X, Y = data.X, data.Y
+    fold = np.arange(n) % folds
+    errors = []
+    for f in range(folds):
+        mask = fold == f
+        model = surrogate.fit_rbf(Dataset(X[~mask], Y[~mask]), sigma=sigma, ridge=ridge)
+        pred = model.predict_batch(X[mask])
+        errors.append(float(((pred - Y[mask]) ** 2).mean()))
+    return float(np.mean(errors))
+
+
+def select_rbf_width(data, grid=DEFAULT_SIGMA_GRID, folds=5, ridge=DEFAULT_RIDGE) -> float:
+    """The width search with one `cross_validated_mse` above per grid width;
+    ties go to the smaller width."""
+    candidates = sorted(float(s) for s in grid)
+    best_sigma = candidates[0]
+    best_mse = np.inf
+    for sigma in candidates:
+        mse = cross_validated_mse(data, sigma, folds=folds, ridge=ridge)
+        if mse < best_mse:
+            best_mse = mse
+            best_sigma = sigma
+    return best_sigma
+
+
 def rowwise_nsga2(nsga2_run):
     """`nsga2_run` given a surrogate's `predict_batch`, but evaluating each
     population with one `predict` call per row."""
@@ -399,6 +436,34 @@ def polynomial_mutation_dense(X, mutate, u, eta_m, bounds) -> np.ndarray:
     high_branch = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d_hi) ** (eta_m + 1.0)) ** exp
     delta = np.where(u < 0.5, low_branch, high_branch)
     return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
+
+
+def variation_uniforms_tables(rng, n_pairs, n, cfg, mutation_prob) -> tuple:
+    """`samo.moea._variation_uniforms` as it was before the walk read byte
+    masks: where the draws of a pair, or of a child, starting at a position
+    would end is tabulated for every position of the peeked block, and the
+    walk makes one lookup per pair."""
+    bits = rng.bit_generator
+    state = bits.state
+    block = rng.random(n_pairs * (1 + 7 * n))
+    crossing = block <= cfg.crossover_prob
+    hits = np.concatenate(([0], (block < mutation_prob).astype(np.intp).cumsum()))
+    child_end = np.arange(len(block) - n + 1) + n * (1 + (hits[n:] > hits[:-n]))
+    first_child = np.arange(len(block)) + np.where(crossing, 1 + 3 * n, 1)
+    pair_end = child_end.take(child_end.take(first_child, mode="clip"), mode="clip")
+    starts = []
+    pos = 0
+    for _ in range(n_pairs):
+        starts.append(pos)
+        pos = int(pair_end[pos])
+    _unpeek(bits, len(block) - pos, state["has_uint32"], state["uinteger"])
+    starts = np.array(starts)
+    first = first_child[starts]
+    children = np.column_stack([first, child_end[first]]).reshape(-1)
+    pair = block[starts[:, None, None] + 1 + np.arange(3 * n).reshape(3, n)]
+    child = block[children[:, None, None] + np.arange(2 * n).reshape(2, n)]
+    crossed = crossing[starts, None] & (pair[:, 0] <= cfg.crossover_var_prob)
+    return (crossed, pair[:, 1], pair[:, 2]), (child[:, 0] < mutation_prob, child[:, 1])
 
 
 def rank_and_crowding(Y) -> tuple:

@@ -392,15 +392,16 @@ class TestBatchedOptimizersMatchOnePointPath:
         survivors in a list and draws one tournament per child; the
         quarter-car oracle stores every state on numpy scalars; the network
         oracles run Adam one parameter array at a time and predict with a
-        layer loop of their own; the RBF oracles
-        reduce row-major offsets over their last axis, in numpy's pairwise
-        order from 8 coordinates on; the descent oracle scatters every
-        start back each iteration."""
+        layer loop of their own; the RBF width search fits one model per
+        width and fold; the RBF oracles reduce row-major offsets over their
+        last axis, in numpy's pairwise order from 8 coordinates on; the
+        descent oracle scatters every start back each iteration."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
         monkeypatch.setattr(samo.surrogate, "_train_once", oracles.train_once)
         monkeypatch.setattr(MlpModel, "predict_batch", oracles.mlp_predict_per_layer)
+        monkeypatch.setattr(samo.driver, "select_rbf_width", oracles.select_rbf_width)
         monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
         monkeypatch.setattr(samo.surrogate, "fit_rbf", oracles.fit_rbf_row_major)
         monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)

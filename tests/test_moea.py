@@ -390,6 +390,48 @@ class TestOneGeneration:
             Y = np.column_stack([X.sum(axis=1), (X**2).sum(axis=1)])
 
 
+class TestVariationUniformsWalk:
+    """The walk over the byte masks of the peeked block against the end
+    tables in tests/oracles.py: the same uniforms and the generator left in
+    the same state, at each probability's ends and its default."""
+
+    @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("crossover_var_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("mutation_prob", [0.0, None, 1.0])
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("population_size", [2, 8])
+    def test_matches_end_tables(
+        self, crossover_prob, crossover_var_prob, mutation_prob, n, population_size
+    ):
+        cfg = MoeaConfig(
+            crossover_prob=crossover_prob,
+            crossover_var_prob=crossover_var_prob,
+            mutation_prob=mutation_prob,
+        )
+        pm = mutation_prob if mutation_prob is not None else 1.0 / n
+        fast = np.random.default_rng(100 * n + population_size)
+        slow = np.random.default_rng(100 * n + population_size)
+        for rng in (fast, slow):
+            rng.integers(0, 5)  # leaves the high half of an output buffered
+        for _ in range(3):  # consecutive generations share the generator
+            got = moea._variation_uniforms(fast, population_size // 2, n, cfg, pm)
+            want = oracles.variation_uniforms_tables(slow, population_size // 2, n, cfg, pm)
+            for a, b in zip([*got[0], *got[1]], [*want[0], *want[1]]):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    def test_every_probability_one_ends_on_the_last_double(self, n):
+        # every pair crosses and both children step, so the pairs draw the
+        # whole block
+        cfg = MoeaConfig(crossover_prob=1.0, crossover_var_prob=1.0, mutation_prob=1.0)
+        rng = np.random.default_rng(n)
+        whole_block = np.random.default_rng(n)
+        moea._variation_uniforms(rng, 4, n, cfg, 1.0)
+        whole_block.random(4 * (1 + 7 * n))
+        assert rng.bit_generator.state == whole_block.bit_generator.state
+
+
 class TestNsga2:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

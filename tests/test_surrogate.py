@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from samo.problems import Horizon, make_analytic_problem, make_quarter_car_probl
 from samo import surrogate
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
+    DEFAULT_RIDGE,
+    DEFAULT_SIGMA_GRID,
     MlpModel,
     RbfModel,
     Scaler,
@@ -189,6 +192,43 @@ class TestSigmaSelection:
         data = lhs_dataset(problem, 3, seed=2)
         with pytest.warns(UserWarning, match="folds"):
             cross_validated_mse(data, sigma=1.0, folds=5)
+        # one warning per search, not one per grid width
+        with pytest.warns(UserWarning, match="folds") as record:
+            select_rbf_width(data, grid=DEFAULT_SIGMA_GRID)
+        assert len(record) == 1
+
+    @pytest.mark.parametrize("source", ["two-paraboloids", "quarter-car"])
+    @pytest.mark.parametrize("n", [3, 4, 10, 50])
+    def test_matches_per_width_per_fold_fits(self, source, n):
+        # the folds' scalers and distances are shared by the whole grid; every
+        # width's error must equal one fit_rbf per width and fold
+        if source == "quarter-car":
+            problem = make_quarter_car_problem(horizon=Horizon(te=0.2))
+        else:
+            problem = make_analytic_problem(source)
+        data = lhs_dataset(problem, n, seed=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n = 3 and 4 have fewer than 5 folds
+            want = [oracles.cross_validated_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID]
+            assert surrogate._cross_validated_mses(data, DEFAULT_SIGMA_GRID, 5, DEFAULT_RIDGE) == want
+            assert [cross_validated_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID] == want
+            assert select_rbf_width(data) == oracles.select_rbf_width(data)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_few_samples_rejected(self, n):
+        problem = make_analytic_problem("two-paraboloids")
+        data = lhs_dataset(problem, n, seed=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(ConfigurationError, match="needs at least two samples"):
+                select_rbf_width(data)
+
+    def test_bad_width_or_ridge_rejected(self):
+        data = lhs_dataset(make_analytic_problem("two-paraboloids"), 6, seed=1)
+        with pytest.raises(ConfigurationError, match="sigma must be strictly positive"):
+            select_rbf_width(data, grid=(0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="ridge parameter must be non-negative"):
+            select_rbf_width(data, ridge=-1e-8)
 
 
 class TestMlp:
