@@ -54,7 +54,7 @@ def _finite_1d(values: ArrayLike, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxBounds:
     """Axis-aligned box constraints, lower[i] < upper[i] in every coordinate."""
 

@@ -120,7 +120,7 @@ def _descent_directions(J: np.ndarray) -> tuple:
     return D, W, np.sqrt(_row_dot(D, D))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MgdaResult:
     x: np.ndarray
     converged: bool

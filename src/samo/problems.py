@@ -34,7 +34,7 @@ class DivergenceError(SamoError):
     """Numerical integration produced a non-finite state."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Problem:
     """An optimization problem evaluated in a black-box fashion.
 
@@ -101,7 +101,7 @@ class Horizon:
     dt: float = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Simulated time histories of wheel load and body acceleration."""
 
@@ -131,8 +131,9 @@ class Trajectory:
 @functools.lru_cache(maxsize=4)
 def _road_samples(amp: float, freq: float, t0: float, h: float, n_steps: int) -> tuple:
     """Road displacement at the start, midpoint and end of each RK4 step,
-    as three `array('d')`s; computed on first use and kept for the next
-    design, since a problem's excitation and time grid do not change."""
+    and at the end again as `_channels` computes it on the time grid, as
+    four `array('d')`s; computed on first use and kept for the next design,
+    since a problem's excitation and time grid do not change."""
     omega = 2.0 * math.pi * freq
     sin = math.sin
     times = [t0 + i * h for i in range(n_steps)]
@@ -140,6 +141,7 @@ def _road_samples(amp: float, freq: float, t0: float, h: float, n_steps: int) ->
         array("d", [amp * sin(omega * t) for t in times]),
         array("d", [amp * sin(omega * (t + 0.5 * h)) for t in times]),
         array("d", [amp * sin(omega * (t + h)) for t in times]),
+        array("d", (amp * np.sin(omega * (t0 + h * np.arange(1, n_steps + 1)))).tobytes()),
     )
 
 
@@ -155,18 +157,36 @@ def _step_count(t0: float, te: float, dt: float) -> int:
     return n_steps
 
 
+def _rk4_setup(params: QuarterCarParams, exc: Excitation, t0: float, te: float, dt: float):
+    """The checked step count of the horizon, the coefficients of
+    `_rk4_steps` and an iterator over its road quadruples, one per step.
+
+    Python floats, not numpy scalars: the same IEEE operations in the same
+    order, so the states are bitwise those of numpy-scalar arithmetic, at
+    well under half the cost per operation."""
+    n_steps = _step_count(t0, te, dt)
+    ms, mu, ks, cs, kt = map(float, astuple(params))
+    t0, h = float(t0), float(dt)
+    road = zip(*_road_samples(float(exc.amplitude), float(exc.frequency), t0, h, n_steps))
+    return n_steps, (ks, cs, kt, -1.0 / ms, 1.0 / mu, h), road
+
+
 def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:
-    """Advance `state` = (z_s, z_u, v_s, v_u) one classical Runge-Kutta step per
-    road triple (start, midpoint and end of the step) and return the last
-    state; every new state goes to `store` unless it is None."""
-    ks, cs, kt, inv_ms, inv_mu, h = coeffs
+    """Advance `state` = (z_s, z_u, v_s, v_u) one classical Runge-Kutta step
+    per road quadruple (start, midpoint and end of the step, and the end
+    road r of the time grid); every new state goes to `store` unless it is
+    None. Returns the last state and, over the states stepped to, the least
+    and greatest suspension force f_s and road-wheel offset r - z_u."""
+    ks, cs, kt, neg_inv_ms, inv_mu, h = coeffs
     # Python evaluates `0.5 * h * v` as `(0.5 * h) * v`, so hoisting keeps the bytes
     half = 0.5 * h
     sixth = h / 6.0
     zs, zu, vs, vu = state
-    for zr1, zr2, zr3 in road:
-        fs = ks * (zs - zu) + cs * (vs - vu)
-        a1s = -fs * inv_ms
+    fs_lo, fs_hi, off_lo, off_hi = math.inf, -math.inf, math.inf, -math.inf
+    fs = ks * (zs - zu) + cs * (vs - vu)
+    for zr1, zr2, zr3, zr in road:
+        # `fs * neg_inv_ms` is `-fs * inv_ms` bit for bit: IEEE signs are symmetric
+        a1s = fs * neg_inv_ms
         a1u = (fs + kt * (zr1 - zu)) * inv_mu
 
         zs2 = zs + half * vs
@@ -174,7 +194,7 @@ def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:
         vs2 = vs + half * a1s
         vu2 = vu + half * a1u
         fs = ks * (zs2 - zu2) + cs * (vs2 - vu2)
-        a2s = -fs * inv_ms
+        a2s = fs * neg_inv_ms
         a2u = (fs + kt * (zr2 - zu2)) * inv_mu
 
         zs3 = zs + half * vs2
@@ -182,7 +202,7 @@ def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:
         vs3 = vs + half * a2s
         vu3 = vu + half * a2u
         fs = ks * (zs3 - zu3) + cs * (vs3 - vu3)
-        a3s = -fs * inv_ms
+        a3s = fs * neg_inv_ms
         a3u = (fs + kt * (zr2 - zu3)) * inv_mu
 
         zs4 = zs + h * vs3
@@ -190,16 +210,27 @@ def _rk4_steps(state: tuple, road, coeffs: tuple, store=None) -> tuple:
         vs4 = vs + h * a3s
         vu4 = vu + h * a3u
         fs = ks * (zs4 - zu4) + cs * (vs4 - vu4)
-        a4s = -fs * inv_ms
+        a4s = fs * neg_inv_ms
         a4u = (fs + kt * (zr3 - zu4)) * inv_mu
 
         zs += sixth * (vs + 2.0 * vs2 + 2.0 * vs3 + vs4)
         zu += sixth * (vu + 2.0 * vu2 + 2.0 * vu3 + vu4)
         vs += sixth * (a1s + 2.0 * a2s + 2.0 * a3s + a4s)
         vu += sixth * (a1u + 2.0 * a2u + 2.0 * a3u + a4u)
+        # the new state's force, which the next step's first stage reuses
+        fs = ks * (zs - zu) + cs * (vs - vu)
+        off = zr - zu
+        if fs < fs_lo:
+            fs_lo = fs
+        if fs > fs_hi:
+            fs_hi = fs
+        if off < off_lo:
+            off_lo = off
+        if off > off_hi:
+            off_hi = off
         if store is not None:
             store((zs, zu, vs, vu))
-    return zs, zu, vs, vu
+    return (zs, zu, vs, vu), (fs_lo, fs_hi, off_lo, off_hi)
 
 
 def integrate_quarter_car(
@@ -209,57 +240,42 @@ def integrate_quarter_car(
     te: float = 2.0,
     dt: float = 1e-4,
     initial_state: Optional[np.ndarray] = None,
-    store_from: int = 0,
 ):
     """Classical fourth-order Runge-Kutta integration of the quarter-car
-    state (z_s, z_u, v_s, v_u); returns the time grid and state matrix from
-    row `store_from` on. The steps before it are integrated without being
-    stored.
+    state (z_s, z_u, v_s, v_u); returns the time grid and state matrix.
 
     The suspension spring/damper couples the two masses; the tire acts as a
     spring between the unsprung mass and the road profile. State starts at
     zero unless `initial_state` is given.
     """
-    n_steps = _step_count(t0, te, dt)
-
-    # Python floats, not numpy scalars: the same IEEE operations in the same
-    # order, so the states are bitwise those of numpy-scalar arithmetic,
-    # at well under half the cost per operation
-    ms, mu, ks, cs, kt = map(float, astuple(params))
-    t0, h = float(t0), float(dt)
+    n_steps, coeffs, steps = _rk4_setup(params, exc, t0, te, dt)
     state = np.zeros(4) if initial_state is None else np.asarray(initial_state, dtype=float)
     if state.shape != (4,):
         raise DimensionMismatchError("initial_state must have shape (4,)")
 
-    coeffs = (ks, cs, kt, 1.0 / ms, 1.0 / mu, h)
-    steps = zip(*_road_samples(float(exc.amplitude), float(exc.frequency), t0, h, n_steps))
-    state = _rk4_steps(tuple(map(float, state)), islice(steps, store_from), coeffs)
     flat = array("d", state)
-    _rk4_steps(state, steps, coeffs, flat.extend)
+    _rk4_steps(tuple(map(float, state)), steps, coeffs, flat.extend)
 
-    states = np.frombuffer(flat, dtype=float).reshape(n_steps + 1 - store_from, 4)
+    states = np.frombuffer(flat, dtype=float).reshape(n_steps + 1, 4)
     # float arithmetic overflows to inf without raising, so the loop runs on
     # and the first non-finite row names the step where divergence began
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
-        if store_from and not finite[0]:
-            # a non-finite state stays non-finite, so the divergence began
-            # before the stored rows; integrating them all names its step
-            integrate_quarter_car(params, exc, t0, te, dt, initial_state)
-        i = store_from + int(np.argmin(finite)) - 1
-        t = t0 + i * h
-        raise DivergenceError(f"non-finite state at step {i + 1} (t = {t + h:.6g} s)")
+        i = int(np.argmin(finite)) - 1
+        t = t0 + i * dt
+        raise DivergenceError(f"non-finite state at step {i + 1} (t = {t + dt:.6g} s)")
 
-    time_grid = t0 + dt * np.arange(store_from, n_steps + 1)
+    time_grid = t0 + dt * np.arange(n_steps + 1)
     return time_grid, states
 
 
 def _channels(params: QuarterCarParams, exc: Excitation, time_grid, states) -> tuple:
-    """Wheel load F_z = k_t (z_r - z_u) and body acceleration at each state."""
+    """The time grid, and the wheel load F_z = k_t (z_r - z_u) and body
+    acceleration at each state."""
     road = exc.amplitude * np.sin(2.0 * math.pi * exc.frequency * time_grid)
     zs, zu, vs, vu = states.T
     fs = params.suspension_stiffness * (zs - zu) + params.suspension_damping * (vs - vu)
-    return params.tire_stiffness * (road - zu), -fs / params.sprung_mass
+    return time_grid, params.tire_stiffness * (road - zu), -fs / params.sprung_mass
 
 
 def simulate_quarter_car(
@@ -271,8 +287,11 @@ def simulate_quarter_car(
     initial_state: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """Integrate and collect the wheel load and body acceleration channels."""
-    time_grid, states = integrate_quarter_car(params, exc, t0, te, dt, initial_state)
-    return Trajectory(time_grid, *_channels(params, exc, time_grid, states))
+    # one expression, so the state matrix is freed with `_channels`' frame,
+    # before `Trajectory` copies the channels: a lower peak of memory
+    return Trajectory(
+        *_channels(params, exc, *integrate_quarter_car(params, exc, t0, te, dt, initial_state))
+    )
 
 
 def amplitude(channel, window: slice) -> float:
@@ -287,7 +306,7 @@ def amplitude(channel, window: slice) -> float:
     return 0.5 * float(view.max() - view.min())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuarterCarEvaluator:
     """Maps a design offset vector onto relative parameter perturbations,
     simulates, and returns (wheel-load amplitude, body-acceleration amplitude).
@@ -319,15 +338,23 @@ class QuarterCarEvaluator:
         return QuarterCarParams(*p)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # the amplitudes are read over the second half of the trajectory,
-        # rows len // 2 = (n_steps + 1) // 2 on; only those are stored
+        # the amplitudes are read over rows (n_steps + 1) // 2 to n_steps, the
+        # second half of the trajectory, from the extremes of its states;
+        # no state is stored
         params = self.params_for(x)
-        half = (_step_count(self.t0, self.te, self.dt) + 1) // 2
-        grid, states = integrate_quarter_car(
-            params, self.excitation, self.t0, self.te, self.dt, store_from=half
-        )
-        channels = _channels(params, self.excitation, grid, states)
-        return np.array([amplitude(c, slice(None)) for c in channels])
+        n_steps, coeffs, steps = _rk4_setup(params, self.excitation, self.t0, self.te, self.dt)
+        state, _ = _rk4_steps((0.0,) * 4, islice(steps, (n_steps + 1) // 2 - 1), coeffs)
+        state, (fs_lo, fs_hi, off_lo, off_hi) = _rk4_steps(state, steps, coeffs)
+        if not all(map(math.isfinite, state)):
+            # a non-finite state stays non-finite, so the last one shows any
+            # divergence; integrating with every state stored names its step
+            integrate_quarter_car(params, self.excitation, self.t0, self.te, self.dt)
+        # k_t > 0 and m_s > 0, so the greatest and least wheel load and body
+        # acceleration are those of r - z_u and f_s mapped by k_t * . and
+        # -. / m_s, bit for bit, in the numpy arithmetic of `_channels`
+        load = params.tire_stiffness * np.array([off_hi, off_lo])
+        peaks = np.array([load, -np.array([fs_lo, fs_hi]) / params.sprung_mass])
+        return 0.5 * (peaks[:, 0] - peaks[:, 1])
 
 
 def make_quarter_car_problem(
@@ -346,6 +373,9 @@ def make_quarter_car_problem(
         raise ConfigurationError("n_dim must be at least 1")
     if projection_seed < 0:
         raise ConfigurationError(f"projection seed must be non-negative, got {projection_seed}")
+    # at a swing of 1 or more a box corner takes a parameter to zero or below
+    if not 0.0 < max_swing < 1.0:
+        raise ConfigurationError(f"max_swing must lie strictly between 0 and 1, got {max_swing}")
     t0, te, dt = horizon.t0, horizon.te, horizon.dt
     # the amplitudes are read over rows (n_steps + 1) // 2 on: one row for one step
     if _step_count(t0, te, dt) < 2:

@@ -53,7 +53,7 @@ class SurrogateModel(Protocol):
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scaler:
     """Per-coordinate affine normalization for inputs and outputs.
 
@@ -213,7 +213,7 @@ def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(phi, out=phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
     (scaled) training inputs as centers."""
@@ -255,7 +255,7 @@ class RbfModel:
         return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MlpModel:
     """Fully connected tanh network mapping scaled inputs to scaled outputs."""
 

@@ -361,6 +361,8 @@ class TestRunConfig:
                 {"samo": {"batch_size": 10, "train": {"validation_fraction": 0.95}}},
                 "^batch_size must be at least 11 .* with train.validation_fraction 0.95$",
             ),
+            # a swing of 1 or more takes a box corner's parameters to zero or below
+            ({"problem": {"name": "mbs", "n_dim": 3, "max_swing": 1.5}}, "^max_swing must lie"),
         ],
     )
     def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):
@@ -721,6 +723,7 @@ class TestCmdStudy:
             {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}},
             {"samo": {**CHEAP_CONFIG["samo"], "seed": -2}},
             {"problem": {"name": "mbs", "projection_seed": -5}},
+            {"problem": {"name": "mbs", "n_dim": 3, "max_swing": 1.5}},
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):

@@ -21,6 +21,9 @@ from samo.core import (
     point_matrix,
 )
 from samo.driver import igd_normalized
+from samo.mgda import MgdaResult
+from samo.problems import Trajectory, make_analytic_problem, make_quarter_car_problem
+from samo.surrogate import Scaler, TrainConfig, fit_mlp, fit_rbf
 from samo.moea import crowding_distance, fast_non_dominated_sort
 from samo.sampling import kmeans
 
@@ -285,3 +288,31 @@ class TestTypes:
             ParetoApproximation(np.empty((0, 1)), np.empty((0, 2)))
         ok = ParetoApproximation.from_arrays(X, np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert len(ok) == 2
+
+
+def _small_dataset() -> Dataset:
+    X = np.linspace(-1.0, 1.0, 16).reshape(8, 2)
+    return Dataset(X, np.column_stack([X.sum(axis=1), (X**2).sum(axis=1)]))
+
+
+# two builds of each frozen dataclass with array fields give equal contents
+ARRAY_DATACLASSES = {
+    "BoxBounds": lambda: BoxBounds(np.zeros(2), np.ones(2)),
+    "Problem": lambda: make_analytic_problem("two-paraboloids"),
+    "Trajectory": lambda: Trajectory(np.arange(3.0), np.zeros(3), np.ones(3)),
+    "QuarterCarEvaluator": lambda: make_quarter_car_problem(n_dim=2).evaluate,
+    "Scaler": lambda: Scaler.fit(_small_dataset().X, _small_dataset().Y),
+    "RbfModel": lambda: fit_rbf(_small_dataset()),
+    "MlpModel": lambda: fit_mlp(_small_dataset(), TrainConfig(epochs=2)),
+    "MgdaResult": lambda: MgdaResult(np.zeros(2), True, 1, np.zeros((1, 4))),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_DATACLASSES)
+def test_array_dataclasses_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the arrays as tuples and raise, and
+    # a generated __hash__ would hash them and raise
+    first, second = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert first in {first} and second not in {first}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from samo.problems import (
     make_analytic_problem,
     make_quarter_car_problem,
     simulate_quarter_car,
+    _rk4_setup,
+    _rk4_steps,
 )
 
 # objective pair of the shipped benchmark at the nominal design (x = 0),
@@ -213,6 +216,17 @@ class TestQuarterCarBenchmark:
         with pytest.raises(DimensionMismatchError, match="has 4 coordinates, expected 3"):
             evaluator.params_for(np.zeros(4))
 
+    @pytest.mark.parametrize("max_swing", [1.0, 1.5, 0.0, -0.1, math.nan])
+    def test_swing_outside_the_unit_interval_rejected_when_the_problem_is_built(self, max_swing):
+        # at a swing of 1 or more a box corner gives a parameter of zero or below
+        with pytest.raises(ConfigurationError, match="max_swing must lie strictly between 0 and 1"):
+            make_quarter_car_problem(n_dim=3, max_swing=max_swing)
+
+    def test_swing_just_below_one_evaluates_at_every_corner(self):
+        problem = make_quarter_car_problem(n_dim=3, max_swing=0.99, horizon=Horizon(te=0.01))
+        for corner in itertools.product((-0.003, 0.003), repeat=3):
+            assert np.all(np.isfinite(problem.evaluate(np.array(corner))))
+
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             QuarterCarParams(sprung_mass=-1.0)
@@ -284,9 +298,9 @@ class TestFloatLoopAgainstOracle:
 
 
 class TestWindowedEvaluator:
-    """The evaluator integrates the first half of the horizon without
-    storing it; its objectives and errors must be those of the oracle that
-    stores every state."""
+    """The evaluator integrates the first half of the horizon and reads the
+    second from running extremes, storing no state; its objectives and
+    errors must be those of the oracle that stores every state."""
 
     @staticmethod
     def designs(evaluator):
@@ -294,33 +308,57 @@ class TestWindowedEvaluator:
         random = np.random.default_rng(11).uniform(-0.003, 0.003, (4, 24))
         return (np.zeros(24), corner, -corner, np.full(24, -0.003), *random)
 
+    @pytest.mark.parametrize("road", [0.001, 0.0], ids=["road", "zero-excitation"])
     @pytest.mark.parametrize("te, n_steps", [(0.2, 2000), (0.2001, 2001), (0.0003, 3), (0.0002, 2)])
-    def test_objectives_bitwise_for_odd_and_even_step_counts(self, te, n_steps):
-        problem = make_quarter_car_problem(horizon=Horizon(te=te))
+    def test_objectives_bitwise_for_odd_and_even_step_counts(self, te, n_steps, road):
+        problem = make_quarter_car_problem(
+            excitation=Excitation(amplitude=road), horizon=Horizon(te=te)
+        )
         evaluator = problem.evaluate
         assert int(round(te / evaluator.dt)) == n_steps
         for x in self.designs(evaluator):
             y = problem.evaluate(x)
             assert y.tobytes() == oracles.quarter_car_objectives(evaluator, x).tobytes()
 
-    @pytest.mark.parametrize("n_steps", [1, 2, 5, 6])
-    def test_window_is_the_tail_of_the_full_integration(self, n_steps):
+    @pytest.mark.parametrize("road", [0.001, 0.0], ids=["road", "zero-excitation"])
+    @pytest.mark.parametrize("te", [0.05, 0.0501, 0.0003, 0.0002])
+    def test_objectives_bitwise_at_every_box_corner(self, te, road):
+        problem = make_quarter_car_problem(
+            n_dim=3, excitation=Excitation(amplitude=road), horizon=Horizon(te=te)
+        )
+        for corner in itertools.product((-0.003, 0.003), repeat=3):
+            x = np.array(corner)
+            y = problem.evaluate(x)
+            assert y.tobytes() == oracles.quarter_car_objectives(problem.evaluate, x).tobytes()
+
+    @pytest.mark.parametrize("n_steps", range(1, 7))
+    def test_running_extremes_equal_the_stored_channels(self, n_steps):
         params = QuarterCarParams(310.0, 42.5, 23_000.0, 1_700.0, 190_000.0)
-        args = (params, Excitation(0.002, 3.0), 0.25, 0.25 + n_steps * 1e-3, 1e-3, [0.01, 0.0, 0.0, 0.02])
-        t_full, s_full = integrate_quarter_car(*args)
-        assert len(t_full) == n_steps + 1
-        for start in range(n_steps + 1):
-            t, s = integrate_quarter_car(*args, store_from=start)
-            assert t.tobytes() == t_full[start:].tobytes()
-            assert s.tobytes() == s_full[start:].tobytes()
+        exc = Excitation(0.002, 3.0)
+        t0, dt, state = 0.25, 1e-3, (0.01, 0.0, 0.0, 0.02)
+        time_grid, states = integrate_quarter_car(params, exc, t0, t0 + n_steps * dt, dt, state)
+        zs, zu, vs, vu = states.T
+        force = params.suspension_stiffness * (zs - zu) + params.suspension_damping * (vs - vu)
+        offset = exc.amplitude * np.sin(2.0 * math.pi * exc.frequency * time_grid) - zu
+        # a window holds rows `start` to n_steps; the steps before it are the transient
+        for start in range(1, n_steps + 1):
+            _, coeffs, steps = _rk4_setup(params, exc, t0, t0 + n_steps * dt, dt)
+            head, _ = _rk4_steps(state, itertools.islice(steps, start - 1), coeffs)
+            assert head == tuple(states[start - 1])
+            _, extremes = _rk4_steps(head, steps, coeffs)
+            force_in, offset_in = force[start:], offset[start:]
+            expected = (force_in.min(), force_in.max(), offset_in.min(), offset_in.max())
+            assert np.array(extremes).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize(
         "te, stored",
-        [(100.0, False), (49.95, True), (35.0, True)],
-        ids=["unstored-half", "first-stored-row", "stored-half"],
+        [(100.0, False), (49.95, True), (35.0, True), (25.0, True)],
+        ids=["unstored-half", "first-stored-row", "stored-half", "last-step"],
     )
     def test_divergence_message_in_either_half(self, te, stored):
-        # at dt = 0.05 the nominal design first turns non-finite at step 500
+        # at dt = 0.05 the nominal design first turns non-finite at step 500,
+        # which is row 500 of the trajectory: in the transient for 2000
+        # steps, the window's first row for 999 and its last for 500
         problem = make_quarter_car_problem(horizon=Horizon(te=te, dt=0.05))
         half = (int(round(te / 0.05)) + 1) // 2
         assert (500 >= half) == stored
