@@ -266,9 +266,34 @@ def front_ranks(F: np.ndarray) -> np.ndarray:
     return rank
 
 
+def non_dominated_mask(F: np.ndarray) -> np.ndarray:
+    """`front_ranks(F) == 0` for a non-empty (n, K) objective matrix,
+    without ranking the later fronts.
+
+    Two objectives without NaN take one lexicographic (f1, f2) sort: every
+    row before a point has an f1 <= its own, so the point is dominated iff
+    some earlier row that is not its exact duplicate has an f2 <= its own.
+    Duplicates sort next to each other, so those rows are the ones before
+    the point's run of duplicates, and one running minimum of f2 decides.
+    Any other input asks the dominance matrix for a dominator.
+    """
+    if F.shape[1] != 2 or np.isnan(F).any():
+        return ~dominance_matrix(F).any(axis=0)
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    f1, f2 = F[order, 0], F[order, 1]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[1:] = (f1[1:] != f1[:-1]) | (f2[1:] != f2[:-1])
+    run_start = np.maximum.accumulate(np.where(distinct, np.arange(len(order)), 0))
+    least_f2 = np.minimum.accumulate(f2)
+    mask = np.empty(len(order), dtype=bool)
+    mask[order] = (run_start == 0) | (least_f2[run_start - 1] > f2)
+    return mask
+
+
 def non_dominated_filter(points) -> np.ndarray:
-    """Indices of all points not dominated by any other point, in input order."""
-    return np.flatnonzero(front_ranks(point_matrix(points, "point set")) == 0)
+    """Indices of all points not dominated by any other point, in input
+    order: the rows of `non_dominated_mask`."""
+    return np.flatnonzero(non_dominated_mask(point_matrix(points, "point set")))
 
 
 def hausdorff_distance(X, Y, normalize: bool = False) -> float:

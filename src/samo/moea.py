@@ -8,10 +8,12 @@ consume the generator exactly as one tournament, one pair and one child at a
 time would, so a seed gives the same run bit for bit: the crossover and
 mutation uniforms are peeked as one block, which a walk over the pairs
 splits by reading two byte masks of it. A generation passes around one rank
-vector, from `samo.core.front_ranks` for any number of objectives. One
-routine, `_crowding`, crowds all fronts at once with one sort per objective.
-Survivors are chosen by one stable sort on (rank, crowding on the front cut
-by the population size) and crowded once.
+vector. Survival ranks only the fronts it needs: when the pool's first
+front, from `samo.core.non_dominated_mask`, holds at least the population,
+the pool is labelled 0/1; otherwise `samo.core.front_ranks` ranks every
+front. Survivors are chosen by one stable sort on (rank, crowding on the
+front cut by the population size) and crowded once, front by front, by
+`crowding_distance`: one stable sort of all the front's columns.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     ParetoApproximation,
     dominance_matrix,  # unused here; resolves the `moea.dominance_matrix` trace site
     front_ranks,
+    non_dominated_mask,
     point_matrix,
 )
 from .sampling import latin_hypercube
@@ -80,49 +83,43 @@ def fast_non_dominated_sort(pop) -> list:
 
 def crowding_distance(front) -> np.ndarray:
     """Per-objective normalized neighbor gaps of a `samo.core.point_matrix`
-    point set, summed; boundary points and fronts of size <= 2 get infinity."""
+    point set, summed; boundary points and fronts of size <= 2 get infinity.
+
+    One stable sort of every column puts the front in f_k order with ties
+    in index order. Inner points get their neighbour gap over the span,
+    unless that span is not a positive number; the gaps are added objective
+    by objective.
+    """
     F = point_matrix(front, "front")
-    return _crowding(F, np.zeros(F.shape[0], dtype=np.intp))
+    n, n_obj = F.shape
+    order = np.argsort(F, axis=0, kind="stable")
+    columns = np.arange(n_obj)
+    vals = F[order, columns]
+    by_row = np.zeros((n_obj, n))
+    # demoted individuals carry infinite objectives; a span holding them is
+    # not a number and contributes nothing
+    with np.errstate(invalid="ignore", over="ignore"):
+        span = vals[-1] - vals[0]
+        counted = np.isfinite(span) & (span > 0.0)
+        gap = vals[2:] - vals[:-2]
+        gap = np.divide(gap, span, out=np.zeros_like(gap), where=counted)
+    by_row[columns, order[1:-1]] = gap
+    crowd = np.zeros(n)
+    for objective_gap in by_row:
+        crowd += objective_gap
+    crowd[order[0]] = crowd[order[-1]] = np.inf
+    return crowd
 
 
 def _crowding(Y: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Crowding distance of every row of Y within its front, the rows of
-    rank r; `rank` holds every value from 0 to its largest.
-
-    One stable sort by (rank, f_k) per objective puts every front in a
-    segment of its own, sorted by f_k with ties in index order. A segment's
-    ends get infinity; its inner points get their neighbour gap over the
-    segment's span, unless that span is not a positive number. The gaps are
-    added objective by objective.
-    """
-    n, n_obj = Y.shape
-    sizes = np.bincount(rank)
-    last = sizes.cumsum() - 1
-    first = last - sizes + 1
-    inner = np.ones(n, dtype=bool)
-    inner[first] = inner[last] = False
-
-    # one row per objective from here on
-    order = np.array([np.lexsort((Y[:, k], rank)) for k in range(n_obj)])
-    rows = np.arange(n_obj)[:, None]
-    vals = Y[order, rows]
-    gap = np.zeros((n_obj, n))
-    # demoted individuals carry infinite objectives; the span of a front
-    # holding them is not a number and contributes nothing. A gap across
-    # two fronts may overflow and is never used.
-    with np.errstate(invalid="ignore", over="ignore"):
-        # every order sorts by rank first, so rank[order[0]] is the rank of
-        # each sorted position
-        span = (vals[:, last] - vals[:, first])[:, rank[order[0]]]
-        gap[:, 1:-1] = vals[:, 2:] - vals[:, :-2]
-        counted = inner & np.isfinite(span) & (span > 0.0)
-        gap = np.divide(gap, span, out=np.zeros_like(gap), where=counted)
-    by_row = np.empty_like(gap)
-    by_row[rows, order] = gap
-    crowd = np.zeros(n)
-    for objective_gap in by_row:
-        crowd += objective_gap
-    crowd[order[:, first]] = crowd[order[:, last]] = np.inf
+    rank r; `rank` holds every value from 0 to its largest."""
+    if not rank.any():
+        return crowding_distance(Y)
+    crowd = np.empty(len(Y))
+    for r in range(rank.max() + 1):
+        front = rank == r
+        crowd[front] = crowding_distance(Y[front])
     return crowd
 
 
@@ -360,12 +357,19 @@ def nsga2_run(
         demoted += flagged
 
         pool_Y = np.concatenate((Y, off_Y))
-        pool_rank = front_ranks(pool_Y)
         # whole fronts while they fit, then the most crowded-apart members of
         # the front cut by the population size, ties to the lower pool index.
         # Removing worse fronts leaves each survivor's rank as it was in the
         # pool. The sort is stable, so a whole front keeps pool-index order,
         # its crowding breaks ties as in the pool and is the pool's bit for bit.
+        # A first front of M rows or more fills the population by itself: no
+        # later front survives, so labelling the rest 1 keeps the same rows
+        # in the same order, and every survivor has rank 0.
+        non_dominated = non_dominated_mask(pool_Y)
+        if np.count_nonzero(non_dominated) >= M:
+            pool_rank = (~non_dominated).astype(np.intp)
+        else:
+            pool_rank = front_ranks(pool_Y)
         cut = pool_rank == np.sort(pool_rank)[M]
         spread = np.zeros(2 * M)
         spread[cut] = -crowding_distance(pool_Y[cut])

@@ -383,11 +383,19 @@ def make_quarter_car_problem(
             f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds 1 step of dt = {dt:.6g} s; "
             "the amplitudes need at least 2"
         )
+    if not 0.0 < half_width < math.inf:
+        raise ConfigurationError(f"half_width must be finite and positive, got {half_width}")
     bounds = BoxBounds(np.full(n_dim, -half_width), np.full(n_dim, half_width))
     P = np.random.default_rng(projection_seed).standard_normal((5, n_dim))
     # worst-case |P @ x| over the box is the 1-norm of each row times half_width
-    worst = float(np.max(np.abs(P).sum(axis=1)) * half_width)
+    worst = float(np.max(np.abs(P).sum(axis=1))) * half_width
     scale = max_swing / worst
+    # a scale of 0 would evaluate every design to the nominal objectives
+    if not 0.0 < scale < math.inf:
+        raise ConfigurationError(
+            f"half_width {half_width:g} gives the projection scale {scale:g}; "
+            "it must be finite and positive"
+        )
     evaluator = QuarterCarEvaluator(
         bounds=bounds,
         nominal=params,

@@ -44,7 +44,6 @@ from samo.core import (
     ParetoApproximation,
     SamoError,
     dominance_matrix,
-    non_dominated_filter,
 )
 from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _row_dot
 from samo.moea import _evaluate, _unpeek
@@ -337,6 +336,11 @@ def dominance_sort(F) -> list:
         assigned[front] = True
         remaining = remaining - dom[front].sum(axis=0)
     return fronts
+
+
+def non_dominated_filter(points) -> np.ndarray:
+    """Indices of the first front peeled from the dominance matrix."""
+    return dominance_sort(points)[0]
 
 
 def crowding_distance(front) -> np.ndarray:

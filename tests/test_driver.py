@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import samo.core
 import samo.driver
 import samo.mgda
 import samo.surrogate
@@ -395,7 +396,9 @@ class TestBatchedOptimizersMatchOnePointPath:
         layer loop of their own; the RBF width search fits one model per
         width and fold; the RBF oracles reduce row-major offsets over their
         last axis, in numpy's pairwise order from 8 coordinates on; the
-        descent oracle scatters every start back each iteration."""
+        descent oracle scatters every start back each iteration; the filter
+        behind the final front, the MGDA endpoints and every Pareto
+        approximation's check takes the dominance peel's first front."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
@@ -407,6 +410,8 @@ class TestBatchedOptimizersMatchOnePointPath:
         monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
         monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_row_major)
         monkeypatch.setattr(samo.mgda, "_descend", oracles.descend_gather_scatter)
+        for module in (samo.core, samo.driver, samo.mgda):
+            monkeypatch.setattr(module, "non_dominated_filter", oracles.non_dominated_filter)
         samo_run(problem, cfg, run_dir=tmp_path / "slow", verbose=True)
         fast, slow = (self.artifacts(tmp_path / side, "*") for side in ("fast", "slow"))
         del fast["metrics.json"], slow["metrics.json"]

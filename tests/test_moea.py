@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -10,6 +10,7 @@ from samo.core import (
     DimensionMismatchError,
     front_ranks,
     non_dominated_filter,
+    non_dominated_mask,
 )
 from oracles import dominates
 from samo import moea
@@ -93,6 +94,10 @@ class TestSorting:
         st.lists(st.integers(0, 59), max_size=8),
         st.lists(st.integers(0, 59), max_size=4),
     )
+    # a lone (inf, inf) row has no earlier distinct row to be dominated by
+    @example(2, [[0, 0, 0]], [0], [])
+    @example(2, [[1, 2, 3]] * 7, [], [])
+    @example(3, [[1, 2, 3]] * 7, [], [])
     def test_front_ranks_equal_dominance_peeling(self, k, grid, inf_rows, nan_rows):
         # two objectives take the sweep unless a NaN sends them to the peel
         Y = np.array(grid, dtype=float)[:, :k]
@@ -102,6 +107,7 @@ class TestSorting:
         for r, front in enumerate(oracles.dominance_sort(Y)):
             want[front] = r
         assert np.array_equal(front_ranks(Y), want)
+        assert np.array_equal(non_dominated_mask(Y), want == 0)
 
     def test_dominated_point_in_second_front(self):
         fronts = fast_non_dominated_sort(np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
@@ -127,9 +133,23 @@ class TestCrowding:
         finite = dist[np.isfinite(dist)]
         assert len(finite) == 2 and np.all(finite >= 0.0)
 
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=40),
+        st.lists(st.integers(0, 39), max_size=6),
+    )
+    @example(2, [[1, 2, 3]] * 5, [])
+    @example(2, [[0, 4, 0], [1, 3, 0], [1, 3, 0], [3, 1, 0]], [2])
+    def test_equals_oracle_on_ties_duplicates_and_infinite_rows(self, k, grid, inf_rows):
+        # integer grids give ties and duplicates; +inf rows give spans that
+        # are not numbers
+        F = np.array(grid, dtype=float)[:, :k]
+        F[[i for i in inf_rows if i < len(F)]] = np.inf
+        assert crowding_distance(F).tobytes() == oracles.crowding_distance(F).tobytes()
+
 
 class TestRankAndCrowding:
-    """`front_ranks` and all fronts' crowding from one sort per objective
+    """`front_ranks` and the crowding of every front, front by front,
     against the dominance-matrix peeling and the per-front crowding of
     tests/oracles.py."""
 
@@ -615,6 +635,30 @@ class TestNsga2:
 
         cfg = MoeaConfig(generations=8)
         self.assert_same_run(objective, problem.bounds, cfg, 24, seed)
+
+    @pytest.mark.parametrize(
+        "name,M,seed,generations",
+        [("two-paraboloids", 2, 0, 10), ("two-paraboloids", 4, 0, 10), ("zdt1", 4, 1, 20)],
+    )
+    def test_matches_one_pair_oracle_when_the_first_front_fills_the_population(
+        self, name, M, seed, generations, monkeypatch
+    ):
+        # survival labels the pool 0/1 when its first front holds at least M
+        # rows, and ranks every front otherwise; exactly M is the border. The
+        # zdt1 run tells a border moved down to M - 1 apart.
+        problem = make_analytic_problem(name)
+        first_front_sizes = []
+
+        def counted(F):
+            mask = non_dominated_mask(F)
+            first_front_sizes.append(np.count_nonzero(mask))
+            return mask
+
+        monkeypatch.setattr(moea, "non_dominated_mask", counted)
+        cfg = MoeaConfig(generations=generations)
+        self.assert_same_run(problem.evaluate_batch, problem.bounds, cfg, M, seed)
+        sides = {np.sign(size - M) for size in first_front_sizes}
+        assert len(first_front_sizes) == generations and sides == {-1, 0, 1}
 
     @pytest.mark.parametrize("M", [8, 20, 60])
     def test_carried_survivor_ranks_equal_a_fresh_ranking(self, M, monkeypatch):

@@ -222,6 +222,13 @@ class TestQuarterCarBenchmark:
         with pytest.raises(ConfigurationError, match="max_swing must lie strictly between 0 and 1"):
             make_quarter_car_problem(n_dim=3, max_swing=max_swing)
 
+    @pytest.mark.parametrize("half_width", [1e308, 0.0, -1.0, math.inf, math.nan])
+    def test_half_width_without_a_finite_positive_scale_rejected(self, half_width):
+        # 1e308 overflows the worst-case swing to inf, so its scale is 0 and
+        # every design would evaluate to the nominal objectives
+        with pytest.raises(ConfigurationError, match="half_width"):
+            make_quarter_car_problem(n_dim=3, half_width=half_width)
+
     def test_swing_just_below_one_evaluates_at_every_corner(self):
         problem = make_quarter_car_problem(n_dim=3, max_swing=0.99, horizon=Horizon(te=0.01))
         for corner in itertools.product((-0.003, 0.003), repeat=3):
