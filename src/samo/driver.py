@@ -4,9 +4,11 @@ One run alternates expensive sampling, surrogate refitting and surrogate
 optimization, stopping when the Hausdorff distance between consecutive
 surrogate fronts falls below a threshold or the evaluation budget is spent,
 and finishes with a non-dominance test over every expensive sample
-collected. All artifacts (samples, fronts, serialized surrogates, metrics)
-are written into a run directory as they are produced; `read_run` reads its
-point sets back.
+collected. `samo_run` is a loop over timed stages that read and write only
+the `RunRecord`: `_sample`, `_evaluate`, `_fit_surrogate`,
+`_optimize_surrogate` and `check_convergence`. All artifacts (samples,
+fronts, serialized surrogates, metrics) are written into a run directory
+as they are produced; `read_run` reads its point sets back.
 """
 
 from __future__ import annotations
@@ -348,6 +350,38 @@ def read_run(run_dir: Path) -> list:
     return [(j, kind, *read_points(run_dir / POINT_FILES[kind].format(j))) for j, kind in sets]
 
 
+def _timed(timings: dict, stage: str, fn, *args):
+    """`fn(*args)`, its seconds stored as `timings[stage]`, also when it
+    raises: the last key of `timings` names the stage a round stopped in."""
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        timings[stage] = time.perf_counter() - t0
+
+
+def _sample(problem: Problem, cfg: SamoConfig, record: RunRecord) -> np.ndarray:
+    """The next round's designs: a Latin hypercube in round 0, then k-means
+    centroids of the last surrogate Pareto set, no more than the budget has
+    left (round 0's batch comes on top of the budget)."""
+    round_index = len(record.rounds)
+    seed = derive_seed(cfg.seed, 0, round_index)
+    if round_index == 0:
+        return latin_hypercube(cfg.batch_size, problem.bounds, seed)
+    left = cfg.budget + cfg.batch_size - len(record.dataset)
+    return pareto_informed_samples(
+        record.rounds[-1].pareto, min(cfg.batch_size, left), record.dataset, problem.bounds, seed
+    )
+
+
+def _evaluate(problem: Problem, record: RunRecord, X: np.ndarray, jobs: int) -> np.ndarray:
+    """Expensive-evaluate the designs X into the record's archive; their
+    objectives Y."""
+    Y = evaluate_batch(problem, X, jobs=jobs)
+    record.dataset = record.dataset.with_samples(X, Y)
+    return Y
+
+
 def samo_run(
     problem: Problem,
     cfg: SamoConfig,
@@ -357,105 +391,67 @@ def samo_run(
 ) -> RunRecord:
     """Execute the adaptive loop against `problem`.
 
-    Round 0 draws a Latin hypercube batch; every later round resamples at
-    k-means centroids of the previous surrogate Pareto set, refits, and
-    re-optimizes. The loop stops when consecutive surrogate fronts agree to
-    within `h_min` in Hausdorff distance or the budget is exhausted, then
-    runs the final non-dominance test over the whole archive.
+    Every round runs the stages `_sample` (a Latin hypercube batch in round
+    0, k-means centroids of the previous surrogate Pareto set after it),
+    `_evaluate`, `_fit_surrogate`, `_optimize_surrogate` and, from round 1
+    on, `check_convergence`; `timings` holds each stage's seconds under
+    `sampling`, `evaluation`, `fit` and `optimization`. The stages read and
+    write only the run record, which gives the round index, the budget left
+    and the previous front. The loop stops when consecutive surrogate fronts
+    agree to within `h_min` in Hausdorff distance, the budget is exhausted
+    or the fit or the optimizer fails, then runs the final non-dominance
+    test over the whole archive.
     """
     writer = RunDirectoryWriter(run_dir) if run_dir is not None else None
     record = RunRecord(config=cfg, problem_name=problem.name)
     if writer:
         writer.write_projection_matrix(problem)
 
-    cap = cfg.budget + cfg.batch_size  # round 0's batch comes on top of the budget
-    while True:
+    while not record.converged and len(record.dataset) < cfg.budget + cfg.batch_size:
         round_index = len(record.rounds)
         timings: dict = {}
+        stats: dict = {}
         t_round = time.perf_counter()
-
-        t0 = time.perf_counter()
-        if round_index == 0:
-            X_new = latin_hypercube(cfg.batch_size, problem.bounds, derive_seed(cfg.seed, 0, 0))
-        else:
-            X_new = pareto_informed_samples(
-                record.rounds[-1].pareto,
-                min(cfg.batch_size, cap - len(record.dataset)),
-                record.dataset,
-                problem.bounds,
-                derive_seed(cfg.seed, 0, round_index),
-            )
-        timings["sampling"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        Y_new = evaluate_batch(problem, X_new, jobs=jobs)
-        record.dataset = record.dataset.with_samples(X_new, Y_new)
-        timings["evaluation"] = time.perf_counter() - t0
+        X_new = _timed(timings, "sampling", _sample, problem, cfg, record)
+        Y_new = _timed(timings, "evaluation", _evaluate, problem, record, X_new, jobs)
         if writer:
             writer.write_points(POINT_FILES["sample"].format(round_index), X_new, Y_new, "f")
-
-        optimizer_stats: dict = {}
-        stage = "fit"
-        t0 = time.perf_counter()
         try:
-            model = _fit_surrogate(record.dataset, cfg, round_index)
-            timings["fit"] = time.perf_counter() - t0
-
-            stage = "optimization"
-            t0 = time.perf_counter()
-            pareto = _optimize_surrogate(
-                model, problem.bounds, cfg, round_index, optimizer_stats, writer if verbose else None
+            model = _timed(timings, "fit", _fit_surrogate, record.dataset, cfg, round_index)
+            pareto = _timed(
+                timings, "optimization", _optimize_surrogate,
+                model, problem.bounds, cfg, round_index, stats, writer if verbose else None,
             )
-            timings["optimization"] = time.perf_counter() - t0
         except SamoError as exc:
-            timings[stage] = time.perf_counter() - t0
+            stage = list(timings)[-1]
             what = "training" if stage == "fit" else "optimization"
             record.error = f"surrogate {what} failed in round {round_index}: {exc}"
             record.failed_round = {
-                "index": round_index,
-                "stage": stage,
-                "timings": timings,
-                "optimizer": optimizer_stats,
+                "index": round_index, "stage": stage, "timings": timings, "optimizer": stats
             }
             logger.error(record.error)
             break
 
         h: Optional[float] = None
-        converged = False
         if record.rounds:
-            converged, h = check_convergence(
+            record.converged, h = check_convergence(
                 record.rounds[-1].pareto.F, pareto.F, cfg.h_min, normalize=cfg.normalize_hausdorff
             )
         timings["total"] = time.perf_counter() - t_round
-
-        round_record = RoundRecord(
-            index=round_index,
-            plan_origin="latin-hypercube" if round_index == 0 else "pareto-informed",
-            n_new_samples=len(X_new),
-            dataset_size=len(record.dataset),
-            pareto=pareto,
-            hausdorff=h,
-            timings=timings,
-            optimizer=optimizer_stats,
-        )
-        record.rounds.append(round_record)
+        origin = "latin-hypercube" if round_index == 0 else "pareto-informed"
+        record.rounds.append(RoundRecord(
+            index=round_index, plan_origin=origin, n_new_samples=len(X_new),
+            dataset_size=len(record.dataset), pareto=pareto, hausdorff=h, timings=timings,
+            optimizer=stats,
+        ))
         if writer:
             writer.write_points(POINT_FILES["front"].format(round_index), pareto.X, pareto.F, "g")
             writer.write_surrogate(round_index, model)
         if verbose or h is not None:
             logger.info(
-                "round %d: %d samples, |D|=%d, h=%s",
-                round_index,
-                len(X_new),
-                len(record.dataset),
+                "round %d: %d samples, |D|=%d, h=%s", round_index, len(X_new), len(record.dataset),
                 "n/a" if h is None else f"{h:.6g}",
             )
-
-        if converged:
-            record.converged = True
-            break
-        if len(record.dataset) >= cap:
-            break
 
     # round 0 evaluated its batch before anything could end the loop
     keep = non_dominated_filter(record.dataset.Y)

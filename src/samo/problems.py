@@ -377,11 +377,20 @@ def make_quarter_car_problem(
     if not 0.0 < max_swing < 1.0:
         raise ConfigurationError(f"max_swing must lie strictly between 0 and 1, got {max_swing}")
     t0, te, dt = horizon.t0, horizon.te, horizon.dt
+    n_steps = _step_count(t0, te, dt)
     # the amplitudes are read over rows (n_steps + 1) // 2 on: one row for one step
-    if _step_count(t0, te, dt) < 2:
+    if n_steps < 2:
         raise ConfigurationError(
             f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds 1 step of dt = {dt:.6g} s; "
             "the amplitudes need at least 2"
+        )
+    # `_road_samples` takes the sine of 2π·frequency·t up to this road time;
+    # math.sin raises on an infinite phase
+    t_last = abs(t0) + n_steps * dt + dt
+    if not math.isfinite(2.0 * math.pi * excitation.frequency * t_last):
+        raise ConfigurationError(
+            f"excitation.frequency {excitation.frequency:g} makes the road phase "
+            f"2*pi*frequency*t overflow by t = {t_last:g} s"
         )
     if not 0.0 < half_width < math.inf:
         raise ConfigurationError(f"half_width must be finite and positive, got {half_width}")

@@ -724,6 +724,12 @@ class TestCmdStudy:
             {"samo": {**CHEAP_CONFIG["samo"], "seed": -2}},
             {"problem": {"name": "mbs", "projection_seed": -5}},
             {"problem": {"name": "mbs", "n_dim": 3, "max_swing": 1.5}},
+            # 2*pi*frequency*t overflows, and math.sin of inf raises
+            {
+                "problem": {
+                    "name": "mbs", "n_dim": 3, "horizon": {"te": 0.01}, "excitation": {"frequency": 1e308}
+                }
+            },
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):

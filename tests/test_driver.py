@@ -138,6 +138,21 @@ class TestLoopArithmetic:
             assert batches[1:] == [5, 5, 2]
         assert record.total_evaluations <= 12 + 5
 
+    @pytest.mark.parametrize(
+        "budget, batches",
+        [(40, [10, 10, 10, 10, 10]), (35, [10, 10, 10, 10, 5]), (12, [10, 10, 2])],
+    )
+    def test_cheap_demo_rounds_from_the_record(self, budget, batches):
+        # the round index, the budget left and the previous front come from
+        # the run record alone; cheap_demo stops on the budget, never converged
+        config = RunConfig.from_file(CHEAP_DEMO)
+        record = samo_run(config.problem, replace(config.samo, budget=budget))
+        assert not record.converged and record.error is None
+        assert [r.index for r in record.rounds] == list(range(len(batches)))
+        assert [r.n_new_samples for r in record.rounds] == batches
+        assert [r.dataset_size for r in record.rounds] == np.cumsum(batches).tolist()
+        assert record.total_evaluations == budget + config.samo.batch_size
+
     def test_normalized_hausdorff_between_consecutive_fronts(self):
         record = samo_run(CHEAP, small_cfg(budget=15, normalize_hausdorff=True))
         fronts = [r.pareto.F for r in record.rounds]
@@ -225,6 +240,9 @@ class TestArtifacts:
         assert len(metrics["rounds"]) == rounds
         assert [r["optimizer"] for r in metrics["rounds"]] == [{"demoted": 0}] * rounds
         assert "failed_round" not in metrics
+        # perfbench/checks.py sums the round timings by these stage names
+        stages = ["sampling", "evaluation", "fit", "optimization", "total"]
+        assert [list(r["timings"]) for r in metrics["rounds"]] == [stages] * rounds
         distances = [r.hausdorff for r in record.rounds[1:]]
         assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
 
@@ -356,6 +374,10 @@ class TestFailureHandling:
         assert (run_dir / "final_front.csv").exists()
         metrics = json.loads((run_dir / "metrics.json").read_text())
         assert metrics["error"] == record.error
+        failed = metrics["failed_round"]
+        assert failed == record.failed_round
+        assert (failed["index"], failed["stage"]) == (0, "optimization")
+        assert list(failed["timings"]) == ["sampling", "evaluation", "fit", "optimization"]
         assert main(["front", str(run_dir)]) == 0
 
 

@@ -22,6 +22,7 @@ from samo.problems import (
     simulate_quarter_car,
     _rk4_setup,
     _rk4_steps,
+    _road_samples,
 )
 
 # objective pair of the shipped benchmark at the nominal design (x = 0),
@@ -228,6 +229,25 @@ class TestQuarterCarBenchmark:
         # every design would evaluate to the nominal objectives
         with pytest.raises(ConfigurationError, match="half_width"):
             make_quarter_car_problem(n_dim=3, half_width=half_width)
+
+    @pytest.mark.parametrize(
+        "frequency, te",
+        [(1e308, 0.01), (2e307, 2.0), (math.inf, 2.0), (math.nan, 2.0)],
+        ids=["1e308-0.01s", "2e307-2s", "inf", "nan"],
+    )
+    def test_frequency_whose_road_phase_overflows_rejected_at_build(self, frequency, te):
+        # 2e307 keeps 2*pi*f finite, but its phase overflows by the end of 2 s;
+        # math.sin of an infinite phase would raise in the first evaluation
+        with pytest.raises(ConfigurationError, match=r"^excitation\.frequency "):
+            make_quarter_car_problem(
+                n_dim=3, excitation=Excitation(frequency=frequency), horizon=Horizon(te=te)
+            )
+
+    def test_largest_finite_road_phase_builds_without_filling_the_road_cache(self):
+        _road_samples.cache_clear()
+        problem = make_quarter_car_problem(n_dim=3, excitation=Excitation(frequency=1e300))
+        assert _road_samples.cache_info().currsize == 0
+        assert problem.evaluate.excitation.frequency == 1e300
 
     def test_swing_just_below_one_evaluates_at_every_corner(self):
         problem = make_quarter_car_problem(n_dim=3, max_swing=0.99, horizon=Horizon(te=0.01))
