@@ -69,14 +69,14 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 # Fields a config file does not set, so their names are unknown keys there:
 # the network width is fixed.
 _NOT_IN_FILE = {TrainConfig: ("hidden",)}
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _scalar(hint, value):
-    """`value` as type `hint` (bool, int, float or str), or None when a
-    config file may not give it for that type; a float must be finite."""
-    if hint is bool or hint is str:
-        return value if type(value) is hint else None
+    """`value` as type `hint` (int, float or str), or None when a config
+    file may not give it for that type; a float must be finite."""
+    if hint is str:
+        return value if type(value) is str else None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     if hint is int:
@@ -86,9 +86,9 @@ def _scalar(hint, value):
 
 def _cast(hint, value, key: str):
     """A file value checked against its field's declared type: a config
-    dataclass takes a section, a bool a JSON boolean, an int an integral
-    number, a float a finite number, a str a string, Optional[T] what T
-    takes and tuple[T, ...] a list of those."""
+    dataclass takes a section, an int an integral number, a float a finite
+    number, a str a string, Optional[T] what T takes and tuple[T, ...] a
+    list of those."""
     if is_dataclass(hint):
         return hint(**_file_values(hint, value, key))
     if get_origin(hint) is Union:

@@ -296,13 +296,11 @@ def non_dominated_filter(points) -> np.ndarray:
     return np.flatnonzero(non_dominated_mask(point_matrix(points, "point set")))
 
 
-def hausdorff_distance(X, Y, normalize: bool = False) -> float:
+def hausdorff_distance(X, Y) -> float:
     """Hausdorff distance between two finite point sets.
 
     The directed distance from a point to a set is the minimum Euclidean
-    distance; the result is the larger of the two directed maxima. With
-    ``normalize=True`` both sets are first mapped into the unit box spanned
-    by their union (degenerate coordinates are left unscaled).
+    distance; the result is the larger of the two directed maxima.
     """
     Xa = point_matrix(X, "first set")
     Ya = point_matrix(Y, "second set")
@@ -310,12 +308,5 @@ def hausdorff_distance(X, Y, normalize: bool = False) -> float:
         raise DimensionMismatchError(
             f"sets differ in objective count: {Xa.shape[1]} vs {Ya.shape[1]}"
         )
-    if normalize:
-        both = np.vstack([Xa, Ya])
-        lo = both.min(axis=0)
-        span = both.max(axis=0) - lo
-        span = np.where(span > 0.0, span, 1.0)
-        Xa = (Xa - lo) / span
-        Ya = (Ya - lo) / span
     d = np.sqrt(((Xa[:, None, :] - Ya[None, :, :]) ** 2).sum(axis=2))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -143,7 +143,6 @@ class SamoConfig:
     surrogate: str = "mlp"
     optimizer: str = "nsga2"
     population_size: int = 100
-    normalize_hausdorff: bool = False
     seed: int = 0
     rbf: RbfConfig = field(default_factory=RbfConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -162,7 +161,7 @@ class SamoConfig:
             )
         if self.budget < self.batch_size:
             raise ConfigurationError("budget must be at least batch_size")
-        if self.h_min <= 0.0:
+        if not self.h_min > 0.0:
             raise ConfigurationError("h_min must be strictly positive")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ConfigurationError(f"optimizer must be one of {OPTIMIZER_KINDS}")
@@ -203,10 +202,10 @@ class RunRecord:
         return len(self.dataset)
 
 
-def check_convergence(front_prev, front_cur, h_min: float, normalize: bool = False):
+def check_convergence(front_prev, front_cur, h_min: float):
     """Hausdorff distance between consecutive fronts and whether it is below
     the stopping threshold."""
-    h = hausdorff_distance(front_prev, front_cur, normalize=normalize)
+    h = hausdorff_distance(front_prev, front_cur)
     return h < h_min, h
 
 
@@ -434,9 +433,7 @@ def samo_run(
 
         h: Optional[float] = None
         if record.rounds:
-            record.converged, h = check_convergence(
-                record.rounds[-1].pareto.F, pareto.F, cfg.h_min, normalize=cfg.normalize_hausdorff
-            )
+            record.converged, h = check_convergence(record.rounds[-1].pareto.F, pareto.F, cfg.h_min)
         timings["total"] = time.perf_counter() - t_round
         origin = "latin-hypercube" if round_index == 0 else "pareto-informed"
         record.rounds.append(RoundRecord(

@@ -41,12 +41,11 @@ class MgdaConfig:
     learning_rate: float = 0.05
     max_iterations: int = 10_000
     tolerance: float = 1e-6
-    backtracking: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigurationError("learning_rate must be strictly positive")
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ConfigurationError("tolerance must be strictly positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be positive")
@@ -138,9 +137,9 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     turns critical leaves it, and only then are its end point, flag and
     iteration count written out. The starts still moving when the budget
     runs out are written out once at the end. `predict_batch` is called
-    only for traces and backtracking. Returns the end points, the
-    converged flags, the iteration counts and, with `keep_traces`, one
-    trace per start with rows (iteration, ||d||, objectives).
+    only for traces. Returns the end points, the converged flags, the
+    iteration counts and, with `keep_traces`, one trace per start with rows
+    (iteration, ||d||, objectives).
     """
     X = np.array(X0, dtype=float)
     n_starts = X.shape[0]
@@ -149,7 +148,6 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     active = np.arange(n_starts)
     Xa = X
     eta, tolerance = cfg.learning_rate, cfg.tolerance
-    backtracking = cfg.backtracking
     rows, owners = [], []
     for iteration in range(1, cfg.max_iterations + 1):
         J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
@@ -157,10 +155,9 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
             raise SamoError(
                 f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
             )
-        D, W, norms = _descent_directions(J)
-        if keep_traces or backtracking:
-            F = np.asarray(model.predict_batch(Xa), dtype=float)
+        D, _, norms = _descent_directions(J)
         if keep_traces:
+            F = np.asarray(model.predict_batch(Xa), dtype=float)
             rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
             owners.append(active)
         done = norms < tolerance
@@ -174,12 +171,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
             if active.size == 0:
                 break
             Xa, D = Xa[moving], D[moving]
-            if backtracking:
-                W, F = W[moving], F[moving]
-        candidate = bounds.clip(Xa + eta * D)
-        if backtracking:
-            candidate = _backtrack(model, Xa, D, W, F, candidate, bounds, cfg)
-        Xa = candidate
+        Xa = bounds.clip(Xa + eta * D)
     else:
         X[active] = Xa
     traces = None
@@ -189,24 +181,6 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
         ends = np.cumsum(np.bincount(owner, minlength=n_starts))[:-1]
         traces = np.split(np.vstack(rows)[order], ends)
     return X, converged, iterations, traces
-
-
-def _backtrack(model, X, D, W, F, candidate, bounds: BoxBounds, cfg: MgdaConfig) -> np.ndarray:
-    """Halve each start's step until its weighted objective w . f does not
-    increase; after 30 halvings, or once the step is below 1e-12, the last
-    candidate is taken."""
-    weighted = _row_dot(W, F)
-    eta = np.full(X.shape[0], cfg.learning_rate)
-    pending = np.arange(X.shape[0])
-    for _ in range(30):
-        values = _row_dot(W[pending], np.asarray(model.predict_batch(candidate[pending]), dtype=float))
-        accepted = (values <= weighted[pending]) | (eta[pending] < 1e-12)
-        pending = pending[~accepted]
-        if pending.size == 0:
-            break
-        eta[pending] *= 0.5
-        candidate[pending] = bounds.clip(X[pending] + eta[pending, None] * D[pending])
-    return candidate
 
 
 def mgda_run(model, x0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig) -> MgdaResult:

@@ -62,7 +62,7 @@ class MoeaConfig:
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
         for name in ("eta_crossover", "eta_mutation"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigurationError(f"{name} must be non-negative")
         if self.mutation_prob is not None and not 0.0 <= self.mutation_prob <= 1.0:
             raise ConfigurationError("mutation_prob must lie in [0, 1]")

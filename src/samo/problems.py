@@ -28,6 +28,9 @@ from .core import (
 )
 
 ANALYTIC_PROBLEM_NAMES = ("two-paraboloids", "zdt1")
+# 500 times the default horizon's 20,000 steps. The road-sample cache of a
+# problem peaks near 89 bytes a step while it is built, so about 0.9 GB.
+MAX_STEPS = 10_000_000
 
 
 class DivergenceError(SamoError):
@@ -147,9 +150,15 @@ def _road_samples(amp: float, freq: float, t0: float, h: float, n_steps: int) ->
 
 def _step_count(t0: float, te: float, dt: float) -> int:
     """Number of integration steps of the horizon, checked."""
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ConfigurationError("time step dt must be strictly positive")
-    n_steps = int(round((te - t0) / dt))
+    steps = (te - t0) / dt
+    if not steps <= MAX_STEPS:  # NaN and inf, which round() rejects, fail it too
+        raise ConfigurationError(
+            f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds {steps:.9g} steps of "
+            f"dt = {dt:.6g} s; at most {MAX_STEPS:,} are allowed"
+        )
+    n_steps = int(round(max(steps, 0.0)))  # a te far before t0 gives -inf
     if n_steps < 1:  # te before t0, or less than half a step after it
         raise ConfigurationError(
             f"horizon t0 = {t0:.6g} s to te = {te:.6g} s holds no step of dt = {dt:.6g} s"

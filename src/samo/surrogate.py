@@ -115,7 +115,7 @@ class TrainConfig:
             raise ConfigurationError("validation_fraction must lie in (0, 1)")
         if self.epochs < 1 or self.patience < 1 or self.restarts < 1:
             raise ConfigurationError("epochs, patience and restarts must be positive")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigurationError("learning_rate must be strictly positive")
         if self.batch_size < 0:
             raise ConfigurationError("batch_size must be non-negative (0 = full batch)")
@@ -131,11 +131,11 @@ class RbfConfig:
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        if self.sigma is not None and self.sigma <= 0.0:
+        if self.sigma is not None and not self.sigma > 0.0:
             raise ConfigurationError("rbf.sigma must be strictly positive")
-        if not self.grid or min(self.grid) <= 0.0:
+        if not self.grid or not all(width > 0.0 for width in self.grid):
             raise ConfigurationError("rbf.grid must hold at least one width, all positive")
-        if self.ridge < 0.0:
+        if not self.ridge >= 0.0:
             raise ConfigurationError("rbf.ridge must be non-negative")
 
 
@@ -299,9 +299,9 @@ def _check_rbf_fit(n: int, sigma: float, ridge: float) -> None:
     not positive or a negative ridge."""
     if n < min_training_samples("rbf"):
         raise ConfigurationError("RBF fitting needs at least two samples")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ConfigurationError("kernel width sigma must be strictly positive")
-    if ridge < 0.0:
+    if not ridge >= 0.0:
         raise ConfigurationError("ridge parameter must be non-negative")
 
 

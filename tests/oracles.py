@@ -112,23 +112,13 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
         jac = np.atleast_2d(model.input_jacobian(x))
         if not np.all(np.isfinite(jac)):
             raise SamoError(f"non-finite gradient at iteration {iteration}")
-        direction, weights, norm = descent_step(jac)
+        direction, _, norm = descent_step(jac)
         objectives = np.asarray(model.predict(x), dtype=float)
         rows.append([float(iteration), norm, *objectives.tolist()])
         if norm < cfg.tolerance:
             converged = True
             break
-        candidate = np.clip(x + eta * direction, bounds.lower, bounds.upper)
-        if cfg.backtracking:
-            weighted = float(weights @ objectives)
-            local_eta = eta
-            for _ in range(30):
-                cand_val = float(weights @ np.asarray(model.predict(candidate), dtype=float))
-                if cand_val <= weighted or local_eta < 1e-12:
-                    break
-                local_eta *= 0.5
-                candidate = np.clip(x + local_eta * direction, bounds.lower, bounds.upper)
-        x = candidate
+        x = np.clip(x + eta * direction, bounds.lower, bounds.upper)
     return MgdaResult(x=x, converged=converged, iterations=iteration, trace=np.array(rows, dtype=float))
 
 
@@ -195,10 +185,9 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
             raise SamoError(
                 f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
             )
-        D, W, norms = descent_directions_masked(J)
-        if keep_traces or cfg.backtracking:
-            F = np.asarray(model.predict_batch(Xa), dtype=float)
+        D, _, norms = descent_directions_masked(J)
         if keep_traces:
+            F = np.asarray(model.predict_batch(Xa), dtype=float)
             rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
             owners.append(active)
         done = norms < cfg.tolerance
@@ -208,11 +197,7 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
         active = active[moving]
         if active.size == 0:
             break
-        Xm, Dm = Xa[moving], D[moving]
-        candidate = np.clip(Xm + cfg.learning_rate * Dm, bounds.lower, bounds.upper)
-        if cfg.backtracking:
-            candidate = _backtrack_clip(model, Xm, Dm, W[moving], F[moving], candidate, bounds, cfg)
-        X[active] = candidate
+        X[active] = np.clip(Xa[moving] + cfg.learning_rate * D[moving], bounds.lower, bounds.upper)
     traces = None
     if keep_traces:
         owner = np.concatenate(owners)
@@ -220,24 +205,6 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
         ends = np.cumsum(np.bincount(owner, minlength=n_starts))[:-1]
         traces = np.split(np.vstack(rows)[order], ends)
     return X, converged, iterations, traces
-
-
-def _backtrack_clip(model, X, D, W, F, candidate, bounds, cfg):
-    """`samo.mgda._backtrack` with `np.clip`."""
-    weighted = _row_dot(W, F)
-    eta = np.full(X.shape[0], cfg.learning_rate)
-    pending = np.arange(X.shape[0])
-    for _ in range(30):
-        values = _row_dot(W[pending], np.asarray(model.predict_batch(candidate[pending]), dtype=float))
-        accepted = (values <= weighted[pending]) | (eta[pending] < 1e-12)
-        pending = pending[~accepted]
-        if pending.size == 0:
-            break
-        eta[pending] *= 0.5
-        candidate[pending] = np.clip(
-            X[pending] + eta[pending, None] * D[pending], bounds.lower, bounds.upper
-        )
-    return candidate
 
 
 def _rbf_kernel_row_major(model, X) -> tuple:

@@ -194,17 +194,6 @@ class TestRunConfig:
         assert evaluator.nominal.sprung_mass == 250.0
         assert evaluator.te == 1.0
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, 0.0])
-    def test_bool_field_takes_json_booleans_only(self, value):
-        with pytest.raises(ConfigurationError, match="samo.normalize_hausdorff"):
-            RunConfig.from_dict({"samo": {"normalize_hausdorff": value}})
-
-    def test_bool_fields_keep_json_booleans(self):
-        samo = RunConfig.from_dict(
-            {"samo": {"normalize_hausdorff": False, "mgda": {"backtracking": True}}}
-        ).samo
-        assert samo.normalize_hausdorff is False and samo.mgda.backtracking is True
-
     @pytest.mark.parametrize(
         "samo, key",
         [
@@ -508,6 +497,23 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "samo, message",
+        [
+            ({"normalize_hausdorff": False}, "unknown keys in samo: ['normalize_hausdorff']"),
+            ({"mgda": {"backtracking": True}}, "unknown keys in samo.mgda: ['backtracking']"),
+        ],
+        ids=["normalize_hausdorff", "backtracking"],
+    )
+    def test_removed_option_exits_2_naming_the_key(self, tmp_path, capsys, samo, message):
+        # a config.json written while the raw Hausdorff distance and the
+        # fixed MGDA step had alternatives holds both keys
+        config_path = write_config(tmp_path, {**CHEAP_CONFIG, "samo": {**CHEAP_CONFIG["samo"], **samo}})
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "study"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_rejected_by_the_parser(self, tmp_path, capsys, command, jobs):
@@ -730,9 +736,16 @@ class TestCmdStudy:
                     "name": "mbs", "n_dim": 3, "horizon": {"te": 0.01}, "excitation": {"frequency": 1e308}
                 }
             },
+            # keys of a config.json written while the two were options
+            {"samo": {"normalize_hausdorff": False}},
+            {"samo": {"mgda": {"backtracking": True}}},
+            # step counts that are infinite or above problems.MAX_STEPS
+            {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"te": 1e308, "dt": 1e-300}}},
+            {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"t0": -1e308, "te": 1e308}}},
+            {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"dt": 1e-9}}},
         ],
     )
-    def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, monkeypatch, override):
+    def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, capsys, monkeypatch, override):
         import samo.driver
 
         def fail(*args, **kwargs):
@@ -743,6 +756,8 @@ class TestCmdStudy:
         for command in ("run", "study"):
             out = tmp_path / command
             assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
 
     def test_rerun_from_config_json_same_table(self, tmp_path):
@@ -881,6 +896,21 @@ class TestCmdEvaluate:
             "error: horizon t0 = 0 s to te = 1e-05 s holds no step of dt = 0.0001 s\n"
         )
         assert captured.out == ""
+
+    # only step counts that no evaluation could reach: were the cap lost, a
+    # finite count such as dt = 1e-9's 2e9 steps would be evaluated here
+    @pytest.mark.parametrize("horizon", [{"te": 1e308, "dt": 1e-300}, {"t0": -1e308, "te": 1e308}])
+    def test_horizon_of_too_many_steps_exits_2(self, tmp_path, capsys, horizon):
+        payload = {"problem": {"name": "mbs", "n_dim": 3, "horizon": horizon}}
+        config_path = write_config(tmp_path, payload)
+        out = tmp_path / "run"
+        for command in (["evaluate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: horizon t0 = ") and captured.err.count("\n") == 1
+            assert "holds inf steps of dt = " in captured.err
+            assert captured.out == ""
+        assert not out.exists()
 
     def test_analytic_section_with_quarter_car_keys_exits_2(self, tmp_path, capsys):
         payload = {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}}

@@ -188,13 +188,6 @@ class TestHausdorff:
         C = np.array([(0.0, 0.0), (1.0, 1.0 + 1e-9)])
         assert hausdorff_distance(A, C) > 0.0
 
-    def test_normalized_maps_union_to_unit_box(self):
-        A = np.array([(0.0, 0.0), (10.0, 0.0)])
-        B = np.array([(0.0, 1.0)])
-        # normalized: spans are 10 and 1, so (10,0)->(1,0), (0,1)->(0,1)
-        h = hausdorff_distance(A, B, normalize=True)
-        assert h == pytest.approx(math.sqrt(2.0))
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             hausdorff_distance(np.empty((0, 2)), [(1.0, 2.0)])

@@ -13,7 +13,7 @@ import samo.mgda
 import samo.surrogate
 from oracles import dominates
 from samo.cli import RunConfig, main
-from samo.core import ConfigurationError, SamoError, hausdorff_distance
+from samo.core import ConfigurationError, SamoError
 from samo.driver import (
     MissingArtifactError,
     RunDirectoryWriter,
@@ -73,6 +73,9 @@ class TestConfigValidation:
     def test_h_min_positive(self):
         with pytest.raises(ConfigurationError):
             SamoConfig(h_min=0.0)
+        # no distance is below NaN, so such a run could only stop on its budget
+        with pytest.raises(ConfigurationError, match="h_min must be strictly positive"):
+            SamoConfig(h_min=float("nan"))
 
     @pytest.mark.parametrize(
         "kind, sigma, fraction, least",
@@ -152,14 +155,6 @@ class TestLoopArithmetic:
         assert [r.n_new_samples for r in record.rounds] == batches
         assert [r.dataset_size for r in record.rounds] == np.cumsum(batches).tolist()
         assert record.total_evaluations == budget + config.samo.batch_size
-
-    def test_normalized_hausdorff_between_consecutive_fronts(self):
-        record = samo_run(CHEAP, small_cfg(budget=15, normalize_hausdorff=True))
-        fronts = [r.pareto.F for r in record.rounds]
-        assert len(fronts) == 4 and record.rounds[0].hausdorff is None
-        for r, prev, cur in zip(record.rounds[1:], fronts, fronts[1:]):
-            assert r.hausdorff == hausdorff_distance(prev, cur, normalize=True)
-            assert r.hausdorff != hausdorff_distance(prev, cur)
 
     def test_round_indices_and_origins(self):
         record = samo_run(CHEAP, small_cfg())

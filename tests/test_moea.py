@@ -470,6 +470,8 @@ class TestNsga2:
     def test_negative_distribution_index_rejected(self, name):
         with pytest.raises(ConfigurationError, match=name):
             MoeaConfig(**{name: -1.0})
+        with pytest.raises(ConfigurationError, match=name):
+            MoeaConfig(**{name: float("nan")})
         assert getattr(MoeaConfig(**{name: 0.0}), name) == 0.0
 
     def test_seeded_determinism(self):

@@ -114,6 +114,13 @@ class TestSimulation:
             # one step leaves a single row in the amplitude window, so every
             # design would give [0, 0]
             ({"te": 1e-4}, "te = 0.0001 s holds 1 step of dt = 0.0001 s; the amplitudes need at least 2"),
+            # round() of an infinite step count raises OverflowError
+            ({"te": 1e308, "dt": 1e-300}, r"te = 1e\+308 s holds inf steps .* at most 10,000,000"),
+            ({"t0": -1e308, "te": 1e308}, r"t0 = -1e\+308 s to te = 1e\+308 s holds inf steps"),
+            ({"t0": 1e308, "te": -1e308}, "holds no step"),
+            # the first evaluation would build a road-sample cache of ~178 GB
+            ({"dt": 1e-9}, r"te = 2 s holds 2e\+09 steps of dt = 1e-09 s; at most 10,000,000"),
+            ({"te": 1000.0001}, "holds 10000001 steps"),
         ],
     )
     def test_invalid_grid_rejected_when_the_problem_is_built(self, horizon, message):

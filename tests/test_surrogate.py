@@ -16,6 +16,7 @@ from samo.surrogate import (
     DEFAULT_SIGMA_GRID,
     MlpModel,
     RbfModel,
+    RbfConfig,
     Scaler,
     SolverError,
     TrainConfig,
@@ -229,6 +230,17 @@ class TestSigmaSelection:
             select_rbf_width(data, grid=(0.0, 1.0))
         with pytest.raises(ConfigurationError, match="ridge parameter must be non-negative"):
             select_rbf_width(data, ridge=-1e-8)
+        nan = float("nan")
+        with pytest.raises(ConfigurationError, match="sigma must be strictly positive"):
+            fit_rbf(data, sigma=nan)
+        with pytest.raises(ConfigurationError, match="ridge parameter must be non-negative"):
+            fit_rbf(data, sigma=1.0, ridge=nan)
+        with pytest.raises(ConfigurationError, match="rbf.sigma must be strictly positive"):
+            RbfConfig(sigma=nan)
+        with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
+            RbfConfig(grid=(1.0, nan))
+        with pytest.raises(ConfigurationError, match="rbf.ridge must be non-negative"):
+            RbfConfig(ridge=nan)
 
 
 class TestMlp:
@@ -530,3 +542,8 @@ class TestTrainConfig:
     def test_positive_epochs(self):
         with pytest.raises(ConfigurationError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, float("nan")])
+    def test_positive_learning_rate(self, learning_rate):
+        with pytest.raises(ConfigurationError, match="learning_rate must be strictly positive"):
+            TrainConfig(learning_rate=learning_rate)
