@@ -31,6 +31,10 @@ ANALYTIC_PROBLEM_NAMES = ("two-paraboloids", "zdt1")
 # 500 times the default horizon's 20,000 steps. The road-sample cache of a
 # problem peaks near 89 bytes a step while it is built, so about 0.9 GB.
 MAX_STEPS = 10_000_000
+# At this many coordinates the RBF offsets of a 100-row population from
+# 140 centers hold about 1.1 GB, the same order as the road samples at
+# MAX_STEPS; n_dim 1e9 would take 8 GB for each box bound alone.
+MAX_DIM = 10_000
 
 
 class DivergenceError(SamoError):
@@ -378,8 +382,8 @@ def make_quarter_car_problem(
     """The built-in expensive benchmark: quarter-car vertical dynamics under
     a sinusoidal road input, with design offsets in a +/- half_width box
     moving the nominal `params`."""
-    if n_dim < 1:
-        raise ConfigurationError("n_dim must be at least 1")
+    if not 1 <= n_dim <= MAX_DIM:
+        raise ConfigurationError(f"n_dim must lie between 1 and {MAX_DIM:,}, got {n_dim}")
     if projection_seed < 0:
         raise ConfigurationError(f"projection seed must be non-negative, got {projection_seed}")
     # at a swing of 1 or more a box corner takes a parameter to zero or below
@@ -476,8 +480,10 @@ def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
     if name in _FREE_DIM:
         build, smallest, default = _FREE_DIM[name]
         n_dim = default if n_dim is None else n_dim
-        if n_dim < smallest:
-            raise ConfigurationError(f"{name} needs n_dim of at least {smallest}, got {n_dim}")
+        if not smallest <= n_dim <= MAX_DIM:
+            raise ConfigurationError(
+                f"{name} needs n_dim between {smallest} and {MAX_DIM:,}, got {n_dim}"
+            )
         return build(n_dim)
     raise ConfigurationError(
         f"unknown analytic problem {name!r}; choose from {ANALYTIC_PROBLEM_NAMES}"

@@ -346,7 +346,11 @@ def fit_rbf(
 
 
 def _cross_validated_mses(data: Dataset, widths: Sequence[float], folds: int, ridge: float) -> list:
-    """`cross_validated_mse` of every width in `widths`, in order.
+    """Mean squared prediction error of every width in `widths`, in order,
+    over round-robin folds and in original output units: sample i is in
+    fold i mod `folds`, and each fold is predicted by `fit_rbf` of that
+    width on the other folds. Fewer than `folds` samples give one fold per
+    sample, with a `UserWarning`.
 
     Each fold's scaler and its training and held-out squared distances do
     not depend on the width, so they are computed once; each width then
@@ -385,29 +389,17 @@ def _cross_validated_mses(data: Dataset, widths: Sequence[float], folds: int, ri
     return mses
 
 
-def cross_validated_mse(
-    data: Dataset,
-    sigma: float,
-    folds: int = 5,
-    ridge: float = DEFAULT_RIDGE,
-) -> float:
-    """Mean squared prediction error over round-robin folds, in original
-    output units: sample i is in fold i mod `folds`, and each fold is
-    predicted by `fit_rbf` of width `sigma` on the other folds. Fewer than
-    `folds` samples give one fold per sample, with a `UserWarning`."""
-    return _cross_validated_mses(data, [sigma], folds, ridge)[0]
-
-
 def select_rbf_width(
     data: Dataset,
     grid: Sequence[float] = DEFAULT_SIGMA_GRID,
     folds: int = 5,
     ridge: float = DEFAULT_RIDGE,
 ) -> float:
-    """Grid member with the lowest `cross_validated_mse`; ties go to the
-    smaller width. Every width is scored on the same folds, whose scalers
-    and squared distances are computed once for the whole grid; fewer
-    than `folds` samples give one `UserWarning` per call."""
+    """Grid member with the lowest cross-validated mean squared error
+    (`_cross_validated_mses`); ties go to the smaller width. Every width is
+    scored on the same folds, whose scalers and squared distances are
+    computed once for the whole grid; fewer than `folds` samples give one
+    `UserWarning` per call."""
     if len(grid) == 0:
         raise ConfigurationError("sigma grid must not be empty")
     candidates = sorted(float(s) for s in grid)

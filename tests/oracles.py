@@ -243,9 +243,10 @@ def fit_rbf_row_major(data, sigma, ridge) -> RbfModel:
 
 
 def cross_validated_mse(data, sigma, folds=5, ridge=DEFAULT_RIDGE) -> float:
-    """`samo.surrogate.cross_validated_mse` as it was before the folds were
-    shared by the whole grid: one `Dataset` and one call of the package's
-    current `fit_rbf` per fold, and the fitted model's `predict_batch`."""
+    """The cross-validated mean squared error of one width as the package
+    computed it before the folds were shared by the whole grid: one
+    `Dataset` and one call of the package's current `fit_rbf` per fold, and
+    the fitted model's `predict_batch`."""
     n = len(data)
     if folds > n:
         warnings.warn(f"only {n} samples for {folds}-fold cross-validation; using {n} folds")

@@ -14,6 +14,7 @@ from samo.cli import _NOT_IN_FILE, RunConfig, _file_section, _file_values, main
 from samo.core import ConfigurationError
 from samo.driver import SamoConfig, StudyConfig
 from samo.problems import (
+    MAX_DIM,
     Excitation,
     QuarterCarParams,
     make_analytic_problem,
@@ -352,6 +353,10 @@ class TestRunConfig:
             ),
             # a swing of 1 or more takes a box corner's parameters to zero or below
             ({"problem": {"name": "mbs", "n_dim": 3, "max_swing": 1.5}}, "^max_swing must lie"),
+            # dimensions above problems.MAX_DIM
+            ({"problem": {"name": "two-paraboloids", "n_dim": MAX_DIM + 1}}, "n_dim"),
+            ({"problem": {"name": "zdt1", "n_dim": MAX_DIM + 1}}, "n_dim"),
+            ({"problem": {"name": "mbs", "n_dim": MAX_DIM + 1}}, "n_dim"),
         ],
     )
     def test_bad_values_rejected_before_any_evaluation(self, payload, key, monkeypatch):
@@ -743,6 +748,10 @@ class TestCmdStudy:
             {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"te": 1e308, "dt": 1e-300}}},
             {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"t0": -1e308, "te": 1e308}}},
             {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"dt": 1e-9}}},
+            # dimensions above problems.MAX_DIM
+            {"problem": {"name": "mbs", "n_dim": MAX_DIM + 1}},
+            {"problem": {"name": "two-paraboloids", "n_dim": MAX_DIM + 1}},
+            {"problem": {"name": "zdt1", "n_dim": MAX_DIM + 1}},
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, capsys, monkeypatch, override):
@@ -909,6 +918,18 @@ class TestCmdEvaluate:
             captured = capsys.readouterr()
             assert captured.err.startswith("error: horizon t0 = ") and captured.err.count("\n") == 1
             assert "holds inf steps of dt = " in captured.err
+            assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["mbs", "two-paraboloids", "zdt1"])
+    def test_n_dim_above_the_cap_exits_2(self, tmp_path, capsys, name):
+        config_path = write_config(tmp_path, {"problem": {"name": name, "n_dim": MAX_DIM + 1}})
+        out = tmp_path / "run"
+        for command in (["evaluate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert "n_dim " in captured.err and f" and {MAX_DIM:,}, got {MAX_DIM + 1}" in captured.err
             assert captured.out == ""
         assert not out.exists()
 

@@ -21,7 +21,6 @@ from samo.surrogate import (
     SolverError,
     TrainConfig,
     _sum_squares,
-    cross_validated_mse,
     fit_mlp,
     fit_rbf,
     load_model,
@@ -130,9 +129,11 @@ class TestCoordinateMajorKernel:
     @pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129, 300])
     def test_sum_squares_matches_last_axis_reduction(self, n):
         rng = np.random.default_rng(n)
-        d = rng.normal(size=(3, 5, n)) * 10.0 ** rng.uniform(-6, 6, (3, 5, n))
-        got = _sum_squares(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
-        assert got.tobytes() == ((d**2).sum(axis=-1)).tobytes()
+        # (1, 2) is the smallest kernel: one point and two centers
+        for m, c in [(3, 5), (1, 2)]:
+            d = rng.normal(size=(m, c, n)) * 10.0 ** rng.uniform(-6, 6, (m, c, n))
+            got = _sum_squares(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
+            assert got.tobytes() == ((d**2).sum(axis=-1)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 24, 30])
     @pytest.mark.parametrize("c", [2, 50, 130])
@@ -176,7 +177,7 @@ class TestSigmaSelection:
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 20, seed=7)
         grid = (0.1, 0.5, 1.0, 2.0, 5.0)
-        scores = {sigma: cross_validated_mse(data, sigma) for sigma in grid}
+        scores = {sigma: oracles.cross_validated_mse(data, sigma) for sigma in grid}
         best = min(sorted(scores), key=lambda s: scores[s])
         assert select_rbf_width(data, grid=grid) == best
 
@@ -184,7 +185,7 @@ class TestSigmaSelection:
         problem = make_quarter_car_problem()
         data = lhs_dataset(problem, 20, seed=3)
         grid = (0.1, 0.5, 1.0, 2.0, 5.0)
-        scores = {sigma: cross_validated_mse(data, sigma) for sigma in grid}
+        scores = {sigma: oracles.cross_validated_mse(data, sigma) for sigma in grid}
         best = min(sorted(scores), key=lambda s: scores[s])
         assert select_rbf_width(data, grid=grid) == best
 
@@ -192,7 +193,7 @@ class TestSigmaSelection:
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 3, seed=2)
         with pytest.warns(UserWarning, match="folds"):
-            cross_validated_mse(data, sigma=1.0, folds=5)
+            select_rbf_width(data, grid=[1.0])
         # one warning per search, not one per grid width
         with pytest.warns(UserWarning, match="folds") as record:
             select_rbf_width(data, grid=DEFAULT_SIGMA_GRID)
@@ -212,7 +213,6 @@ class TestSigmaSelection:
             warnings.simplefilter("ignore", UserWarning)  # n = 3 and 4 have fewer than 5 folds
             want = [oracles.cross_validated_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID]
             assert surrogate._cross_validated_mses(data, DEFAULT_SIGMA_GRID, 5, DEFAULT_RIDGE) == want
-            assert [cross_validated_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID] == want
             assert select_rbf_width(data) == oracles.select_rbf_width(data)
 
     @pytest.mark.parametrize("n", [1, 2])
