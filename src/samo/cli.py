@@ -302,7 +302,7 @@ def cmd_evaluate(args) -> int:
         if x.shape != (problem.n_dim,) or not problem.bounds.contains(x):
             raise ConfigurationError(f"--x must be a point of the problem's box, got {args.x}")
         y = problem.evaluate(x)
-    except (SamoError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(",".join(format_float(v) for v in y))
@@ -367,10 +367,11 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     # argparse enforces `command`; every subcommand sets func. A config
-    # error, an unreadable config file included, ends any of them with exit status 2.
+    # error, an unreadable config file included, or a model that fails outside
+    # the surrogate stages ends any of them with exit status 2.
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except SamoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

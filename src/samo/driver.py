@@ -18,6 +18,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -230,18 +231,16 @@ def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
 def _optimize_surrogate(model, bounds, cfg: SamoConfig, round_index: int, stats: dict, log=None):
     """The surrogate front of one round; the optimizer's counts go into
     `stats`, also when it raises. A `log`, the run directory's writer of a
-    verbose run, receives every generation's front or every start's trace."""
+    verbose run, writes every generation's front or the round's descent trace."""
     seed = derive_seed(cfg.seed, 2, round_index)
     if cfg.optimizer == "nsga2":
-        fronts = log.front_snapshot_writer(round_index) if log else None
         return nsga2_run(
             model.predict_batch, bounds, cfg.moea, population_size=cfg.population_size, seed=seed,
-            snapshot_writer=fronts, stats=stats,
+            snapshot_writer=log and partial(log.write_front_snapshot, round_index), stats=stats,
         )
-    traces = log.mgda_trace_writer(round_index) if log else None
     return multistart_mgda(
-        model, bounds, cfg.mgda, n_starts=cfg.population_size, seed=seed, trace_writer=traces,
-        stats=stats,
+        model, bounds, cfg.mgda, n_starts=cfg.population_size, seed=seed,
+        trace_writer=log and partial(log.write_mgda_trace, round_index), stats=stats,
     )
 
 
@@ -266,34 +265,21 @@ class RunDirectoryWriter:
     def write_surrogate(self, round_index: int, model) -> None:
         save_model(model, self.run_dir / f"surrogate_round_{round_index}.json")
 
-    def front_snapshot_writer(self, round_index: int):
-        """Streaming writer of one row per front member per generation to a
-        per-round CSV; its first call replaces what the file held."""
+    def write_front_snapshot(self, round_index: int, gen: int, X: np.ndarray, F: np.ndarray) -> None:
+        """One row per member of generation `gen`'s front, appended to the
+        round's CSV; generation 0 replaces what the file held."""
         path = self.run_dir / f"nsga2_fronts_round_{round_index}.csv"
-        started = []
+        with path.open("a" if gen else "w") as fh:
+            if not gen:
+                fh.write(_csv_line(["generation", *point_header(X, F, "g")]))
+            fh.writelines(_csv_line((gen, *x, *f)) for x, f in zip(X, F))
 
-        def write(gen: int, X: np.ndarray, F: np.ndarray) -> None:
-            with path.open("a" if started else "w") as fh:
-                if not started:
-                    fh.write(_csv_line(["generation", *point_header(X, F, "g")]))
-                    started.append(True)
-                fh.writelines(_csv_line((gen, *x, *f)) for x, f in zip(X, F))
-
-        return write
-
-    def mgda_trace_writer(self, round_index: int):
-        """Per-start descent trace CSVs for one optimization round."""
-
-        def write(start_index: int, trace: np.ndarray) -> None:
-            n_obj = trace.shape[1] - 2
-            header = ["iteration", "direction_norm"] + [f"g{k}" for k in range(n_obj)]
-            write_csv(
-                self.run_dir / f"mgda_trace_round_{round_index}_start_{start_index}.csv",
-                header,
-                trace,
-            )
-
-        return write
+    def write_mgda_trace(self, round_index: int, trace: np.ndarray) -> None:
+        """The round's descent trace, rows (iteration, start, ||d||,
+        objectives) in iteration order."""
+        header = ["iteration", "start", "direction_norm"]
+        header += [f"g{k}" for k in range(trace.shape[1] - 3)]
+        write_csv(self.run_dir / f"mgda_trace_round_{round_index}.csv", header, trace)
 
     def write_metrics(self, record: RunRecord) -> None:
         metrics = {
@@ -306,6 +292,7 @@ class RunDirectoryWriter:
             "budget": record.config.budget,
             "h_min": record.config.h_min,
             "converged": record.converged,
+            "stop_reason": "error" if record.error else "converged" if record.converged else "budget",
             "rounds": [
                 {
                     "index": r.index,

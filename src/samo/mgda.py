@@ -138,8 +138,9 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     iteration count written out. The starts still moving when the budget
     runs out are written out once at the end. `predict_batch` is called
     only for traces. Returns the end points, the converged flags, the
-    iteration counts and, with `keep_traces`, one trace per start with rows
-    (iteration, ||d||, objectives).
+    iteration counts and, with `keep_traces`, the trace of every start with
+    rows (iteration, start, ||d||, objectives) in iteration order, the
+    moving starts of an iteration in index order.
     """
     X = np.array(X0, dtype=float)
     n_starts = X.shape[0]
@@ -148,7 +149,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
     active = np.arange(n_starts)
     Xa = X
     eta, tolerance = cfg.learning_rate, cfg.tolerance
-    rows, owners = [], []
+    rows = []
     for iteration in range(1, cfg.max_iterations + 1):
         J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
         if not np.isfinite(J).all():
@@ -158,8 +159,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
         D, _, norms = _descent_directions(J)
         if keep_traces:
             F = np.asarray(model.predict_batch(Xa), dtype=float)
-            rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
-            owners.append(active)
+            rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
         done = norms < tolerance
         if done.any():
             finished = active[done]
@@ -174,13 +174,7 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
         Xa = bounds.clip(Xa + eta * D)
     else:
         X[active] = Xa
-    traces = None
-    if keep_traces:
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        ends = np.cumsum(np.bincount(owner, minlength=n_starts))[:-1]
-        traces = np.split(np.vstack(rows)[order], ends)
-    return X, converged, iterations, traces
+    return X, converged, iterations, np.vstack(rows) if keep_traces else None
 
 
 def mgda_run(model, x0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig) -> MgdaResult:
@@ -193,9 +187,10 @@ def mgda_run(model, x0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig) -> MgdaR
     x0 = np.asarray(x0, dtype=float)
     if not bounds.contains(x0):
         raise ConfigurationError("starting point must lie within bounds")
-    X, converged, iterations, traces = _descend(model, x0[None, :], bounds, cfg, keep_traces=True)
+    X, converged, iterations, trace = _descend(model, x0[None, :], bounds, cfg, keep_traces=True)
     return MgdaResult(
-        x=X[0], converged=bool(converged[0]), iterations=int(iterations[0]), trace=traces[0]
+        x=X[0], converged=bool(converged[0]), iterations=int(iterations[0]),
+        trace=np.delete(trace, 1, axis=1),
     )
 
 
@@ -207,20 +202,20 @@ def multistart_mgda(
     `seed`, all stepped together, and keep the non-dominated converged
     endpoints.
 
-    `trace_writer(start_index, trace)` receives every start's iteration
-    trace when given. A `stats` dict, when given, receives the counts
-    `starts`, `converged`, `dropped` and `max_iterations_used`, also when
-    no start converges and SamoError is raised.
+    `trace_writer(trace)`, when given, receives the trace of every start
+    in one call: rows (iteration, start, ||d||, objectives) in iteration
+    order. A `stats` dict, when given, receives the counts `starts`,
+    `converged`, `dropped` and `max_iterations_used`, also when no start
+    converges and SamoError is raised.
     """
     if n_starts < 1:
         raise ConfigurationError("n_starts must be positive")
     starts = latin_hypercube(n_starts, bounds, seed)
-    X, converged, iterations, traces = _descend(
+    X, converged, iterations, trace = _descend(
         model, starts, bounds, cfg, keep_traces=trace_writer is not None
     )
     if trace_writer is not None:
-        for start_index, trace in enumerate(traces):
-            trace_writer(start_index, trace)
+        trace_writer(trace)
     n_converged = int(converged.sum())
     dropped = n_starts - n_converged
     if stats is not None:

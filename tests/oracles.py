@@ -125,12 +125,14 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
 def multistart_mgda(
     model, bounds, cfg, *, n_starts, seed, trace_writer=None, stats=None
 ) -> ParetoApproximation:
-    """The starts of `samo.mgda.multistart_mgda`, run one after another."""
+    """The starts of `samo.mgda.multistart_mgda`, run one after another;
+    their traces, each given its start column, ordered by (iteration,
+    start) and written in one call."""
     starts = latin_hypercube(n_starts, bounds, seed)
     results = [mgda_run(model, x0, bounds, cfg) for x0 in starts]
     if trace_writer is not None:
-        for start_index, result in enumerate(results):
-            trace_writer(start_index, result.trace)
+        rows = np.vstack([np.insert(r.trace, 1, i, axis=1) for i, r in enumerate(results)])
+        trace_writer(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
     points = [r.x for r in results if r.converged]
     if stats is not None:
         stats.update(
@@ -171,13 +173,14 @@ def descent_directions_masked(J: np.ndarray) -> tuple:
 def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
     """`samo.mgda._descend` as it was before the compact active set: every
     iteration gathers the moving starts from X, updates the flags and
-    counts, and scatters the clipped steps back into X."""
+    counts, and scatters the clipped steps back into X. The trace stacks
+    each iteration's rows (iteration, start, ||d||, objectives)."""
     X = np.array(X0, dtype=float)
     n_starts = X.shape[0]
     converged = np.zeros(n_starts, dtype=bool)
     iterations = np.full(n_starts, cfg.max_iterations)
     active = np.arange(n_starts)
-    rows, owners = [], []
+    rows = []
     for iteration in range(1, cfg.max_iterations + 1):
         Xa = X[active]
         J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
@@ -188,8 +191,7 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
         D, _, norms = descent_directions_masked(J)
         if keep_traces:
             F = np.asarray(model.predict_batch(Xa), dtype=float)
-            rows.append(np.column_stack([np.full(len(active), float(iteration)), norms, F]))
-            owners.append(active)
+            rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
         done = norms < cfg.tolerance
         converged[active[done]] = True
         iterations[active[done]] = iteration
@@ -198,13 +200,7 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
         if active.size == 0:
             break
         X[active] = np.clip(Xa[moving] + cfg.learning_rate * D[moving], bounds.lower, bounds.upper)
-    traces = None
-    if keep_traces:
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        ends = np.cumsum(np.bincount(owner, minlength=n_starts))[:-1]
-        traces = np.split(np.vstack(rows)[order], ends)
-    return X, converged, iterations, traces
+    return X, converged, iterations, np.vstack(rows) if keep_traces else None
 
 
 def _rbf_kernel_row_major(model, X) -> tuple:

@@ -921,6 +921,17 @@ class TestCmdEvaluate:
             assert captured.out == ""
         assert not out.exists()
 
+    def test_diverging_model_exits_2_in_run_and_evaluate(self, tmp_path, capsys):
+        # the file loads, but the first RK4 step of so light a body overflows
+        problem = {"name": "mbs", "n_dim": 3, "horizon": {"te": 0.01}}
+        config_path = write_config(tmp_path, {"problem": {**problem, "params": {"sprung_mass": 1e-300}}})
+        out = tmp_path / "run"
+        for command in (["evaluate"], ["run", "--out", str(out)]):
+            assert main([*command, "--config", str(config_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == "error: non-finite state at step 1 (t = 0.0001 s)\n"
+            assert captured.out == ""
+
     @pytest.mark.parametrize("name", ["mbs", "two-paraboloids", "zdt1"])
     def test_n_dim_above_the_cap_exits_2(self, tmp_path, capsys, name):
         config_path = write_config(tmp_path, {"problem": {"name": name, "n_dim": MAX_DIM + 1}})

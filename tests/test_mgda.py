@@ -301,8 +301,9 @@ class TestBatchedMatchesOnePointOracle:
 
     @staticmethod
     def recorded(run, model, bounds, cfg, n_starts, seed):
-        """Front (or the error raised), traces and counts of one multistart."""
-        traces, stats = {}, {}
+        """Front (or the error raised), the traces written and counts of one
+        multistart."""
+        traces, stats = [], {}
         try:
             pareto = run(
                 model,
@@ -310,7 +311,7 @@ class TestBatchedMatchesOnePointOracle:
                 cfg,
                 n_starts=n_starts,
                 seed=seed,
-                trace_writer=traces.__setitem__,
+                trace_writer=traces.append,
                 stats=stats,
             )
             outcome = (pareto.X, pareto.F)
@@ -340,9 +341,12 @@ class TestBatchedMatchesOnePointOracle:
         else:
             assert np.array_equal(fast[0][0], slow[0][0])
             assert np.array_equal(fast[0][1], slow[0][1])
-        assert sorted(fast[1]) == list(range(24))
-        for start, trace in slow[1].items():
-            assert np.array_equal(fast[1][start], trace)
+        # one trace for all starts, in iteration order
+        assert len(fast[1]) == len(slow[1]) == 1
+        trace = fast[1][0]
+        assert np.array_equal(np.unique(trace[:, 1]), np.arange(24))
+        assert (np.diff(trace[:, 0]) >= 0.0).all()
+        assert trace.shape == slow[1][0].shape and trace.tobytes() == slow[1][0].tobytes()
         assert fast[2] == slow[2]
 
     def test_multistart_without_traces_same_front(self):
@@ -393,9 +397,8 @@ class TestLeanDescentMatchesGatherScatter:
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if keep_traces:
-            assert len(got[3]) == len(X0)
-            for a, b in zip(got[3], want[3]):
-                assert a.tobytes() == b.tobytes()
+            assert np.array_equal(np.unique(got[3][:, 1]), np.arange(len(X0)))
+            assert got[3].shape == want[3].shape and got[3].tobytes() == want[3].tobytes()
         else:
             assert got[3] is None
         assert np.array_equal(got[2][:3], got[2][12:15])
@@ -408,8 +411,10 @@ class TestLeanDescentMatchesGatherScatter:
         got = _descend(model, X0, bounds, MgdaConfig(), keep_traces=True)
         want = oracles.descend_gather_scatter(model, X0, bounds, MgdaConfig(), keep_traces=True)
         assert got[1].all() and (got[2] == 1).all()
+        # one trace row per start, all of iteration 1
+        assert np.array_equal(got[3][:, :2], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         for a, b in zip(got, want):
-            assert np.array_equal(np.asarray(a), np.asarray(b))
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestMultistartStats:
