@@ -7,11 +7,13 @@ Frank-Wolfe iteration, which converges linearly on the simplex and reaches
 the tight duality-gap tolerance cheaply for small objective counts.
 
 All starts of a multistart run advance together, with one batched Jacobian
-call per iteration; each start's path is bit for bit the one it takes alone.
-The starts still moving are kept in one compact array. Only in an iteration
-where some start turns critical are the end points, flags and counts
-written out and the array shrunk; late in a run few starts move, so an
-iteration costs little more than its Jacobian call and its descent step.
+call per iteration; each start's path is bit for bit the one it takes alone,
+because the row products are the gufuncs `np.vecdot` and `np.vecmat`, which
+compute each row as for that row's vectors alone. The starts still moving
+are kept in one compact array. Only in an iteration where some start turns
+critical are the end points, flags and counts written out and the array
+shrunk. Late in a run few starts move, so the fixed cost of an iteration's
+numpy calls sets its time; `tools/mgda_iteration.py` measures it.
 """
 
 from __future__ import annotations
@@ -84,39 +86,40 @@ def _min_norm_weights_fw(G: np.ndarray) -> np.ndarray:
     return w
 
 
-def _row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (S, N) arrays as (S, 1, N) @ (S, N, 1):
-    numpy computes each row with the same dot call as for two vectors."""
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
-
-
 def _descent_directions(J: np.ndarray) -> tuple:
     """Common descent steps for a stack of S Jacobians of shape (S, K, N):
     directions (S, N), simplex weights (S, K) and direction norms (S,).
 
-    Every product keeps the shapes of the one-Jacobian case, e.g.
-    (S, 1, K) @ (S, K, N), so each row is bit for bit what a single
-    Jacobian gives. K = 2 uses the closed form for all rows at once; other
-    K solve row by row.
+    The row products are gufuncs over the stack, `np.vecdot` for the inner
+    products and `np.vecmat` for w^T J, whose every row is bit for bit the
+    product of one row's vectors alone. K = 2 uses the closed form for all
+    rows at once; other K solve row by row.
     """
     n_starts, n_obj = J.shape[:2]
     if n_obj == 1:
         W = np.ones((n_starts, 1))
     elif n_obj == 2:
-        g1, g2 = J[:, 0], J[:, 1]
-        diff = g1 - g2
-        denom = _row_dot(diff, diff)
-        # w1 stays 0.5 where both gradients coincide
-        W = np.full((n_starts, 2), 0.5)
-        w1 = W[:, 0]
-        np.divide(_row_dot(g2 - g1, g2), denom, out=w1, where=denom != 0.0)
+        g2 = J[:, 1]
+        diff = J[:, 0] - g2
+        denom = np.vecdot(diff, diff)
+        # g2 - g1 is -(g1 - g2) bit for bit
+        numer = np.vecdot(np.negative(diff, out=diff), g2)
+        if denom.all():
+            W = np.empty((n_starts, 2))
+            w1 = np.divide(numer, denom, out=W[:, 0])
+        else:
+            # w1 stays 0.5 where both gradients coincide
+            W = np.full((n_starts, 2), 0.5)
+            w1 = W[:, 0]
+            np.divide(numer, denom, out=w1, where=denom != 0.0)
         np.maximum(w1, 0.0, out=w1)
         np.minimum(w1, 1.0, out=w1)
         np.subtract(1.0, w1, out=W[:, 1])
     else:
         W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
-    D = -(W[:, None, :] @ J)[:, 0, :]
-    return D, W, np.sqrt(_row_dot(D, D))
+    D = np.vecmat(W, J)
+    np.negative(D, out=D)
+    return D, W, np.sqrt(np.vecdot(D, D))
 
 
 @dataclass(frozen=True, eq=False)

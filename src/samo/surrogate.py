@@ -162,9 +162,9 @@ def min_training_samples(
 
 
 def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != n_dim:
-        raise DimensionMismatchError(f"expected {n_dim}-dimensional inputs")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n_dim:
+        raise DimensionMismatchError(f"expected an (M, {n_dim}) array of inputs")
     return X
 
 
@@ -192,7 +192,7 @@ def _sum_squares(diff: np.ndarray) -> np.ndarray:
 def _pairwise_sum(sq: np.ndarray, start: int, n: int) -> np.ndarray:
     # a reduction over the outer axis adds the slices one after another
     if n < 8:
-        return sq[start : start + n].sum(axis=0)
+        return np.add.reduce(sq[start : start + n], axis=0)
     if n <= 128:
         blocked = n - n % 8
         r = sq[start : start + blocked].reshape(blocked // 8, 8, *sq.shape[1:]).sum(axis=0)
@@ -235,9 +235,9 @@ class RbfModel:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         phi = _gaussian(_sum_squares(self._scaled_offsets(X)), self.sigma)
-        # (M, 1, C) @ (C, K) is one vector-matrix product per row, so every
-        # row equals the one-point prediction bit for bit
-        return self.scaler.inverse_y((phi[:, None, :] @ self.weights)[:, 0, :])
+        # one vector-matrix product per row, so every row equals the
+        # one-point prediction bit for bit (a 2-D phi @ weights does not)
+        return self.scaler.inverse_y(np.vecmat(phi, self.weights))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -245,11 +245,13 @@ class RbfModel:
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
         diff = self._scaled_offsets(X)
         phi = _gaussian(_sum_squares(diff), self.sigma)
-        # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C)
-        dphi = phi * diff
+        # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C); the
+        # products and scalings overwrite arrays this call made
+        dphi = np.multiply(diff, phi, out=diff)
         np.divide(dphi, -(self.sigma**2), out=dphi)
-        jac_scaled = self.weights.T @ dphi.transpose(1, 2, 0)
-        return (self.scaler.y_scale[:, None] * jac_scaled) / self.scaler.x_scale
+        jac = self.weights.T @ dphi.transpose(1, 2, 0)
+        np.multiply(jac, self.scaler.y_scale[:, None], out=jac)
+        return np.divide(jac, self.scaler.x_scale, out=jac)
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.input_jacobian_batch(np.asarray(x, dtype=float)[None, :])[0]

@@ -15,8 +15,10 @@ the package against them with exact equality.
 
 The batched forms that leaner ones replaced are kept as well, and the
 package must match them byte for byte: the MGDA loop that gathered and
-scattered the moving starts every iteration, the RBF kernel on row-major
-(M, C, N) offsets, SBX and polynomial mutation computed for every entry,
+scattered the moving starts every iteration, the row products as batched
+matmuls where the package calls `np.vecdot` and `np.vecmat`, the RBF
+kernel on row-major (M, C, N) offsets with a Jacobian that allocates every
+product, SBX and polynomial mutation computed for every entry,
 the variation uniforms located through end tables over the whole peeked
 block, and the RBF width search that fitted one model per width and fold.
 
@@ -45,7 +47,7 @@ from samo.core import (
     SamoError,
     dominance_matrix,
 )
-from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw, _row_dot
+from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw
 from samo.moea import _evaluate, _unpeek
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
@@ -149,25 +151,40 @@ def multistart_mgda(
     return ParetoApproximation.from_arrays(X[keep], Y[keep])
 
 
+def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise inner products of two (S, N) arrays as (S, 1, N) @ (S, N, 1),
+    the batched-matmul form of `np.vecdot`: numpy computes each row with
+    the same dot call as for two vectors."""
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def row_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row i of the (S, K) array `v` times the K x N matrix M[i], or M itself
+    when it is one matrix, as (S, 1, K) @ M: the batched-matmul form of
+    `np.vecmat`."""
+    return (v[:, None, :] @ M)[:, 0, :]
+
+
 def descent_directions_masked(J: np.ndarray) -> tuple:
     """`samo.mgda._descent_directions` as it was before the weights were
-    built in place: K = 2 fills w1 through a boolean mask and stacks the
-    two weight columns."""
+    built in place and the row products became gufuncs: K = 2 fills w1
+    through a boolean mask and stacks the two weight columns, and every row
+    product is a batched matmul."""
     n_starts, n_obj = J.shape[:2]
     if n_obj == 1:
         W = np.ones((n_starts, 1))
     elif n_obj == 2:
         g1, g2 = J[:, 0], J[:, 1]
         diff = g1 - g2
-        denom = _row_dot(diff, diff)
+        denom = row_dot(diff, diff)
         w1 = np.full(n_starts, 0.5)
         apart = denom != 0.0
-        w1[apart] = np.minimum(np.maximum(_row_dot(g2 - g1, g2)[apart] / denom[apart], 0.0), 1.0)
+        w1[apart] = np.minimum(np.maximum(row_dot(g2 - g1, g2)[apart] / denom[apart], 0.0), 1.0)
         W = np.column_stack([w1, 1.0 - w1])
     else:
         W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
-    D = -(W[:, None, :] @ J)[:, 0, :]
-    return D, W, np.sqrt(_row_dot(D, D))
+    D = -row_vecmat(W, J)
+    return D, W, np.sqrt(row_dot(D, D))
 
 
 def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
@@ -212,13 +229,15 @@ def _rbf_kernel_row_major(model, X) -> tuple:
 
 
 def rbf_predict_row_major(model, X) -> np.ndarray:
-    """`RbfModel.predict_batch` on row-major offsets."""
+    """`RbfModel.predict_batch` on row-major offsets, its kernel row times the
+    weights as a batched matmul."""
     phi = _rbf_kernel_row_major(model, X)[1]
-    return model.scaler.inverse_y((phi[:, None, :] @ model.weights)[:, 0, :])
+    return model.scaler.inverse_y(row_vecmat(phi, model.weights))
 
 
 def rbf_input_jacobian_row_major(model, X) -> np.ndarray:
-    """`RbfModel.input_jacobian_batch` on row-major offsets."""
+    """`RbfModel.input_jacobian_batch` on row-major offsets, every product
+    and scaling into a new array."""
     diff, phi = _rbf_kernel_row_major(model, X)
     dphi = -(phi[:, :, None] * diff) / model.sigma**2
     jac_scaled = model.weights.T @ dphi

@@ -434,8 +434,10 @@ class TestBatchedOptimizersMatchOnePointPath:
         oracles run Adam one parameter array at a time and predict with a
         layer loop of their own; the RBF width search fits one model per
         width and fold; the RBF oracles reduce row-major offsets over their
-        last axis, in numpy's pairwise order from 8 coordinates on; the
-        descent oracle scatters every start back each iteration; the filter
+        last axis, in numpy's pairwise order from 8 coordinates on, predict
+        through a batched matmul and allocate every Jacobian product; the
+        descent oracle scatters every start back each iteration and takes
+        its row products as batched matmuls; the filter
         behind the final front, the MGDA endpoints and every Pareto
         approximation's check takes the dominance peel's first front."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)

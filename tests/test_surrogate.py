@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from samo.core import ConfigurationError, Dataset
+from samo.core import ConfigurationError, Dataset, DimensionMismatchError
 import oracles
 from oracles import GradientModel, inverse_x
 from samo.problems import Horizon, make_analytic_problem, make_quarter_car_problem
@@ -408,6 +408,29 @@ class TestJacobians:
             numeric = self.finite_difference(model, x)
             scale = max(np.abs(analytic).max(), 1e-12)
             assert np.abs(analytic - numeric).max() / scale < 1e-4
+
+    def test_rbf_batch_writes_only_arrays_it_made(self, trained_models):
+        """The in-place products and scalings of the RBF Jacobian touch no
+        array of the caller's or the model's."""
+        rbf = trained_models[1]
+        X = np.random.default_rng(4).uniform(-1.0, 1.0, (7, 4))
+        held = [X, rbf.centers, rbf.weights, rbf.scaler.x_shift, rbf.scaler.x_scale,
+                rbf.scaler.y_shift, rbf.scaler.y_scale]
+        before = [a.copy() for a in held]
+        first, second = rbf.input_jacobian_batch(X), rbf.input_jacobian_batch(X)
+        assert first.tobytes() == second.tobytes()
+        assert not any(np.shares_memory(first, a) for a in [second, *held])
+        kept = second.copy()
+        first[...] = np.nan
+        assert second.tobytes() == kept.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(held, before))
+
+    @pytest.mark.parametrize("kind", ["rbf", "mlp"])
+    def test_batch_forms_reject_a_single_vector(self, trained_models, kind):
+        model = trained_models[1 if kind == "rbf" else 2]
+        for batch_form in (model.predict_batch, model.input_jacobian_batch):
+            with pytest.raises(DimensionMismatchError, match=r"\(M, 4\) array"):
+                batch_form(np.zeros(4))
 
     def test_constant_rbf_zero_jacobian(self):
         rng = np.random.default_rng(2)
