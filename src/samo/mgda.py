@@ -104,14 +104,10 @@ def _descent_directions(J: np.ndarray) -> tuple:
         denom = np.vecdot(diff, diff)
         # g2 - g1 is -(g1 - g2) bit for bit
         numer = np.vecdot(np.negative(diff, out=diff), g2)
-        if denom.all():
-            W = np.empty((n_starts, 2))
-            w1 = np.divide(numer, denom, out=W[:, 0])
-        else:
-            # w1 stays 0.5 where both gradients coincide
-            W = np.full((n_starts, 2), 0.5)
-            w1 = W[:, 0]
-            np.divide(numer, denom, out=w1, where=denom != 0.0)
+        # w1 stays 0.5 where both gradients coincide
+        W = np.full((n_starts, 2), 0.5)
+        w1 = W[:, 0]
+        np.divide(numer, denom, out=w1, where=denom != 0.0)
         np.maximum(w1, 0.0, out=w1)
         np.minimum(w1, 1.0, out=w1)
         np.subtract(1.0, w1, out=W[:, 1])
