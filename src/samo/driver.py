@@ -135,7 +135,8 @@ class SamoConfig:
     selects. `seed` is the run's only seed: every round derives the seeds of
     its sampling, training and optimizer from it with `derive_seed`. Round 0
     fits the surrogate on its batch alone, so `batch_size` is at least
-    `samo.surrogate.min_training_samples`.
+    `samo.surrogate.min_training_samples`: 2 for an RBF, whether its width
+    is fixed or searched, and at least 5 for the network.
     """
 
     budget: int = 120
@@ -154,7 +155,7 @@ class SamoConfig:
         if self.surrogate not in SURROGATE_KINDS:
             raise ConfigurationError(f"surrogate must be one of {SURROGATE_KINDS}")
         fraction = self.train.validation_fraction
-        least = min_training_samples(self.surrogate, self.rbf.sigma is None, fraction)
+        least = min_training_samples(self.surrogate, fraction)
         if self.batch_size < least:
             split = f" with train.validation_fraction {fraction:g}" if self.surrogate == "mlp" else ""
             raise ConfigurationError(

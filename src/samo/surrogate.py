@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import ClassVar, Optional, Protocol, Sequence, Union, get_args, get_type_hints
-import warnings
 
 import numpy as np
 
@@ -124,17 +123,18 @@ class TrainConfig:
 @dataclass(frozen=True)
 class RbfConfig:
     """Width and ridge of the RBF interpolant; a `sigma` of None is chosen
-    by cross-validation over `grid`."""
+    over `grid` by leave-one-out error (`select_rbf_width`). Widths are
+    positive and finite."""
 
     sigma: Optional[float] = None
     grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        if self.sigma is not None and not self.sigma > 0.0:
-            raise ConfigurationError("rbf.sigma must be strictly positive")
-        if not self.grid or not all(width > 0.0 for width in self.grid):
-            raise ConfigurationError("rbf.grid must hold at least one width, all positive")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ConfigurationError("rbf.sigma must be strictly positive and finite")
+        if not self.grid or not all(0.0 < width < np.inf for width in self.grid):
+            raise ConfigurationError("rbf.grid must hold at least one width, all positive and finite")
         if not self.ridge >= 0.0:
             raise ConfigurationError("rbf.ridge must be non-negative")
 
@@ -144,13 +144,11 @@ def _validation_rows(n: int, validation_fraction: float) -> int:
     return max(1, int(round(validation_fraction * n)))
 
 
-def min_training_samples(
-    kind: str, cross_validated: bool = False, validation_fraction: float = 0.2
-) -> int:
+def min_training_samples(kind: str, validation_fraction: float = 0.2) -> int:
     """The fewest samples a surrogate of `kind` is fitted on: for the
     network, the least n of at least 5 whose split by `validation_fraction`
-    keeps a training row; 2 for an RBF of fixed width and 3 for one whose
-    width is cross-validated, since each fold then leaves a sample out."""
+    keeps a training row; 2 for an RBF, whether its width is fixed or
+    searched, since leaving one sample out still leaves a center."""
     if kind == "mlp":
         # no n below 0.5 / (1 - fraction) keeps a training row; starting
         # there bounds the search for a fraction near 1
@@ -158,7 +156,7 @@ def min_training_samples(
         while n - _validation_rows(n, validation_fraction) < 1:
             n += 1
         return n
-    return 3 if cross_validated else 2
+    return 2
 
 
 def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
@@ -297,21 +295,21 @@ class MlpModel:
 
 
 def _check_rbf_fit(n: int, sigma: float, ridge: float) -> None:
-    """Reject an RBF fit on fewer than two samples or with a width that is
-    not positive or a negative ridge."""
+    """Reject an RBF fit on fewer than two samples, with a width that is
+    not positive and finite or with a negative ridge."""
     if n < min_training_samples("rbf"):
         raise ConfigurationError("RBF fitting needs at least two samples")
-    if not sigma > 0.0:
-        raise ConfigurationError("kernel width sigma must be strictly positive")
+    # an infinite width flattens the kernel to ones: no longer an interpolant
+    if not 0.0 < sigma < np.inf:
+        raise ConfigurationError("kernel width sigma must be strictly positive and finite")
     if not ridge >= 0.0:
         raise ConfigurationError("ridge parameter must be non-negative")
 
 
-def _rbf_weights(d2: np.ndarray, Ys: np.ndarray, sigma: float, ridge: float) -> np.ndarray:
+def _rbf_weights(system: np.ndarray, Ys: np.ndarray) -> np.ndarray:
     """Weights W of the regularized symmetric system (Phi + ridge * I) W =
-    Ys, Phi the kernel of the centers' squared distances `d2`; raises
+    Ys, Phi the kernel of the centers' squared distances; raises
     `SolverError` when the system cannot be solved accurately."""
-    system = _gaussian(d2, sigma) + ridge * np.eye(len(Ys))
     try:
         W = np.linalg.solve(system, Ys)
         # one step of iterative refinement keeps the residual near machine
@@ -343,75 +341,41 @@ def fit_rbf(
     _check_rbf_fit(len(data), sigma, ridge)
     scaler = Scaler.fit(data.X, data.Y)
     Xs = scaler.transform_x(data.X)
-    W = _rbf_weights(_sum_squares(_offsets(Xs, Xs)), scaler.transform_y(data.Y), sigma, ridge)
+    system = _gaussian(_sum_squares(_offsets(Xs, Xs)), sigma) + ridge * np.eye(len(Xs))
+    W = _rbf_weights(system, scaler.transform_y(data.Y))
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
 
-def _cross_validated_mses(data: Dataset, widths: Sequence[float], folds: int, ridge: float) -> list:
-    """Mean squared prediction error of every width in `widths`, in order,
-    over round-robin folds and in original output units: sample i is in
-    fold i mod `folds`, and each fold is predicted by `fit_rbf` of that
-    width on the other folds. Fewer than `folds` samples give one fold per
-    sample, with a `UserWarning`.
-
-    Each fold's scaler and its training and held-out squared distances do
-    not depend on the width, so they are computed once; each width then
-    costs one kernel, one refined solve and one prediction per fold, the
-    arithmetic of `fit_rbf` and `RbfModel.predict_batch` bit for bit.
+def _leave_one_out_mses(data: Dataset, widths: Sequence[float], ridge: float) -> list:
+    """Leave-one-out mean squared error of every width in `widths`, in
+    order, in output units over all samples and objectives, on the scaler
+    of the whole archive. By Rippa's closed form (Adv. Comput. Math. 11,
+    1999) the fit without sample k errs at sample k by W[k] / inv(A)[k, k],
+    for A = Phi + ridge * I and W = inv(A) Y: a width costs `_rbf_weights`,
+    with its residual check, and one inverse, but no refit.
     """
-    n = len(data)
-    if folds > n:
-        warnings.warn(
-            f"only {n} samples for {folds}-fold cross-validation; using {n} folds",
-            stacklevel=3,
-        )
-        folds = n
-    X, Y = data.X, data.Y
-    fold = np.arange(n) % folds
-    # the largest fold is fold 0, so its training rows are the fewest
-    for sigma in widths:
-        _check_rbf_fit(n - int((fold == 0).sum()), sigma, ridge)
-    splits = []
-    for f in range(folds):
-        held = fold == f
-        scaler = Scaler.fit(X[~held], Y[~held])
-        Xs = scaler.transform_x(X[~held])
-        d2_held = _sum_squares(_offsets(scaler.transform_x(X[held]), Xs))
-        splits.append(
-            (scaler, _sum_squares(_offsets(Xs, Xs)), scaler.transform_y(Y[~held]), d2_held, Y[held])
-        )
+    scaler = Scaler.fit(data.X, data.Y)
+    Xs = scaler.transform_x(data.X)
+    Ys = scaler.transform_y(data.Y)
+    d2 = _sum_squares(_offsets(Xs, Xs))
     mses = []
     for sigma in widths:
-        errors = []
-        for scaler, d2, Ys, d2_held, Y_held in splits:
-            W = _rbf_weights(d2, Ys, sigma, ridge)
-            pred = scaler.inverse_y((_gaussian(d2_held, sigma)[:, None, :] @ W)[:, 0, :])
-            errors.append(float(((pred - Y_held) ** 2).mean()))
-        mses.append(float(np.mean(errors)))
+        _check_rbf_fit(len(Xs), sigma, ridge)
+        system = _gaussian(d2, sigma) + ridge * np.eye(len(Xs))
+        residuals = _rbf_weights(system, Ys) / np.diagonal(np.linalg.inv(system))[:, None]
+        mses.append(float(((residuals * scaler.y_scale) ** 2).mean()))
     return mses
 
 
 def select_rbf_width(
-    data: Dataset,
-    grid: Sequence[float] = DEFAULT_SIGMA_GRID,
-    folds: int = 5,
-    ridge: float = DEFAULT_RIDGE,
+    data: Dataset, grid: Sequence[float] = DEFAULT_SIGMA_GRID, ridge: float = DEFAULT_RIDGE
 ) -> float:
-    """Grid member with the lowest cross-validated mean squared error
-    (`_cross_validated_mses`); ties go to the smaller width. Every width is
-    scored on the same folds, whose scalers and squared distances are
-    computed once for the whole grid; fewer than `folds` samples give one
-    `UserWarning` per call."""
+    """Grid member with the lowest leave-one-out mean squared error
+    (`_leave_one_out_mses`); ties go to the smaller width."""
     if len(grid) == 0:
         raise ConfigurationError("sigma grid must not be empty")
-    candidates = sorted(float(s) for s in grid)
-    best_sigma = candidates[0]
-    best_mse = np.inf
-    for sigma, mse in zip(candidates, _cross_validated_mses(data, candidates, folds, ridge)):
-        if mse < best_mse:
-            best_mse = mse
-            best_sigma = sigma
-    return best_sigma
+    widths = [float(s) for s in grid]
+    return min(zip(_leave_one_out_mses(data, widths, ridge), widths))[1]
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple:

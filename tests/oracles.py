@@ -18,9 +18,10 @@ package must match them byte for byte: the MGDA loop that gathered and
 scattered the moving starts every iteration, the row products as batched
 matmuls where the package calls `np.vecdot` and `np.vecmat`, the RBF
 kernel on row-major (M, C, N) offsets with a Jacobian that allocates every
-product, SBX and polynomial mutation computed for every entry,
+product, SBX and polynomial mutation computed for every entry, and
 the variation uniforms located through end tables over the whole peeked
-block, and the RBF width search that fitted one model per width and fold.
+block. The RBF width search's closed-form leave-one-out errors are
+compared, to a tolerance, with one refit per left-out sample.
 
 The rest are helpers only tests use: the package's descent step for one
 Jacobian, Pareto dominance of two points, the KKT residual, the
@@ -32,16 +33,13 @@ without its timings.
 
 import json
 import math
-import warnings
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from samo import surrogate
 from samo.core import (
     ConfigurationError,
-    Dataset,
     DimensionMismatchError,
     ParetoApproximation,
     SamoError,
@@ -257,34 +255,35 @@ def fit_rbf_row_major(data, sigma, ridge) -> RbfModel:
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
 
-def cross_validated_mse(data, sigma, folds=5, ridge=DEFAULT_RIDGE) -> float:
-    """The cross-validated mean squared error of one width as the package
-    computed it before the folds were shared by the whole grid: one
-    `Dataset` and one call of the package's current `fit_rbf` per fold, and
-    the fitted model's `predict_batch`."""
-    n = len(data)
-    if folds > n:
-        warnings.warn(f"only {n} samples for {folds}-fold cross-validation; using {n} folds")
-        folds = n
-    X, Y = data.X, data.Y
-    fold = np.arange(n) % folds
+def leave_one_out_mse(data, sigma, ridge=DEFAULT_RIDGE) -> float:
+    """The leave-one-out mean squared error of one width by brute force:
+    one refit per left-out sample on the scaler of the whole archive, its
+    prediction at that sample, and the error in output units averaged over
+    samples and objectives."""
+    scaler = Scaler.fit(data.X, data.Y)
+    Xs = scaler.transform_x(data.X)
+    Ys = scaler.transform_y(data.Y)
     errors = []
-    for f in range(folds):
-        mask = fold == f
-        model = surrogate.fit_rbf(Dataset(X[~mask], Y[~mask]), sigma=sigma, ridge=ridge)
-        pred = model.predict_batch(X[mask])
-        errors.append(float(((pred - Y[mask]) ** 2).mean()))
-    return float(np.mean(errors))
+    for k in range(len(Xs)):
+        keep = np.arange(len(Xs)) != k
+        centers, Yk = Xs[keep], Ys[keep]
+        d2 = ((centers[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        system = np.exp(-d2 / (2.0 * sigma**2)) + ridge * np.eye(len(centers))
+        W = np.linalg.solve(system, Yk)
+        W = W + np.linalg.solve(system, Yk - system @ W)
+        phi = np.exp(-((centers - Xs[k]) ** 2).sum(axis=1) / (2.0 * sigma**2))
+        errors.append((phi @ W - Ys[k]) * scaler.y_scale)
+    return float((np.array(errors) ** 2).mean())
 
 
-def select_rbf_width(data, grid=DEFAULT_SIGMA_GRID, folds=5, ridge=DEFAULT_RIDGE) -> float:
-    """The width search with one `cross_validated_mse` above per grid width;
+def select_rbf_width(data, grid=DEFAULT_SIGMA_GRID, ridge=DEFAULT_RIDGE) -> float:
+    """The width search with one `leave_one_out_mse` above per grid width;
     ties go to the smaller width."""
     candidates = sorted(float(s) for s in grid)
     best_sigma = candidates[0]
     best_mse = np.inf
     for sigma in candidates:
-        mse = cross_validated_mse(data, sigma, folds=folds, ridge=ridge)
+        mse = leave_one_out_mse(data, sigma, ridge=ridge)
         if mse < best_mse:
             best_mse = mse
             best_sigma = sigma

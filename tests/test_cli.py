@@ -341,8 +341,8 @@ class TestRunConfig:
             ({"problem": {"name": "mbs", "horizon": {"te": 1e-4}}}, "te"),
             # round 0 fits the surrogate on its batch alone
             ({"samo": {"surrogate": "mlp", "batch_size": 4}}, "batch_size must be at least 5"),
-            ({"samo": {"surrogate": "rbf", "batch_size": 2}}, "batch_size must be at least 3"),
-            ({"samo": {"surrogate": "rbf"}, "study": {"sizes": [10, 2]}}, "study.sizes entry 2"),
+            ({"samo": {"surrogate": "rbf", "batch_size": 1}}, "batch_size must be at least 2"),
+            ({"samo": {"surrogate": "rbf"}, "study": {"sizes": [10, 1]}}, "study.sizes entry 1"),
             ({"study": {"sizes": [10, 4], "surrogates": ["rbf", "mlp"]}}, "study.sizes entry 4"),
             ({"samo": {"seed": -2}}, "^seed must be non-negative, got -2$"),
             ({"problem": {"name": "mbs", "projection_seed": -5}}, "^projection seed must be non-negative"),

@@ -1,5 +1,4 @@
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -177,7 +176,7 @@ class TestSigmaSelection:
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, 20, seed=7)
         grid = (0.1, 0.5, 1.0, 2.0, 5.0)
-        scores = {sigma: oracles.cross_validated_mse(data, sigma) for sigma in grid}
+        scores = {sigma: oracles.leave_one_out_mse(data, sigma) for sigma in grid}
         best = min(sorted(scores), key=lambda s: scores[s])
         assert select_rbf_width(data, grid=grid) == best
 
@@ -185,44 +184,30 @@ class TestSigmaSelection:
         problem = make_quarter_car_problem()
         data = lhs_dataset(problem, 20, seed=3)
         grid = (0.1, 0.5, 1.0, 2.0, 5.0)
-        scores = {sigma: oracles.cross_validated_mse(data, sigma) for sigma in grid}
+        scores = {sigma: oracles.leave_one_out_mse(data, sigma) for sigma in grid}
         best = min(sorted(scores), key=lambda s: scores[s])
         assert select_rbf_width(data, grid=grid) == best
 
-    def test_fold_count_reduced_with_warning(self):
-        problem = make_analytic_problem("two-paraboloids")
-        data = lhs_dataset(problem, 3, seed=2)
-        with pytest.warns(UserWarning, match="folds"):
-            select_rbf_width(data, grid=[1.0])
-        # one warning per search, not one per grid width
-        with pytest.warns(UserWarning, match="folds") as record:
-            select_rbf_width(data, grid=DEFAULT_SIGMA_GRID)
-        assert len(record) == 1
-
     @pytest.mark.parametrize("source", ["two-paraboloids", "quarter-car"])
-    @pytest.mark.parametrize("n", [3, 4, 10, 50])
-    def test_matches_per_width_per_fold_fits(self, source, n):
-        # the folds' scalers and distances are shared by the whole grid; every
-        # width's error must equal one fit_rbf per width and fold
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 50])
+    def test_matches_brute_force_leave_one_out(self, source, n):
+        # Rippa's closed form against one refit per left-out sample
         if source == "quarter-car":
             problem = make_quarter_car_problem(horizon=Horizon(te=0.2))
         else:
             problem = make_analytic_problem(source)
         data = lhs_dataset(problem, n, seed=n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # n = 3 and 4 have fewer than 5 folds
-            want = [oracles.cross_validated_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID]
-            assert surrogate._cross_validated_mses(data, DEFAULT_SIGMA_GRID, 5, DEFAULT_RIDGE) == want
-            assert select_rbf_width(data) == oracles.select_rbf_width(data)
+        want = [oracles.leave_one_out_mse(data, sigma) for sigma in DEFAULT_SIGMA_GRID]
+        got = surrogate._leave_one_out_mses(data, DEFAULT_SIGMA_GRID, DEFAULT_RIDGE)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+        assert select_rbf_width(data) == oracles.select_rbf_width(data)
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1])
     def test_too_few_samples_rejected(self, n):
         problem = make_analytic_problem("two-paraboloids")
         data = lhs_dataset(problem, n, seed=n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            with pytest.raises(ConfigurationError, match="needs at least two samples"):
-                select_rbf_width(data)
+        with pytest.raises(ConfigurationError, match="needs at least two samples"):
+            select_rbf_width(data)
 
     def test_bad_width_or_ridge_rejected(self):
         data = lhs_dataset(make_analytic_problem("two-paraboloids"), 6, seed=1)
@@ -241,6 +226,16 @@ class TestSigmaSelection:
             RbfConfig(grid=(1.0, nan))
         with pytest.raises(ConfigurationError, match="rbf.ridge must be non-negative"):
             RbfConfig(ridge=nan)
+        # an infinite width is a flat kernel that no longer interpolates
+        inf = float("inf")
+        with pytest.raises(ConfigurationError, match="sigma must be strictly positive and finite"):
+            fit_rbf(data, sigma=inf)
+        with pytest.raises(ConfigurationError, match="sigma must be strictly positive and finite"):
+            select_rbf_width(data, grid=(1.0, inf))
+        with pytest.raises(ConfigurationError, match="rbf.sigma must be strictly positive and finite"):
+            RbfConfig(sigma=inf)
+        with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
+            RbfConfig(grid=(1.0, inf))
 
 
 class TestMlp:
