@@ -5,9 +5,12 @@ environmental selection from the combined parent/offspring pool.
 
 Tournaments, crossover and mutation act on the whole population at once but
 consume the generator exactly as one tournament, one pair and one child at a
-time would, so a seed gives the same run bit for bit: the crossover and
-mutation uniforms are peeked as one block, which a walk over the pairs
-splits by reading two byte masks of it. A generation passes around one rank
+time would, so a seed gives the same run bit for bit. The tournament indices
+are drawn in one call, and a tie rewinds the generator to a saved state to
+draw its coin in turn. The crossover and mutation uniforms are drawn as one
+block, which a walk over the pairs splits by reading two byte masks of it;
+the generator is then rewound and draws again only the doubles the pairs
+used. A generation passes around one rank
 vector. Survival ranks only the fronts it needs: when the pool's first
 front, from `samo.core.non_dominated_mask`, holds at least the population,
 the pool is labelled 0/1; otherwise `samo.core.front_ranks` ranks every
@@ -174,16 +177,6 @@ def polynomial_mutation(
     return bounds.clip(Y)
 
 
-def _unpeek(bits, unused: int, has_uint32: int, uinteger: int) -> None:
-    """Give the last `unused` 64-bit outputs drawn from the PCG64 bit
-    generator `bits` back to it, and set its 32-bit buffer to
-    (`has_uint32`, `uinteger`); `advance` alone clears that buffer."""
-    bits.advance(-unused)
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-    bits.state = state
-
-
 def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_prob: float) -> tuple:
     """The uniforms for crossing `n_pairs` pairs of N = `n` variables and
     mutating both children, drawn in the one-pair order: per pair a
@@ -192,12 +185,13 @@ def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_pro
     n step uniforms if any mask uniform is < `mutation_prob`.
 
     How many doubles a pair draws depends on its own draws, so a block big
-    enough for every pair is peeked, and its coins and mask uniforms are
+    enough for every pair is drawn, and its coins and mask uniforms are
     compared with their probabilities once, into two byte strings. A walk
     from pair to pair reads a pair's coin from the first and finds a hit
-    among a child's mask uniforms with one `bytes.find` on the second; the
-    doubles not consumed are given back. Each double takes one 64-bit
-    output and leaves the 32-bit integer buffer alone.
+    among a child's mask uniforms with one `bytes.find` on the second. The
+    generator is then rewound to its state before the block and draws the
+    doubles the pairs used again; doubles leave the 32-bit integer buffer
+    of that state alone.
     Returns (crossed, u, sign_u) of shape (n_pairs, n) for `sbx_crossover`
     and (mutate, u) of shape (2 n_pairs, n), children in pair order, for
     `polynomial_mutation`.
@@ -219,7 +213,8 @@ def _variation_uniforms(rng, n_pairs: int, n: int, cfg: MoeaConfig, mutation_pro
         second = first + (stepped_draws if hits.find(1, first, first + n) >= 0 else n)
         pos = second + (stepped_draws if hits.find(1, second, second + n) >= 0 else n)
         children += (first, second)
-    _unpeek(bits, len(block) - pos, state["has_uint32"], state["uinteger"])
+    bits.state = state
+    rng.random(pos)
 
     starts = np.array(starts)
     # a pair that does not cross, or a child that takes no step, reads
@@ -249,58 +244,36 @@ def _evaluate(objective, X: np.ndarray) -> tuple:
     return Y, flagged
 
 
-def _tournaments(rank, crowd, m: int, rng) -> list:
+def _tournaments(rank, crowd, m: int, rng) -> np.ndarray:
     """The parents of `m` binary tournaments on (rank, crowding), drawn
     exactly as `m` tournaments one at a time would: two `rng.integers(0, n)`
-    indices, n = len(rank) < 2**32, and an `rng.random() < 0.5` coin when the
-    pair ties on both rank and crowding.
+    indices, n = len(rank), and an `rng.random() < 0.5` coin when the pair
+    ties on both rank and crowding.
 
-    `rank` and `crowd` are sequences indexed by position. numpy draws such
-    an index by Lemire's method, (x n) >> 32 of a 32-bit x, drawing again
-    while the low 32 bits of x n fall below (2**32 - n) % n. PCG64 gives x
-    as the low half of a 64-bit output and keeps the high half in its
-    buffer (`has_uint32`, `uinteger`) for the next 32-bit draw; a coin takes
-    one whole 64-bit output, (raw >> 11) < 2**52, and leaves the buffer
-    alone. A block of raw outputs is peeked and walked with that buffer,
-    then the generator is put where the one-at-a-time draws leave it.
+    `rank` and `crowd` are indexed with arrays of positions. Every index
+    still needed is drawn in one call, which draws what as many scalar calls
+    would, and the pairs before the first tie are settled at once. A tie's
+    coin follows its own pair's indices, so the generator is rewound to its
+    state before the call, draws the indices up to that pair again, then the
+    coin, and the tournaments after it are drawn anew.
     """
     n = len(rank)
     bits = rng.bit_generator
-    state = bits.state
-    has_half, half = state["has_uint32"], state["uinteger"]
-    reject_below = (2**32 - n) % n
-    raw = bits.random_raw(2 * m).tolist()  # enough unless an index is rejected
-    used = 0
-    parents = []
-    for _ in range(m):
-        i = j = -1
-        while j < 0:
-            if has_half:
-                x, has_half = half, 0
-            else:
-                if used == len(raw):
-                    raw += bits.random_raw(m).tolist()
-                x = raw[used]
-                half, has_half = x >> 32, 1
-                x &= 0xFFFFFFFF
-                used += 1
-            x *= n
-            if x & 0xFFFFFFFF < reject_below:
-                continue  # rejected: the index takes the next 32-bit draw
-            if i < 0:
-                i = x >> 32
-            else:
-                j = x >> 32
-        if rank[i] != rank[j]:
-            parents.append(i if rank[i] < rank[j] else j)
-        elif crowd[i] != crowd[j]:
-            parents.append(i if crowd[i] > crowd[j] else j)
-        else:
-            if used == len(raw):
-                raw += bits.random_raw(m).tolist()
-            parents.append(i if raw[used] >> 11 < 2**52 else j)
-            used += 1
-    _unpeek(bits, len(raw) - used, has_half, half)
+    parents = np.empty(m, dtype=np.int64)
+    done = 0
+    while done < m:
+        state = bits.state
+        i, j = rng.integers(0, n, size=(m - done, 2)).T
+        rank_i, rank_j, crowd_i, crowd_j = rank[i], rank[j], crowd[i], crowd[j]
+        i_wins = np.where(rank_i != rank_j, rank_i < rank_j, crowd_i > crowd_j)
+        ties = np.flatnonzero((rank_i == rank_j) & (crowd_i == crowd_j))
+        settled = ties[0] + 1 if len(ties) else m - done
+        if len(ties):
+            bits.state = state
+            rng.integers(0, n, size=(settled, 2))
+            i_wins[settled - 1] = rng.random() < 0.5
+        parents[done : done + settled] = np.where(i_wins, i, j)[:settled]
+        done += settled
     return parents
 
 
@@ -310,7 +283,7 @@ def _offspring(
     """One generation's children of the population X with its non-domination
     `rank` and `crowd`ing distance: a binary tournament per child, SBX of
     consecutive parents, then polynomial mutation of every child."""
-    P = X[_tournaments(rank.tolist(), crowd.tolist(), len(X), rng)]
+    P = X[_tournaments(rank, crowd, len(X), rng)]
     crossover, mutation = _variation_uniforms(rng, len(X) // 2, bounds.dim, cfg, mutation_prob)
     c1, c2 = sbx_crossover(P[0::2], P[1::2], *crossover, cfg.eta_crossover, bounds)
     children = np.empty_like(X)

@@ -19,7 +19,7 @@ scattered the moving starts every iteration, the row products as batched
 matmuls where the package calls `np.vecdot` and `np.vecmat`, the RBF
 kernel on row-major (M, C, N) offsets with a Jacobian that allocates every
 product, SBX and polynomial mutation computed for every entry, and
-the variation uniforms located through end tables over the whole peeked
+the variation uniforms located through end tables over the whole drawn
 block. The RBF width search's closed-form leave-one-out errors are
 compared, to a tolerance, with one refit per left-out sample.
 
@@ -46,7 +46,7 @@ from samo.core import (
     dominance_matrix,
 )
 from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw
-from samo.moea import _evaluate, _unpeek
+from samo.moea import _evaluate
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
 from samo.surrogate import DEFAULT_RIDGE, DEFAULT_SIGMA_GRID, RbfModel, Scaler, TrainConfig, TrainingError
@@ -427,7 +427,7 @@ def polynomial_mutation_dense(X, mutate, u, eta_m, bounds) -> np.ndarray:
 def variation_uniforms_tables(rng, n_pairs, n, cfg, mutation_prob) -> tuple:
     """`samo.moea._variation_uniforms` as it was before the walk read byte
     masks: where the draws of a pair, or of a child, starting at a position
-    would end is tabulated for every position of the peeked block, and the
+    would end is tabulated for every position of the drawn block, and the
     walk makes one lookup per pair."""
     bits = rng.bit_generator
     state = bits.state
@@ -442,7 +442,8 @@ def variation_uniforms_tables(rng, n_pairs, n, cfg, mutation_prob) -> tuple:
     for _ in range(n_pairs):
         starts.append(pos)
         pos = int(pair_end[pos])
-    _unpeek(bits, len(block) - pos, state["has_uint32"], state["uinteger"])
+    bits.state = state
+    rng.random(pos)
     starts = np.array(starts)
     first = first_child[starts]
     children = np.column_stack([first, child_end[first]]).reshape(-1)

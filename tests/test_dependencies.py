@@ -1,5 +1,6 @@
 """numpy is the package's only runtime dependency: every import in
-src/samo names a standard-library module, numpy or samo itself. The numpy
+src/samo names a standard-library module, numpy or samo itself, and NSGA-II
+draws through numpy's public generator API alone. The numpy
 gufuncs the package takes row products with give every row the bytes of
 the batched matmuls they replaced."""
 
@@ -41,6 +42,36 @@ def test_a_third_party_import_is_caught(tmp_path):
     source = tmp_path / "module.py"
     source.write_text("import os\nfrom scipy.optimize import minimize\nfrom . import core\n")
     assert imported_modules(source) - ALLOWED == {"scipy"}
+
+
+GENERATOR_INTERNALS = {"has_uint32", "uinteger", "random_raw", "advance"}
+
+
+def named_internals(path: Path) -> set:
+    """The names of GENERATOR_INTERNALS that `path` uses as an attribute,
+    a variable or a string, such as a key of a bit generator's state."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names & GENERATOR_INTERNALS
+
+
+def test_moea_draws_through_the_public_generator_api():
+    """NSGA-II draws with `Generator` calls and rewinds through the whole
+    `bit_generator.state`; it keeps no copy of PCG64's buffer or stream."""
+    moea = next(p for p in SOURCES if p.name == "moea.py")
+    assert named_internals(moea) == set()
+
+
+def test_a_generator_internal_is_caught(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text("bits.advance(-1)\nstate['uinteger'] = 0\nbits.random_raw(2)\n")
+    assert named_internals(source) == {"advance", "uinteger", "random_raw"}
 
 
 def test_gufunc_row_products_equal_batched_matmul():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -200,8 +202,9 @@ class TestRankAndCrowding:
 
 
 class IndexFunction:
-    """A read-only sequence of length n whose item i is f(i), so tournaments
-    over billions of positions need no list of that length."""
+    """A read-only sequence of length n whose items at an array of positions
+    k are f(k), so tournaments over billions of positions need no list of
+    that length."""
 
     def __init__(self, n, f):
         self.n, self.f = n, f
@@ -209,44 +212,67 @@ class IndexFunction:
     def __len__(self):
         return self.n
 
-    def __getitem__(self, i):
-        return self.f(i)
+    def __getitem__(self, k):
+        return np.broadcast_to(self.f(k), np.shape(k))
+
+
+def thirds(n, rng, m):
+    """Ranks 0, 1, 2 in turn and crowding 0, 1 in runs of three: one pair in
+    six ties."""
+    return IndexFunction(n, lambda k: k % 3), IndexFunction(n, lambda k: (k // 3) % 2)
+
+
+def one_front(n, rng, m):
+    """The most common shape in a run: numpy arrays, every row of rank 0 and
+    the two boundary rows of the front crowded +inf."""
+    f1 = np.sort(np.random.default_rng(n).uniform(size=n))
+    return np.zeros(n, dtype=np.intp), crowding_distance(np.column_stack([f1, 1.0 - f1]))
+
+
+def last_tied(n, rng, m):
+    """Distinct crowding but +inf at both positions of the m-th pair `rng`
+    would draw, so the only tie is the last tournament."""
+    pairs = copy.deepcopy(rng).integers(0, n, size=(m, 2))
+    crowd = IndexFunction(n, lambda k: np.where(np.isin(k, pairs[-1]), np.inf, k))
+    tied = crowd[pairs[:, 0]] == crowd[pairs[:, 1]]
+    assert tied[-1] and not tied[:-1].any()
+    return IndexFunction(n, lambda k: 0), crowd
 
 
 class TestTournaments:
-    """Tournaments walked over peeked raw outputs against one scalar
+    """Tournaments settled on one array draw per tie against one scalar
     `rng.integers(0, n)` per index and one `rng.random()` per tie coin: the
     same parents and the generator left in the same state."""
 
     @pytest.mark.parametrize(
-        "n",
+        "n, inputs",
         # about half of all 32-bit draws are rejected at 2**31 + 1, a quarter
         # at 3 * 2**30
-        [2, 7, 60, 2**31 + 1, 3 * 2**30],
+        [pytest.param(n, thirds, id=str(n)) for n in (2, 7, 60, 2**31 + 1, 3 * 2**30)]
+        + [pytest.param(n, one_front, id=f"one-front-{n}") for n in (2, 7, 60)]
+        + [pytest.param(n, last_tied, id=f"last-tied-{n}") for n in (10**5, 2**31 + 1)],
     )
     @pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "half-buffered"])
-    def test_matches_scalar_draws(self, n, buffered):
-        rank = IndexFunction(n, lambda i: i % 3)
-        crowd = IndexFunction(n, lambda i: (i // 3) % 2)  # one pair in six ties
+    def test_matches_scalar_draws(self, n, inputs, buffered):
         fast = np.random.default_rng(11)
         slow = np.random.default_rng(11)
         if buffered:
             for rng in (fast, slow):
                 rng.integers(0, 5)  # leaves the high half of an output buffered
         for m in (1, 40, 200):
+            rank, crowd = inputs(n, fast, m)
             got = moea._tournaments(rank, crowd, m, fast)
             want = [oracles.tournament(rank, crowd, slow) for _ in range(m)]
-            assert got == want
+            assert got.tolist() == want
             assert fast.bit_generator.state == slow.bit_generator.state
             assert fast.random() == slow.random()  # continue from the same stream
 
     @pytest.mark.parametrize("n", [9, 2**31 + 1])
     @pytest.mark.parametrize("buffered", [False, True], ids=["empty-buffer", "half-buffered"])
     def test_every_pair_tied(self, n, buffered):
-        # every tournament draws a coin, so coins take as many 64-bit outputs
-        # as the indices do; with rejections the peeked block also runs out
-        # right before a coin
-        ties = IndexFunction(n, lambda i: 0)
+        # every tournament draws a coin, so every tournament rewinds the
+        # generator and draws the rest anew
+        ties = IndexFunction(n, lambda k: 0)
         fast = np.random.default_rng(3)
         slow = np.random.default_rng(3)
         if buffered:
@@ -255,7 +281,7 @@ class TestTournaments:
         for m in (1, 2, 3, 50, 100):
             got = moea._tournaments(ties, ties, m, fast)
             want = [oracles.tournament(ties, ties, slow) for _ in range(m)]
-            assert got == want
+            assert got.tolist() == want
             assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -411,7 +437,7 @@ class TestOneGeneration:
 
 
 class TestVariationUniformsWalk:
-    """The walk over the byte masks of the peeked block against the end
+    """The walk over the byte masks of the drawn block against the end
     tables in tests/oracles.py: the same uniforms and the generator left in
     the same state, at each probability's ends and its default."""
 

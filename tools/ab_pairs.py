@@ -4,16 +4,20 @@
     python3 tools/ab_pairs.py --pr 19 --parent HEAD --pairs 10 --seconds 30 --trace 0
     python3 tools/ab_pairs.py --pr 19 --parent HEAD --pairs 1 --seconds 5 --trace 1
 
-Extracts `git archive PARENT` into a temporary directory and runs
-`perfbench/run.py --workload W --seconds S --trace T` there and in the
-working tree, one side after the other: the parent first in odd pairs, the
-working tree first in even pairs. Each pair runs every workload of
-BENCHMARK.json, or those named by --workload. The last stdout line of each
-run, its JSON report, goes into BENCH_<pr>.json at the root of the repository
-with the side, the workload, the pair and the sha256 of src/samo/*.py read
-in name order. The file is rewritten after every run. A file measured
-against the same parent commit is extended, so a second invocation (a traced
-pair, say) adds its runs to the first.
+Extracts `git archive PARENT` into `parent/` of a temporary directory and
+copies the working tree's files (tracked and untracked, not ignored, as they
+are on disk) into `change/` beside it, so both sides start from a fresh
+tree at the same depth with no bytecode cache. It runs
+`perfbench/run.py --workload W --seconds S --trace T` in each, one side
+after the other: the parent first in odd pairs, the working tree first in
+even pairs. Each pair runs every workload of BENCHMARK.json, or those named
+by --workload. The last stdout line of each run, its JSON report, goes into
+BENCH_<pr>.json at the root of the repository with the side, the workload,
+the pair and the sha256 of src/samo/*.py read in name order. The file is
+rewritten after every run, through a temporary file and `os.replace`. A
+file measured against the same parent commit is extended, so a second
+invocation (a traced pair, say) adds its runs to the first. SIGTERM and
+SIGINT stop the run in progress and remove the temporary directory.
 
 At the end it prints, per workload and metric, each side's median and
 quartiles over every run in the file with this invocation's --seconds and
@@ -27,6 +31,8 @@ import io
 import json
 import os
 import platform
+import shutil
+import signal
 import subprocess
 import sys
 import tarfile
@@ -41,6 +47,33 @@ SIDES = ("parent", "change")
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored files to
+    `dest`; tracked files deleted from the working tree are left out."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def write_atomically(path: Path, text: str) -> None:
+    """Write `text` to `path` through a file beside it, so a stop midway
+    leaves the previous file whole."""
+    part = path.with_name(path.name + ".part")
+    try:
+        part.write_text(text)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+
+
+def stop(signum, frame) -> None:
+    """Leave through the `finally` blocks and context managers in progress."""
+    raise SystemExit(128 + signum)
 
 
 def src_sha256(tree: Path) -> str:
@@ -89,6 +122,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, stop)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
@@ -118,10 +153,11 @@ def main(argv=None) -> int:
     # pairs run before with these settings keep their numbers; new ones follow
     alike = [r for r in record["runs"] if r["run"].split(", ", 1)[1] == settings]
     done = len({r["run"] for r in alike})
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent:
+    with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
+        trees = {side: Path(scratch) / side for side in SIDES}
         with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-            tar.extractall(parent, filter="data")
-        trees = {"parent": Path(parent), "change": ROOT}
+            tar.extractall(trees["parent"], filter="data")
+        copy_working_tree(trees["change"])
         hashes = {side: src_sha256(tree) for side, tree in trees.items()}
         for pair in range(done + 1, done + args.pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
@@ -132,7 +168,7 @@ def main(argv=None) -> int:
                     run = {"side": side, "workload": workload, "run": label}
                     alike.append({**run, "src_sha256": hashes[side], "report": report})
                     record["runs"].append(alike[-1])
-                    out.write_text(json.dumps(record, indent=1) + "\n")
+                    write_atomically(out, json.dumps(record, indent=1) + "\n")
                     print(f"# {label}: {workload} {side} done", file=sys.stderr, flush=True)
     summary(alike, better)
     return 0
