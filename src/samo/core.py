@@ -88,11 +88,11 @@ class BoxBounds:
         arr = np.asarray(x, dtype=float)
         return bool(np.all(arr >= self.lower) and np.all(arr <= self.upper))
 
-    def clip(self, X: np.ndarray) -> np.ndarray:
+    def clip(self, X: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """`np.clip(X, lower, upper)` bit for bit, NaN and signed zeros
         included: the same maximum-then-minimum, without np.clip's
-        Python-level dispatch."""
-        return np.minimum(np.maximum(X, self.lower), self.upper)
+        Python-level dispatch. With `out`, both steps write into it."""
+        return np.minimum(np.maximum(X, self.lower, out=out), self.upper, out=out)
 
 
 def finite_matrix(values, what: str) -> np.ndarray:

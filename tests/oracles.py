@@ -15,13 +15,15 @@ the package against them with exact equality.
 
 The batched forms that leaner ones replaced are kept as well, and the
 package must match them byte for byte: the MGDA loop that gathered and
-scattered the moving starts every iteration, the row products as batched
-matmuls where the package calls `np.vecdot` and `np.vecmat`, the RBF
-kernel on row-major (M, C, N) offsets with a Jacobian that allocates every
-product, SBX and polynomial mutation computed for every entry, and
-the variation uniforms located through end tables over the whole drawn
-block. The RBF width search's closed-form leave-one-out errors are
-compared, to a tolerance, with one refit per left-out sample.
+scattered the moving starts every iteration, and the compact loop whose
+step and clip allocated new arrays, the row products as batched matmuls
+where the package calls `np.vecdot` and `np.vecmat`, the RBF kernel on
+row-major (M, C, N) offsets with a Jacobian that allocates every product,
+and the RBF batch forms through the surrogate module's helper chain,
+SBX and polynomial mutation computed for every entry, and the variation
+uniforms located through end tables over the whole drawn block. The RBF
+width search's closed-form leave-one-out errors are compared, to a
+tolerance, with one refit per left-out sample.
 
 The rest are helpers only tests use: the package's descent step for one
 Jacobian, Pareto dominance of two points, the KKT residual, the
@@ -49,7 +51,18 @@ from samo.mgda import MgdaResult, _descent_directions, _min_norm_weights_fw
 from samo.moea import _evaluate
 from samo.problems import DivergenceError, amplitude
 from samo.sampling import latin_hypercube
-from samo.surrogate import DEFAULT_RIDGE, DEFAULT_SIGMA_GRID, RbfModel, Scaler, TrainConfig, TrainingError
+from samo.surrogate import (
+    DEFAULT_RIDGE,
+    DEFAULT_SIGMA_GRID,
+    RbfModel,
+    Scaler,
+    TrainConfig,
+    TrainingError,
+    _gaussian,
+    _input_matrix,
+    _offsets,
+    _sum_squares,
+)
 
 
 def descent_step(J: np.ndarray) -> tuple:
@@ -216,6 +229,71 @@ def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
             break
         X[active] = np.clip(Xa[moving] + cfg.learning_rate * D[moving], bounds.lower, bounds.upper)
     return X, converged, iterations, np.vstack(rows) if keep_traces else None
+
+
+def descend_compact(model, X0, bounds, cfg, keep_traces):
+    """`samo.mgda._descend` as it was before its step and clip wrote into
+    the direction array: `bounds.clip(Xa + eta * D)` into new arrays, and
+    a `norms < tolerance` mask built and tested every iteration."""
+    X = np.array(X0, dtype=float)
+    n_starts = X.shape[0]
+    converged = np.zeros(n_starts, dtype=bool)
+    iterations = np.full(n_starts, cfg.max_iterations)
+    active = np.arange(n_starts)
+    Xa = X
+    rows = []
+    for iteration in range(1, cfg.max_iterations + 1):
+        J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
+        if not np.isfinite(J).all():
+            raise SamoError(
+                f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
+            )
+        D, _, norms = _descent_directions(J)
+        if keep_traces:
+            F = np.asarray(model.predict_batch(Xa), dtype=float)
+            rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
+        done = norms < cfg.tolerance
+        if done.any():
+            finished = active[done]
+            X[finished] = Xa[done]
+            converged[finished] = True
+            iterations[finished] = iteration
+            moving = ~done
+            active = active[moving]
+            if active.size == 0:
+                break
+            Xa, D = Xa[moving], D[moving]
+        Xa = bounds.clip(Xa + cfg.learning_rate * D)
+    else:
+        X[active] = Xa
+    return X, converged, iterations, np.vstack(rows) if keep_traces else None
+
+
+def _rbf_kernel_helper_chain(model, X) -> tuple:
+    """(N, M, C) offsets of the scaled inputs from the centers and the
+    kernel values, through the surrogate module's helpers: the input check,
+    `Scaler.transform_x`, `_offsets`, `_sum_squares` and `_gaussian`."""
+    diff = _offsets(model.scaler.transform_x(_input_matrix(X, model.n_dim)), model.centers)
+    return diff, _gaussian(_sum_squares(diff), model.sigma)
+
+
+def rbf_predict_helper_chain(model, X) -> np.ndarray:
+    """`RbfModel.predict_batch` as it was before the model kept its
+    constants: the helper chain, then `np.vecmat` and `Scaler.inverse_y`."""
+    phi = _rbf_kernel_helper_chain(model, X)[1]
+    return model.scaler.inverse_y(np.vecmat(phi, model.weights))
+
+
+def rbf_input_jacobian_helper_chain(model, X) -> np.ndarray:
+    """`RbfModel.input_jacobian_batch` as it was before the model kept its
+    constants: the helper chain, with sigma^2, weights.T and the y_scale
+    column derived on every call."""
+    diff, phi = _rbf_kernel_helper_chain(model, X)
+    dphi = np.multiply(diff, phi, out=diff)
+    np.divide(dphi, -(model.sigma**2), out=dphi)
+    jac = model.weights.T @ dphi.transpose(1, 2, 0)
+    np.multiply(jac, model.scaler.y_scale[:, None], out=jac)
+    return np.divide(jac, model.scaler.x_scale, out=jac)
 
 
 def _rbf_kernel_row_major(model, X) -> tuple:

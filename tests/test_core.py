@@ -227,6 +227,9 @@ class TestTypes:
         want = np.clip(X, bounds.lower, bounds.upper)
         assert bounds.clip(X).tobytes() == want.tobytes()
         assert bounds.clip(X[2]).tobytes() == want[2].tobytes()
+        # written in place, the input's buffer is the result
+        out = X.copy()
+        assert bounds.clip(out, out=out) is out and out.tobytes() == want.tobytes()
 
     def test_dataset_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatchError):

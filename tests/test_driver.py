@@ -433,11 +433,13 @@ class TestBatchedOptimizersMatchOnePointPath:
         quarter-car oracle stores every state on numpy scalars; the network
         oracles run Adam one parameter array at a time and predict with a
         layer loop of their own; the RBF width search refits once per
-        width and left-out sample; the RBF oracles reduce row-major offsets
-        over their last axis, in numpy's pairwise order from 8 coordinates
-        on, predict through a batched matmul and allocate every Jacobian
-        product; the descent oracle scatters every start back each
-        iteration and takes its row products as batched matmuls; the filter
+        width and left-out sample; the RBF fit oracle reduces row-major
+        offsets over their last axis; the RBF batch oracles go through the
+        surrogate module's helper chain and derive the model's constants
+        on every call; the descent oracle steps and clips into new arrays
+        and tests a mask for finished starts every iteration (the
+        row-major and gather-scatter forms before them are compared in
+        test_surrogate.py and test_mgda.py); the filter
         behind the final front, the MGDA endpoints and every Pareto
         approximation's check takes the dominance peel's first front."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
@@ -447,9 +449,9 @@ class TestBatchedOptimizersMatchOnePointPath:
         monkeypatch.setattr(MlpModel, "predict_batch", oracles.mlp_predict_per_layer)
         monkeypatch.setattr(samo.driver, "select_rbf_width", oracles.select_rbf_width)
         monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
-        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
-        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_row_major)
-        monkeypatch.setattr(samo.mgda, "_descend", oracles.descend_gather_scatter)
+        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_helper_chain)
+        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_helper_chain)
+        monkeypatch.setattr(samo.mgda, "_descend", oracles.descend_compact)
         for module in (samo.core, samo.driver, samo.mgda):
             monkeypatch.setattr(module, "non_dominated_filter", oracles.non_dominated_filter)
         samo_run(problem, cfg, run_dir=tmp_path / "slow", verbose=True)

@@ -18,7 +18,7 @@ from samo.mgda import (
 from oracles import GradientModel, common_descent_direction, dominates, kkt_residual
 from samo.problems import make_analytic_problem
 from samo.sampling import latin_hypercube
-from samo.surrogate import TrainConfig, fit_mlp, fit_rbf
+from samo.surrogate import RbfModel, TrainConfig, fit_mlp, fit_rbf, select_rbf_width
 
 
 def grid_min_norm_k2(J: np.ndarray, step: float = 1e-3) -> float:
@@ -415,6 +415,54 @@ class TestLeanDescentMatchesGatherScatter:
         assert np.array_equal(got[3][:, :2], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDescentOnModelConstants:
+    """The RBF batch forms and `_descend` against their forms before the
+    model kept its constants and the step wrote into the direction array
+    (tests/oracles.py), byte for byte. From 8 coordinates on the squared
+    distances take `_sum_squares`' pairwise order."""
+
+    @pytest.mark.parametrize("width", ["fixed", "searched"])
+    @pytest.mark.parametrize("n", [1, 4, 8, 24])
+    @pytest.mark.parametrize("s", [1, 7, 60])
+    def test_matches_helper_chain(self, monkeypatch, s, n, width):
+        rng = np.random.default_rng(100 * n + s)
+        X = rng.uniform(-1.0, 1.0, (30, n))
+        data = Dataset(X, np.column_stack([((X - a) ** 2).sum(axis=1) for a in (-0.5, 0.5)]))
+        model = fit_rbf(data, sigma=select_rbf_width(data) if width == "searched" else 1.0)
+        bounds = BoxBounds(-np.ones(n), np.ones(n))
+        # points beyond the box as well
+        Q = rng.uniform(-1.5, 1.5, (s, n))
+        got = [model.predict_batch(Q), model.input_jacobian_batch(Q)]
+        X0 = latin_hypercube(s, bounds, n)
+        cfg = MgdaConfig(learning_rate=0.2, max_iterations=300)
+        got += _descend(model, X0, bounds, cfg, keep_traces=True)
+        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_helper_chain)
+        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_helper_chain)
+        want = [model.predict_batch(Q), model.input_jacobian_batch(Q)]
+        want += oracles.descend_compact(model, X0, bounds, cfg, keep_traces=True)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_nan_norm_is_not_finished(self):
+        """A start whose norm is NaN keeps moving while another finishes:
+        gradients of +-1e200 overflow the K = 2 weights to NaN where x0 > 0,
+        and the gradients are zero elsewhere, NaN included."""
+
+        class Overflowing:
+            def input_jacobian_batch(self, X):
+                g = np.where(X[:, :1] > 0.0, 1e200, 0.0) * np.eye(1, 3)
+                return np.stack([g, -g], axis=1)
+
+        bounds = BoxBounds(-np.ones(3), np.ones(3))
+        X0 = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _descend(Overflowing(), X0, bounds, MgdaConfig(), keep_traces=False)
+            want = oracles.descend_compact(Overflowing(), X0, bounds, MgdaConfig(), keep_traces=False)
+        assert got[1].all() and got[2].tolist() == [2, 1] and np.isnan(got[0][0, 0])
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestMultistartStats:

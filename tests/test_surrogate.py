@@ -532,6 +532,9 @@ class TestSerialization:
             model = fit_rbf(data, sigma=0.5)
         else:
             model = fit_mlp(data, TrainConfig(epochs=30, patience=30), seed=2)
+        # constants an RBF keeps from its first batch call are no fields
+        model.predict_batch(data.X[:3])
+        model.input_jacobian_batch(data.X[:3])
         path = tmp_path / "model.json"
         save_model(model, path)
         saved = json.loads(path.read_text())
@@ -546,6 +549,7 @@ class TestSerialization:
             elif not isinstance(a, tuple):
                 a, b = [a], [b]
             assert all(np.array_equal(u, v) and type(u) is type(v) for u, v in zip(a, b, strict=True))
+        assert loaded.input_jacobian_batch(data.X[:3]).tobytes() == model.input_jacobian_batch(data.X[:3]).tobytes()
         save_model(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
