@@ -13,7 +13,8 @@ under its own name, and a field declared as a config dataclass is a section
 of its own. Unknown keys anywhere are rejected before any expensive
 evaluation happens. ``run``
 and ``study`` write the config they ran back as ``config.json`` in their
-``--out`` directory, in the same schema with every value resolved.
+``--out`` directory, in the same schema with every value resolved, by the
+JSON codec in `samo.core` that saved surrogates go through too.
 """
 
 from __future__ import annotations
@@ -22,14 +23,22 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import astuple, dataclass, fields, is_dataclass, replace
-from inspect import signature
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .core import ConfigurationError, SamoError
+from .core import (
+    ConfigurationError,
+    SamoError,
+    _cast,
+    _encode,
+    _file_keys,
+    _file_values,
+    _read_json,
+    _reject_keys,
+    _section,
+)
 from .driver import (
     SamoConfig,
     StudyConfig,
@@ -41,97 +50,9 @@ from .driver import (
     samo_run,
     write_csv,
 )
-from .problems import (
-    ANALYTIC_PROBLEM_NAMES,
-    Problem,
-    make_analytic_problem,
-    make_quarter_car_problem,
-)
-from .surrogate import TrainConfig
+from .problems import PROBLEM_BUILDERS, Problem
 
 logger = logging.getLogger(__name__)
-
-
-def _section(value, where: str) -> dict:
-    """The config section `where`: a JSON object, or null, which keeps the
-    defaults of all its keys."""
-    if value is not None and not isinstance(value, dict):
-        raise ConfigurationError(f"{where} must be an object or null, got {value!r}")
-    return {} if value is None else value
-
-
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-# Fields a config file does not set, so their names are unknown keys there:
-# the network width is fixed.
-_NOT_IN_FILE = {TrainConfig: ("hidden",)}
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
-
-
-def _scalar(hint, value):
-    """`value` as type `hint` (int, float or str), or None when a config
-    file may not give it for that type; a float must be finite."""
-    if hint is str:
-        return value if type(value) is str else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if hint is int:
-        return int(value) if isinstance(value, int) or value.is_integer() else None
-    return float(value) if abs(value) <= sys.float_info.max else None
-
-
-def _cast(hint, value, key: str):
-    """A file value checked against its field's declared type: a config
-    dataclass takes a section, an int an integral number, a float a finite
-    number, a str a string, Optional[T] what T takes and tuple[T, ...] a
-    list of those."""
-    if is_dataclass(hint):
-        return hint(**_file_values(hint, value, key))
-    if get_origin(hint) is Union:
-        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
-    if get_origin(hint) is tuple:
-        item = get_args(hint)[0]
-        items = [_scalar(item, v) for v in value] if isinstance(value, (list, tuple)) else [None]
-        if None not in items:
-            return tuple(items)
-        expected = f"a list, each entry {_EXPECTED[item]}"
-    else:
-        cast = _scalar(hint, value)
-        if cast is not None:
-            return cast
-        expected = _EXPECTED[hint]
-    raise ConfigurationError(f"{key} must be {expected}, got {value!r}")
-
-
-def _file_keys(target) -> list:
-    """The keys of the file section for config dataclass `target`, or for
-    factory function `target`: the names of its fields or parameters, in
-    order, but those in `_NOT_IN_FILE`."""
-    names = [f.name for f in fields(target)] if is_dataclass(target) else signature(target).parameters
-    return [n for n in names if n not in _NOT_IN_FILE.get(target, ())]
-
-
-def _file_values(target, section, where: str) -> dict:
-    """Values one file section sets for the fields or parameters of `target`,
-    by name. Other keys are rejected, values are checked against the
-    declared types, a config dataclass is read from a section of its own,
-    and null values are dropped, so they keep the default."""
-    hints = get_type_hints(target)
-    section = _section(section, where)
-    _reject_unknown(section, _file_keys(target), where)
-    return {k: _cast(hints[k], v, f"{where}.{k}") for k, v in section.items() if v is not None}
-
-
-def _file_section(target, values: dict) -> dict:
-    """The file section that `_file_values` reads back as `values`, the
-    fields or parameters of `target` by name; a config dataclass value
-    becomes a section of its own."""
-    section = {n: values[n] for n in _file_keys(target)}
-    return {n: _file_section(type(v), vars(v)) if is_dataclass(v) else v for n, v in section.items()}
 
 
 @dataclass(frozen=True)
@@ -150,7 +71,7 @@ class RunConfig:
         built here too, by `StudyConfig.cells`, so a bad one fails before any
         evaluation."""
         raw = _section(raw, "config")
-        _reject_unknown(raw, ("problem", "samo", "study"), "config")
+        _reject_keys(set(raw) - {"problem", "samo", "study"}, "unknown", "config")
         problem, section = _problem_from_config(raw.get("problem"))
         samo_cfg = SamoConfig(**_file_values(SamoConfig, raw.get("samo"), "samo"))
         study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
@@ -162,39 +83,27 @@ class RunConfig:
     def to_dict(self) -> dict:
         """This config in the schema `from_dict` reads, with every value
         given: the inverse of `from_dict`, which loads it back to the same values."""
-        samo = _file_section(SamoConfig, vars(self.samo))
-        study = _file_section(StudyConfig, vars(self.study))
+        samo, study = _encode(self.samo), _encode(self.study)
         return {"problem": self.problem_section, "samo": samo, "study": study}
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config file"))
 
 
 def _problem_from_config(section) -> tuple:
     """A problem from the file's problem section, read by the signature of
-    the builder its name selects, and the section resolved: an analytic
-    problem's only key is n_dim; the quarter-car's keys are the parameters
-    of `make_quarter_car_problem`. Keys left out or null keep the defaults."""
+    the builder in `PROBLEM_BUILDERS` that its name selects, and the section
+    resolved, every parameter given; a key left out or null keeps its default."""
     section = dict(_section(section, "problem"))
     name = section.pop("name", None)
     name = "mbs" if name is None else _cast(str, name, "problem.name")
-    if name in ANALYTIC_PROBLEM_NAMES:
-        args = _file_values(make_analytic_problem, section, "problem")
-        problem = make_analytic_problem(name, **args)
-        return problem, {"name": name, "n_dim": problem.n_dim}
-    if name != "mbs":
+    if name not in PROBLEM_BUILDERS:
         raise ConfigurationError(f"unknown problem {name!r}")
-    args = {n: p.default for n, p in signature(make_quarter_car_problem).parameters.items()}
-    args.update(_file_values(make_quarter_car_problem, section, "problem"))
-    resolved = {"name": name, **_file_section(make_quarter_car_problem, args)}
-    return make_quarter_car_problem(**args), resolved
+    build = PROBLEM_BUILDERS[name]
+    args = {n: p.default for n, p in _file_keys(build).items()}
+    args.update(_file_values(build, section, "problem"))
+    return build(**args), {"name": name, **{n: _encode(v) for n, v in args.items()}}
 
 
 def _configure(args) -> RunConfig:

@@ -4,14 +4,22 @@ filtering, Hausdorff distance and box bounds.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across concurrent workers.
+
+The one JSON codec of config files and saved surrogates lives here too:
+`_file_values` reads a section, `_encode` writes one.
 """
 
 from __future__ import annotations
 
+import json
+import reprlib
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache, cached_property
+from inspect import signature
+from pathlib import Path
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -310,3 +318,108 @@ def hausdorff_distance(X, Y) -> float:
         )
     d = np.sqrt(((Xa[:, None, :] - Ya[None, :, :]) ** 2).sum(axis=2))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _read_json(path, what: str):
+    """The JSON document in file `path`, a `what` such as "config file"."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _section(value, where: str) -> dict:
+    """The file section `where`: a JSON object, or null, which keeps the
+    defaults of all its keys."""
+    if value is not None and not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be an object or null, got {value!r}")
+    return {} if value is None else value
+
+
+def _reject_keys(keys, what: str, where: str) -> None:
+    """Raise for `what` ("unknown" or "missing") `keys` of section `where`."""
+    if keys:
+        raise ConfigurationError(f"{what} keys in {where}: {sorted(keys)}")
+
+
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED[np.ndarray] = "nested lists of finite numbers"
+
+
+def _scalar(hint, value):
+    """`value` as type `hint` (int, float, str or np.ndarray), or None when
+    a file may not give it for that type; floats, array entries too, are finite."""
+    if hint is np.ndarray:
+        # nested lists of one shape give an object array of numbers, others one of lists
+        entries = np.array(value, dtype=object).ravel() if isinstance(value, list) else [None]
+        numbers = all(_scalar(float, v) is not None for v in entries)
+        return np.array(value, dtype=float) if numbers else None
+    if hint is str:
+        return value if type(value) is str else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    if hint is int:
+        return int(value) if isinstance(value, int) or value.is_integer() else None
+    return float(value) if abs(value) <= sys.float_info.max else None
+
+
+def _cast(hint, value, key: str):
+    """A file value checked against its field's declared type: a dataclass
+    takes a section, Optional[T] what T takes, tuple[T, ...] a list of
+    those and any other type what `_scalar` accepts."""
+    if is_dataclass(hint):
+        return hint(**_file_values(hint, value, key))
+    if get_origin(hint) is Union:
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        items = [_scalar(item, v) for v in value] if isinstance(value, (list, tuple)) else [None]
+        if all(v is not None for v in items):
+            return tuple(items)
+        expected = f"a list, each entry {_EXPECTED[item]}"
+    else:
+        cast = _scalar(hint, value)
+        if cast is not None:
+            return cast
+        expected = _EXPECTED[hint]
+    # reprlib shortens a saved array, which runs to thousands of numbers
+    raise ConfigurationError(f"{key} must be {expected}, got {reprlib.repr(value)}")
+
+
+@cache  # `signature` takes tens of microseconds; every model saved asks again
+def _file_keys(target) -> dict:
+    """The `inspect.Parameter` of every field of dataclass `target`, or of
+    every parameter of function `target`, by name, in order, but of the
+    fields whose metadata holds `in_file=False`: the keys of its section,
+    one shared dict that callers only read."""
+    declared = fields(target) if is_dataclass(target) else ()
+    hidden = {f.name for f in declared if f.metadata.get("in_file") is False}
+    return {n: p for n, p in signature(target).parameters.items() if n not in hidden}
+
+
+def _file_values(target, section, where: str) -> dict:
+    """Values one file section sets for the `_file_keys` of `target`. Other
+    keys are rejected, as are left-out keys without a default; values are
+    checked against the declared types, and null values are dropped, so
+    they keep the default."""
+    hints = get_type_hints(target)
+    section = _section(section, where)
+    _reject_keys(set(section) - set(_file_keys(target)), "unknown", where)
+    required = [k for k, p in _file_keys(target).items() if p.default is p.empty]
+    _reject_keys([k for k in required if section.get(k) is None], "missing", where)
+    return {k: _cast(hints[k], v, f"{where}.{k}") for k, v in section.items() if v is not None}
+
+
+def _encode(value):
+    """The JSON form of a file value, which `_file_values` reads back: a
+    dataclass a section of its `_file_keys`, an array its nested lists and
+    a tuple the tuple of its entries' forms, which `json` writes as a list."""
+    if is_dataclass(value):
+        return {n: _encode(getattr(value, n)) for n in _file_keys(type(value))}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return tuple(_encode(v) for v in value)
+    return value

@@ -431,7 +431,13 @@ def make_quarter_car_problem(
     return Problem(name="mbs", bounds=bounds, evaluate=evaluator)
 
 
-def _two_paraboloids(n_dim: int) -> Problem:
+def _check_dim(name: str, n_dim: int, least: int) -> None:
+    if not least <= n_dim <= MAX_DIM:
+        raise ConfigurationError(f"{name} needs n_dim between {least} and {MAX_DIM:,}, got {n_dim}")
+
+
+def _two_paraboloids(n_dim: int = 4) -> Problem:
+    _check_dim("two-paraboloids", n_dim, 1)
     a = np.full(n_dim, 0.5)
     norm_a2 = float(a @ a)
 
@@ -452,7 +458,9 @@ def _two_paraboloids(n_dim: int) -> Problem:
     )
 
 
-def _zdt1(n_dim: int) -> Problem:
+def _zdt1(n_dim: int = 30) -> Problem:
+    _check_dim("zdt1", n_dim, 2)
+
     def f(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         g = 1.0 + 9.0 * float(np.sum(x[1:])) / (n_dim - 1)
@@ -471,20 +479,18 @@ def _zdt1(n_dim: int) -> Problem:
     )
 
 
-# builder, smallest and default dimension of each analytic problem
-_FREE_DIM = {"two-paraboloids": (_two_paraboloids, 1, 4), "zdt1": (_zdt1, 2, 30)}
+# The builder of each problem by name. A config file's problem section
+# holds `name` and the builder's parameters, read by its signature.
+PROBLEM_BUILDERS = {
+    "mbs": make_quarter_car_problem, "two-paraboloids": _two_paraboloids, "zdt1": _zdt1
+}
 
 
 def make_analytic_problem(name: str, n_dim: Optional[int] = None) -> Problem:
     """Construct one of the cheap verification problems by name."""
-    if name in _FREE_DIM:
-        build, smallest, default = _FREE_DIM[name]
-        n_dim = default if n_dim is None else n_dim
-        if not smallest <= n_dim <= MAX_DIM:
-            raise ConfigurationError(
-                f"{name} needs n_dim between {smallest} and {MAX_DIM:,}, got {n_dim}"
-            )
-        return build(n_dim)
-    raise ConfigurationError(
-        f"unknown analytic problem {name!r}; choose from {ANALYTIC_PROBLEM_NAMES}"
-    )
+    if name not in ANALYTIC_PROBLEM_NAMES:
+        raise ConfigurationError(
+            f"unknown analytic problem {name!r}; choose from {ANALYTIC_PROBLEM_NAMES}"
+        )
+    build = PROBLEM_BUILDERS[name]
+    return build() if n_dim is None else build(n_dim)

@@ -12,14 +12,23 @@ exposing values and exact input Jacobians:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import ClassVar, Optional, Protocol, Sequence, Union, get_args, get_type_hints
+from typing import ClassVar, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .core import ConfigurationError, Dataset, DimensionMismatchError, SamoError
+from .core import (
+    ConfigurationError,
+    Dataset,
+    DimensionMismatchError,
+    SamoError,
+    _encode,
+    _file_values,
+    _read_json,
+    _section,
+)
 
 DEFAULT_SIGMA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 DEFAULT_RIDGE = 1e-8
@@ -108,7 +117,7 @@ class TrainConfig:
     validation_fraction: float = 0.2
     patience: int = 200
     restarts: int = 1
-    hidden: tuple[int, ...] = (64, 64)
+    hidden: tuple[int, ...] = field(default=(64, 64), metadata={"in_file": False})
 
     def __post_init__(self) -> None:
         if not 0.0 < self.validation_fraction < 1.0:
@@ -167,17 +176,18 @@ def _input_matrix(X: np.ndarray, n_dim: int) -> np.ndarray:
     return X
 
 
-def _offsets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(N, len(A), len(B)) offsets A[i] - B[j], coordinate-major. The
-    result is C-ordered, so each coordinate's slice is one contiguous
+def _scaled_offsets(X: np.ndarray, scaler: Scaler, centers_by_coordinate) -> np.ndarray:
+    """(N, M, C) offsets of the scaled rows of X from C centers given as
+    (N, 1, C), C-ordered, so each coordinate's slice is one contiguous
     block; numpy would otherwise lay it out like the transposed inputs."""
-    return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
+    Xs = np.subtract(_input_matrix(X, len(centers_by_coordinate)), scaler.x_shift)
+    np.divide(Xs, scaler.x_scale, out=Xs)
+    return np.subtract(Xs.T[:, :, None], centers_by_coordinate, order="C")
 
 
-def _sum_squares(diff: np.ndarray) -> np.ndarray:
-    """Sum of squares over the first axis of `diff`, bit for bit what
-    numpy's `(d**2).sum(axis=-1)` gives on the same values laid out with
-    that axis last.
+def _pairwise_sum(sq: np.ndarray) -> np.ndarray:
+    """Sum of the slices of `sq` over its first axis, in a new array, bit
+    for bit numpy's `.sum(axis=-1)` of the same values with that axis last.
 
     numpy reduces a contiguous axis pairwise: sequentially below 8 terms,
     in eight interleaved accumulators up to 128, and by halves (cut at a
@@ -185,31 +195,37 @@ def _sum_squares(diff: np.ndarray) -> np.ndarray:
     keeps every squared distance, and so every kernel value, what the
     row-major form computes, while each addition runs over a long axis.
     """
-    return _pairwise_sum(diff**2, 0, diff.shape[0])
-
-
-def _pairwise_sum(sq: np.ndarray, start: int, n: int) -> np.ndarray:
+    n = len(sq)
     # a reduction over the outer axis adds the slices one after another
     if n < 8:
-        return np.add.reduce(sq[start : start + n], axis=0)
+        return np.add.reduce(sq, axis=0)
     if n <= 128:
         blocked = n - n % 8
-        r = sq[start : start + blocked].reshape(blocked // 8, 8, *sq.shape[1:]).sum(axis=0)
+        r = sq[:blocked].reshape(blocked // 8, 8, *sq.shape[1:]).sum(axis=0)
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(start + blocked, start + n):
+        for k in range(blocked, n):
             total += sq[k]
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(sq, start, half) + _pairwise_sum(sq, start + half, n - half)
+    return _pairwise_sum(sq[:half]) + _pairwise_sum(sq[half:])
 
 
-def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
+def _gaussian(d2: np.ndarray, minus_two_sigma_sq: float, out=None) -> np.ndarray:
     """The Gaussian kernel exp(-d^2 / (2 sigma^2)) of squared distances
-    `d2` from `_sum_squares`, which it leaves unchanged; x / -c equals
+    `d2`, given -(2 sigma^2), in `out` or a new array; x / -c equals
     -x / c bit for bit for every non-NaN x."""
-    phi = np.divide(d2, -(2.0 * sigma**2))
+    phi = np.divide(d2, minus_two_sigma_sq, out=out)
     return np.exp(phi, out=phi)
+
+
+def _scaled_distances(data: Dataset) -> tuple:
+    """The scaler of the archive, its scaled inputs Xs and their (n, n)
+    squared distances, by the steps of `RbfModel`'s batch forms."""
+    scaler = Scaler.fit(data.X, data.Y)
+    Xs = scaler.transform_x(data.X)
+    diff = _scaled_offsets(data.X, scaler, Xs.T[:, None, :])
+    return scaler, Xs, _pairwise_sum(np.multiply(diff, diff, out=diff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +233,8 @@ class RbfModel:
     """Gaussian-kernel interpolant phi(r) = exp(-r^2 / (2 sigma^2)) with all
     (scaled) training inputs as centers.
 
-    The batch forms compute the (N, M, C) offsets of `_offsets` and take
-    the square, the coordinate sum, the kernel and the scalings in place on
+    The batch forms compute the (N, M, C) offsets of `_scaled_offsets` and
+    take the square, the coordinate sum, the kernel and the scalings in place on
     arrays the call made. What they need of the model alone is computed
     once per model, on first use, and kept: the centers as (N, 1, C),
     weights.T, -(2 sigma^2), -(sigma^2) and y_scale as a column. These are
@@ -258,25 +274,14 @@ class RbfModel:
     def _y_scale_column(self) -> np.ndarray:
         return self.scaler.y_scale[:, None]
 
-    def _scaled_offsets(self, X: np.ndarray) -> np.ndarray:
-        """(N, M, C) offsets of the scaled inputs from every center, as
-        `_offsets` lays them out."""
-        X = _input_matrix(X, self.centers.shape[1])
-        Xs = np.subtract(X, self.scaler.x_shift)
-        np.divide(Xs, self.scaler.x_scale, out=Xs)
-        return np.subtract(Xs.T[:, :, None], self._centers_by_coordinate, order="C")
-
     def _kernel(self, sq: np.ndarray) -> np.ndarray:
         """Kernel values of the squared offsets `sq`, summed over the
-        coordinates as `_sum_squares` does; the sum is overwritten."""
-        n = sq.shape[0]
-        d2 = np.add.reduce(sq, axis=0) if n < 8 else _pairwise_sum(sq, 0, n)
-        # x / -c equals -x / c bit for bit for every non-NaN x
-        np.divide(d2, self._minus_two_sigma_sq, out=d2)
-        return np.exp(d2, out=d2)
+        coordinates by `_pairwise_sum`."""
+        d2 = _pairwise_sum(sq)
+        return _gaussian(d2, self._minus_two_sigma_sq, out=d2)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        diff = self._scaled_offsets(X)
+        diff = _scaled_offsets(X, self.scaler, self._centers_by_coordinate)
         phi = self._kernel(np.multiply(diff, diff, out=diff))
         # one vector-matrix product per row, so every row equals the
         # one-point prediction bit for bit (a 2-D phi @ weights does not)
@@ -288,7 +293,7 @@ class RbfModel:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def input_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        diff = self._scaled_offsets(X)
+        diff = _scaled_offsets(X, self.scaler, self._centers_by_coordinate)
         phi = self._kernel(diff * diff)
         # d phi_i / d xs = -phi_i * (xs - c_i) / sigma^2, as (N, M, C)
         dphi = np.multiply(diff, phi, out=diff)
@@ -377,17 +382,12 @@ def _rbf_weights(system: np.ndarray, Ys: np.ndarray) -> np.ndarray:
     return W
 
 
-def fit_rbf(
-    data: Dataset,
-    sigma: float = 0.5,
-    ridge: float = DEFAULT_RIDGE,
-) -> RbfModel:
-    """Interpolate the archive with a Gaussian-kernel model by solving the
-    regularized symmetric system (Phi + ridge * I) W = Y per objective."""
+def fit_rbf(data: Dataset, sigma: float, ridge: float = DEFAULT_RIDGE) -> RbfModel:
+    """Interpolate the archive with a Gaussian-kernel model of width `sigma`
+    by solving the regularized symmetric system (Phi + ridge * I) W = Y."""
     _check_rbf_fit(len(data), sigma, ridge)
-    scaler = Scaler.fit(data.X, data.Y)
-    Xs = scaler.transform_x(data.X)
-    system = _gaussian(_sum_squares(_offsets(Xs, Xs)), sigma) + ridge * np.eye(len(Xs))
+    scaler, Xs, d2 = _scaled_distances(data)
+    system = _gaussian(d2, -(2.0 * sigma**2), out=d2) + ridge * np.eye(len(Xs))
     W = _rbf_weights(system, scaler.transform_y(data.Y))
     return RbfModel(sigma=float(sigma), ridge=float(ridge), centers=Xs, weights=W, scaler=scaler)
 
@@ -400,14 +400,13 @@ def _leave_one_out_mses(data: Dataset, widths: Sequence[float], ridge: float) ->
     for A = Phi + ridge * I and W = inv(A) Y: a width costs `_rbf_weights`,
     with its residual check, and one inverse, but no refit.
     """
-    scaler = Scaler.fit(data.X, data.Y)
-    Xs = scaler.transform_x(data.X)
+    scaler, Xs, d2 = _scaled_distances(data)
     Ys = scaler.transform_y(data.Y)
-    d2 = _sum_squares(_offsets(Xs, Xs))
     mses = []
     for sigma in widths:
         _check_rbf_fit(len(Xs), sigma, ridge)
-        system = _gaussian(d2, sigma) + ridge * np.eye(len(Xs))
+        # a new kernel array, so d2 serves every width
+        system = _gaussian(d2, -(2.0 * sigma**2)) + ridge * np.eye(len(Xs))
         residuals = _rbf_weights(system, Ys) / np.diagonal(np.linalg.inv(system))[:, None]
         mses.append(float(((residuals * scaler.y_scale) ** 2).mean()))
     return mses
@@ -559,45 +558,17 @@ def fit_mlp(data: Dataset, cfg: Optional[TrainConfig] = None, *, seed: int = 0) 
     )
 
 
-_MODELS = {cls.kind: cls for cls in (RbfModel, MlpModel)}
-
-
-def _encode(value):
-    """JSON form of a model, its scaler or one of their field values:
-    dataclasses become objects with one key per field, in field order."""
-    if is_dataclass(value):
-        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_encode(v) for v in value]
-    return value
-
-
-def _decode(hint, value):
-    """Inverse of `_encode` for a value declared as `hint`; a field missing
-    from the object keeps its default."""
-    if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        given = [f.name for f in fields(hint) if f.name in value]
-        return hint(**{name: _decode(hints[name], value[name]) for name in given})
-    if hint is np.ndarray:
-        return np.array(value, dtype=float)
-    if hint is float:
-        return float(value)
-    return tuple(_decode(get_args(hint)[0], v) for v in value)
-
-
-def model_from_json_dict(d: dict) -> SurrogateModel:
-    cls = _MODELS.get(d.get("kind"))
-    if cls is None:
-        raise ConfigurationError(f"unknown serialized model kind {d.get('kind')!r}")
-    return _decode(cls, d)
-
-
 def save_model(model: SurrogateModel, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps({"kind": model.kind, **_encode(model)}))
 
 
 def load_model(path: Union[str, Path]) -> SurrogateModel:
-    return model_from_json_dict(json.loads(Path(path).read_text()))
+    """The model `save_model` wrote, read by the config codec: a file that
+    is no JSON object, a key missing or unknown or a value of the wrong
+    type raises `ConfigurationError` naming the key."""
+    section = dict(_section(_read_json(path, "model file"), "model"))
+    kind = section.pop("kind", None)
+    cls = next((model for model in (RbfModel, MlpModel) if model.kind == kind), None)
+    if cls is None:
+        raise ConfigurationError(f"unknown serialized model kind {kind!r}")
+    return cls(**_file_values(cls, section, "model"))

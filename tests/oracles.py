@@ -19,7 +19,8 @@ scattered the moving starts every iteration, and the compact loop whose
 step and clip allocated new arrays, the row products as batched matmuls
 where the package calls `np.vecdot` and `np.vecmat`, the RBF kernel on
 row-major (M, C, N) offsets with a Jacobian that allocates every product,
-and the RBF batch forms through the surrogate module's helper chain,
+and the RBF batch forms through the helper chain the surrogate module had
+before its fit and batch forms shared one kernel, kept here,
 SBX and polynomial mutation computed for every entry, and the variation
 uniforms located through end tables over the whole drawn block. The RBF
 width search's closed-form leave-one-out errors are compared, to a
@@ -58,10 +59,8 @@ from samo.surrogate import (
     Scaler,
     TrainConfig,
     TrainingError,
-    _gaussian,
     _input_matrix,
-    _offsets,
-    _sum_squares,
+    _pairwise_sum,
 )
 
 
@@ -269,9 +268,28 @@ def descend_compact(model, X0, bounds, cfg, keep_traces):
     return X, converged, iterations, np.vstack(rows) if keep_traces else None
 
 
+def _offsets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(N, len(A), len(B)) offsets A[i] - B[j], coordinate-major and
+    C-ordered."""
+    return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
+
+
+def _sum_squares(diff: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis of `diff`, in numpy's pairwise
+    order (`surrogate._pairwise_sum`)."""
+    return _pairwise_sum(diff**2)
+
+
+def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-d^2 / (2 sigma^2)) of squared distances `d2`, in a new array."""
+    phi = np.divide(d2, -(2.0 * sigma**2))
+    return np.exp(phi, out=phi)
+
+
 def _rbf_kernel_helper_chain(model, X) -> tuple:
     """(N, M, C) offsets of the scaled inputs from the centers and the
-    kernel values, through the surrogate module's helpers: the input check,
+    kernel values, through the helper chain the surrogate module had before
+    its fit and batch forms shared one kernel: the input check,
     `Scaler.transform_x`, `_offsets`, `_sum_squares` and `_gaussian`."""
     diff = _offsets(model.scaler.transform_x(_input_matrix(X, model.n_dim)), model.centers)
     return diff, _gaussian(_sum_squares(diff), model.sigma)

@@ -1,7 +1,7 @@
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from inspect import signature
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -10,16 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
-from samo.cli import _NOT_IN_FILE, RunConfig, _file_section, _file_values, main
-from samo.core import ConfigurationError
+from samo.cli import RunConfig, main
+from samo.core import ConfigurationError, _encode, _file_values
 from samo.driver import SamoConfig, StudyConfig
-from samo.problems import (
-    MAX_DIM,
-    Excitation,
-    QuarterCarParams,
-    make_analytic_problem,
-    make_quarter_car_problem,
-)
+from samo.problems import MAX_DIM, PROBLEM_BUILDERS, Excitation, QuarterCarParams
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -439,12 +433,19 @@ class TestRunConfig:
         check(written["samo"], SamoConfig)
         check(written["study"], StudyConfig)
         problem = written["problem"]
-        builder = make_quarter_car_problem if problem["name"] == "mbs" else make_analytic_problem
-        check(problem, builder, also={"name"})
+        check(problem, PROBLEM_BUILDERS[problem["name"]], also={"name"})
+
+    @pytest.mark.parametrize("name", PROBLEM_BUILDERS)
+    def test_problem_section_lists_the_builder_parameters_with_defaults(self, name):
+        section = RunConfig.from_dict({"problem": {"name": name}}).to_dict()["problem"]
+        parameters = signature(PROBLEM_BUILDERS[name]).parameters.values()
+        defaults = {p.name: asdict(p.default) if is_dataclass(p.default) else p.default for p in parameters}
+        assert section == {"name": name, **defaults}
+        assert list(section) == ["name", *defaults]
 
     def test_a_config_tree_round_trips_with_no_loader_code(self):
         tree = _Tree(count=4, leaf=_Leaf(width=0.5, grid=(0.25, 4.0)))
-        section = json.loads(json.dumps(_file_section(_Tree, vars(tree))))
+        section = json.loads(json.dumps(_encode(tree)))
         assert section == {"count": 4, "leaf": {"width": 0.5, "grid": [0.25, 4.0]}, "name": "x"}
         assert _Tree(**_file_values(_Tree, section, "tree")) == tree
         assert _Tree(**_file_values(_Tree, {"leaf": {"width": None}}, "tree")) == _Tree()
@@ -454,7 +455,6 @@ class TestRunConfig:
             _file_values(_Tree, {"leaf": {"grid": [1.0, "2"]}}, "tree")
         with pytest.raises(ConfigurationError, match="^tree.leaf.width must be a finite number"):
             _file_values(_Tree, {"leaf": {"width": "wide"}}, "tree")
-        assert not {_Tree, _Leaf} & set(_NOT_IN_FILE)
 
 
 class TestCmdRun:

@@ -298,7 +298,7 @@ ARRAY_DATACLASSES = {
     "Trajectory": lambda: Trajectory(np.arange(3.0), np.zeros(3), np.ones(3)),
     "QuarterCarEvaluator": lambda: make_quarter_car_problem(n_dim=2).evaluate,
     "Scaler": lambda: Scaler.fit(_small_dataset().X, _small_dataset().Y),
-    "RbfModel": lambda: fit_rbf(_small_dataset()),
+    "RbfModel": lambda: fit_rbf(_small_dataset(), sigma=0.5),
     "MlpModel": lambda: fit_mlp(_small_dataset(), TrainConfig(epochs=2)),
     "MgdaResult": lambda: MgdaResult(np.zeros(2), True, 1, np.zeros((1, 4))),
 }

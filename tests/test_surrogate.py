@@ -1,10 +1,12 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from samo.core import ConfigurationError, Dataset, DimensionMismatchError
+from samo.driver import SURROGATE_KINDS, SamoConfig, _fit_surrogate
 import oracles
 from oracles import GradientModel, inverse_x
 from samo.problems import Horizon, make_analytic_problem, make_quarter_car_problem
@@ -19,12 +21,11 @@ from samo.surrogate import (
     Scaler,
     SolverError,
     TrainConfig,
-    _sum_squares,
+    _pairwise_sum,
     fit_mlp,
     fit_rbf,
     load_model,
     min_training_samples,
-    model_from_json_dict,
     save_model,
     select_rbf_width,
 )
@@ -103,7 +104,7 @@ class TestRbf:
 
     def test_needs_two_samples(self):
         with pytest.raises(ConfigurationError):
-            fit_rbf(Dataset(np.zeros((1, 2)), np.ones((1, 2))))
+            fit_rbf(Dataset(np.zeros((1, 2)), np.ones((1, 2))), sigma=0.5)
 
     def test_single_center_gradient_closed_form(self):
         # one Gaussian bump: d/dx [w exp(-||x-c||^2 / (2 s^2))] has the
@@ -131,7 +132,8 @@ class TestCoordinateMajorKernel:
         # (1, 2) is the smallest kernel: one point and two centers
         for m, c in [(3, 5), (1, 2)]:
             d = rng.normal(size=(m, c, n)) * 10.0 ** rng.uniform(-6, 6, (m, c, n))
-            got = _sum_squares(np.ascontiguousarray(np.moveaxis(d, -1, 0)))
+            sq = np.ascontiguousarray(np.moveaxis(d, -1, 0)) ** 2
+            got = _pairwise_sum(sq)
             assert got.tobytes() == ((d**2).sum(axis=-1)).tobytes()
 
     @pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 24, 30])
@@ -515,9 +517,81 @@ class TestSerialization:
         assert np.array_equal(model.predict(x), loaded.predict(x))
         assert np.array_equal(model.input_jacobian(x), loaded.input_jacobian(x))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            model_from_json_dict({"kind": "kriging"})
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "kriging"}))
+        with pytest.raises(ConfigurationError, match="kriging"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", SURROGATE_KINDS)
+    def test_every_kind_re_saves_to_the_same_bytes(self, tmp_path, kind):
+        data = lhs_dataset(make_analytic_problem("two-paraboloids"), 12, seed=15)
+        cfg = SamoConfig(surrogate=kind, batch_size=10, train=TrainConfig(epochs=20, patience=20))
+        model = _fit_surrogate(data, cfg, round_index=0)
+        save_model(model, tmp_path / "saved.json")
+        loaded = load_model(tmp_path / "saved.json")
+        assert type(loaded) is type(model)
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+    # (kind, edit of the saved document, error) by what the edit breaks
+    MALFORMED = {
+        "missing-key": ("rbf", lambda d: d.pop("sigma"), r"^missing keys in model: \['sigma'\]$"),
+        "missing-nested-key": (
+            "rbf", lambda d: d["scaler"].pop("y_scale"), r"^missing keys in model.scaler: \['y_scale'\]$"
+        ),
+        "null-key": ("rbf", lambda d: d.update(sigma=None), r"^missing keys in model: \['sigma'\]$"),
+        "unknown-key": ("rbf", lambda d: d.update(width=1.0), r"^unknown keys in model: \['width'\]$"),
+        "unknown-nested-key": (
+            "mlp", lambda d: d["scaler"].update(shift=[0.0]), r"^unknown keys in model.scaler: \['shift'\]$"
+        ),
+        "string-width": ("rbf", lambda d: d.update(sigma="x"), r"^model.sigma must be a finite number, got 'x'$"),
+        "nan-entry": (
+            "rbf",
+            lambda d: d["centers"][0].__setitem__(0, math.nan),
+            "^model.centers must be nested lists of finite numbers",
+        ),
+        "ragged-array": (
+            "rbf", lambda d: d["weights"][1].append(0.0), "^model.weights must be nested lists of finite numbers"
+        ),
+        "string-entries": (
+            "rbf", lambda d: d["scaler"].update(x_scale=["1.0"] * 4), "^model.scaler.x_scale must be nested lists"
+        ),
+        "infinite-layer-entry": (
+            "mlp",
+            lambda d: d["weights"][0][0].__setitem__(0, math.inf),
+            "^model.weights must be a list, each entry nested lists of finite numbers",
+        ),
+        "boolean-history-entry": (
+            "mlp",
+            lambda d: d["val_history"].append(True),
+            "^model.val_history must be a list, each entry a finite number",
+        ),
+        "list-section": ("rbf", lambda d: d.update(scaler=[1.0]), "^model.scaler must be an object or null"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_file_rejected_naming_the_key(self, tmp_path, trained_models, case):
+        kind, change, message = self.MALFORMED[case]
+        _, rbf, mlp = trained_models
+        path = tmp_path / "model.json"
+        save_model(rbf if kind == "rbf" else mlp, path)
+        saved = json.loads(path.read_text())
+        change(saved)
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ConfigurationError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("case", ["list", "empty", "truncated"])
+    def test_file_that_is_no_model_object_rejected(self, tmp_path, trained_models, case):
+        path = tmp_path / "model.json"
+        save_model(trained_models[1], path)
+        # a truncated file is one cut off while it was written
+        content = {"list": "[1.0]", "empty": "", "truncated": path.read_text()[:-50]}[case]
+        path.write_text(content)
+        message = "^model must be an object" if case == "list" else "^model file .* is not valid JSON"
+        with pytest.raises(ConfigurationError, match=message):
+            load_model(path)
 
     @pytest.mark.parametrize(
         "kind, keys",
