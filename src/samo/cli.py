@@ -143,14 +143,10 @@ def _point(text: str) -> np.ndarray:
 def cmd_run(args) -> int:
     config = _configure(args)
     out = _output_directory(args.out, config)
-    record = samo_run(
-        config.problem, config.samo, run_dir=out, jobs=args.jobs, verbose=args.verbose
-    )
+    record = samo_run(config.problem, config.samo, out, jobs=args.jobs, verbose=args.verbose)
     for r in record.rounds:
-        h = "n/a" if r.hausdorff is None else format_float(r.hausdorff)
-        print(
-            f"round {r.index}: new={r.n_new_samples} evaluations={r.dataset_size} h={h}"
-        )
+        h = "n/a" if r["hausdorff"] is None else format_float(r["hausdorff"])
+        print(f"round {r['index']}: new={r['new_samples']} evaluations={r['dataset_size']} h={h}")
     status = "converged" if record.converged else "budget exhausted"
     if record.error:
         print(f"error: {record.error}", file=sys.stderr)

@@ -6,9 +6,11 @@ surrogate fronts falls below a threshold or the evaluation budget is spent,
 and finishes with a non-dominance test over every expensive sample
 collected. `samo_run` is a loop over timed stages that read and write only
 the `RunRecord`: `_sample`, `_evaluate`, `_fit_surrogate`,
-`_optimize_surrogate` and `check_convergence`. All artifacts (samples,
-fronts, serialized surrogates, metrics) are written into a run directory
-as they are produced; `read_run` reads its point sets back.
+`_optimize_surrogate` and `check_convergence`. A finished round goes into
+`RunRecord.rounds` as the very entry `metrics.json` lists for it, and its
+surrogate front into `RunRecord.fronts` at the same index. All artifacts
+(samples, fronts, serialized surrogates, metrics) are written into a run
+directory as they are produced; `read_run` reads its point sets back.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from .core import (
     ConfigurationError,
     Dataset,
-    ParetoApproximation,
     SamoError,
     hausdorff_distance,
     non_dominated_filter,
@@ -50,6 +51,8 @@ from .surrogate import (
 logger = logging.getLogger(__name__)
 
 METRICS_SCHEMA_VERSION = 2
+# the `SamoConfig` fields `metrics.json` repeats, under their own names
+METRICS_SETTINGS = ("surrogate", "optimizer", "seed", "batch_size", "budget", "h_min")
 
 SURROGATE_KINDS = ("mlp", "rbf")
 OPTIMIZER_KINDS = ("nsga2", "mgda-multistart")
@@ -176,22 +179,15 @@ class SamoConfig:
 
 
 @dataclass
-class RoundRecord:
-    index: int
-    plan_origin: str
-    n_new_samples: int
-    dataset_size: int
-    pareto: ParetoApproximation
-    hausdorff: Optional[float]
-    timings: dict
-    optimizer: dict = field(default_factory=dict)
-
-
-@dataclass
 class RunRecord:
+    """One run as it stands: `rounds` holds each finished round's entry of
+    `metrics.json`, and `fronts` its surrogate `ParetoApproximation` at the
+    same index."""
+
     config: SamoConfig
     problem_name: str
     rounds: list = field(default_factory=list)
+    fronts: list = field(default_factory=list)
     dataset: Dataset = field(default_factory=Dataset)
     final_decision: Optional[np.ndarray] = None
     final_front: Optional[np.ndarray] = None
@@ -286,28 +282,11 @@ class RunDirectoryWriter:
         metrics = {
             "schema_version": METRICS_SCHEMA_VERSION,
             "problem": record.problem_name,
-            "surrogate": record.config.surrogate,
-            "optimizer": record.config.optimizer,
-            "seed": record.config.seed,
-            "batch_size": record.config.batch_size,
-            "budget": record.config.budget,
-            "h_min": record.config.h_min,
+            **{name: getattr(record.config, name) for name in METRICS_SETTINGS},
             "converged": record.converged,
             "stop_reason": "error" if record.error else "converged" if record.converged else "budget",
-            "rounds": [
-                {
-                    "index": r.index,
-                    "origin": r.plan_origin,
-                    "new_samples": r.n_new_samples,
-                    "dataset_size": r.dataset_size,
-                    "front_size": len(r.pareto),
-                    "hausdorff": r.hausdorff,
-                    "timings": r.timings,
-                    "optimizer": r.optimizer,
-                }
-                for r in record.rounds
-            ],
-            "h_values": [r.hausdorff for r in record.rounds if r.hausdorff is not None],
+            "rounds": record.rounds,
+            "h_values": [r["hausdorff"] for r in record.rounds[1:]],
             "total_evaluations": record.total_evaluations,
             "final_front_size": len(record.final_front),
             "error": record.error,
@@ -357,7 +336,7 @@ def _sample(problem: Problem, cfg: SamoConfig, record: RunRecord) -> np.ndarray:
         return latin_hypercube(cfg.batch_size, problem.bounds, seed)
     left = cfg.budget + cfg.batch_size - len(record.dataset)
     return pareto_informed_samples(
-        record.rounds[-1].pareto, min(cfg.batch_size, left), record.dataset, problem.bounds, seed
+        record.fronts[-1], min(cfg.batch_size, left), record.dataset, problem.bounds, seed
     )
 
 
@@ -384,10 +363,12 @@ def samo_run(
     on, `check_convergence`; `timings` holds each stage's seconds under
     `sampling`, `evaluation`, `fit` and `optimization`. The stages read and
     write only the run record, which gives the round index, the budget left
-    and the previous front. The loop stops when consecutive surrogate fronts
-    agree to within `h_min` in Hausdorff distance, the budget is exhausted
-    or the fit or the optimizer fails, then runs the final non-dominance
-    test over the whole archive.
+    and the previous front. A finished round appends its `metrics.json`
+    entry, timings and optimizer counts included, to `record.rounds` and
+    its surrogate front to `record.fronts`. The loop stops when
+    consecutive surrogate fronts agree to within `h_min` in Hausdorff
+    distance, the budget is exhausted or the fit or the optimizer fails,
+    then runs the final non-dominance test over the whole archive.
     """
     writer = RunDirectoryWriter(run_dir) if run_dir is not None else None
     record = RunRecord(config=cfg, problem_name=problem.name)
@@ -420,15 +401,15 @@ def samo_run(
             break
 
         h: Optional[float] = None
-        if record.rounds:
-            record.converged, h = check_convergence(record.rounds[-1].pareto.F, pareto.F, cfg.h_min)
+        if record.fronts:
+            record.converged, h = check_convergence(record.fronts[-1].F, pareto.F, cfg.h_min)
         timings["total"] = time.perf_counter() - t_round
-        origin = "latin-hypercube" if round_index == 0 else "pareto-informed"
-        record.rounds.append(RoundRecord(
-            index=round_index, plan_origin=origin, n_new_samples=len(X_new),
-            dataset_size=len(record.dataset), pareto=pareto, hausdorff=h, timings=timings,
-            optimizer=stats,
-        ))
+        record.fronts.append(pareto)
+        record.rounds.append({
+            "index": round_index, "origin": "pareto-informed" if round_index else "latin-hypercube",
+            "new_samples": len(X_new), "dataset_size": len(record.dataset),
+            "front_size": len(pareto), "hausdorff": h, "timings": timings, "optimizer": stats,
+        })
         if writer:
             writer.write_points(POINT_FILES["front"].format(round_index), pareto.X, pareto.F, "g")
             writer.write_surrogate(round_index, model)

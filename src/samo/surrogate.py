@@ -562,13 +562,39 @@ def save_model(model: SurrogateModel, path: Union[str, Path]) -> None:
     Path(path).write_text(json.dumps({"kind": model.kind, **_encode(model)}))
 
 
+def _consistent(model: SurrogateModel) -> SurrogateModel:
+    """`model` if the shape of each of its arrays agrees with the arrays
+    before it, in file order, else `ConfigurationError` naming the first
+    that does not. Each axis is named: "x" the inputs, which the scaler's
+    x_ vectors run along too, "y" the outputs and its y_ vectors, "c" the
+    RBF centers and i the width after a network's layer i; an axis takes
+    its size where its name first appears. A network has at least one
+    layer and one bias vector per layer."""
+    if model.kind == "rbf":
+        arrays = {"centers": (model.centers, "cx"), "weights": (model.weights, "cy")}
+    elif not 0 < len(model.weights) == len(model.biases):
+        raise ConfigurationError("model.weights needs layers and model.biases one vector per layer")
+    else:
+        names = ["x", *range(1, len(model.weights)), "y"]
+        arrays = {f"weights[{i}]": (W, names[i : i + 2]) for i, W in enumerate(model.weights)}
+        arrays |= {f"biases[{i}]": (b, names[i + 1 : i + 2]) for i, b in enumerate(model.biases)}
+    arrays |= {f"scaler.{k}": (a, k[0]) for k, a in vars(model.scaler).items()}
+    sizes: dict = {}
+    for key, (array, axes) in arrays.items():
+        want = tuple(sizes.setdefault(axis, n) for axis, n in zip(axes, array.shape))
+        if array.shape != want or array.ndim != len(axes):
+            raise ConfigurationError(f"model.{key} has shape {array.shape}, unlike the others")
+    return model
+
+
 def load_model(path: Union[str, Path]) -> SurrogateModel:
     """The model `save_model` wrote, read by the config codec: a file that
-    is no JSON object, a key missing or unknown or a value of the wrong
-    type raises `ConfigurationError` naming the key."""
+    is no JSON object, a key missing or unknown, a value of the wrong type
+    or an array whose shape disagrees with the others (`_consistent`)
+    raises `ConfigurationError` naming the key."""
     section = dict(_section(_read_json(path, "model file"), "model"))
     kind = section.pop("kind", None)
     cls = next((model for model in (RbfModel, MlpModel) if model.kind == kind), None)
     if cls is None:
         raise ConfigurationError(f"unknown serialized model kind {kind!r}")
-    return cls(**_file_values(cls, section, "model"))
+    return _consistent(cls(**_file_values(cls, section, "model")))

@@ -97,7 +97,7 @@ class TestConfigValidation:
             surrogate=kind, rbf=RbfConfig(sigma=sigma), train=train, batch_size=least, budget=least
         )
         record = samo_run(CHEAP, cfg)
-        assert record.error is None and record.rounds[0].dataset_size == least
+        assert record.error is None and record.rounds[0]["dataset_size"] == least
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -136,7 +136,7 @@ class TestLoopArithmetic:
     def test_budget_accounting_with_truncation(self):
         # budget 12, batch 5: informed batches 5, 5, 2
         record = samo_run(CHEAP, small_cfg(budget=12, batch_size=5))
-        batches = [r.n_new_samples for r in record.rounds]
+        batches = [r["new_samples"] for r in record.rounds]
         assert batches[0] == 5
         assert sum(batches[1:]) <= 12
         if not record.converged:
@@ -153,17 +153,17 @@ class TestLoopArithmetic:
         config = RunConfig.from_file(CHEAP_DEMO)
         record = samo_run(config.problem, replace(config.samo, budget=budget))
         assert not record.converged and record.error is None
-        assert [r.index for r in record.rounds] == list(range(len(batches)))
-        assert [r.n_new_samples for r in record.rounds] == batches
-        assert [r.dataset_size for r in record.rounds] == np.cumsum(batches).tolist()
+        assert [r["index"] for r in record.rounds] == list(range(len(batches)))
+        assert [r["new_samples"] for r in record.rounds] == batches
+        assert [r["dataset_size"] for r in record.rounds] == np.cumsum(batches).tolist()
         assert record.total_evaluations == budget + config.samo.batch_size
 
     def test_round_indices_and_origins(self):
         record = samo_run(CHEAP, small_cfg())
-        assert record.rounds[0].plan_origin == "latin-hypercube"
+        assert record.rounds[0]["origin"] == "latin-hypercube"
         for r in record.rounds[1:]:
-            assert r.plan_origin == "pareto-informed"
-        assert [r.index for r in record.rounds] == list(range(len(record.rounds)))
+            assert r["origin"] == "pareto-informed"
+        assert [r["index"] for r in record.rounds] == list(range(len(record.rounds)))
 
 
 @pytest.fixture(scope="module")
@@ -174,26 +174,26 @@ def record() -> RunRecord:
 class TestRunRecordInvariants:
 
     def test_eval_accounting(self, record):
-        assert record.total_evaluations == sum(r.n_new_samples for r in record.rounds)
+        assert record.total_evaluations == sum(r["new_samples"] for r in record.rounds)
         assert record.total_evaluations <= 15 + 5
 
     def test_fronts_mutually_non_dominated(self, record):
-        for r in record.rounds:
-            front = r.pareto.F
+        for pareto in record.fronts:
+            front = pareto.F
             for i in range(len(front)):
                 for j in range(len(front)):
                     if i != j:
                         assert not dominates(front[i], front[j])
 
     def test_final_front_not_dominated_by_first_round_samples(self, record):
-        first_round = record.dataset.Y[: record.rounds[0].dataset_size]
+        first_round = record.dataset.Y[: record.rounds[0]["dataset_size"]]
         for member in record.final_front:
             assert not any(dominates(y, member) for y in first_round)
 
     def test_h_values_recorded_from_second_round(self, record):
-        assert record.rounds[0].hausdorff is None
+        assert record.rounds[0]["hausdorff"] is None
         for r in record.rounds[1:]:
-            assert r.hausdorff is not None and r.hausdorff >= 0.0
+            assert r["hausdorff"] is not None and r["hausdorff"] >= 0.0
 
 
 class TestDeterminism:
@@ -240,7 +240,7 @@ class TestArtifacts:
         # perfbench/checks.py sums the round timings by these stage names
         stages = ["sampling", "evaluation", "fit", "optimization", "total"]
         assert [list(r["timings"]) for r in metrics["rounds"]] == [stages] * rounds
-        distances = [r.hausdorff for r in record.rounds[1:]]
+        distances = [r["hausdorff"] for r in record.rounds[1:]]
         assert metrics["h_values"] == distances == [r["hausdorff"] for r in metrics["rounds"][1:]]
 
     def test_mgda_counts_in_metrics(self, tmp_path):
@@ -250,10 +250,28 @@ class TestArtifacts:
         metrics = json.loads((run_dir / "metrics.json").read_text())
         for r, info in zip(record.rounds, metrics["rounds"]):
             counts = info["optimizer"]
-            assert counts == r.optimizer
+            assert counts == r["optimizer"]
             assert set(counts) == {"starts", "converged", "dropped", "max_iterations_used"}
             assert counts["starts"] == 8
             assert counts["converged"] + counts["dropped"] == 8
+
+    @pytest.mark.parametrize("mgda", [None, {"max_iterations": 1}], ids=["budget", "optimizer-failure"])
+    def test_record_is_the_metrics_document(self, tmp_path, mgda):
+        # one MGDA iteration is too few for any start to converge in round 0
+        config = RunConfig.from_file(CHEAP_DEMO)
+        cfg = config.samo
+        if mgda is not None:
+            cfg = replace(cfg, optimizer="mgda-multistart", mgda=replace(cfg.mgda, **mgda))
+        record = samo_run(config.problem, cfg, run_dir=tmp_path)
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert metrics["rounds"] == record.rounds
+        assert metrics.get("failed_round") == record.failed_round
+        assert (record.failed_round is None) is (mgda is None)
+        assert len(record.fronts) == len(record.rounds) == (0 if mgda else 5)
+        assert [r["front_size"] for r in record.rounds] == [len(front) for front in record.fronts]
+        assert metrics["h_values"] == [r["hausdorff"] for r in record.rounds[1:]]
+        keys = ["index", "origin", "new_samples", "dataset_size", "front_size", "hausdorff"]
+        assert all(list(r) == [*keys, "timings", "optimizer"] for r in record.rounds)
 
     def test_projection_matrix_written_for_benchmark(self, tmp_path):
         problem = make_quarter_car_problem(horizon=Horizon(te=0.5, dt=1e-3))
@@ -313,13 +331,13 @@ class TestArtifacts:
     def test_read_run_returns_every_point_set(self, tmp_path):
         record = samo_run(CHEAP, small_cfg(), run_dir=tmp_path)
         sets = read_run(tmp_path)
-        expected = [(r.index, kind) for r in record.rounds for kind in ("sample", "front")]
+        expected = [(r["index"], kind) for r in record.rounds for kind in ("sample", "front")]
         assert [(j, kind) for j, kind, _, _ in sets] == expected + [(-1, "final")]
         samples = [(X, F) for _, kind, X, F in sets if kind == "sample"]
         assert np.array_equal(np.vstack([X for X, _ in samples]), record.dataset.X)
         assert np.array_equal(np.vstack([F for _, F in samples]), record.dataset.Y)
-        for r, (_, _, X, F) in zip(record.rounds, sets[1::2]):
-            assert np.array_equal(X, r.pareto.X) and np.array_equal(F, r.pareto.F)
+        for pareto, (_, _, X, F) in zip(record.fronts, sets[1::2], strict=True):
+            assert np.array_equal(X, pareto.X) and np.array_equal(F, pareto.F)
         assert np.array_equal(sets[-1][2], record.final_decision)
         assert np.array_equal(sets[-1][3], record.final_front)
 

@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from samo.core import ConfigurationError, Dataset, DimensionMismatchError
-from samo.driver import SURROGATE_KINDS, SamoConfig, _fit_surrogate
+from samo.cli import RunConfig
+from samo.driver import SURROGATE_KINDS, SamoConfig, _fit_surrogate, samo_run
 import oracles
 from oracles import GradientModel, inverse_x
 from samo.problems import Horizon, make_analytic_problem, make_quarter_car_problem
@@ -29,6 +31,9 @@ from samo.surrogate import (
     save_model,
     select_rbf_width,
 )
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def lhs_dataset(problem, n, seed) -> Dataset:
@@ -568,6 +573,25 @@ class TestSerialization:
             "^model.val_history must be a list, each entry a finite number",
         ),
         "list-section": ("rbf", lambda d: d.update(scaler=[1.0]), "^model.scaler must be an object or null"),
+        # shapes: 30 centers on 4 coordinates, 2 objectives, a 4-64-64-2 network
+        "weights-row-short": (
+            "rbf", lambda d: d["weights"].pop(), r"^model.weights has shape \(29, 2\), unlike the others$"
+        ),
+        "weights-flat": ("rbf", lambda d: d.update(weights=d["weights"][0]), r"^model.weights has shape \(2,\)"),
+        "input-scale-short": (
+            "rbf", lambda d: d["scaler"]["x_scale"].pop(), r"^model.scaler.x_scale has shape \(3,\)"
+        ),
+        "output-shift-long": (
+            "mlp", lambda d: d["scaler"]["y_shift"].append(0.0), r"^model.scaler.y_shift has shape \(3,\)"
+        ),
+        "layers-do-not-chain": (
+            "mlp", lambda d: d["weights"][1].pop(), r"^model.weights\[1\] has shape \(63, 64\), unlike the others$"
+        ),
+        "bias-short": ("mlp", lambda d: d["biases"][2].pop(), r"^model.biases\[2\] has shape \(1,\)"),
+        "bias-missing": (
+            "mlp", lambda d: d["biases"].pop(), "^model.weights needs layers and model.biases one vector per layer$"
+        ),
+        "no-layers": ("mlp", lambda d: d.update(weights=[], biases=[]), "^model.weights needs layers"),
     }
 
     @pytest.mark.parametrize("case", MALFORMED)
@@ -580,6 +604,20 @@ class TestSerialization:
         change(saved)
         path.write_text(json.dumps(saved))
         with pytest.raises(ConfigurationError, match=message):
+            load_model(path)
+
+    def test_weights_cut_short_rejected_on_load(self, tmp_path):
+        # cheap_demo's round-0 RBF with its weights cut to 9 of 10 rows; the
+        # mismatch would otherwise surface only in predict, as numpy's ValueError
+        config = RunConfig.from_file(CONFIGS / "cheap_demo.json")
+        samo_run(config.problem, replace(config.samo, budget=10), run_dir=tmp_path)
+        path = tmp_path / "surrogate_round_0.json"
+        saved = json.loads(path.read_text())
+        assert (len(saved["centers"]), len(saved["weights"])) == (10, 10)
+        assert load_model(path).predict(np.zeros(4)).shape == (2,)
+        saved["weights"] = saved["weights"][:9]
+        path.write_text(json.dumps(saved))
+        with pytest.raises(ConfigurationError, match=r"^model.weights has shape \(9, 2\), unlike the others$"):
             load_model(path)
 
     @pytest.mark.parametrize("case", ["list", "empty", "truncated"])
