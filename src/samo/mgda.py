@@ -21,7 +21,7 @@ coordinate, weights.T, the kernel's -(2 sigma^2) and -(sigma^2), y_scale
 as a column) once per model. On the round-0 surrogate of
 `paraboloid-rbf-mgda`, an iteration takes about 31 us with 1 moving start
 and 54 us with 60 (medians of 10 runs on 2 shared CPUs, Python 3.11,
-numpy 2.4; 34 and 58 us before these steps).
+numpy 2.4).
 """
 
 from __future__ import annotations

@@ -924,9 +924,11 @@ def run_config_payload(name: str) -> dict:
     return payload
 
 
-def untimed_metrics(run_dir: Path) -> dict:
-    """A run directory's metrics.json without the timings of its rounds."""
+def untimed_metrics(run_dir: Path) -> str:
+    """A run directory's metrics.json without the timings of its rounds, as
+    JSON text in the file's key order, so that comparing two of them sees
+    a change of order too."""
     metrics = json.loads((run_dir / "metrics.json").read_text())
     for r in [*metrics["rounds"], metrics.get("failed_round", {})]:
         r.pop("timings", None)
-    return metrics
+    return json.dumps(metrics, indent=2)

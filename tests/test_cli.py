@@ -13,7 +13,8 @@ import oracles
 from samo.cli import RunConfig, main
 from samo.core import ConfigurationError, _encode, _file_values
 from samo.driver import SamoConfig, StudyConfig
-from samo.problems import MAX_DIM, PROBLEM_BUILDERS, Excitation, QuarterCarParams
+from samo.problems import MAX_DIM, PROBLEM_BUILDERS, Excitation, QuarterCarEvaluator, QuarterCarParams
+from samo.surrogate import load_model, save_model
 
 CHEAP_CONFIG = {
     "problem": {"name": "two-paraboloids", "n_dim": 4},
@@ -594,12 +595,13 @@ class TestCmdRun:
 
     @pytest.mark.parametrize(
         "name, args",
-        [("cheap_demo", ["--seed", "5"]), ("qcar-short", [])],
-        ids=["cheap_demo-seed5", "qcar-short"],
+        [("cheap_demo", []), ("cheap_demo", ["--seed", "5"]), ("qcar-short", [])],
+        ids=["cheap_demo", "cheap_demo-seed5", "qcar-short"],
     )
     def test_rerun_from_config_json_byte_identical(self, tmp_path, capsys, name, args):
         # apart from the timings in metrics.json
-        config_path = write_config(tmp_path, oracles.run_config_payload(name), "input.json")
+        payload = oracles.run_config_payload(name)
+        config_path = write_config(tmp_path, payload, "input.json")
         first, again = tmp_path / "first", tmp_path / "again"
         assert main(["run", "--config", str(config_path), "--out", str(first), *args]) == 0
         assert main(["run", "--config", str(first / "config.json"), "--out", str(again)]) == 0
@@ -608,12 +610,24 @@ class TestCmdRun:
             del run["metrics.json"]
         assert len(runs[0]) > 10 and runs[0] == runs[1]
         assert oracles.untimed_metrics(first) == oracles.untimed_metrics(again)
+        # every saved surrogate loads and saves back to the same bytes
+        models = [file for file in runs[0] if file.startswith("surrogate_round_")]
+        assert models
+        for file in models:
+            save_model(load_model(first / file), tmp_path / "resaved.json")
+            assert (tmp_path / "resaved.json").read_bytes() == runs[0][file]
+        written = json.loads(runs[0]["config.json"])
         if args:
-            assert json.loads(runs[0]["config.json"])["samo"]["seed"] == 5
-        # samo evaluate reads the same problem from either file
+            assert written["samo"]["seed"] == 5
+        elif name == "cheap_demo":  # the shipped settings, as the run records them
+            assert written["problem"] == {"name": "two-paraboloids", "n_dim": 4}
+            assert (written["samo"]["seed"], written["samo"]["population_size"]) == (7, 60)
+        # samo evaluate reads the same problem from either file, the
+        # quarter-car's projection included
+        x = ",".join(["0.001"] * payload["problem"]["n_dim"])
         capsys.readouterr()
         for path in (config_path, first / "config.json"):
-            assert main(["evaluate", "--config", str(path)]) == 0
+            assert main(["evaluate", "--config", str(path), "--x", x]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 2 and printed[0] == printed[1]
 
@@ -657,17 +671,22 @@ class TestCmdFront:
         assert rounds_seen == set(range(len(metrics["rounds"])))
 
     def test_combined_keeps_the_failed_round_samples(self, tmp_path, capsys):
-        payload = json.loads(CHEAP_DEMO.read_text())
-        payload["samo"].update(optimizer="mgda-multistart", mgda={"max_iterations": 1})
-        config_path = write_config(tmp_path, payload)
-        out = tmp_path / "run"
-        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
-        kinds, metrics = self.combined(out)
-        assert metrics["rounds"] == [] and metrics["failed_round"]["index"] == 0
-        assert len(kinds["sample"]) == metrics["total_evaluations"] == 10
-        assert {r[0] for r in kinds["sample"]} == {"0"}
-        assert kinds["front"] == []
-        assert len(kinds["final"]) == metrics["final_front_size"]
+        # no descent start turns critical in round 0: in one iteration on
+        # the RBF, nor in 50 on the network
+        for surrogate, iterations in (("rbf", 1), ("mlp", 50)):
+            payload = json.loads(CHEAP_DEMO.read_text())
+            payload["samo"].update(
+                surrogate=surrogate, optimizer="mgda-multistart", mgda={"max_iterations": iterations}
+            )
+            config_path = write_config(tmp_path, payload)
+            out = tmp_path / surrogate
+            assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+            kinds, metrics = self.combined(out)
+            assert metrics["rounds"] == [] and metrics["failed_round"]["index"] == 0
+            assert len(kinds["sample"]) == metrics["total_evaluations"] == 10
+            assert {r[0] for r in kinds["sample"]} == {"0"}
+            assert kinds["front"] == []
+            assert len(kinds["final"]) == metrics["final_front_size"]
 
     def test_missing_artifacts_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -676,7 +695,8 @@ class TestCmdFront:
         assert "missing artifact" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "damage", ["empty-final-front", "metrics-not-utf-8", "metrics-a-directory", "truncated-row"]
+        "damage",
+        ["empty-final-front", "metrics-not-utf-8", "metrics-a-directory", "truncated-row", "truncated-final-row"],
     )
     def test_unreadable_artifact_exits_1(self, tmp_path, capsys, damage):
         config_path = write_config(tmp_path, CHEAP_CONFIG)
@@ -691,9 +711,10 @@ class TestCmdFront:
         elif damage == "metrics-a-directory":
             metrics.unlink()
             metrics.mkdir()
-        else:  # the last row loses its last value
-            text = samples.read_text()
-            samples.write_text(text[: text.rindex(",")])
+        else:  # the last row loses its last value, and its line ending or not
+            path, end = (samples, "") if damage == "truncated-row" else (out / "final_front.csv", "\n")
+            text = path.read_text()
+            path.write_text(text[: text.rindex(",")] + end)
         capsys.readouterr()
         assert main(["front", str(out)]) == 1
         err = capsys.readouterr().err
@@ -752,6 +773,23 @@ class TestCmdStudy:
             {"problem": {"name": "mbs", "n_dim": MAX_DIM + 1}},
             {"problem": {"name": "two-paraboloids", "n_dim": MAX_DIM + 1}},
             {"problem": {"name": "zdt1", "n_dim": MAX_DIM + 1}},
+            # the amplitudes need a horizon of at least two steps
+            {"problem": {"name": "mbs", "n_dim": 3, "horizon": {"te": 0.0001}}},
+            # half-widths that give no finite positive projection scale
+            {"problem": {"name": "mbs", "n_dim": 3, "half_width": 1e308}},
+            {"problem": {"name": "mbs", "n_dim": 3, "half_width": 0}},
+            # round 0 fits the surrogate on its batch alone
+            {"samo": {**CHEAP_CONFIG["samo"], "surrogate": "mlp", "batch_size": 4}},
+            {"samo": {**CHEAP_CONFIG["samo"], "batch_size": 1}},
+            # 10 samples split at 0.95 leave no training row
+            {
+                "samo": {
+                    **CHEAP_CONFIG["samo"],
+                    "surrogate": "mlp",
+                    "batch_size": 10,
+                    "train": {"validation_fraction": 0.95},
+                }
+            },
         ],
     )
     def test_bad_config_exits_2_before_any_evaluation(self, tmp_path, capsys, monkeypatch, override):
@@ -761,10 +799,12 @@ class TestCmdStudy:
             raise AssertionError("evaluated before the config was rejected")
 
         monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        monkeypatch.setattr(QuarterCarEvaluator, "__call__", fail)
         config_path = write_config(tmp_path, {**CHEAP_CONFIG, **override})
-        for command in ("run", "study"):
+        for command in ("run", "study", "evaluate"):
             out = tmp_path / command
-            assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+            argv = [command, "--config", str(config_path)]
+            assert main(argv if command == "evaluate" else [*argv, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()

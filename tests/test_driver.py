@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -273,6 +274,19 @@ class TestArtifacts:
         keys = ["index", "origin", "new_samples", "dataset_size", "front_size", "hausdorff"]
         assert all(list(r) == [*keys, "timings", "optimizer"] for r in record.rounds)
 
+    def test_untimed_metrics_sees_the_key_order(self, tmp_path):
+        config = RunConfig.from_file(CHEAP_DEMO)
+        samo_run(config.problem, config.samo, run_dir=tmp_path / "run")
+        shutil.copytree(tmp_path / "run", tmp_path / "swapped")
+        path = tmp_path / "swapped" / "metrics.json"
+        metrics = json.loads(path.read_text())
+        entry = metrics["rounds"][1]
+        metrics["rounds"][1] = {"origin": entry["origin"], "index": entry["index"], **entry}
+        path.write_text(json.dumps(metrics, indent=2))
+        # the same values, only a round's index and origin swapped
+        assert json.loads(path.read_text()) == json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert oracles.untimed_metrics(tmp_path / "swapped") != oracles.untimed_metrics(tmp_path / "run")
+
     def test_projection_matrix_written_for_benchmark(self, tmp_path):
         problem = make_quarter_car_problem(horizon=Horizon(te=0.5, dt=1e-3))
         cfg = small_cfg(budget=6, batch_size=3, h_min=math.inf)
@@ -342,18 +356,22 @@ class TestArtifacts:
         assert np.array_equal(sets[-1][3], record.final_front)
 
     def test_verbose_rerun_replaces_front_snapshots(self, tmp_path):
-        config = RunConfig.from_file(CHEAP_DEMO)
-        cfg = replace(config.samo, budget=10, batch_size=5)
-        samo_run(config.problem, cfg, run_dir=tmp_path / "once", verbose=True)
-        samo_run(config.problem, cfg, run_dir=tmp_path / "twice", verbose=True)
-        samo_run(config.problem, cfg, run_dir=tmp_path / "twice", verbose=True)
+        # `samo --verbose run` writes the snapshots
+        payload = json.loads(CHEAP_DEMO.read_text())
+        payload["samo"].update(budget=10, batch_size=5)
+        del payload["study"]  # its sizes exceed the budget
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(payload))
+        for out in ("once", "twice", "twice"):
+            assert main(["--verbose", "run", "--config", str(config_path), "--out", str(tmp_path / out)]) == 0
         once = sorted((tmp_path / "once").glob("nsga2_fronts_round_*.csv"))
         assert once
         for path in once:
             text = (tmp_path / "twice" / path.name).read_text()
             assert text == path.read_text() and text.count("generation") == 1
 
-    # the CI's failing run: no descent start on the cheap_demo network converges
+    # a failing run: no descent start on the cheap_demo network converges
+    # within 50 iterations
     MLP_MGDA = {"surrogate": "mlp", "optimizer": "mgda-multistart", "mgda": {"max_iterations": 50}}
 
     @pytest.mark.parametrize(
