@@ -67,9 +67,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw) -> "RunConfig":
-        """Every section read by `_file_values`; each study cell's config is
-        built here too, by `StudyConfig.cells`, so a bad one fails before any
-        evaluation."""
+        """Every section read by `_file_values`. The study cells' configs are
+        left to `samo study`, the one command that runs them."""
         raw = _section(raw, "config")
         _reject_keys(set(raw) - {"problem", "samo", "study"}, "unknown", "config")
         problem, section = _problem_from_config(raw.get("problem"))
@@ -77,7 +76,6 @@ class RunConfig:
         study = StudyConfig(**_file_values(StudyConfig, raw.get("study"), "study"))
         if not study.surrogates:
             study = replace(study, surrogates=(samo_cfg.surrogate,))
-        study.cells(samo_cfg)
         return cls(problem=problem, problem_section=section, samo=samo_cfg, study=study)
 
     def to_dict(self) -> dict:
@@ -180,6 +178,7 @@ def cmd_study(args) -> int:
     config = _configure(args)
     if not config.study.sizes:
         raise ConfigurationError("config has no study.sizes")
+    cells = config.study.cells(config.samo)  # a bad cell fails before any evaluation
     out = _output_directory(args.out, config)
     rows = sample_size_study(config.problem, config.samo, config.study, jobs=args.jobs)
     header = [f.name for f in fields(StudyRow)]
@@ -190,8 +189,7 @@ def cmd_study(args) -> int:
     write_csv(out / "study.csv", header, table)
     print(f"wrote {out / 'study.csv'} ({len(table)} rows)")
     if not rows:
-        cells = len(config.study.cells(config.samo))
-        print(f"error: {cells} of {cells} study cells failed", file=sys.stderr)
+        print(f"error: {len(cells)} of {len(cells)} study cells failed", file=sys.stderr)
         return 1
     return 0
 

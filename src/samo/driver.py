@@ -30,6 +30,7 @@ from .core import (
     ConfigurationError,
     Dataset,
     SamoError,
+    _read_json,
     hausdorff_distance,
     non_dominated_filter,
     point_matrix,
@@ -301,14 +302,12 @@ def read_run(run_dir: Path) -> list:
     the order `metrics.json` lists them: each round's samples and front, a
     failed round's samples, and the final front as round -1."""
     path = run_dir / METRICS_FILE
+    metrics = _read_json(path, "run metrics")
     try:
-        metrics = json.loads(_read_artifact(path))
         sets = [(r["index"], kind) for r in metrics["rounds"] for kind in ("sample", "front")]
         if "failed_round" in metrics:
             # a failed round evaluated its samples but made no front
             sets.append((metrics["failed_round"]["index"], "sample"))
-    except json.JSONDecodeError as exc:
-        raise SamoError(f"{path} is not valid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:
         raise SamoError(f"{path} lists no rounds: {exc!r}") from None
     # every run that wrote metrics.json wrote the final front too

@@ -1,37 +1,33 @@
-"""Reference paths the batched optimizers are tested against.
+"""Reference paths the package's fast paths are tested against, with exact
+equality: one reference per fast path, its plainest form.
 
-These are the one-point forms the package used before MGDA stepped all
-starts together and NSGA-II worked on whole populations: one start at a
-time with one `predict` / `input_jacobian` call per point, NSGA-II
-objectives evaluated row by row, fronts peeled from the dominance matrix
-and crowded one front at a time, survivors gathered front by front in a
-list, and SBX and polynomial mutation applied one pair and one child at a time
-with the generator passed in, and binary tournaments drawn one scalar
-generator call at a time. The quarter-car integrator is the form that
-ran on numpy-scalar parameters, evaluated the road input in the loop and
-checked finiteness at every step and stored every state. The network
-training keeps one Adam moment array per weight and bias. Tests compare
-the package against them with exact equality.
+- MGDA: `mgda_run`, one start with one `predict` and `input_jacobian` call
+  per point and the step of `descent_step` in Python scalars; `descend`
+  and `multistart_mgda` run it once per start.
+- RBF: `fit_rbf_row_major`, `rbf_predict_row_major` and
+  `rbf_input_jacobian_row_major` sum squared offsets over the last axis of
+  row-major arrays; `select_rbf_width` refits once per left-out sample
+  and is compared to a tolerance.
+- NSGA-II: `nsga2_run` on the dominance-matrix peel, crowding front by
+  front, survivors gathered in a list, one scalar-drawn `tournament` per
+  child and the one-pair `sbx_crossover` and `polynomial_mutation`, which
+  draw their own uniforms. `offspring`, one generation of it, is the
+  reference for the children and the generator state after them.
+- Quarter-car: `integrate_quarter_car` on numpy-scalar parameters, the
+  road input computed in the loop, every state checked and stored. MLP
+  training: `train_once`, one Adam moment array per weight and bias.
 
-The batched forms that leaner ones replaced are kept as well, and the
-package must match them byte for byte: the MGDA loop that gathered and
-scattered the moving starts every iteration, and the compact loop whose
-step and clip allocated new arrays, the row products as batched matmuls
-where the package calls `np.vecdot` and `np.vecmat`, the RBF kernel on
-row-major (M, C, N) offsets with a Jacobian that allocates every product,
-and the RBF batch forms through the helper chain the surrogate module had
-before its fit and batch forms shared one kernel, kept here,
-SBX and polynomial mutation computed for every entry, and the variation
-uniforms located through end tables over the whole drawn block. The RBF
-width search's closed-form leave-one-out errors are compared, to a
-tolerance, with one refit per left-out sample.
+Two groups wait for a change of contract. `row_dot`, `row_vecmat` and
+`mlp_predict_per_layer` are the batched-matmul twins of the per-row
+bit-equality contract. While NSGA-II replays numpy's stream, `tournament`
+and `offspring` pin it, and `sbx_crossover_dense` and
+`polynomial_mutation_dense` are the reference for the edge uniforms of
+the operators that take pre-drawn uniforms.
 
-The rest are helpers only tests use: the package's descent step for one
-Jacobian, Pareto dominance of two points, the KKT residual, the
-quarter-car's mechanical energy, the inverse input scaling, the
-two-paraboloids problem with its analytic gradient as a model for descent
-tests, the config files of whole-run tests and a run's metrics.json
-without its timings.
+The rest are test helpers: the package's step for one Jacobian, Pareto
+dominance, the KKT residual, the quarter-car's energy, the inverse input
+scaling, the two-paraboloids problem with its analytic gradient, the
+configs of whole-run tests and metrics.json without its timings.
 """
 
 import json
@@ -59,14 +55,13 @@ from samo.surrogate import (
     Scaler,
     TrainConfig,
     TrainingError,
-    _input_matrix,
-    _pairwise_sum,
 )
 
 
 def descent_step(J: np.ndarray) -> tuple:
     """(direction, weights, norm) of the min-norm subproblem for one K x N
-    Jacobian, solved with Python scalars as the one-point code did."""
+    Jacobian in Python scalars: the weights minimize ||w^T J||^2 over the
+    simplex, by the closed form for K = 2 and Frank-Wolfe for K > 2."""
     J = np.atleast_2d(np.asarray(J, dtype=float))
     n_obj = J.shape[0]
     if n_obj == 1:
@@ -95,15 +90,8 @@ class DescentStep(NamedTuple):
 
 
 def common_descent_direction(jacobian) -> DescentStep:
-    """The descent step of one K x N Jacobian: one row of the package's
-    `_descent_directions(J[None])`, for finite entries only.
-
-    The weights minimize || sum_k w_k grad_k ||^2 over the simplex. K = 1
-    reduces to plain gradient descent; K = 2 uses the closed form
-    w* = clip(<g2 - g1, g2> / ||g1 - g2||^2, 0, 1); larger K uses
-    Frank-Wolfe. Zero gradient rows are legitimate (that objective is
-    already critical and the weights may concentrate there with d = 0).
-    """
+    """The package's descent step of one finite K x N Jacobian: one row of
+    `_descent_directions(J[None])`."""
     J = np.atleast_2d(np.asarray(jacobian, dtype=float))
     if not np.all(np.isfinite(J)):
         raise SamoError("jacobian contains non-finite entries")
@@ -134,28 +122,44 @@ def mgda_run(model, x0, bounds, cfg) -> MgdaResult:
     return MgdaResult(x=x, converged=converged, iterations=iteration, trace=np.array(rows, dtype=float))
 
 
+def descend(model, X0, bounds, cfg, keep_traces) -> tuple:
+    """`samo.mgda._descend` as one `mgda_run` per row of X0: end points,
+    converged flags, iteration counts and, with `keep_traces`, every
+    start's trace given its start column and ordered by (iteration, start)."""
+    results = [mgda_run(model, x0, bounds, cfg) for x0 in np.asarray(X0, dtype=float)]
+    trace = None
+    if keep_traces:
+        rows = np.vstack([np.insert(r.trace, 1, i, axis=1) for i, r in enumerate(results)])
+        trace = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    X = np.array([r.x for r in results])
+    return X, np.array([r.converged for r in results]), np.array([r.iterations for r in results]), trace
+
+
 def multistart_mgda(
     model, bounds, cfg, *, n_starts, seed, trace_writer=None, stats=None
 ) -> ParetoApproximation:
-    """The starts of `samo.mgda.multistart_mgda`, run one after another;
-    their traces, each given its start column, ordered by (iteration,
-    start) and written in one call."""
-    starts = latin_hypercube(n_starts, bounds, seed)
-    results = [mgda_run(model, x0, bounds, cfg) for x0 in starts]
+    """`samo.mgda.multistart_mgda` on `descend` above: the Latin-hypercube
+    starts run one after another, their traces written in one call, the
+    front of the converged end points by one `predict` call per point."""
+    X, converged, iterations, trace = descend(
+        model, latin_hypercube(n_starts, bounds, seed), bounds, cfg, trace_writer is not None
+    )
     if trace_writer is not None:
-        rows = np.vstack([np.insert(r.trace, 1, i, axis=1) for i, r in enumerate(results)])
-        trace_writer(rows[np.lexsort((rows[:, 1], rows[:, 0]))])
-    points = [r.x for r in results if r.converged]
+        trace_writer(trace)
+    n_converged = int(converged.sum())
     if stats is not None:
         stats.update(
             starts=n_starts,
-            converged=len(points),
-            dropped=n_starts - len(points),
-            max_iterations_used=max(r.iterations for r in results),
+            converged=n_converged,
+            dropped=n_starts - n_converged,
+            max_iterations_used=int(iterations.max()),
         )
-    if not points:
-        raise SamoError("no start converged")
-    X = np.array(points)
+    if not n_converged:
+        raise SamoError(
+            f"no start of {n_starts} converged within {cfg.max_iterations} iterations; "
+            "consider more iterations or a smaller step"
+        )
+    X = X[converged]
     Y = np.array([np.asarray(model.predict(x), dtype=float) for x in X])
     keep = non_dominated_filter(Y)
     return ParetoApproximation.from_arrays(X[keep], Y[keep])
@@ -173,145 +177,6 @@ def row_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     when it is one matrix, as (S, 1, K) @ M: the batched-matmul form of
     `np.vecmat`."""
     return (v[:, None, :] @ M)[:, 0, :]
-
-
-def descent_directions_masked(J: np.ndarray) -> tuple:
-    """`samo.mgda._descent_directions` as it was before the weights were
-    built in place and the row products became gufuncs: K = 2 fills w1
-    through a boolean mask and stacks the two weight columns, and every row
-    product is a batched matmul."""
-    n_starts, n_obj = J.shape[:2]
-    if n_obj == 1:
-        W = np.ones((n_starts, 1))
-    elif n_obj == 2:
-        g1, g2 = J[:, 0], J[:, 1]
-        diff = g1 - g2
-        denom = row_dot(diff, diff)
-        w1 = np.full(n_starts, 0.5)
-        apart = denom != 0.0
-        w1[apart] = np.minimum(np.maximum(row_dot(g2 - g1, g2)[apart] / denom[apart], 0.0), 1.0)
-        W = np.column_stack([w1, 1.0 - w1])
-    else:
-        W = np.array([_min_norm_weights_fw(Jk @ Jk.T) for Jk in J])
-    D = -row_vecmat(W, J)
-    return D, W, np.sqrt(row_dot(D, D))
-
-
-def descend_gather_scatter(model, X0, bounds, cfg, keep_traces):
-    """`samo.mgda._descend` as it was before the compact active set: every
-    iteration gathers the moving starts from X, updates the flags and
-    counts, and scatters the clipped steps back into X. The trace stacks
-    each iteration's rows (iteration, start, ||d||, objectives)."""
-    X = np.array(X0, dtype=float)
-    n_starts = X.shape[0]
-    converged = np.zeros(n_starts, dtype=bool)
-    iterations = np.full(n_starts, cfg.max_iterations)
-    active = np.arange(n_starts)
-    rows = []
-    for iteration in range(1, cfg.max_iterations + 1):
-        Xa = X[active]
-        J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
-        if not np.all(np.isfinite(J)):
-            raise SamoError(
-                f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
-            )
-        D, _, norms = descent_directions_masked(J)
-        if keep_traces:
-            F = np.asarray(model.predict_batch(Xa), dtype=float)
-            rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
-        done = norms < cfg.tolerance
-        converged[active[done]] = True
-        iterations[active[done]] = iteration
-        moving = ~done
-        active = active[moving]
-        if active.size == 0:
-            break
-        X[active] = np.clip(Xa[moving] + cfg.learning_rate * D[moving], bounds.lower, bounds.upper)
-    return X, converged, iterations, np.vstack(rows) if keep_traces else None
-
-
-def descend_compact(model, X0, bounds, cfg, keep_traces):
-    """`samo.mgda._descend` as it was before its step and clip wrote into
-    the direction array: `bounds.clip(Xa + eta * D)` into new arrays, and
-    a `norms < tolerance` mask built and tested every iteration."""
-    X = np.array(X0, dtype=float)
-    n_starts = X.shape[0]
-    converged = np.zeros(n_starts, dtype=bool)
-    iterations = np.full(n_starts, cfg.max_iterations)
-    active = np.arange(n_starts)
-    Xa = X
-    rows = []
-    for iteration in range(1, cfg.max_iterations + 1):
-        J = np.asarray(model.input_jacobian_batch(Xa), dtype=float)
-        if not np.isfinite(J).all():
-            raise SamoError(
-                f"non-finite gradient at iteration {iteration}; trace length {iteration - 1}"
-            )
-        D, _, norms = _descent_directions(J)
-        if keep_traces:
-            F = np.asarray(model.predict_batch(Xa), dtype=float)
-            rows.append(np.column_stack([np.full(len(active), float(iteration)), active, norms, F]))
-        done = norms < cfg.tolerance
-        if done.any():
-            finished = active[done]
-            X[finished] = Xa[done]
-            converged[finished] = True
-            iterations[finished] = iteration
-            moving = ~done
-            active = active[moving]
-            if active.size == 0:
-                break
-            Xa, D = Xa[moving], D[moving]
-        Xa = bounds.clip(Xa + cfg.learning_rate * D)
-    else:
-        X[active] = Xa
-    return X, converged, iterations, np.vstack(rows) if keep_traces else None
-
-
-def _offsets(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(N, len(A), len(B)) offsets A[i] - B[j], coordinate-major and
-    C-ordered."""
-    return np.subtract(A.T[:, :, None], B.T[:, None, :], order="C")
-
-
-def _sum_squares(diff: np.ndarray) -> np.ndarray:
-    """Sum of squares over the first axis of `diff`, in numpy's pairwise
-    order (`surrogate._pairwise_sum`)."""
-    return _pairwise_sum(diff**2)
-
-
-def _gaussian(d2: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(-d^2 / (2 sigma^2)) of squared distances `d2`, in a new array."""
-    phi = np.divide(d2, -(2.0 * sigma**2))
-    return np.exp(phi, out=phi)
-
-
-def _rbf_kernel_helper_chain(model, X) -> tuple:
-    """(N, M, C) offsets of the scaled inputs from the centers and the
-    kernel values, through the helper chain the surrogate module had before
-    its fit and batch forms shared one kernel: the input check,
-    `Scaler.transform_x`, `_offsets`, `_sum_squares` and `_gaussian`."""
-    diff = _offsets(model.scaler.transform_x(_input_matrix(X, model.n_dim)), model.centers)
-    return diff, _gaussian(_sum_squares(diff), model.sigma)
-
-
-def rbf_predict_helper_chain(model, X) -> np.ndarray:
-    """`RbfModel.predict_batch` as it was before the model kept its
-    constants: the helper chain, then `np.vecmat` and `Scaler.inverse_y`."""
-    phi = _rbf_kernel_helper_chain(model, X)[1]
-    return model.scaler.inverse_y(np.vecmat(phi, model.weights))
-
-
-def rbf_input_jacobian_helper_chain(model, X) -> np.ndarray:
-    """`RbfModel.input_jacobian_batch` as it was before the model kept its
-    constants: the helper chain, with sigma^2, weights.T and the y_scale
-    column derived on every call."""
-    diff, phi = _rbf_kernel_helper_chain(model, X)
-    dphi = np.multiply(diff, phi, out=diff)
-    np.divide(dphi, -(model.sigma**2), out=dphi)
-    jac = model.weights.T @ dphi.transpose(1, 2, 0)
-    np.multiply(jac, model.scaler.y_scale[:, None], out=jac)
-    return np.divide(jac, model.scaler.x_scale, out=jac)
 
 
 def _rbf_kernel_row_major(model, X) -> tuple:
@@ -463,10 +328,7 @@ def sbx_crossover(p1, p2, prob, eta_c, bounds, rng, var_prob=0.5):
         child_b = 0.5 * ((1.0 - b) * p1 + (1.0 + b) * p2)
         c1[crossed] = child_a[crossed]
         c2[crossed] = child_b[crossed]
-    return (
-        np.clip(c1, bounds.lower, bounds.upper),
-        np.clip(c2, bounds.lower, bounds.upper),
-    )
+    return np.clip(c1, bounds.lower, bounds.upper), np.clip(c2, bounds.lower, bounds.upper)
 
 
 def polynomial_mutation(x, eta_m, per_var_prob, bounds, rng):
@@ -520,35 +382,6 @@ def polynomial_mutation_dense(X, mutate, u, eta_m, bounds) -> np.ndarray:
     return np.clip(np.where(mutate, X + delta * width, X), bounds.lower, bounds.upper)
 
 
-def variation_uniforms_tables(rng, n_pairs, n, cfg, mutation_prob) -> tuple:
-    """`samo.moea._variation_uniforms` as it was before the walk read byte
-    masks: where the draws of a pair, or of a child, starting at a position
-    would end is tabulated for every position of the drawn block, and the
-    walk makes one lookup per pair."""
-    bits = rng.bit_generator
-    state = bits.state
-    block = rng.random(n_pairs * (1 + 7 * n))
-    crossing = block <= cfg.crossover_prob
-    hits = np.concatenate(([0], (block < mutation_prob).astype(np.intp).cumsum()))
-    child_end = np.arange(len(block) - n + 1) + n * (1 + (hits[n:] > hits[:-n]))
-    first_child = np.arange(len(block)) + np.where(crossing, 1 + 3 * n, 1)
-    pair_end = child_end.take(child_end.take(first_child, mode="clip"), mode="clip")
-    starts = []
-    pos = 0
-    for _ in range(n_pairs):
-        starts.append(pos)
-        pos = int(pair_end[pos])
-    bits.state = state
-    rng.random(pos)
-    starts = np.array(starts)
-    first = first_child[starts]
-    children = np.column_stack([first, child_end[first]]).reshape(-1)
-    pair = block[starts[:, None, None] + 1 + np.arange(3 * n).reshape(3, n)]
-    child = block[children[:, None, None] + np.arange(2 * n).reshape(2, n)]
-    crossed = crossing[starts, None] & (pair[:, 0] <= cfg.crossover_var_prob)
-    return (crossed, pair[:, 1], pair[:, 2]), (child[:, 0] < mutation_prob, child[:, 1])
-
-
 def rank_and_crowding(Y) -> tuple:
     """Rank, crowding and fronts of every row of Y: fronts peeled from the
     dominance matrix, each crowded on its own."""
@@ -581,12 +414,7 @@ def offspring(X, Y, rng, cfg, bounds, mutation_prob):
     off_X = np.empty_like(X)
     for i in range(0, len(X), 2):
         c1, c2 = sbx_crossover(
-            X[parents[i]],
-            X[parents[i + 1]],
-            cfg.crossover_prob,
-            cfg.eta_crossover,
-            bounds,
-            rng,
+            X[parents[i]], X[parents[i + 1]], cfg.crossover_prob, cfg.eta_crossover, bounds, rng,
             var_prob=cfg.crossover_var_prob,
         )
         off_X[i] = polynomial_mutation(c1, cfg.eta_mutation, mutation_prob, bounds, rng)

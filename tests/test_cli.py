@@ -362,8 +362,10 @@ class TestRunConfig:
 
         monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
         payload = {"problem": {"name": "two-paraboloids"}, **payload}
+        # the study cells, which `samo study` builds before it evaluates
         with pytest.raises(ConfigurationError, match=key):
-            RunConfig.from_dict(payload)
+            config = RunConfig.from_dict(payload)
+            config.study.cells(config.samo)
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS)
     def test_shipped_configs_load_their_values(self, path):
@@ -692,11 +694,19 @@ class TestCmdFront:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["front", str(empty)]) == 1
-        assert "missing artifact" in capsys.readouterr().err
+        metrics = empty / "metrics.json"
+        assert f"cannot read run metrics {metrics}: [Errno 2] No such file" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage",
-        ["empty-final-front", "metrics-not-utf-8", "metrics-a-directory", "truncated-row", "truncated-final-row"],
+        [
+            "empty-final-front",
+            "metrics-not-utf-8",
+            "metrics-a-directory",
+            "metrics-not-json",
+            "truncated-row",
+            "truncated-final-row",
+        ],
     )
     def test_unreadable_artifact_exits_1(self, tmp_path, capsys, damage):
         config_path = write_config(tmp_path, CHEAP_CONFIG)
@@ -711,6 +721,8 @@ class TestCmdFront:
         elif damage == "metrics-a-directory":
             metrics.unlink()
             metrics.mkdir()
+        elif damage == "metrics-not-json":
+            metrics.write_text(metrics.read_text()[:-2])
         else:  # the last row loses its last value, and its line ending or not
             path, end = (samples, "") if damage == "truncated-row" else (out / "final_front.csv", "\n")
             text = path.read_text()
@@ -719,6 +731,8 @@ class TestCmdFront:
         assert main(["front", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if damage.startswith("metrics"):
+            assert f"run metrics {metrics}" in err
         assert not (out / "combined.csv").exists()
 
     @pytest.mark.parametrize("target", ["missing/c.csv", "."], ids=["missing-directory", "a-directory"])
@@ -731,6 +745,11 @@ class TestCmdFront:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+
+# a study cell whose batch size exceeds the budget; only `samo study`
+# builds the cells' configs
+BAD_STUDY_CELL = {"study": {"sizes": [4, 30], "surrogates": ["rbf"], "repetitions": 1}}
 
 
 class TestCmdStudy:
@@ -746,7 +765,7 @@ class TestCmdStudy:
     @pytest.mark.parametrize(
         "override",
         [
-            {"study": {"sizes": [4, 30], "surrogates": ["rbf"], "repetitions": 1}},
+            BAD_STUDY_CELL,
             {"study": {"sizes": [5.7, 10], "surrogates": ["rbf"], "repetitions": 1}},
             {"study": {"sizes": [4], "surrogates": "rbf"}},
             {"samo": {**CHEAP_CONFIG["samo"], "moea": {"eta_mutation": -1}}},
@@ -801,13 +820,36 @@ class TestCmdStudy:
         monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", fail)
         config_path = write_config(tmp_path, {**CHEAP_CONFIG, **override})
-        for command in ("run", "study", "evaluate"):
+        for command in ("study",) if override is BAD_STUDY_CELL else ("run", "study", "evaluate"):
             out = tmp_path / command
             argv = [command, "--config", str(config_path)]
             assert main(argv if command == "evaluate" else [*argv, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
+
+    def test_study_section_is_read_by_study_alone(self, tmp_path, capsys, monkeypatch):
+        """cheap_demo with a budget of 10: its study size 20 is no config for
+        `samo study`, which stops before any evaluation, while `samo run` and
+        `samo evaluate` do not build the study cells."""
+        import samo.driver
+
+        payload = json.loads(CHEAP_DEMO.read_text())
+        payload["samo"]["budget"] = 10
+        config_path = write_config(tmp_path, payload)
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+        assert main(["evaluate", "--config", str(config_path)]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluated before the config was rejected")
+
+        monkeypatch.setattr(samo.driver, "evaluate_batch", fail)
+        out = tmp_path / "study"
+        assert main(["study", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: study.sizes entry 20: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rerun_from_config_json_same_table(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_CONFIG)

@@ -10,7 +10,6 @@ import pytest
 import oracles
 import samo.core
 import samo.driver
-import samo.mgda
 import samo.surrogate
 from oracles import dominates
 from samo.cli import RunConfig, main
@@ -463,20 +462,16 @@ class TestBatchedOptimizersMatchOnePointPath:
 
     def assert_whole_run_byte_identical(self, tmp_path, monkeypatch, problem, cfg):
         """Every artifact is the same, metrics.json apart from its timings,
-        with the slow side's reference paths swapped in: the NSGA-II oracle
-        ranks by the dominance peel, crowds front by front, gathers
-        survivors in a list and draws one tournament per child; the
-        quarter-car oracle stores every state on numpy scalars; the network
-        oracles run Adam one parameter array at a time and predict with a
-        layer loop of their own; the RBF width search refits once per
-        width and left-out sample; the RBF fit oracle reduces row-major
-        offsets over their last axis; the RBF batch oracles go through the
-        surrogate module's helper chain and derive the model's constants
-        on every call; the descent oracle steps and clips into new arrays
-        and tests a mask for finished starts every iteration (the
-        row-major and gather-scatter forms before them are compared in
-        test_surrogate.py and test_mgda.py); the filter
-        behind the final front, the MGDA endpoints and every Pareto
+        with the slow side's reference paths, one per fast path, swapped
+        in: the NSGA-II oracle ranks by the dominance peel, crowds front by
+        front, gathers survivors in a list, draws one tournament per child
+        and varies one pair at a time; the quarter-car oracle stores every
+        state on numpy scalars; the network oracles run Adam one parameter
+        array at a time and predict with a layer loop of their own; the RBF
+        width search refits once per width and left-out sample; the RBF fit
+        and batch oracles reduce row-major offsets over their last axis;
+        MGDA runs one start at a time with one model call per point; the
+        filter behind the final front, the MGDA endpoints and every Pareto
         approximation's check takes the dominance peel's first front."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
@@ -485,10 +480,10 @@ class TestBatchedOptimizersMatchOnePointPath:
         monkeypatch.setattr(MlpModel, "predict_batch", oracles.mlp_predict_per_layer)
         monkeypatch.setattr(samo.driver, "select_rbf_width", oracles.select_rbf_width)
         monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
-        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_helper_chain)
-        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_helper_chain)
-        monkeypatch.setattr(samo.mgda, "_descend", oracles.descend_compact)
-        for module in (samo.core, samo.driver, samo.mgda):
+        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
+        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_row_major)
+        monkeypatch.setattr(samo.driver, "multistart_mgda", oracles.multistart_mgda)
+        for module in (samo.core, samo.driver):
             monkeypatch.setattr(module, "non_dominated_filter", oracles.non_dominated_filter)
         samo_run(problem, cfg, run_dir=tmp_path / "slow", verbose=True)
         fast, slow = (self.artifacts(tmp_path / side, "*") for side in ("fast", "slow"))

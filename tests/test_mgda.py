@@ -290,12 +290,10 @@ class TestBatchedMatchesOnePointOracle:
         J[2, -1] = -J[2, 0]  # opposing gradients
         J[3] = 0.0
         D, W, norms = _descent_directions(J)
-        for got, want in zip((D, W, norms), oracles.descent_directions_masked(J)):
-            assert got.tobytes() == want.tobytes()
         for i, Ji in enumerate(J):
             direction, weights, norm = oracles.descent_step(Ji)
-            assert np.array_equal(D[i], direction)
-            assert np.array_equal(W[i], weights)
+            assert D[i].tobytes() == direction.tobytes()
+            assert W[i].tobytes() == weights.tobytes()
             assert norms[i] == norm
             assert common_descent_direction(Ji).norm == norm
 
@@ -368,8 +366,8 @@ class TestBatchedMatchesOnePointOracle:
 
 
 class TestLeanDescentMatchesGatherScatter:
-    """`_descend` against the loop that gathered and scattered the moving
-    starts every iteration (tests/oracles.py), byte for byte."""
+    """`_descend` against `oracles.descend`, one `mgda_run` per start, byte
+    for byte; named after the gather-scatter loop `_descend` replaced."""
 
     @staticmethod
     def setting(name):
@@ -393,7 +391,7 @@ class TestLeanDescentMatchesGatherScatter:
         # turns critical: on rbf2 the last one ends at 464 instead of 80
         cfg = MgdaConfig(learning_rate=0.4 if long_steps else 0.2, max_iterations=max_iterations)
         got = _descend(model, X0, bounds, cfg, keep_traces)
-        want = oracles.descend_gather_scatter(model, X0, bounds, cfg, keep_traces)
+        want = oracles.descend(model, X0, bounds, cfg, keep_traces)
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if keep_traces:
@@ -409,7 +407,7 @@ class TestLeanDescentMatchesGatherScatter:
         model, bounds = self.setting("gradient")
         X0 = np.zeros((3, 4))
         got = _descend(model, X0, bounds, MgdaConfig(), keep_traces=True)
-        want = oracles.descend_gather_scatter(model, X0, bounds, MgdaConfig(), keep_traces=True)
+        want = oracles.descend(model, X0, bounds, MgdaConfig(), keep_traces=True)
         assert got[1].all() and (got[2] == 1).all()
         # one trace row per start, all of iteration 1
         assert np.array_equal(got[3][:, :2], [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
@@ -418,10 +416,12 @@ class TestLeanDescentMatchesGatherScatter:
 
 
 class TestDescentOnModelConstants:
-    """The RBF batch forms and `_descend` against their forms before the
-    model kept its constants and the step wrote into the direction array
-    (tests/oracles.py), byte for byte. From 8 coordinates on the squared
-    distances take `_sum_squares`' pairwise order."""
+    """The RBF batch forms, which keep the model's constants, against the
+    row-major forms of tests/oracles.py, and `_descend`, which steps and
+    clips into the direction array, against `oracles.descend` on those
+    forms, byte for byte. From 8 coordinates on the squared distances take
+    `_pairwise_sum`'s order. The test is named after the helper chain the
+    batch forms replaced."""
 
     @pytest.mark.parametrize("width", ["fixed", "searched"])
     @pytest.mark.parametrize("n", [1, 4, 8, 24])
@@ -438,10 +438,10 @@ class TestDescentOnModelConstants:
         X0 = latin_hypercube(s, bounds, n)
         cfg = MgdaConfig(learning_rate=0.2, max_iterations=300)
         got += _descend(model, X0, bounds, cfg, keep_traces=True)
-        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_helper_chain)
-        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_helper_chain)
+        monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
+        monkeypatch.setattr(RbfModel, "input_jacobian_batch", oracles.rbf_input_jacobian_row_major)
         want = [model.predict_batch(Q), model.input_jacobian_batch(Q)]
-        want += oracles.descend_compact(model, X0, bounds, cfg, keep_traces=True)
+        want += oracles.descend(model, X0, bounds, cfg, keep_traces=True)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -455,11 +455,17 @@ class TestDescentOnModelConstants:
                 g = np.where(X[:, :1] > 0.0, 1e200, 0.0) * np.eye(1, 3)
                 return np.stack([g, -g], axis=1)
 
+            def input_jacobian(self, x):
+                return self.input_jacobian_batch(x[None])[0]
+
+            def predict(self, x):
+                return np.zeros(2)
+
         bounds = BoxBounds(-np.ones(3), np.ones(3))
         X0 = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             got = _descend(Overflowing(), X0, bounds, MgdaConfig(), keep_traces=False)
-            want = oracles.descend_compact(Overflowing(), X0, bounds, MgdaConfig(), keep_traces=False)
+            want = oracles.descend(Overflowing(), X0, bounds, MgdaConfig(), keep_traces=False)
         assert got[1].all() and got[2].tolist() == [2, 1] and np.isnan(got[0][0, 0])
         for a, b in zip(got[:3], want[:3]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

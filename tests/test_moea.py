@@ -437,9 +437,11 @@ class TestOneGeneration:
 
 
 class TestVariationUniformsWalk:
-    """The walk over the byte masks of the drawn block against the end
-    tables in tests/oracles.py: the same uniforms and the generator left in
-    the same state, at each probability's ends and its default."""
+    """`_variation_uniforms`, through `_offspring`, against
+    `oracles.offspring`, whose one-pair operators draw their own uniforms:
+    the same children bit for bit and the generator left in the same state,
+    at each probability's ends and its default. The first test is named
+    after the end tables the walk replaced."""
 
     @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("crossover_var_prob", [0.0, 0.5, 1.0])
@@ -449,22 +451,26 @@ class TestVariationUniformsWalk:
     def test_matches_end_tables(
         self, crossover_prob, crossover_var_prob, mutation_prob, n, population_size
     ):
+        bounds = BoxBounds(np.full(n, -1.0), np.full(n, 2.0))
         cfg = MoeaConfig(
             crossover_prob=crossover_prob,
             crossover_var_prob=crossover_var_prob,
             mutation_prob=mutation_prob,
         )
         pm = mutation_prob if mutation_prob is not None else 1.0 / n
+        X = np.random.default_rng(n).uniform(-1.0, 2.0, (population_size, n))
         fast = np.random.default_rng(100 * n + population_size)
         slow = np.random.default_rng(100 * n + population_size)
         for rng in (fast, slow):
             rng.integers(0, 5)  # leaves the high half of an output buffered
         for _ in range(3):  # consecutive generations share the generator
-            got = moea._variation_uniforms(fast, population_size // 2, n, cfg, pm)
-            want = oracles.variation_uniforms_tables(slow, population_size // 2, n, cfg, pm)
-            for a, b in zip([*got[0], *got[1]], [*want[0], *want[1]]):
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            Y = np.column_stack([X.sum(axis=1), (X**2).sum(axis=1)])
+            rank, crowd, _ = oracles.rank_and_crowding(Y)
+            got = moea._offspring(X, rank, crowd, fast, cfg, bounds, pm)
+            want = oracles.offspring(X, Y, slow, cfg, bounds, pm)
+            assert got.tobytes() == want.tobytes()
             assert fast.bit_generator.state == slow.bit_generator.state
+            X = got
 
     @pytest.mark.parametrize("n", [1, 4, 30])
     def test_every_probability_one_ends_on_the_last_double(self, n):
