@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import reprlib
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cache, cached_property
 from inspect import signature
@@ -219,64 +218,9 @@ def dominance_matrix(F: np.ndarray) -> np.ndarray:
     return leq & lt
 
 
-def front_ranks_2d(F: np.ndarray) -> np.ndarray:
-    """Non-domination rank of every row of an (n, 2) objective matrix
-    without NaN: 0 for the non-dominated points, r + 1 for the points that
-    are non-dominated once all points of rank <= r are removed.
-
-    One sweep in lexicographic (f1, f2) order (Kung, Luccio & Preparata
-    1975; Jensen 2003), so every dominator of a point is swept before it.
-    The last point swept into a front has the smallest f2 of that front so
-    far, and the point is dominated by the front iff that member's f2 is
-    <= its own and the two are not exact duplicates. Those f2 values do not
-    decrease from front to front, so a binary search counts the k fronts
-    whose last f2 is <= the point's; the point's rank is k, or k - 1 when
-    it duplicates the last member of front k - 1 (no earlier front can end
-    in a duplicate). Takes O(n log n) and agrees with the dominance-matrix
-    peeling on ties, duplicates and infinite values.
-    """
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    last_f1: list = []
-    last_f2: list = []
-    swept = []
-    for a, b in zip(F[order, 0].tolist(), F[order, 1].tolist()):
-        k = bisect_right(last_f2, b)
-        if k and last_f2[k - 1] == b and last_f1[k - 1] == a:
-            k -= 1
-        if k == len(last_f2):
-            last_f1.append(a)
-            last_f2.append(b)
-        else:
-            last_f1[k] = a
-            last_f2[k] = b
-        swept.append(k)
-    rank = np.empty(order.shape[0], dtype=np.intp)
-    rank[order] = swept
-    return rank
-
-
-def front_ranks(F: np.ndarray) -> np.ndarray:
-    """Non-domination rank of every row of an (n, K) objective matrix, as
-    defined in `front_ranks_2d`.
-
-    Two objectives without NaN take the sweep of `front_ranks_2d`; any
-    other input peels the dominance matrix one front at a time.
-    """
-    if F.shape[1] == 2 and not np.isnan(F).any():
-        return front_ranks_2d(F)
-    dom = dominance_matrix(F)
-    n_dominators = dom.sum(axis=0)
-    rank = np.full(F.shape[0], -1, dtype=np.intp)
-    while (rank < 0).any():
-        front = np.flatnonzero((n_dominators == 0) & (rank < 0))
-        rank[front] = rank.max() + 1
-        n_dominators = n_dominators - dom[front].sum(axis=0)
-    return rank
-
-
 def non_dominated_mask(F: np.ndarray) -> np.ndarray:
-    """`front_ranks(F) == 0` for a non-empty (n, K) objective matrix,
-    without ranking the later fronts.
+    """True for the rows of an (n, K) objective matrix that no other row
+    dominates: its first front.
 
     Two objectives without NaN take one lexicographic (f1, f2) sort: every
     row before a point has an f1 <= its own, so the point is dominated iff
@@ -296,6 +240,25 @@ def non_dominated_mask(F: np.ndarray) -> np.ndarray:
     mask = np.empty(len(order), dtype=bool)
     mask[order] = (run_start == 0) | (least_f2[run_start - 1] > f2)
     return mask
+
+
+def front_ranks(F: np.ndarray, fill: Optional[int] = None) -> np.ndarray:
+    """Non-domination rank of every row of an (n, K) objective matrix: 0
+    for its first front, r + 1 for the first front of the rows left once
+    all rows of rank <= r are removed.
+
+    Peels `non_dominated_mask` front by front. With `fill`, it stops once
+    at least `fill` rows are ranked, and the rows left share the next rank.
+    """
+    n = F.shape[0]
+    stop = n if fill is None else fill
+    dominated = ~non_dominated_mask(F)
+    rank = dominated.astype(np.intp)
+    left = np.flatnonzero(dominated)
+    while left.size and n - left.size < stop:
+        left = left[~non_dominated_mask(F[left])]
+        rank[left] += 1
+    return rank
 
 
 def non_dominated_filter(points) -> np.ndarray:
@@ -320,14 +283,23 @@ def hausdorff_distance(X, Y) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
+def _read_text(path, what: str) -> str:
+    """The text of file `path`, a `what` such as "config file"; the one
+    reader of every file samo reads."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's own text repeats the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigurationError(f"cannot read {what} {path}: {reason}") from exc
+
+
 def _read_json(path, what: str):
     """The JSON document in file `path`, a `what` such as "config file"."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _section(value, where: str) -> dict:

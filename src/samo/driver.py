@@ -31,6 +31,7 @@ from .core import (
     Dataset,
     SamoError,
     _read_json,
+    _read_text,
     hausdorff_distance,
     non_dominated_filter,
     point_matrix,
@@ -68,10 +69,6 @@ POINT_FILES = {
 METRICS_FILE = "metrics.json"
 
 
-class MissingArtifactError(SamoError):
-    """A run directory lacks an artifact that is read from it."""
-
-
 def format_float(value: float) -> str:
     """Floats in CSV artifacts carry 17 significant digits so re-parsing is
     lossless."""
@@ -93,20 +90,11 @@ def point_header(X: np.ndarray, F: np.ndarray, obj: str) -> list:
     return [f"x{i}" for i in range(X.shape[1])] + [f"{obj}{k}" for k in range(F.shape[1])]
 
 
-def _read_artifact(path: Path) -> str:
-    try:
-        return path.read_text()
-    except FileNotFoundError:
-        raise MissingArtifactError(f"missing artifact: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SamoError(f"cannot read {path}: {exc}") from None
-
-
 def read_points(path: Path) -> tuple:
     """The decisions X and objectives F of a CSV file written by
     `RunDirectoryWriter.write_points`, bit for bit: the x-prefixed columns
     are X, the others F."""
-    lines = _read_artifact(path).splitlines()
+    lines = _read_text(path, "point file").splitlines()
     if not lines:
         raise SamoError(f"{path} is empty")
     header = lines[0].split(",")

@@ -10,13 +10,12 @@ are drawn in one call, and a tie rewinds the generator to a saved state to
 draw its coin in turn. The crossover and mutation uniforms are drawn as one
 block, which a walk over the pairs splits by reading two byte masks of it;
 the generator is then rewound and draws again only the doubles the pairs
-used. A generation passes around one rank
-vector. Survival ranks only the fronts it needs: when the pool's first
-front, from `samo.core.non_dominated_mask`, holds at least the population,
-the pool is labelled 0/1; otherwise `samo.core.front_ranks` ranks every
-front. Survivors are chosen by one stable sort on (rank, crowding on the
-front cut by the population size) and crowded once, front by front, by
-`crowding_distance`: one stable sort of all the front's columns.
+used. A generation passes around one rank vector. Survival ranks only the
+fronts it needs: `samo.core.front_ranks` peels the pool's fronts until
+they hold the population. Survivors are chosen by one stable sort on
+(rank, crowding on the front cut by the population size) and crowded once,
+front by front, by `crowding_distance`: one stable sort of all the front's
+columns.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .core import (
     ParetoApproximation,
     dominance_matrix,  # unused here; resolves the `moea.dominance_matrix` trace site
     front_ranks,
-    non_dominated_mask,
     point_matrix,
 )
 from .sampling import latin_hypercube
@@ -335,14 +333,9 @@ def nsga2_run(
         # Removing worse fronts leaves each survivor's rank as it was in the
         # pool. The sort is stable, so a whole front keeps pool-index order,
         # its crowding breaks ties as in the pool and is the pool's bit for bit.
-        # A first front of M rows or more fills the population by itself: no
-        # later front survives, so labelling the rest 1 keeps the same rows
-        # in the same order, and every survivor has rank 0.
-        non_dominated = non_dominated_mask(pool_Y)
-        if np.count_nonzero(non_dominated) >= M:
-            pool_rank = (~non_dominated).astype(np.intp)
-        else:
-            pool_rank = front_ranks(pool_Y)
+        # Ranking stops at the front that fills the population; the rows
+        # left share the next rank, and none of them survives.
+        pool_rank = front_ranks(pool_Y, fill=M)
         cut = pool_rank == np.sort(pool_rank)[M]
         spread = np.zeros(2 * M)
         spread[cut] = -crowding_distance(pool_Y[cut])

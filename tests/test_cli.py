@@ -695,12 +695,14 @@ class TestCmdFront:
         empty.mkdir()
         assert main(["front", str(empty)]) == 1
         metrics = empty / "metrics.json"
-        assert f"cannot read run metrics {metrics}: [Errno 2] No such file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read run metrics {metrics}: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "damage",
         [
             "empty-final-front",
+            "missing-final-front",
             "metrics-not-utf-8",
             "metrics-a-directory",
             "metrics-not-json",
@@ -716,6 +718,8 @@ class TestCmdFront:
         samples = out / "samples_round_0.csv"
         if damage == "empty-final-front":
             (out / "final_front.csv").write_text("")
+        elif damage == "missing-final-front":
+            (out / "final_front.csv").unlink()
         elif damage == "metrics-not-utf-8":
             metrics.write_bytes(b"\xff" + metrics.read_bytes())
         elif damage == "metrics-a-directory":
@@ -732,7 +736,10 @@ class TestCmdFront:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         if damage.startswith("metrics"):
-            assert f"run metrics {metrics}" in err
+            assert f"run metrics {metrics}" in err and err.count(str(metrics)) == 1
+        if damage == "missing-final-front":
+            final = out / "final_front.csv"
+            assert err == f"error: cannot read point file {final}: No such file or directory\n"
         assert not (out / "combined.csv").exists()
 
     @pytest.mark.parametrize("target", ["missing/c.csv", "."], ids=["missing-directory", "a-directory"])

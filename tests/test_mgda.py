@@ -490,6 +490,42 @@ class TestMultistartStats:
             multistart_mgda(GradientModel(problem), problem.bounds, cfg, n_starts=10, seed=2, stats=stats)
         assert stats == {"starts": 10, "converged": 0, "dropped": 10, "max_iterations_used": 1}
 
+    def test_a_nan_norm_start_is_dropped_and_the_others_descend_as_alone(self):
+        """One start's norm is NaN at every iteration: where x0 > 0.6, NaN
+        included, the two-paraboloids gradients are replaced by +-1e200,
+        which stay finite but overflow the K = 2 weights to inf / inf. The
+        Latin hypercube puts exactly one of five starts there, and the
+        others descend toward the Pareto segment, where x0 <= 0.5."""
+        problem = make_analytic_problem("two-paraboloids")
+        analytic = GradientModel(problem)
+
+        class PartlyOverflowing:
+            def predict_batch(self, X):
+                return analytic.predict_batch(X)
+
+            def input_jacobian_batch(self, X):
+                J = analytic.input_jacobian_batch(X)
+                wild = ~(X[:, 0] <= 0.6)
+                J[wild] = 0.0
+                J[wild, :, 0] = [1e200, -1e200]
+                return J
+
+        model, bounds = PartlyOverflowing(), problem.bounds
+        cfg = MgdaConfig(max_iterations=1000)
+        starts = latin_hypercube(5, bounds, 4)
+        calm = starts[:, 0] <= 0.6
+        assert calm.sum() == 4
+        stats, traces = {}, []
+        with np.errstate(over="ignore", invalid="ignore"):
+            front = multistart_mgda(
+                model, bounds, cfg, n_starts=5, seed=4, trace_writer=traces.append, stats=stats
+            )
+        X, converged, _, _ = _descend(model, starts[calm], bounds, cfg, keep_traces=False)
+        assert converged.all() and front.X.tobytes() == X.tobytes()
+        assert stats == {"starts": 5, "converged": 4, "dropped": 1, "max_iterations_used": 1000}
+        (trace,) = traces
+        assert np.isnan(trace[trace[:, 1] == np.flatnonzero(~calm)[0], 2]).all()
+
     @pytest.mark.parametrize("n_starts", [0, -1])
     def test_no_start_rejected_before_any_model_call(self, n_starts):
         class Untouchable:

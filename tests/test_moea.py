@@ -74,8 +74,11 @@ class TestSorting:
         st.lists(st.integers(0, 59), max_size=8),
     )
     def test_two_objective_sweep_equals_dominance_peeling(self, grid, inf_rows):
-        # integer grids make ties and exact duplicates common; +inf rows are
-        # how NSGA-II demotes non-finite individuals
+        # two objectives: every front is peeled by the lexicographic sort and
+        # running minimum of `non_dominated_mask` (the test keeps the name of
+        # the sweep that ranked them once). Integer grids make ties and exact
+        # duplicates common; +inf rows are how NSGA-II demotes non-finite
+        # individuals
         Y = np.array(grid, dtype=float)
         Y[[i for i in inf_rows if i < len(Y)]] = np.inf
         got = fast_non_dominated_sort(Y)
@@ -88,6 +91,8 @@ class TestSorting:
         ids=["one-point", "all-equal", "all-demoted"],
     )
     def test_two_objective_sweep_edge_cases(self, Y):
+        # one front, found by the first pass of the running minimum: a lone
+        # row, exact duplicates, and rows all demoted to +inf
         assert [f.tolist() for f in fast_non_dominated_sort(Y)] == [list(range(len(Y)))]
 
     @given(
@@ -95,13 +100,17 @@ class TestSorting:
         st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3), min_size=1, max_size=60),
         st.lists(st.integers(0, 59), max_size=8),
         st.lists(st.integers(0, 59), max_size=4),
+        st.integers(0, 60),
     )
     # a lone (inf, inf) row has no earlier distinct row to be dominated by
-    @example(2, [[0, 0, 0]], [0], [])
-    @example(2, [[1, 2, 3]] * 7, [], [])
-    @example(3, [[1, 2, 3]] * 7, [], [])
-    def test_front_ranks_equal_dominance_peeling(self, k, grid, inf_rows, nan_rows):
-        # two objectives take the sweep unless a NaN sends them to the peel
+    @example(2, [[0, 0, 0]], [0], [], 0)
+    @example(2, [[1, 2, 3]] * 7, [], [], 3)
+    @example(3, [[1, 2, 3]] * 7, [], [], 7)
+    def test_front_ranks_equal_dominance_peeling(self, k, grid, inf_rows, nan_rows, fill_at):
+        # two objectives take the running minimum of `non_dominated_mask`
+        # unless a NaN sends them to the dominance matrix. With `fill`, the
+        # ranks below the first rank k that leaves min(fill, n) rows ranked
+        # are kept, and the rows left are all ranked k; fill runs from 1 to n + 1.
         Y = np.array(grid, dtype=float)[:, :k]
         Y[[i for i in inf_rows if i < len(Y)]] = np.inf
         Y[[i for i in nan_rows if i < len(Y)], 0] = np.nan
@@ -110,6 +119,9 @@ class TestSorting:
             want[front] = r
         assert np.array_equal(front_ranks(Y), want)
         assert np.array_equal(non_dominated_mask(Y), want == 0)
+        fill = fill_at % (len(Y) + 1) + 1
+        least = next(r for r in range(1, len(Y) + 1) if (want < r).sum() >= min(fill, len(Y)))
+        assert np.array_equal(front_ranks(Y, fill), np.minimum(want, least))
 
     def test_dominated_point_in_second_front(self):
         fronts = fast_non_dominated_sort(np.array([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0]]))
@@ -677,18 +689,19 @@ class TestNsga2:
     def test_matches_one_pair_oracle_when_the_first_front_fills_the_population(
         self, name, M, seed, generations, monkeypatch
     ):
-        # survival labels the pool 0/1 when its first front holds at least M
-        # rows, and ranks every front otherwise; exactly M is the border. The
+        # survival stops ranking at the first front when it holds at least M
+        # rows, and peels later fronts otherwise; exactly M is the border. The
         # zdt1 run tells a border moved down to M - 1 apart.
         problem = make_analytic_problem(name)
         first_front_sizes = []
 
-        def counted(F):
-            mask = non_dominated_mask(F)
-            first_front_sizes.append(np.count_nonzero(mask))
-            return mask
+        def counted(F, fill=None):
+            rank = front_ranks(F, fill)
+            if fill is not None:
+                first_front_sizes.append(np.count_nonzero(rank == 0))
+            return rank
 
-        monkeypatch.setattr(moea, "non_dominated_mask", counted)
+        monkeypatch.setattr(moea, "front_ranks", counted)
         cfg = MoeaConfig(generations=generations)
         self.assert_same_run(problem.evaluate_batch, problem.bounds, cfg, M, seed)
         sides = {np.sign(size - M) for size in first_front_sizes}
