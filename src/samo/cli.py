@@ -166,18 +166,13 @@ def cmd_front(args) -> int:
     rows = [[j, kind, *x, *f] for j, kind, X, F in point_sets for x, f in zip(X, F)]
     _, _, X, F = point_sets[-1]
     out = Path(args.out) if args.out else run_dir / "combined.csv"
-    try:
-        write_csv(out, ["round", "kind", *point_header(X, F, "obj")], rows)
-    except OSError as exc:  # a missing directory on the way, or a directory named
-        raise ConfigurationError(f"cannot write {out}: {exc.strerror}") from exc
+    write_csv(out, ["round", "kind", *point_header(X, F, "obj")], rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_study(args) -> int:
     config = _configure(args)
-    if not config.study.sizes:
-        raise ConfigurationError("config has no study.sizes")
     cells = config.study.cells(config.samo)  # a bad cell fails before any evaluation
     out = _output_directory(args.out, config)
     rows = sample_size_study(config.problem, config.samo, config.study, jobs=args.jobs)
@@ -196,18 +191,11 @@ def cmd_study(args) -> int:
 
 def cmd_evaluate(args) -> int:
     problem = RunConfig.from_file(args.config).problem
-    try:
-        if args.x is not None:
-            x = _point(args.x)
-        else:
-            x = np.zeros(problem.n_dim)
-        # NaN and the infinities fail the box comparison too
-        if x.shape != (problem.n_dim,) or not problem.bounds.contains(x):
-            raise ConfigurationError(f"--x must be a point of the problem's box, got {args.x}")
-        y = problem.evaluate(x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    x = np.zeros(problem.n_dim) if args.x is None else _point(args.x)
+    # NaN and the infinities fail the box comparison too
+    if x.shape != (problem.n_dim,) or not problem.bounds.contains(x):
+        raise ConfigurationError(f"--x must be a point of the problem's box, got {args.x}")
+    y = problem.evaluate(x)
     print(",".join(format_float(v) for v in y))
     return 0
 
@@ -270,13 +258,18 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     # argparse enforces `command`; every subcommand sets func. A config
-    # error, an unreadable config file included, or a model that fails outside
-    # the surrogate stages ends any of them with exit status 2.
+    # error, an unreadable config file included, a model that fails outside
+    # the surrogate stages or an artifact that cannot be written ends any of
+    # them with exit status 2. Every read raises ConfigurationError, so an
+    # OSError that gets here is a write.
     try:
         return args.func(args)
     except SamoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        reason = exc
+    except OSError as exc:  # its own text repeats the path
+        reason = f"cannot write {exc.filename}: {exc.strerror}" if exc.filename else exc
+    print(f"error: {reason}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -127,8 +127,8 @@ class SamoConfig:
     selects. `seed` is the run's only seed: every round derives the seeds of
     its sampling, training and optimizer from it with `derive_seed`. Round 0
     fits the surrogate on its batch alone, so `batch_size` is at least
-    `samo.surrogate.min_training_samples`: 2 for an RBF, whether its width
-    is fixed or searched, and at least 5 for the network.
+    `samo.surrogate.min_training_samples`: 2 for an RBF and at least 5 for
+    the network.
     """
 
     budget: int = 120
@@ -207,9 +207,7 @@ def evaluate_batch(problem: Problem, X: np.ndarray, jobs: int = 1) -> np.ndarray
 
 def _fit_surrogate(data: Dataset, cfg: SamoConfig, round_index: int):
     if cfg.surrogate == "rbf":
-        sigma = cfg.rbf.sigma
-        if sigma is None:
-            sigma = select_rbf_width(data, cfg.rbf.grid, ridge=cfg.rbf.ridge)
+        sigma = select_rbf_width(data, cfg.rbf.grid, ridge=cfg.rbf.ridge)
         return fit_rbf(data, sigma=sigma, ridge=cfg.rbf.ridge)
     return fit_mlp(data, cfg.train, seed=derive_seed(cfg.seed, 1, round_index))
 
@@ -454,7 +452,9 @@ class StudyConfig:
         """Every cell of the sweep around the run config `cfg` as
         (repetition, run config), by surrogate kind, then repetition, then
         size; a cell's seed is `derive_seed(cfg.seed, 3, size, repetition)`.
-        A size its cell's config rejects raises ConfigurationError."""
+        No sizes, or a size its cell's config rejects, raise ConfigurationError."""
+        if not self.sizes:
+            raise ConfigurationError("study.sizes must hold at least one batch size")
         cells = []
         for kind in self.surrogates or (cfg.surrogate,):
             for rep in range(self.repetitions):
@@ -486,8 +486,6 @@ def sample_size_study(problem: Problem, cfg: SamoConfig, study: StudyConfig, job
     reporting rounds, evaluation counts, wall-clock and front quality. A
     cell whose run fails, by raising or with a `record.error`, is logged and
     left out."""
-    if len(study.sizes) == 0:
-        raise ConfigurationError("study needs at least one sample size")
     reference = problem.true_front(1000) if problem.true_front is not None else None
     rows = []
     for rep, run_cfg in study.cells(cfg):

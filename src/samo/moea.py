@@ -115,8 +115,6 @@ def crowding_distance(front) -> np.ndarray:
 def _crowding(Y: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Crowding distance of every row of Y within its front, the rows of
     rank r; `rank` holds every value from 0 to its largest."""
-    if not rank.any():
-        return crowding_distance(Y)
     crowd = np.empty(len(Y))
     for r in range(rank.max() + 1):
         front = rank == r
@@ -231,10 +229,7 @@ def _evaluate(objective, X: np.ndarray) -> tuple:
         raise DimensionMismatchError(
             f"objective returned shape {Y.shape} for {X.shape[0]} points; expected (M, K)"
         )
-    finite = np.isfinite(Y)
-    if finite.all():
-        return Y, 0
-    bad = ~finite.all(axis=1)
+    bad = ~np.isfinite(Y).all(axis=1)
     flagged = int(bad.sum())
     if flagged:
         logger.warning("%d individuals returned non-finite objectives; demoted", flagged)

@@ -132,17 +132,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RbfConfig:
-    """Width and ridge of the RBF interpolant; a `sigma` of None is chosen
-    over `grid` by leave-one-out error (`select_rbf_width`). Widths are
-    positive and finite."""
+    """Width and ridge of the RBF interpolant. Each fit takes the width
+    of `grid` with the least leave-one-out error (`select_rbf_width`); a
+    grid of one width fixes it. Widths are positive and finite."""
 
-    sigma: Optional[float] = None
     grid: tuple[float, ...] = DEFAULT_SIGMA_GRID
     ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self) -> None:
-        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
-            raise ConfigurationError("rbf.sigma must be strictly positive and finite")
         if not self.grid or not all(0.0 < width < np.inf for width in self.grid):
             raise ConfigurationError("rbf.grid must hold at least one width, all positive and finite")
         if not self.ridge >= 0.0:
@@ -157,8 +154,8 @@ def _validation_rows(n: int, validation_fraction: float) -> int:
 def min_training_samples(kind: str, validation_fraction: float = 0.2) -> int:
     """The fewest samples a surrogate of `kind` is fitted on: for the
     network, the least n of at least 5 whose split by `validation_fraction`
-    keeps a training row; 2 for an RBF, whether its width is fixed or
-    searched, since leaving one sample out still leaves a center."""
+    keeps a training row; 2 for an RBF, since its width search leaves one
+    sample out and still needs a center."""
     if kind == "mlp":
         # no n below 0.5 / (1 - fraction) keeps a training row; starting
         # there bounds the search for a fraction near 1

@@ -52,7 +52,7 @@ NON_FINITE_FLOATS = [
     ({"samo": {"h_min": math.nan}}, "samo.h_min"),
     ({"samo": {"h_min": math.inf}}, "samo.h_min"),
     ({"samo": {"h_min": 10**400}}, "samo.h_min"),
-    ({"samo": {"rbf": {"sigma": math.nan}}}, "samo.rbf.sigma"),
+    ({"samo": {"rbf": {"ridge": math.nan}}}, "samo.rbf.ridge"),
     ({"samo": {"rbf": {"grid": [0.5, -math.inf]}}}, "samo.rbf.grid"),
     ({"samo": {"mgda": {"tolerance": math.nan}}}, "samo.mgda.tolerance"),
     ({"problem": {"name": "mbs", "horizon": {"dt": math.nan}}}, "problem.horizon.dt"),
@@ -117,9 +117,9 @@ class TestRunConfig:
         assert RunConfig.from_dict({"problem": {"name": "zdt1"}}).samo == SamoConfig()
 
     def test_rbf_section_sets_rbf_fields(self):
-        rbf = {"sigma": 2, "grid": [1, 3], "ridge": 0}
+        rbf = {"grid": [1, 3], "ridge": 0}
         samo = RunConfig.from_dict({"samo": {"surrogate": "rbf", "rbf": rbf}}).samo
-        assert (samo.rbf.sigma, samo.rbf.grid, samo.rbf.ridge) == (2.0, (1.0, 3.0), 0.0)
+        assert (samo.rbf.grid, samo.rbf.ridge) == ((1.0, 3.0), 0.0)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -131,6 +131,8 @@ class TestRunConfig:
             ("mgda", "n_starts"),
             ("train", "hidden"),
             (None, "rbf_sigma"),
+            # a one-width grid fixes the width
+            ("rbf", "sigma"),
         ],
     )
     def test_derived_fields_are_unknown_keys(self, section, key):
@@ -266,7 +268,7 @@ class TestRunConfig:
             "samo": {
                 "seed": None,
                 "budget": None,
-                "rbf": {"sigma": None, "grid": None},
+                "rbf": {"grid": None, "ridge": None},
                 "moea": {"generations": None, "mutation_prob": None},
                 "train": None,
             },
@@ -317,8 +319,8 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "payload, key",
         [
-            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": 0}}}, "rbf.sigma"),
-            ({"samo": {"surrogate": "rbf", "rbf": {"sigma": -1.0}}}, "rbf.sigma"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": [0]}}}, "rbf.grid"),
+            ({"samo": {"surrogate": "rbf", "rbf": {"grid": [-1.0]}}}, "rbf.grid"),
             ({"samo": {"surrogate": "rbf", "rbf": {"ridge": -1e-8}}}, "rbf.ridge"),
             ({"samo": {"surrogate": "rbf", "rbf": {"grid": []}}}, "rbf.grid"),
             ({"samo": {"surrogate": "rbf", "rbf": {"grid": [0.5, 0.0]}}}, "rbf.grid"),
@@ -556,6 +558,19 @@ class TestCmdRun:
         }
         assert (out / "final_front.csv").exists()
 
+    def test_unwritable_metrics_exits_2_after_every_other_artifact(self, tmp_path, capsys):
+        out, whole = tmp_path / "run", tmp_path / "whole"
+        (out / "metrics.json").mkdir(parents=True)
+        assert main(["run", "--config", str(CHEAP_DEMO), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out / 'metrics.json'}: Is a directory\n"
+        assert main(["run", "--config", str(CHEAP_DEMO), "--out", str(whole)]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in whole.iterdir())
+        for name in written:
+            if name != "metrics.json":
+                assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+
     def test_same_seed_byte_identical_front_csvs(self, tmp_path):
         config_path = write_config(tmp_path, CHEAP_CONFIG)
         out_a = tmp_path / "a"
@@ -751,6 +766,7 @@ class TestCmdFront:
         assert main(["front", str(out), "--out", str(tmp_path / target)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert err.count(str(tmp_path / target)) == 1
         assert not (tmp_path / "missing").exists()
 
 
@@ -776,7 +792,7 @@ class TestCmdStudy:
             {"study": {"sizes": [5.7, 10], "surrogates": ["rbf"], "repetitions": 1}},
             {"study": {"sizes": [4], "surrogates": "rbf"}},
             {"samo": {**CHEAP_CONFIG["samo"], "moea": {"eta_mutation": -1}}},
-            {"samo": {**CHEAP_CONFIG["samo"], "rbf": {"sigma": 0}}},
+            {"samo": {**CHEAP_CONFIG["samo"], "rbf": {"grid": [0]}}},
             {"problem": {"name": "zdt1", "n_dim": 1}},
             {"problem": {"name": "zdt1", "n_dim": 3, "half_width": 0.5}},
             {"samo": {**CHEAP_CONFIG["samo"], "seed": -2}},
@@ -884,10 +900,20 @@ class TestCmdStudy:
         lines = (out / "study.csv").read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("batch_size,")
 
-    def test_study_requires_sizes(self, tmp_path):
-        payload = {"problem": {"name": "two-paraboloids"}}
-        config_path = write_config(tmp_path, payload)
-        assert main(["study", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 2
+    def test_study_requires_sizes(self, tmp_path, capsys):
+        for study in (None, {"sizes": []}):
+            payload = {"problem": {"name": "two-paraboloids"}, "study": study}
+            config_path = write_config(tmp_path, payload)
+            assert main(["study", "--config", str(config_path), "--out", str(tmp_path / "s")]) == 2
+            assert capsys.readouterr().err == "error: study.sizes must hold at least one batch size\n"
+            assert not (tmp_path / "s").exists()
+
+    def test_unwritable_study_csv_exits_2(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, CHEAP_CONFIG)
+        out = tmp_path / "study"
+        (out / "study.csv").mkdir(parents=True)
+        assert main(["study", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out / 'study.csv'}: Is a directory\n"
 
     def test_full_cross_product_eight_rows(self, tmp_path):
         payload = {

@@ -2,9 +2,11 @@
 src/samo names a standard-library module, numpy or samo itself, and NSGA-II
 draws through numpy's public generator API alone. The numpy
 gufuncs the package takes row products with give every row the bytes of
-the batched matmuls they replaced."""
+the batched matmuls they replaced. Under the warning settings of
+pyproject.toml, a failing hypothesis test fails alone."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import pytest
 
 import oracles
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "samo").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "samo").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "samo"}
 
 
@@ -97,3 +100,31 @@ def test_gufunc_row_products_equal_batched_matmul():
             for k in (1, 2, 3):
                 phi, weights = spread(s, c), spread(c, k)
                 assert np.vecmat(phi, weights).tobytes() == oracles.row_vecmat(phi, weights).tobytes()
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=10))
+def test_fails_on_a_generated_example(n):
+    assert n < 5
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_does_not_stop_the_session(tmp_path):
+    """hypothesis's failure report warns while pytest turns warnings into
+    errors; the session still runs the test after the failing one."""
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    command = [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml")]
+    command += ["-p", "no:cacheprovider", str(tmp_path / "test_property.py")]
+    done = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    output = done.stdout + done.stderr
+    assert done.returncode == 1, output
+    assert "INTERNALERROR" not in output
+    assert "1 failed, 1 passed" in output.splitlines()[-1], output

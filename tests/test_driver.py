@@ -25,6 +25,7 @@ from samo.driver import (
     igd_normalized,
     read_points,
     read_run,
+    _fit_surrogate,
     sample_size_study,
     samo_run,
 )
@@ -37,7 +38,16 @@ from samo.problems import (
     make_quarter_car_problem,
 )
 from samo.sampling import latin_hypercube
-from samo.surrogate import MlpModel, RbfConfig, RbfModel, TrainConfig, load_model
+from samo.surrogate import (
+    DEFAULT_SIGMA_GRID,
+    MlpModel,
+    RbfConfig,
+    RbfModel,
+    TrainConfig,
+    fit_rbf,
+    load_model,
+    save_model,
+)
 
 CHEAP = make_analytic_problem("two-paraboloids")
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -79,21 +89,21 @@ class TestConfigValidation:
             SamoConfig(h_min=float("nan"))
 
     @pytest.mark.parametrize(
-        "kind, sigma, fraction, least",
+        "kind, grid, fraction, least",
         [
-            pytest.param("mlp", None, 0.2, 5, id="mlp-None-5"),
+            pytest.param("mlp", DEFAULT_SIGMA_GRID, 0.2, 5, id="mlp-None-5"),
             # 10 samples split at 0.95 hold out all 10, 11 keep one to train on
-            pytest.param("mlp", None, 0.95, 11, id="mlp-validation_fraction0.95-11"),
-            pytest.param("rbf", None, 0.2, 2, id="rbf-None-2"),
-            pytest.param("rbf", 0.5, 0.2, 2, id="rbf-0.5-2"),
+            pytest.param("mlp", DEFAULT_SIGMA_GRID, 0.95, 11, id="mlp-validation_fraction0.95-11"),
+            pytest.param("rbf", DEFAULT_SIGMA_GRID, 0.2, 2, id="rbf-None-2"),
+            pytest.param("rbf", (0.5,), 0.2, 2, id="rbf-0.5-2"),
         ],
     )
-    def test_batch_size_at_least_what_round_0_fits_on(self, kind, sigma, fraction, least):
+    def test_batch_size_at_least_what_round_0_fits_on(self, kind, grid, fraction, least):
         train = TrainConfig(epochs=60, patience=60, validation_fraction=fraction)
         with pytest.raises(ConfigurationError, match=f"^batch_size must be at least {least} "):
-            small_cfg(surrogate=kind, rbf=RbfConfig(sigma=sigma), train=train, batch_size=least - 1)
+            small_cfg(surrogate=kind, rbf=RbfConfig(grid=grid), train=train, batch_size=least - 1)
         cfg = small_cfg(
-            surrogate=kind, rbf=RbfConfig(sigma=sigma), train=train, batch_size=least, budget=least
+            surrogate=kind, rbf=RbfConfig(grid=grid), train=train, batch_size=least, budget=least
         )
         record = samo_run(CHEAP, cfg)
         assert record.error is None and record.rounds[0]["dataset_size"] == least
@@ -387,6 +397,16 @@ class TestArtifacts:
         assert metrics["converged"] is (reason == "converged")
         assert (metrics["error"] is not None) is (reason == "error")
 
+    @pytest.mark.parametrize("n", [2, 20])
+    @pytest.mark.parametrize("width", [0.5, 5.0])
+    def test_a_one_width_grid_fits_that_width(self, tmp_path, width, n):
+        X = latin_hypercube(n, CHEAP.bounds, n)
+        data = samo.core.Dataset(X, CHEAP.evaluate_batch(X))
+        save_model(fit_rbf(data, sigma=width), tmp_path / "fixed.json")
+        cfg = small_cfg(rbf=RbfConfig(grid=(width,)))
+        save_model(_fit_surrogate(data, cfg, 0), tmp_path / "grid.json")
+        assert (tmp_path / "fixed.json").read_bytes() == (tmp_path / "grid.json").read_bytes()
+
     def test_format_float_17_digits(self):
         x = 1.0 / 3.0
         assert float(format_float(x)) == x
@@ -396,7 +416,7 @@ class TestFailureHandling:
     def test_training_failure_partial_record(self):
         # an unregularized kernel with an absurdly wide width is numerically
         # singular, so the first fit fails and the run ends gracefully
-        cfg = small_cfg(rbf=RbfConfig(sigma=1e9, ridge=0.0))
+        cfg = small_cfg(rbf=RbfConfig(grid=(1e9,), ridge=0.0))
         record = samo_run(CHEAP, cfg)
         assert record.error is not None
         assert not record.converged
@@ -600,8 +620,8 @@ class TestStudy:
         assert "study cell (s=5, rep=0) failed: surrogate optimization failed in round 0" in caplog.text
 
     def test_empty_sizes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sample_size_study(CHEAP, small_cfg(), StudyConfig())
+        with pytest.raises(ConfigurationError, match=r"^study.sizes must hold at least one batch size$"):
+            sample_size_study(CHEAP, small_cfg(), StudyConfig(sizes=()))
 
     def test_cells_in_the_triple_loop_order_with_derived_seeds(self):
         # surrogate kind, then repetition, then size, as the sweep ran when

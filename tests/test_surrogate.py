@@ -227,8 +227,8 @@ class TestSigmaSelection:
             fit_rbf(data, sigma=nan)
         with pytest.raises(ConfigurationError, match="ridge parameter must be non-negative"):
             fit_rbf(data, sigma=1.0, ridge=nan)
-        with pytest.raises(ConfigurationError, match="rbf.sigma must be strictly positive"):
-            RbfConfig(sigma=nan)
+        with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
+            RbfConfig(grid=(nan,))
         with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
             RbfConfig(grid=(1.0, nan))
         with pytest.raises(ConfigurationError, match="rbf.ridge must be non-negative"):
@@ -239,8 +239,8 @@ class TestSigmaSelection:
             fit_rbf(data, sigma=inf)
         with pytest.raises(ConfigurationError, match="sigma must be strictly positive and finite"):
             select_rbf_width(data, grid=(1.0, inf))
-        with pytest.raises(ConfigurationError, match="rbf.sigma must be strictly positive and finite"):
-            RbfConfig(sigma=inf)
+        with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
+            RbfConfig(grid=(inf,))
         with pytest.raises(ConfigurationError, match="rbf.grid must hold at least one width"):
             RbfConfig(grid=(1.0, inf))
 

@@ -60,6 +60,16 @@ def copy_working_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
+def side_trees(scratch: Path, sha: str) -> dict:
+    """The two sides under `scratch`: `parent/` holding `git archive SHA`
+    and `change/` a copy of the working tree."""
+    trees = {side: scratch / side for side in SIDES}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
+        tar.extractall(trees["parent"], filter="data")
+    copy_working_tree(trees["change"])
+    return trees
+
+
 def write_atomically(path: Path, text: str) -> None:
     """Write `text` to `path` through a file beside it, so a stop midway
     leaves the previous file whole."""
@@ -154,10 +164,7 @@ def main(argv=None) -> int:
     alike = [r for r in record["runs"] if r["run"].split(", ", 1)[1] == settings]
     done = len({r["run"] for r in alike})
     with tempfile.TemporaryDirectory(prefix="ab-pairs-") as scratch:
-        trees = {side: Path(scratch) / side for side in SIDES}
-        with tarfile.open(fileobj=io.BytesIO(git("archive", sha))) as tar:
-            tar.extractall(trees["parent"], filter="data")
-        copy_working_tree(trees["change"])
+        trees = side_trees(Path(scratch), sha)
         hashes = {side: src_sha256(tree) for side, tree in trees.items()}
         for pair in range(done + 1, done + args.pairs + 1):
             order = SIDES if pair % 2 else SIDES[::-1]
