@@ -7,20 +7,21 @@ Frank-Wolfe iteration, which converges linearly on the simplex and reaches
 the tight duality-gap tolerance cheaply for small objective counts.
 
 All starts of a multistart run advance together, with one batched Jacobian
-call per iteration; each start's path is bit for bit the one it takes alone,
-because the row products are the gufuncs `np.vecdot` and `np.vecmat`, which
-compute each row as for that row's vectors alone. The starts still moving
-are kept in one compact array. Only in an iteration where some start turns
-critical are the end points, flags and counts written out and the array
-shrunk. Late in a run few starts move, so the fixed cost of an iteration's
-numpy calls sets its time; `tools/mgda_iteration.py` measures it. To keep
-that cost low, the step and the clip are written into the direction array
-the iteration made, one reduction tells whether any start finished, and
-the RBF model computes what depends on it alone (its centers laid out by
-coordinate, weights.T, the kernel's -(2 sigma^2) and -(sigma^2), y_scale
-as a column) once per model. On the round-0 surrogate of
-`paraboloid-rbf-mgda`, an iteration takes about 31 us with 1 moving start
-and 54 us with 60 (medians of 10 runs on 2 shared CPUs, Python 3.11,
+call per iteration. The row products are the gufuncs `np.vecdot` and
+`np.vecmat`, which compute each row alone, so a start's path is bit for bit
+its solo path only on models whose Jacobian rows are computed alone, as the
+RBF model's are; on the network's it agrees to rounding. The starts still
+moving are kept in one compact array. Only in an iteration where some start
+turns critical are the end points, flags and counts written out and the
+array shrunk. Late in a run few starts move, so the fixed cost of an
+iteration's numpy calls sets its time; `tools/mgda_iteration.py` measures
+it. To keep that cost low, the step and the clip are written into the
+direction array the iteration made, one reduction tells whether any start
+finished, and the RBF model computes what depends on it alone (its centers
+laid out by coordinate, weights.T, the kernel's -(2 sigma^2) and
+-(sigma^2), y_scale as a column) once per model. On the round-0 surrogate
+of `paraboloid-rbf-mgda`, an iteration takes about 31 us with 1 moving
+start and 54 us with 60 (medians of 10 runs on 2 shared CPUs, Python 3.11,
 numpy 2.4).
 """
 

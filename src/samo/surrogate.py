@@ -47,10 +47,10 @@ class SurrogateModel(Protocol):
 
     `predict` maps an N-vector to K objectives and `input_jacobian` returns
     the exact K x N Jacobian there. The batch forms take an (M, N) array and
-    return (M, K) and (M, K, N). Row i of a batch result must equal the
-    one-point result at X[i] bit for bit: NSGA-II evaluates whole
-    populations and MGDA steps all its starts with the batch forms, and
-    their output must not depend on how points are grouped.
+    return (M, K) and (M, K, N); NSGA-II and MGDA call only them. The same
+    batch gives the same bytes, but row i may differ from the one-point
+    result at X[i] in the last bits: a matrix product may sum in an order
+    that depends on M. The one-point forms are batches of one.
     """
 
     def predict(self, x: np.ndarray) -> np.ndarray: ...
@@ -231,11 +231,13 @@ class RbfModel:
     (scaled) training inputs as centers.
 
     The batch forms compute the (N, M, C) offsets of `_scaled_offsets` and
-    take the square, the coordinate sum, the kernel and the scalings in place on
-    arrays the call made. What they need of the model alone is computed
-    once per model, on first use, and kept: the centers as (N, 1, C),
-    weights.T, -(2 sigma^2), -(sigma^2) and y_scale as a column. These are
-    not dataclass fields, so they are never serialized. A Jacobian of one
+    take the square, the coordinate sum, the kernel and the scalings in
+    place on arrays the call made; the prediction is phi @ weights, the
+    Jacobian one (K, C) @ (C, N) product per row. What they need of the
+    model alone is computed once per model, on first use, and kept: the
+    centers as (N, 1, C), weights.T, -(2 sigma^2), -(sigma^2) and y_scale
+    as a column. These are not dataclass fields, so they are never
+    serialized. A Jacobian of one
     point on the `paraboloid-rbf-mgda` round-0 model (4 coordinates, 20
     centers) takes about 11 us, and one of 60 points about 26 us.
     """
@@ -279,10 +281,7 @@ class RbfModel:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         diff = _scaled_offsets(X, self.scaler, self._centers_by_coordinate)
-        phi = self._kernel(np.multiply(diff, diff, out=diff))
-        # one vector-matrix product per row, so every row equals the
-        # one-point prediction bit for bit (a 2-D phi @ weights does not)
-        Y = np.vecmat(phi, self.weights)
+        Y = self._kernel(np.multiply(diff, diff, out=diff)) @ self.weights
         np.multiply(Y, self.scaler.y_scale, out=Y)
         return np.add(Y, self.scaler.y_shift, out=Y)
 
@@ -305,7 +304,8 @@ class RbfModel:
 
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Fully connected tanh network mapping scaled inputs to scaled outputs."""
+    """Fully connected tanh network mapping scaled inputs to scaled outputs;
+    the batch forms run `_forward_all` on the (M, N) scaled inputs."""
 
     kind: ClassVar[str] = "mlp"
     weights: tuple[np.ndarray, ...]
@@ -319,14 +319,12 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def _layers(self, X: np.ndarray) -> list:
-        """`_forward_all` on the scaled inputs as (M, 1, N): every layer is
-        one vector-matrix product per row, so every row equals the one-point
-        forward pass bit for bit."""
-        h = self.scaler.transform_x(_input_matrix(X, self.n_dim))[:, None, :]
-        return _forward_all(self.weights, self.biases, h)
+        """`_forward_all` on the scaled (M, N) inputs."""
+        Xs = self.scaler.transform_x(_input_matrix(X, self.n_dim))
+        return _forward_all(self.weights, self.biases, Xs)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.scaler.inverse_y(self._layers(X)[-1][:, 0, :])
+        return self.scaler.inverse_y(self._layers(X)[-1])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_batch(np.asarray(x, dtype=float)[None, :])[0]
@@ -335,7 +333,7 @@ class MlpModel:
         layers = self._layers(X)
         jac = np.repeat(self.weights[-1].T[None], len(layers[0]), axis=0)
         for W, act in zip(reversed(self.weights[:-1]), reversed(layers[1:-1])):
-            jac = (jac * (1.0 - act**2)) @ W.T
+            jac = (jac * (1.0 - act**2)[:, None, :]) @ W.T
         return (self.scaler.y_scale[:, None] * jac) / self.scaler.x_scale
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Reference paths the package's fast paths are tested against, with exact
-equality: one reference per fast path, its plainest form.
+equality where both sum in the same order: one reference per fast path, its
+plainest form. What an oracle predicts one point per model call is compared
+to the tolerance `ROW_RTOL`.
 
 - MGDA: `mgda_run`, one start with one `predict` and `input_jacobian` call
   per point and the step of `descent_step` in Python scalars; `descend`
@@ -17,10 +19,9 @@ equality: one reference per fast path, its plainest form.
   road input computed in the loop, every state checked and stored. MLP
   training: `train_once`, one Adam moment array per weight and bias.
 
-Two groups wait for a change of contract. `row_dot`, `row_vecmat` and
-`mlp_predict_per_layer` are the batched-matmul twins of the per-row
-bit-equality contract. While NSGA-II replays numpy's stream, `tournament`
-and `offspring` pin it, and `sbx_crossover_dense` and
+`row_vecmat` is the batched-matmul form of MGDA's row products,
+`np.vecdot` and `np.vecmat`. While NSGA-II replays numpy's stream,
+`tournament` and `offspring` pin it, and `sbx_crossover_dense` and
 `polynomial_mutation_dense` are the reference for the edge uniforms of
 the operators that take pre-drawn uniforms.
 
@@ -140,7 +141,9 @@ def multistart_mgda(
 ) -> ParetoApproximation:
     """`samo.mgda.multistart_mgda` on `descend` above: the Latin-hypercube
     starts run one after another, their traces written in one call, the
-    front of the converged end points by one `predict` call per point."""
+    front of the converged end points by one `predict_batch` call, as the
+    package takes it, so that fronts and the runs built on them compare
+    bit for bit."""
     X, converged, iterations, trace = descend(
         model, latin_hypercube(n_starts, bounds, seed), bounds, cfg, trace_writer is not None
     )
@@ -160,22 +163,35 @@ def multistart_mgda(
             "consider more iterations or a smaller step"
         )
     X = X[converged]
-    Y = np.array([np.asarray(model.predict(x), dtype=float) for x in X])
+    Y = np.asarray(model.predict_batch(X), dtype=float)
     keep = non_dominated_filter(Y)
     return ParetoApproximation.from_arrays(X[keep], Y[keep])
 
 
-def row_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise inner products of two (S, N) arrays as (S, 1, N) @ (S, N, 1),
-    the batched-matmul form of `np.vecdot`: numpy computes each row with
-    the same dot call as for two vectors."""
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+# A batch form may sum a row in another order than a batch of one; the two
+# agree to this fraction of the largest magnitude compared.
+ROW_RTOL = 1e-9
+
+
+def assert_rows_close(got, want) -> None:
+    """Each entry of `got` within ROW_RTOL * max |want| of that of `want`."""
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=ROW_RTOL * np.abs(want).max())
+
+
+def assert_columns_close(got, want, n_exact: int) -> None:
+    """Two tables of one shape, their first `n_exact` columns bit for bit and
+    each column after them, a model's predictions, by `assert_rows_close`."""
+    assert got.shape == want.shape
+    assert got[:, :n_exact].tobytes() == want[:, :n_exact].tobytes()
+    for j in range(n_exact, want.shape[1]):
+        assert_rows_close(got[:, j], want[:, j])
 
 
 def row_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Row i of the (S, K) array `v` times the K x N matrix M[i], or M itself
-    when it is one matrix, as (S, 1, K) @ M: the batched-matmul form of
-    `np.vecmat`."""
+    """Row i of the (S, K) array `v` times the K x N matrix M[i], as
+    (S, 1, K) @ M: the batched-matmul form of `np.vecmat`, and with N = 1
+    of `np.vecdot`."""
     return (v[:, None, :] @ M)[:, 0, :]
 
 
@@ -188,10 +204,9 @@ def _rbf_kernel_row_major(model, X) -> tuple:
 
 
 def rbf_predict_row_major(model, X) -> np.ndarray:
-    """`RbfModel.predict_batch` on row-major offsets, its kernel row times the
-    weights as a batched matmul."""
+    """`RbfModel.predict_batch` on row-major offsets."""
     phi = _rbf_kernel_row_major(model, X)[1]
-    return model.scaler.inverse_y(row_vecmat(phi, model.weights))
+    return model.scaler.inverse_y(phi @ model.weights)
 
 
 def rbf_input_jacobian_row_major(model, X) -> np.ndarray:
@@ -249,21 +264,6 @@ def select_rbf_width(data, grid=DEFAULT_SIGMA_GRID, ridge=DEFAULT_RIDGE) -> floa
             best_mse = mse
             best_sigma = sigma
     return best_sigma
-
-
-def rowwise_nsga2(nsga2_run):
-    """`nsga2_run` given a surrogate's `predict_batch`, but evaluating each
-    population with one `predict` call per row."""
-
-    def run(objective, *args, **kwargs):
-        model = objective.__self__
-
-        def rowwise(X):
-            return np.array([model.predict(x) for x in X])
-
-        return nsga2_run(rowwise, *args, **kwargs)
-
-    return run
 
 
 def dominance_sort(F) -> list:
@@ -577,12 +577,10 @@ def forward_all(weights, biases, X):
 
 
 def mlp_predict_per_layer(model, X) -> np.ndarray:
-    """`MlpModel.predict_batch` with a layer loop of its own: the hidden
-    layers, then the output layer, on the scaled inputs as (M, 1, N)."""
-    h = model.scaler.transform_x(np.atleast_2d(np.asarray(X, dtype=float)))[:, None, :]
-    for W, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = np.tanh(h @ W + b)
-    return model.scaler.inverse_y((h @ model.weights[-1] + model.biases[-1])[:, 0, :])
+    """`MlpModel.predict_batch` on the layer loop of `forward_all`, the
+    scaled (M, N) inputs through the hidden layers, then the output layer."""
+    Xs = model.scaler.transform_x(np.atleast_2d(np.asarray(X, dtype=float)))
+    return model.scaler.inverse_y(forward_all(model.weights, model.biases, Xs)[-1])
 
 
 def loss_and_grads(weights, biases, X, Y):

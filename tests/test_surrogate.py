@@ -454,8 +454,13 @@ class TestJacobians:
 
 
 class TestBatchRowsEqualOnePoint:
-    """Row i of every batch form is bit for bit the one-point result at
-    X[i]; the optimizers rely on it to batch without changing results."""
+    """A one-point form is its batch form on a batch of one, bit for bit.
+    The rows of a larger batch agree with the one-point results to
+    `oracles.ROW_RTOL`: a plain matrix product may sum a row of a larger
+    batch in another order. The Jacobian rows of the RBF and analytic
+    models are computed alone and stay equal bit for bit; MGDA's paths on
+    them rely on it. The class is named after the bit-for-bit equality of
+    every row, which the surrogates no longer promise."""
 
     @pytest.fixture(scope="class")
     def all_models(self, trained_models):
@@ -479,7 +484,12 @@ class TestBatchRowsEqualOnePoint:
         X = np.random.default_rng(m).uniform(-1.0, 1.0, (m, n_dim))
         J = model.input_jacobian_batch(X)
         assert J.shape == (m, 2, n_dim)
-        assert np.array_equal(J, np.array([model.input_jacobian(x) for x in X]))
+        assert model.input_jacobian(X[0]).tobytes() == model.input_jacobian_batch(X[:1])[0].tobytes()
+        rows = np.array([model.input_jacobian(x) for x in X])
+        if kind.startswith("mlp"):
+            oracles.assert_rows_close(J, rows)
+        else:
+            assert np.array_equal(J, rows)
 
     @pytest.mark.parametrize("kind", ["rbf", "mlp", "rbf-24d", "mlp-24d", "gradient"])
     @pytest.mark.parametrize("m", [1, 7, 100])
@@ -489,7 +499,8 @@ class TestBatchRowsEqualOnePoint:
         X = np.random.default_rng(10 + m).uniform(-1.0, 1.0, (m, n_dim))
         Y = model.predict_batch(X)
         assert Y.shape == (m, 2)
-        assert np.array_equal(Y, np.array([model.predict(x) for x in X]))
+        assert model.predict(X[0]).tobytes() == model.predict_batch(X[:1])[0].tobytes()
+        oracles.assert_rows_close(Y, np.array([model.predict(x) for x in X]))
 
     def test_network_without_hidden_layers(self):
         identity = Scaler(np.zeros(3), np.ones(3), np.zeros(2), np.ones(2))
