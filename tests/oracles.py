@@ -576,13 +576,6 @@ def forward_all(weights, biases, X):
     return activations
 
 
-def mlp_predict_per_layer(model, X) -> np.ndarray:
-    """`MlpModel.predict_batch` on the layer loop of `forward_all`, the
-    scaled (M, N) inputs through the hidden layers, then the output layer."""
-    Xs = model.scaler.transform_x(np.atleast_2d(np.asarray(X, dtype=float)))
-    return model.scaler.inverse_y(forward_all(model.weights, model.biases, Xs)[-1])
-
-
 def loss_and_grads(weights, biases, X, Y):
     """Mean squared error on (X, Y) and its gradients, ordered as `weights + biases`."""
     activations = forward_all(weights, biases, X)

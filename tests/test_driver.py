@@ -40,7 +40,6 @@ from samo.problems import (
 from samo.sampling import latin_hypercube
 from samo.surrogate import (
     DEFAULT_SIGMA_GRID,
-    MlpModel,
     RbfConfig,
     RbfModel,
     TrainConfig,
@@ -461,14 +460,18 @@ class TestBatchedOptimizersMatchOnePointPath:
         return {p.name: p.read_bytes() for p in sorted(run_dir.glob(pattern))}
 
     @staticmethod
-    def assert_same_points(fast: Path, slow: Path) -> None:
-        """Two CSV artifacts with one header, every column bit for bit but
-        the surrogate objectives g0, g1, ..., the last, which agree to
-        `oracles.ROW_RTOL`."""
-        header = fast.read_text().partition("\n")[0]
-        assert header == slow.read_text().partition("\n")[0]
-        n_exact = sum(not name.startswith("g") for name in header.split(","))
-        oracles.assert_columns_close(*(np.hstack(read_points(p)) for p in (fast, slow)), n_exact)
+    def assert_same_files(tmp_path: Path, names) -> None:
+        """Each named file of the fast and the slow run directory is the
+        same byte for byte, but an MGDA trace: its header and its iteration,
+        start and ||d|| columns are, and its surrogate objectives, which the
+        reference predicts one point at a time, agree to `oracles.ROW_RTOL`."""
+        for name in names:
+            fast, slow = (tmp_path / side / name for side in ("fast", "slow"))
+            if not name.startswith("mgda_trace_"):
+                assert fast.read_bytes() == slow.read_bytes(), name
+                continue
+            assert fast.read_text().partition("\n")[0] == slow.read_text().partition("\n")[0]
+            oracles.assert_columns_close(*(np.hstack(read_points(p)) for p in (fast, slow)), 3)
 
     @pytest.mark.parametrize(
         "optimizer,site,oracle,pattern",
@@ -488,8 +491,7 @@ class TestBatchedOptimizersMatchOnePointPath:
         assert fast and sorted(fast) == sorted(self.artifacts(tmp_path / "slow", pattern))
         # one file per round, none per start
         assert sorted(fast) == [pattern.replace("*", f"{j}.csv") for j in range(len(fast))]
-        for name in fast:
-            self.assert_same_points(tmp_path / "fast" / name, tmp_path / "slow" / name)
+        self.assert_same_files(tmp_path, fast)
         for name in ("samples_round_*.csv", "front_round_*.csv", "final_front.csv"):
             assert self.artifacts(tmp_path / "fast", name) == self.artifacts(tmp_path / "slow", name)
         # each surrogate front, predicted in one batch, against one point at a time
@@ -501,25 +503,25 @@ class TestBatchedOptimizersMatchOnePointPath:
     def assert_whole_run_byte_identical(self, tmp_path, monkeypatch, problem, cfg):
         """Every artifact is the same, metrics.json apart from its timings
         and MGDA's traces apart from the objectives its reference
-        predicts one point at a time (`assert_same_points`), with the
+        predicts one point at a time (`assert_same_files`), with the
         slow side's reference paths, one per fast path, swapped in: the
         NSGA-II oracle ranks by the dominance peel, crowds front by
         front, gathers survivors in a list, draws one tournament per
         child and varies one pair at a time; the quarter-car oracle
-        stores every state on numpy scalars; the network oracles run
-        Adam one parameter array at a time and predict with a layer loop
-        of their own; the RBF width search refits once per width and
-        left-out sample; the RBF fit and batch oracles reduce row-major
-        offsets over their last axis; MGDA runs one start at a time with
-        one model call per point and predicts its front in one batch;
-        the filter behind the final front, the MGDA endpoints and every
-        Pareto approximation's check takes the dominance peel's first
-        front."""
+        stores every state on numpy scalars; the network oracle runs
+        Adam one parameter array at a time on a forward pass of its own
+        (the network predicts with the training forward pass, so the
+        trained weights' bytes cover its prediction too); the RBF width
+        search refits once per width and left-out sample; the RBF fit
+        and batch oracles reduce row-major offsets over their last axis;
+        MGDA runs one start at a time with one model call per point and
+        predicts its front in one batch; the filter behind the final
+        front, the MGDA endpoints and every Pareto approximation's check
+        takes the dominance peel's first front."""
         samo_run(problem, cfg, run_dir=tmp_path / "fast", verbose=True)
         monkeypatch.setattr(samo.driver, "nsga2_run", oracles.nsga2_run)
         monkeypatch.setattr(QuarterCarEvaluator, "__call__", oracles.quarter_car_objectives)
         monkeypatch.setattr(samo.surrogate, "_train_once", oracles.train_once)
-        monkeypatch.setattr(MlpModel, "predict_batch", oracles.mlp_predict_per_layer)
         monkeypatch.setattr(samo.driver, "select_rbf_width", oracles.select_rbf_width)
         monkeypatch.setattr(samo.driver, "fit_rbf", oracles.fit_rbf_row_major)
         monkeypatch.setattr(RbfModel, "predict_batch", oracles.rbf_predict_row_major)
@@ -531,11 +533,7 @@ class TestBatchedOptimizersMatchOnePointPath:
         fast, slow = (self.artifacts(tmp_path / side, "*") for side in ("fast", "slow"))
         del fast["metrics.json"], slow["metrics.json"]
         assert len(fast) >= 3 and sorted(fast) == sorted(slow)
-        for name in fast:
-            if name.startswith("mgda_trace_"):
-                self.assert_same_points(tmp_path / "fast" / name, tmp_path / "slow" / name)
-            else:
-                assert fast[name] == slow[name], name
+        self.assert_same_files(tmp_path, fast)
         assert oracles.untimed_metrics(tmp_path / "fast") == oracles.untimed_metrics(tmp_path / "slow")
         return fast
 
